@@ -22,10 +22,9 @@ enumeration with an explicit budget instead.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Iterable, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -40,7 +39,6 @@ from .separations import (
     OrientedSeparation,
     Separation,
     enumerate_separations,
-    leq,
 )
 
 DEFAULT_TANGLE_BUDGET = 500_000
@@ -216,7 +214,7 @@ class TangleWitness:
         return doc
 
 
-Orienter = Union[PreTangle, TangleWitness]
+Orienter = PreTangle | TangleWitness
 
 
 def orient_by_witness(w: TangleWitness, s: Separation) -> OrientedSeparation:
@@ -262,16 +260,23 @@ class PreTangleReport:
         return self.complete and self.consistent
 
 
-def _consistency_witness(members: list[OrientedSeparation]):
+def _inconsistent(x: OrientedSeparation, y: OrientedSeparation) -> bool:
+    """True iff reverse(x) <= y, i.e. (B, A) <= (C, D) for x = (A, B), y = (C, D).
+
+    Both halves read B <= C and D <= A, so the relation is symmetric:
+    reverse(x) <= y iff reverse(y) <= x. Callers pass orientations of two
+    distinct separations of one graph.
+    """
+    return x.side_b <= y.side_a and x.side_a >= y.side_b
+
+
+def _consistency_witness(members: Sequence[OrientedSeparation]):
+    """First pair (x, y) with reverse(x) <= y among orientations of distinct
+    separations, else None."""
     for i, x in enumerate(members):
-        xr = x.reverse()
         for y in members[i + 1 :]:
-            if x.canonical() == y.canonical():
-                continue
-            if leq(xr, y):
+            if _inconsistent(x, y):
                 return (x, y)
-            if leq(y.reverse(), x):
-                return (y, x)
     return None
 
 
@@ -327,11 +332,26 @@ class TangleReport:
         return self.pretangle.ok and self.axiom_ok
 
 
-def check_tangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> TangleReport:
-    """Pre-tangle checks plus the covering-triple axiom over all triples."""
-    pre = check_pretangle(g, p, budget=budget)
-    members = p.oriented_members()
+def _maximal(members: list[OrientedSeparation]) -> list[OrientedSeparation]:
+    """One member per inclusion-maximal side A, by decreasing |A|.
+
+    If A <= C then G[A] <= G[C], so a covering triple exists among members
+    iff one exists among these: replace each part of a triple by a kept
+    member whose side A contains it.
+    """
     by_size = sorted(members, key=lambda o: (-len(o.side_a), o.canonical().sort_key))
+    kept: list[OrientedSeparation] = []
+    for o in by_size:
+        if not any(o.side_a <= m.side_a for m in kept):
+            kept.append(o)
+    return kept
+
+
+def check_tangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> TangleReport:
+    """Pre-tangle checks plus the covering-triple axiom, scanned over the
+    members with maximal side A (see `_maximal`)."""
+    pre = check_pretangle(g, p, budget=budget)
+    by_size = _maximal(p.oriented_members())
     witness = None
     for i, x in enumerate(by_size):
         for y in by_size[i:]:
@@ -374,7 +394,9 @@ def enumerate_tangles(
     Separations are fixed in (order, canonical) order; each partial
     orientation is pruned on the first consistency violation or covering
     triple among the chosen orientations, which leaves precisely the tangles
-    as completed branches.
+    as completed branches. The covering test runs on the chosen orientations
+    with maximal side A only (see `_maximal`), and the search keeps its own
+    stack, so its depth is not bounded by the interpreter's recursion limit.
     """
     if not g.vertices:
         raise EmptyGraphError("enumerate_tangles requires a non-empty graph")
@@ -385,50 +407,58 @@ def enumerate_tangles(
     seps = enumerate_separations(g, k - 1, budget=enumeration_budget)
     results: list[Tangle] = []
     chosen: list[OrientedSeparation] = []
-    by_size: list[tuple[int, OrientedSeparation]] = []  # (-|side_a|, oriented)
+    maximal: list[OrientedSeparation] = []  # chosen with maximal side A, by decreasing |A|
+    undo: list[list[OrientedSeparation]] = []  # `maximal` before each chosen entry
     nodes = 0
 
-    def compatible(new: OrientedSeparation) -> bool:
-        new_rev = new.reverse()
-        for old in chosen:
-            if leq(new_rev, old) or leq(old.reverse(), new):
-                return False
-        pool = [o for _, o in by_size]
+    def admit(new: OrientedSeparation) -> list[OrientedSeparation] | None:
+        """`maximal` with new added, or None if new breaks an axiom.
+
+        Triples among the chosen orientations already passed, so only
+        triples through new are tested, and only against maximal members.
+        """
+        if any(_inconsistent(new, old) for old in chosen):
+            return None
+        a = new.side_a
+        if any(a <= m.side_a for m in maximal):
+            return maximal
+        pool = [m for m in maximal if not m.side_a < a]
         pos = 0
-        while pos < len(pool) and len(pool[pos].side_a) >= len(new.side_a):
+        while pos < len(pool) and len(pool[pos].side_a) >= len(a):
             pos += 1
         pool.insert(pos, new)
-        if _covering_third(g, pool, new, new) is not None:
-            return False
-        for old in chosen:
-            if _covering_third(g, pool, new, old) is not None:
-                return False
-        return True
+        for x in pool:
+            if _covering_third(g, pool, new, x) is not None:
+                return None
+        return pool
 
-    def dfs(i: int):
-        nonlocal nodes
+    # stack[i] is the next orientation to try at depth i: 0 toward "b", 1 toward "a"
+    stack = [0]
+    while stack:
+        i = len(stack) - 1
         if i == len(seps):
             choices = {
                 sep: ("b" if oriented.side_b == sep.side_b else "a")
                 for sep, oriented in zip(seps, chosen)
             }
             results.append(Tangle(g, k, choices))
-            return
-        sep = seps[i]
-        for toward in ("b", "a"):
+        elif stack[i] < 2:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError("tangle search nodes", budget)
-            oriented = sep.orient(toward)
-            if compatible(oriented):
-                chosen.append(oriented)
-                entry = (-len(oriented.side_a), oriented)
-                insort(by_size, entry, key=lambda e: e[0])
-                dfs(i + 1)
-                by_size.remove(entry)
-                chosen.pop()
-
-    dfs(0)
+            new = seps[i].orient("ba"[stack[i]])
+            stack[i] += 1
+            grown = admit(new)
+            if grown is not None:
+                chosen.append(new)
+                undo.append(maximal)
+                maximal = grown
+                stack.append(0)
+            continue
+        stack.pop()
+        if i:
+            chosen.pop()
+            maximal = undo.pop()
     return results
 
 

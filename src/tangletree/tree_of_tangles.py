@@ -37,7 +37,6 @@ from .separations import (
     Separation,
     enumerate_separations,
     is_tight,
-    leq,
     relation,
     supremum,
 )
@@ -45,6 +44,7 @@ from .tangles import (
     Orienter,
     PreTangle,
     TangleWitness,
+    _consistency_witness,
     check_tangle,
     distinguishable_pairs,
     distinguishes,
@@ -328,15 +328,6 @@ class TreeDecomposition:
         return "\n".join(lines) + "\n"
 
 
-def _consistent(orientations: tuple[OrientedSeparation, ...]) -> bool:
-    for i, x in enumerate(orientations):
-        xr = x.reverse()
-        for y in orientations[i + 1 :]:
-            if leq(xr, y) or leq(y.reverse(), x):
-                return False
-    return True
-
-
 def induce_tree_decomposition(g: Graph, n: NestedSet) -> TreeDecomposition:
     """Tree-decomposition whose nodes are the consistent orientations of n.
 
@@ -358,7 +349,7 @@ def induce_tree_decomposition(g: Graph, n: NestedSet) -> TreeDecomposition:
         oriented = tuple(
             ms[i].orient("b" if mask >> i & 1 else "a") for i in range(len(ms))
         )
-        if _consistent(oriented):
+        if _consistency_witness(oriented) is None:
             nodes.append(oriented)
     names = {}
     bags = {}

@@ -6,9 +6,15 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import settings
 
 from tangletree.families import generate_family
 from tangletree.graph import Graph
+
+# Property tests draw the same examples on every run, so failures reproduce
+# and the suite's run time does not drift with the draw.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile("ci")
 
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:
@@ -65,6 +71,19 @@ def grid_graph(rows: int, cols: int) -> Graph:
 def star_graph(leaves: int) -> Graph:
     vs = ["c"] + [f"l{i}" for i in range(1, leaves + 1)]
     return Graph.from_data(vs, [("c", leaf) for leaf in vs[1:]])
+
+
+def clique_chain_graph(count: int, size: int) -> Graph:
+    """count copies of K_size in a path, clique i's last vertex joined to
+    clique i+1's first by one edge."""
+    vs, es = [], []
+    for i in range(count):
+        c_vs, c_es = clique_graph(f"c{i}_", size)
+        vs += c_vs
+        es += c_es
+        if i:
+            es.append((f"c{i - 1}_{size}", c_vs[0]))
+    return Graph.from_data(vs, es)
 
 
 def two_k5_shared_vertex() -> Graph:
