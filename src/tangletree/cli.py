@@ -14,10 +14,9 @@ import argparse
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
-from .errors import TangletreeError
+from .errors import GraphFormatError, TangletreeError
 from .families import LayeredPresentation, generate_family
 from .graph import Graph, load_graph
 from .limits import (
@@ -30,10 +29,12 @@ from .separations import (
     NestedSet,
     Separation,
     SeparationSequence,
-    relation,
+    first_crossing,
 )
-from .tangles import PreTangle, check_tangle, clique_witness
+from .tangles import PreTangle, check_tangle, clique_witness, enumerate_tangles
 from .tree_of_tangles import (
+    TreeDecomposition,
+    _edge_induced_separation,
     build_tree_of_tangles,
     exhaustiveness_evidence,
     induce_tree_decomposition,
@@ -41,14 +42,21 @@ from .tree_of_tangles import (
     verify_tree_of_tangles,
 )
 from .ends import thick_end_pipeline
-from .tangles import enumerate_tangles
+
+
+def _file_sha256(path: str) -> str | None:
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError:
+        return None
 
 
 def _config_hash(args: argparse.Namespace) -> str:
-    # output path and thread count steer delivery, not the computation, so
-    # they stay out of the hash: equal configurations hash equal
-    skip = {"func", "output", "threads"}
-    payload = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+    # the output path steers delivery, not the computation, so it stays out
+    # of the hash; inputs count by their contents, not by their paths
+    payload = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "output")}
+    payload["input"] = [_file_sha256(path) for path in args.input]
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -71,24 +79,41 @@ def _emit_json(args, doc: dict) -> None:
     _emit(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _read(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _load(path: str, parse):
+    """parse(the JSON document at path). An unreadable file, invalid JSON,
+    or a missing field or wrong type met while parsing is a GraphFormatError
+    naming the path."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise GraphFormatError(f"cannot read input: {exc.strerror}", context=path) from exc
+    except ValueError as exc:  # invalid JSON or text encoding
+        raise GraphFormatError(f"invalid JSON: {exc}", context=path) from exc
+    try:
+        return parse(doc)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise GraphFormatError(f"malformed document: {exc!r}", context=path) from exc
 
 
-def _pmap(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _load_inputs(paths: list[str]) -> list[dict]:
-    return [_read(p) for p in paths]
+def _inputs(args, count: int) -> list[str]:
+    """The --input paths, of which the command needs at least `count`."""
+    if len(args.input) < count:
+        raise GraphFormatError(
+            f"{args.command} needs {count} --input documents, got {len(args.input)}",
+            context="--input",
+        )
+    return args.input
 
 
 def _as_graph(doc: dict) -> Graph:
     return load_graph(json.dumps(doc))
+
+
+def _as_presentation(doc: dict) -> LayeredPresentation:
+    if doc.get("kind") == "presentation":
+        return LayeredPresentation.from_json(doc)
+    return generate_family(doc["family"], doc.get("params", {}))
 
 
 def _family_presentation(args) -> LayeredPresentation:
@@ -100,10 +125,7 @@ def _family_presentation(args) -> LayeredPresentation:
             params["width"] = args.width
         return generate_family(args.family, params)
     if args.input:
-        doc = _read(args.input[0])
-        if doc.get("kind") == "presentation":
-            return LayeredPresentation.from_json(doc)
-        return generate_family(doc["family"], doc.get("params", {}))
+        return _load(args.input[0], _as_presentation)
     raise TangletreeError("either --family or --input is required")
 
 
@@ -130,7 +152,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_tangles(args) -> int:
-    g = _as_graph(_read(args.input[0]))
+    g = _load(_inputs(args, 1)[0], _as_graph)
     found = enumerate_tangles(g, args.order, budget=args.budget)
     doc = {
         "kind": "tangle_list",
@@ -142,7 +164,7 @@ def cmd_tangles(args) -> int:
 
 
 def cmd_tot(args) -> int:
-    g = _as_graph(_read(args.input[0]))
+    g = _load(_inputs(args, 1)[0], _as_graph)
     found = enumerate_tangles(g, args.order, budget=args.budget)
     nested = build_tree_of_tangles(g, list(found), budget=args.budget)
     report = verify_tree_of_tangles(g, nested, list(found), budget=args.budget)
@@ -168,18 +190,10 @@ def cmd_tot(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    docs = _load_inputs(args.input)
-    g = _as_graph(docs[0])
-    nested_doc = docs[1]
-    members = [Separation.from_json(g, d) for d in nested_doc["members"]]
-    crossing = None
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            if relation(a, b).cross:
-                crossing = (a, b)
-                break
-        if crossing:
-            break
+    paths = _inputs(args, 2)
+    g = _load(paths[0], _as_graph)
+    members = _load(paths[1], lambda doc: [Separation.from_json(g, d) for d in doc["members"]])
+    crossing = first_crossing(members)
     if crossing:
         doc = {
             "kind": "report",
@@ -232,11 +246,11 @@ def cmd_interlace(args) -> int:
         depth = max(2, top - 3)
         seq = SeparationSequence.strictly_increasing(chains[top].items[:depth])
     else:
-        docs = _load_inputs(args.input)
-        g = _as_graph(docs[0])
-        nested = NestedSet.from_json(g, docs[1])
-        seq = SeparationSequence.from_json(g, docs[2])
-        pool = [PreTangle.from_json(g, d) for d in docs[3]["tangles"]]
+        paths = _inputs(args, 4)
+        g = _load(paths[0], _as_graph)
+        nested = _load(paths[1], lambda doc: NestedSet.from_json(g, doc))
+        seq = _load(paths[2], lambda doc: SeparationSequence.from_json(g, doc))
+        pool = _load(paths[3], lambda doc: [PreTangle.from_json(g, d) for d in doc["tangles"]])
     pair = construct_interlaced(g, nested, seq, pool, budget=args.budget)
     report = check_interlaced_pair(g, pair, budget=args.budget)
     thinned = thin_out(pair)
@@ -278,55 +292,54 @@ def _kind_of(doc: dict) -> str:
     raise TangletreeError("artifact kind not recognized")
 
 
-def cmd_verify(args) -> int:
-    docs = _load_inputs(args.input)
-    kinds = [_kind_of(d) for d in docs]
-    if kinds[0] != "graph":
+def _as_first_graph(doc: dict) -> Graph:
+    if _kind_of(doc) != "graph":
         raise TangletreeError("first input must be a graph document")
-    g = _as_graph(docs[0])
+    return _as_graph(doc)
+
+
+def _as_artifact(g: Graph, doc: dict):
+    """(kind, parsed artifact) of a document `verify` checks against g."""
+    kind = _kind_of(doc)
+    if kind == "nested_set":
+        return kind, [Separation.from_json(g, d) for d in doc["members"]]
+    if kind == "tangle_list":
+        return kind, [PreTangle.from_json(g, d) for d in doc["tangles"]]
+    if kind == "tree_decomposition":
+        return kind, TreeDecomposition.from_json(doc)
+    raise TangletreeError(f"cannot verify artifact of kind {kind!r}")
+
+
+def cmd_verify(args) -> int:
+    paths = _inputs(args, 1)
+    g = _load(paths[0], _as_first_graph)
     checks: list[dict] = []
     ok = True
-    for doc, kind in zip(docs[1:], kinds[1:]):
+    for path in paths[1:]:
+        kind, artifact = _load(path, lambda doc: _as_artifact(g, doc))
         if kind == "nested_set":
-            members = [Separation.from_json(g, d) for d in doc["members"]]
-            crossing = None
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    if relation(a, b).cross:
-                        crossing = [a.to_json(), b.to_json()]
-                        break
-                if crossing:
-                    break
+            crossing = first_crossing(artifact)
+            witness = [s.to_json() for s in crossing] if crossing else None
             checks.append(
-                {"check": "nestedness", "status": "fail" if crossing else "pass", "witness": crossing}
+                {"check": "nestedness", "status": "fail" if crossing else "pass", "witness": witness}
             )
             ok = ok and crossing is None
         elif kind == "tangle_list":
-            tangles = [PreTangle.from_json(g, d) for d in doc["tangles"]]
-            reports = _pmap(
-                lambda t: check_tangle(g, t, budget=args.budget), tangles, args.threads
-            )
-            bad = [i for i, r in enumerate(reports) if not r.ok]
+            bad = [
+                i for i, t in enumerate(artifact) if not check_tangle(g, t, budget=args.budget).ok
+            ]
             checks.append(
                 {"check": "tangles", "status": "fail" if bad else "pass", "failing": bad}
             )
             ok = ok and not bad
-        elif kind == "tree_decomposition":
-            from .tree_of_tangles import TreeDecomposition
-
-            td = TreeDecomposition.from_json(doc)
-            induced = set()
-            for edge in td.edges:
-                from .tree_of_tangles import _edge_induced_separation
-
-                induced.add(_edge_induced_separation(g, td, tuple(edge)).canonical())
+        else:
+            td = artifact
+            induced = {_edge_induced_separation(g, td, edge).canonical() for edge in td.edges}
             nested = NestedSet.of(g, induced)
             report = verify_tree_decomposition(g, td, nested, [])
             status = "pass" if report.ok else "fail"
             checks.append({"check": "tree_decomposition", "status": status})
             ok = ok and report.ok
-        else:
-            raise TangletreeError(f"cannot verify artifact of kind {kind!r}")
     doc = {"kind": "report", "checks": checks, "ok": ok}
     _emit_json(args, _stamp(doc, args))
     return 0 if ok else 2
@@ -350,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--budget", type=int, default=2_000_000)
         sp.add_argument("--format", choices=("json", "dot", "csv"), default="json")
         sp.add_argument("--output", default=None)
-        sp.add_argument("--threads", type=int, default=1)
 
     for name, fn in (
         ("generate", cmd_generate),
@@ -371,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be positive")
     if args.budget < 1:
         parser.error("--budget must be positive")
     try:

@@ -30,10 +30,8 @@ from .separations import (
     lt,
     supremum,
 )
-from .tangles import Orienter, TangleWitness, distinguishes, min_distinguishing_order
-from .tree_of_tangles import exhaustiveness_evidence
-
-_PORT = "@"
+from .tangles import Orienter
+from .tree_of_tangles import classify_pairs, exhaustiveness_evidence
 
 
 @dataclass(frozen=True)
@@ -90,11 +88,13 @@ def _teeth_paths(g: Graph, spine: tuple[str, ...], targets: frozenset[str]) -> l
     trivial = [(v,) for v in spine if v in targets]
     off_targets = targets - spine_set
     rest = g.vertices - spine_set
+    # longer than every vertex name, so no port can collide with a vertex
+    prefix = "@" * (1 + max(map(len, g.vertices), default=0))
     vertices = set(rest)
     edges = [e for e in g.edges if e[0] in rest and e[1] in rest]
     ports = []
     for s in spine:
-        port = _PORT + s
+        port = prefix + s
         vertices.add(port)
         ports.append(port)
         for x in sorted(g.adjacency[s] & rest):
@@ -103,7 +103,7 @@ def _teeth_paths(g: Graph, spine: tuple[str, ...], targets: frozenset[str]) -> l
     found = disjoint_paths(aux, frozenset(ports), off_targets)
     out = list(trivial)
     for path in found:
-        real = [path[0][len(_PORT):]] + path[1:]
+        real = [path[0][len(prefix):]] + path[1:]
         out.append(tuple(real))
     return out
 
@@ -326,35 +326,14 @@ class PipelineReport:
 
 def _pool_efficiency(g, n: NestedSet, pool, boundary, *, budget) -> tuple[str, dict]:
     """Classify each pool pair: verified, window-limited, or failed."""
-    from .graph import minimum_separator
-
     verified, limited, failed = [], [], []
-    closed = boundary | g.neighbourhood(boundary)
-    members = list(n)
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            t_star = min_distinguishing_order(g, pool[i], pool[j], budget=budget)
-            if t_star is None:
-                continue
-            hits = [
-                m
-                for m in members
-                if m.order < min(pool[i].order_bound, pool[j].order_bound)
-                and distinguishes(m, pool[i], pool[j])
-            ]
-            if any(m.order == t_star for m in hits):
-                verified.append((i, j, t_star))
-            elif (
-                hits
-                and isinstance(pool[i], TangleWitness)
-                and isinstance(pool[j], TangleWitness)
-                and pool[i].kind == "clique"
-                and pool[j].kind == "clique"
-                and minimum_separator(g, pool[i].clique, pool[j].clique) & closed
-            ):
-                limited.append((i, j, t_star, min(m.order for m in hits)))
-            else:
-                failed.append((i, j, t_star))
+    for v in classify_pairs(g, n, pool, boundary=boundary, budget=budget):
+        if v.status == "efficient":
+            verified.append((v.i, v.j, v.order))
+        elif v.status == "window_limited":
+            limited.append((v.i, v.j, v.order, min(m.order for m in v.hits)))
+        else:
+            failed.append((v.i, v.j, v.order))
     status = "fail" if failed else "pass"
     return status, {"verified": verified, "window_limited": limited, "failed": failed}
 

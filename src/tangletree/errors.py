@@ -11,7 +11,7 @@ class TangletreeError(Exception):
 
 
 class GraphFormatError(TangletreeError):
-    """Malformed graph document. Carries line/field context where known."""
+    """Malformed input document. Carries line/field/path context where known."""
 
     def __init__(self, message, *, context=None):
         self.context = context

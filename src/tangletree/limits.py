@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from .errors import (
     InternalCheckError,
+    OrientationUndecidableError,
     PreconditionError,
 )
 from .graph import Graph, tight_components
@@ -145,8 +146,6 @@ def check_interlaced_pair(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> InterlacingReport:
     """Verify IM1 pointwise and IM2 for every index pair i < j."""
-    from .errors import OrientationUndecidableError
-
     seq = ip.sequence
     tangles = ip.tangles
     im1_witness = None

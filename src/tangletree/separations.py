@@ -26,6 +26,7 @@ from .errors import (
     DisconnectedGraphError,
     EmptyGraphError,
     InternalCheckError,
+    PreconditionError,
     SequenceOrderError,
     UnknownVertexError,
 )
@@ -238,6 +239,16 @@ def relation(s: Separation | OrientedSeparation, t: Separation | OrientedSeparat
     return Relation(any_comparable, witness)
 
 
+def first_crossing(
+    seps: Sequence[Separation | OrientedSeparation],
+) -> tuple[Separation | OrientedSeparation, Separation | OrientedSeparation] | None:
+    """First crossing pair (s, t), s before t, in the given order, else None."""
+    for s, t in combinations(seps, 2):
+        if relation(s, t).cross:
+            return (s, t)
+    return None
+
+
 def is_proper(g: Graph, s: Separation | OrientedSeparation) -> bool:
     _ambient(g, s)
     return s.side_a != g.vertices and s.side_b != g.vertices
@@ -279,7 +290,7 @@ def enumerate_separations(
     if not g.is_connected():
         raise DisconnectedGraphError("enumerate_separations requires a connected graph")
     if max_order > len(g.vertices):
-        raise ValueError("max_order exceeds |V(g)|")
+        raise PreconditionError("max_order exceeds |V(g)|")
     verts = sorted(g.vertices)
     out: list[Separation] = []
     examined = 0
@@ -445,9 +456,9 @@ class NestedSet:
         ms = sorted(self.members, key=lambda s: s.sort_key)
         for s in ms:
             _ambient(self.graph, s)
-        for s, t in combinations(ms, 2):
-            if relation(s, t).cross:
-                raise SequenceOrderError(f"members cross: {s!r} vs {t!r}")
+        crossing = first_crossing(ms)
+        if crossing:
+            raise SequenceOrderError(f"members cross: {crossing[0]!r} vs {crossing[1]!r}")
 
     @classmethod
     def of(cls, g: Graph, members: Iterable[Separation]) -> "NestedSet":

@@ -31,6 +31,7 @@ from .errors import (
     DisconnectedGraphError,
     EmptyGraphError,
     FamilyParameterError,
+    GraphFormatError,
     OrientationUndecidableError,
 )
 from .graph import Graph, components, disjoint_paths, minimum_separator
@@ -94,11 +95,16 @@ class PreTangle:
 
     @classmethod
     def from_json(cls, g: Graph, doc: dict) -> "PreTangle":
+        order_bound = doc["order_bound"]
+        if not isinstance(order_bound, int) or order_bound > len(g.vertices) + 1:
+            raise GraphFormatError(f"order_bound must be an integer <= |V| + 1, got {order_bound!r}")
         choices = {
             Separation.from_json(g, entry["sep"]): entry["toward"]
             for entry in doc["orientation"]
         }
-        return cls(g, doc["order_bound"], choices)
+        if any(toward not in ("a", "b") for toward in choices.values()):
+            raise GraphFormatError("toward must be 'a' or 'b'")
+        return cls(g, order_bound, choices)
 
 
 class Tangle(PreTangle):

@@ -19,24 +19,29 @@ the verifier checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+from typing import Iterable
 
 from .errors import (
     BudgetExceededError,
     DisconnectedGraphError,
     EmptyGraphError,
+    GraphFormatError,
     IncoherentChainError,
     InternalCheckError,
     PreconditionError,
 )
-from .graph import Graph, components
+from .graph import Graph, components, minimum_separator
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     NestedSet,
     OrientedSeparation,
     Separation,
     enumerate_separations,
+    first_crossing,
     is_tight,
+    leq,
     relation,
     supremum,
 )
@@ -44,11 +49,10 @@ from .tangles import (
     Orienter,
     PreTangle,
     TangleWitness,
-    _consistency_witness,
+    _clique_cores,
     check_tangle,
     distinguishable_pairs,
     distinguishes,
-    min_distinguishing_order,
 )
 
 
@@ -195,20 +199,53 @@ class TreeOfTanglesReport:
 def _window_limited(g: Graph, p: Orienter, q: Orienter, boundary: frozenset[str]) -> bool:
     """True when the sub-minimum cut between clique cores leans on the
     window boundary, so the deficit is an artifact of truncation."""
-    if not boundary:
+    if not boundary or _clique_cores(p, q) is None:
         return False
-    if not (
-        isinstance(p, TangleWitness)
-        and isinstance(q, TangleWitness)
-        and p.kind == "clique"
-        and q.kind == "clique"
-    ):
-        return False
-    from .graph import minimum_separator
-
     cut = minimum_separator(g, p.clique, q.clique)
-    closed = boundary | g.neighbourhood(boundary)
-    return bool(cut & closed)
+    return bool(cut & (boundary | g.neighbourhood(boundary)))
+
+
+@dataclass(frozen=True)
+class PairVerdict:
+    """How a set of members distinguishes one distinguishable tangle pair."""
+
+    i: int
+    j: int
+    order: int  # the pair's efficient order
+    hits: tuple[Separation, ...]  # the members distinguishing the pair
+    status: str  # efficient | window_limited | missed
+
+
+def classify_pairs(
+    g: Graph,
+    members: Iterable[Separation],
+    tangles: list[Orienter],
+    *,
+    boundary: frozenset[str] = frozenset(),
+    budget: int = DEFAULT_ENUMERATION_BUDGET,
+) -> list[PairVerdict]:
+    """Every distinguishable pair of `tangles`, in (i, j) order.
+
+    A pair is "efficient" when some member distinguishing it has its
+    efficient order, "window_limited" when members distinguish it only above
+    that order and `_window_limited` blames the window edge, and "missed"
+    otherwise. The efficient orders come from one `distinguishable_pairs`
+    call, which shares one separation enumeration among all pairs.
+    """
+    members = list(members)
+    out = []
+    for (i, j), order in sorted(distinguishable_pairs(g, tangles, budget=budget)):
+        p, q = tangles[i], tangles[j]
+        bound = min(p.order_bound, q.order_bound)
+        hits = tuple(m for m in members if m.order < bound and distinguishes(m, p, q))
+        if any(m.order == order for m in hits):
+            status = "efficient"
+        elif hits and _window_limited(g, p, q, boundary):
+            status = "window_limited"
+        else:
+            status = "missed"
+        out.append(PairVerdict(i, j, order, hits, status))
+    return out
 
 
 def verify_tree_of_tangles(
@@ -223,56 +260,26 @@ def verify_tree_of_tangles(
 
     With a non-empty `boundary`, clique-witness deficits attributable to the
     window edge are reported as "window_limited" instead of failing; the
-    infinite-object claim they stand in for is not finitely checkable.
+    infinite-object claim they stand in for is not finitely checkable. A
+    member is relevant when it distinguishes some pair efficiently, and
+    window-limited when it distinguishes a window-limited pair.
     """
-    crossing = None
     ms = list(n)
-    for a, b in combinations(ms, 2):
-        if relation(a, b).cross:
-            crossing = (a, b)
-            break
-    pair_orders: dict[tuple[int, int], int | None] = {}
-    for i in range(len(tangles)):
-        for j in range(i + 1, len(tangles)):
-            pair_orders[(i, j)] = min_distinguishing_order(
-                g, tangles[i], tangles[j], budget=budget
-            )
+    verdicts = classify_pairs(g, ms, tangles, boundary=boundary, budget=budget)
     relevance: dict = {}
     for m in ms:
-        status = "irrelevant"
-        for (i, j), t_star in pair_orders.items():
-            if t_star is None or m.order < t_star:
-                continue
-            if m.order >= min(tangles[i].order_bound, tangles[j].order_bound):
-                continue
-            if not distinguishes(m, tangles[i], tangles[j]):
-                continue
-            if m.order == t_star:
-                status = "relevant"
-                break
-            if _window_limited(g, tangles[i], tangles[j], boundary):
-                status = "window_limited"
-        relevance[m] = status
-    efficiency: dict = {}
-    for (i, j), t_star in pair_orders.items():
-        if t_star is None:
-            continue
-        hits = [
-            m
-            for m in ms
-            if m.order < min(tangles[i].order_bound, tangles[j].order_bound)
-            and distinguishes(m, tangles[i], tangles[j])
-        ]
-        if any(m.order == t_star for m in hits):
-            efficiency[(i, j)] = "efficient"
-        elif hits and _window_limited(g, tangles[i], tangles[j], boundary):
-            efficiency[(i, j)] = "window_limited"
+        hit = [v for v in verdicts if m in v.hits]
+        if any(m.order == v.order for v in hit):
+            relevance[m] = "relevant"
+        elif any(v.status == "window_limited" for v in hit):
+            relevance[m] = "window_limited"
         else:
-            efficiency[(i, j)] = "missed"
+            relevance[m] = "irrelevant"
+    crossing = first_crossing(ms)
     return TreeOfTanglesReport(
         nested_ok=crossing is None,
         relevance=relevance,
-        efficiency=efficiency,
+        efficiency={(v.i, v.j): v.status for v in verdicts},
         crossing_witness=crossing,
     )
 
@@ -292,14 +299,15 @@ class TreeDecomposition:
     def width(self) -> int:
         return max(len(b) for b in self.bags.values()) - 1
 
+    @cached_property
+    def tree(self) -> Graph:
+        """The decomposition tree as a graph on the node names. A loop edge
+        cannot change what is connected, so it is dropped; the verifier
+        still counts it among the edges."""
+        return Graph.from_data(self.nodes, (e for e in self.edges if e[0] != e[1]))
+
     def neighbors(self, node: str) -> list[str]:
-        out = []
-        for u, v in self.edges:
-            if u == node:
-                out.append(v)
-            elif v == node:
-                out.append(u)
-        return sorted(out)
+        return sorted(self.tree.adjacency[node])
 
     def to_json(self) -> dict:
         return {
@@ -311,11 +319,20 @@ class TreeDecomposition:
 
     @classmethod
     def from_json(cls, doc: dict) -> "TreeDecomposition":
-        return cls(
+        """Parse a document whose names are strings, whose edges join
+        declared nodes and whose nodes all have bags."""
+        td = cls(
             nodes=tuple(doc["nodes"]),
             edges=tuple(tuple(e) for e in doc["edges"]),
             bags={node: frozenset(bag) for node, bag in doc["bags"].items()},
         )
+        names = [*td.nodes, *td.bags, *(v for bag in td.bags.values() for v in bag)]
+        if not all(isinstance(x, str) for x in names):
+            raise GraphFormatError("node names and bag vertices must be strings")
+        if not set(td.nodes) <= td.bags.keys():
+            raise GraphFormatError("every node needs a bag")
+        td.tree  # validates the edges
+        return td
 
     def to_dot(self) -> str:
         lines = ["graph tree_decomposition {", "\tnode [shape=box];"]
@@ -328,11 +345,27 @@ class TreeDecomposition:
         return "\n".join(lines) + "\n"
 
 
+def _toward(t: Separation, top: OrientedSeparation) -> OrientedSeparation:
+    """The orientation of t in the consistent orientation where `top` is
+    maximal: t's orientation <= top, else the reverse of its orientation
+    >= top. One of the two exists because t and top are nested."""
+    x, y = t.orientations()
+    if leq(x, top):
+        return x
+    if leq(y, top):
+        return y
+    return y if leq(top, x) else x
+
+
 def induce_tree_decomposition(g: Graph, n: NestedSet) -> TreeDecomposition:
     """Tree-decomposition whose nodes are the consistent orientations of n.
 
-    Every tree edge joins two orientations differing in one reversed member,
-    and induces exactly that member, so the induced separation set is n.
+    The nodes are read off directly: for each orientation s of a member, the
+    consistent orientation in which s is maximal (`_toward`). For a nested
+    set of proper separations these are |n| + 1 distinct orientations, and
+    joining the two built from the orientations of each member gives the
+    |n| tree edges. Every edge induces exactly its member, so the induced
+    separation set is n.
     """
     if not g.vertices:
         raise EmptyGraphError("empty graph has no tree-decomposition here")
@@ -342,40 +375,27 @@ def induce_tree_decomposition(g: Graph, n: NestedSet) -> TreeDecomposition:
     for m in ms:
         if not m.is_proper():
             raise PreconditionError(f"improper member {m!r}")
-    if len(ms) > 20:
-        raise BudgetExceededError("orientation enumeration over nested set", 2**20)
-    nodes: list[tuple[OrientedSeparation, ...]] = []
-    for mask in range(1 << len(ms)):
-        oriented = tuple(
-            ms[i].orient("b" if mask >> i & 1 else "a") for i in range(len(ms))
-        )
-        if _consistency_witness(oriented) is None:
-            nodes.append(oriented)
-    names = {}
-    bags = {}
-    for oriented in nodes:
-        bag = g.vertices
-        for o in oriented:
-            bag = bag & o.side_b
-        key = "n" + "".join(
-            "1" if o.side_b == m.side_b else "0" for o, m in zip(oriented, ms)
-        )
-        names[oriented] = key
-        bags[key] = bag
+    nodes: dict[str, tuple[OrientedSeparation, ...]] = {} if ms else {"n": ()}
     edges = []
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            differ = [k for k in range(len(ms)) if a[k] != b[k]]
-            if len(differ) == 1:
-                edges.append((names[a], names[b]))
-    node_names = tuple(sorted(names.values()))
-    edges = tuple(sorted((min(e), max(e)) for e in edges))
-    td = TreeDecomposition(nodes=node_names, edges=edges, bags=bags)
-    if len(td.nodes) != len(ms) + 1:
+    for m in ms:
+        ends = []
+        for top in m.orientations():
+            oriented = tuple(_toward(t, top) for t in ms)
+            name = "n" + "".join(
+                "1" if o.side_b == t.side_b else "0" for o, t in zip(oriented, ms)
+            )
+            nodes[name] = oriented
+            ends.append(name)
+        edges.append((min(ends), max(ends)))
+    if len(nodes) != len(ms) + 1:
         raise InternalCheckError(
-            f"expected {len(ms) + 1} orientations, found {len(td.nodes)}"
+            f"expected {len(ms) + 1} orientations, found {len(nodes)}"
         )
-    return td
+    bags = {
+        name: g.vertices.intersection(*(o.side_b for o in oriented))
+        for name, oriented in sorted(nodes.items())
+    }
+    return TreeDecomposition(nodes=tuple(bags), edges=tuple(sorted(edges)), bags=bags)
 
 
 @dataclass(frozen=True)
@@ -401,21 +421,14 @@ class TreeDecompositionReport:
 
 
 def _edge_induced_separation(g: Graph, td: TreeDecomposition, edge) -> OrientedSeparation:
+    """The separation across a tree edge (u, v): the bags on u's side
+    against the bags on v's side."""
     u, v = edge
-    banned = {(u, v), (v, u)}
-    reach = {u}
-    queue = [u]
-    while queue:
-        x = queue.pop(0)
-        for y in td.neighbors(x):
-            if (x, y) in banned or y in reach:
-                continue
-            reach.add(y)
-            queue.append(y)
+    near = next((c for c in components(td.tree, {v}) if u in c), frozenset())
     side_u: set[str] = set()
     side_v: set[str] = set()
     for node in td.nodes:
-        (side_u if node in reach else side_v).update(td.bags[node])
+        (side_u if node in near else side_v).update(td.bags[node])
     return OrientedSeparation(g, frozenset(side_u), frozenset(side_v))
 
 
@@ -429,21 +442,10 @@ def verify_tree_decomposition(
 ) -> TreeDecompositionReport:
     """Check (T1)-(T3), the induced separations, and pairwise efficiency."""
     witnesses: dict = {}
-    adjacency: dict[str, list[str]] = {node: [] for node in td.nodes}
-    for u, v in td.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    tree_ok = True
-    if td.nodes:
-        seen = {td.nodes[0]}
-        queue = [td.nodes[0]]
-        while queue:
-            x = queue.pop(0)
-            for y in adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        tree_ok = len(seen) == len(td.nodes) and len(td.edges) == len(td.nodes) - 1
+    tree = td.tree
+    tree_ok = not td.nodes or (
+        len(components(tree)) == 1 and len(td.edges) == len(td.nodes) - 1
+    )
     cover = frozenset().union(*td.bags.values()) if td.bags else frozenset()
     t1 = cover == g.vertices
     if not t1:
@@ -456,19 +458,8 @@ def verify_tree_decomposition(
             break
     t3 = True
     for v in sorted(g.vertices):
-        holding = [node for node in td.nodes if v in td.bags[node]]
-        if not holding:
-            continue
-        seen = {holding[0]}
-        queue = [holding[0]]
-        while queue:
-            x = queue.pop(0)
-            for y in adjacency[x]:
-                if y in seen or v not in td.bags[y]:
-                    continue
-                seen.add(y)
-                queue.append(y)
-        if len(seen) != len(holding):
+        lacking = [node for node in td.nodes if v not in td.bags[node]]
+        if len(components(tree, lacking)) > 1:
             t3 = False
             witnesses["t3_vertex"] = v
             break
@@ -487,26 +478,20 @@ def verify_tree_decomposition(
             "extra": [s.to_json() for s in sorted(induced - set(n.members), key=lambda s: s.sort_key)],
             "missing": [s.to_json() for s in sorted(set(n.members) - induced, key=lambda s: s.sort_key)],
         }
-    efficiency_ok = True
-    for i in range(len(tangles)):
-        for j in range(i + 1, len(tangles)):
-            t_star = min_distinguishing_order(g, tangles[i], tangles[j], budget=budget)
-            if t_star is None:
-                continue
-            hit = any(
-                s.order == t_star and distinguishes(s, tangles[i], tangles[j])
-                for s in induced
-            )
-            if not hit:
-                efficiency_ok = False
-                witnesses.setdefault("inefficient_pairs", []).append((i, j, t_star))
+    missed = [
+        (v.i, v.j, v.order)
+        for v in classify_pairs(g, induced, tangles, budget=budget)
+        if v.status != "efficient"
+    ]
+    if missed:
+        witnesses["inefficient_pairs"] = missed
     return TreeDecompositionReport(
         tree_ok=tree_ok,
         t1_cover=t1,
         t2_edges=t2,
         t3_connected=t3,
         induced_equal=induced_equal,
-        efficiency_ok=efficiency_ok,
+        efficiency_ok=not missed,
         witnesses=witnesses,
     )
 

@@ -171,6 +171,32 @@ def min_order_distinguishers_brute(g, p, q, seps) -> list[Separation]:
     return [s for s in hits if s.order == best]
 
 
+def consistent_orientations_brute(g: Graph, members: list[Separation]):
+    """(nodes, edges, bags) of the tree-decomposition a nested set induces,
+    by sweeping all 2^|N| orientations of the members for the consistent
+    ones and joining those that differ in exactly one member. Node names
+    and bags follow `induce_tree_decomposition`."""
+    ms = sorted(members, key=lambda s: s.sort_key)
+    both = [(m.orient("a"), m.orient("b")) for m in ms]  # each the other's reverse
+    pairs = [(i, j) for i in range(len(ms)) for j in range(len(ms)) if i != j]
+    nodes = []
+    for mask in range(1 << len(ms)):
+        bits = [mask >> i & 1 for i in range(len(ms))]
+        if not any(leq(both[i][1 - bits[i]], both[j][bits[j]]) for i, j in pairs):
+            nodes.append([both[i][bit] for i, bit in enumerate(bits)])
+    names = []
+    bags = {}
+    for oriented in nodes:
+        name = "n" + "".join("1" if o.side_b == m.side_b else "0" for o, m in zip(oriented, ms))
+        names.append(name)
+        bags[name] = g.vertices.intersection(*(o.side_b for o in oriented))
+    edges = []
+    for (a, x), (b, y) in combinations(zip(names, nodes), 2):
+        if sum(o != p for o, p in zip(x, y)) == 1:
+            edges.append((min(a, b), max(a, b)))
+    return tuple(sorted(names)), tuple(sorted(edges)), bags
+
+
 def nested_efficient_subsets_exist(g, tangles, pair_candidates) -> bool:
     """Exhaustive check that some pairwise nested choice of per-pair
     minimum-order distinguishers covers every distinguishable pair."""

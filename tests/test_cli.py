@@ -1,8 +1,15 @@
 """Command-line surface: exit codes, artifacts, determinism."""
 
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tangletree.cli import main
 from .conftest import two_k4_bridge
@@ -201,34 +208,16 @@ def test_verify_command(two_k4_file, tmp_path):
     assert json.loads(out.read_text())["ok"] is True
 
 
-def test_verify_tangle_list_with_threads(two_k4_file, tmp_path):
+def test_verify_tangle_list(two_k4_file, tmp_path):
     tangles = tmp_path / "tangles.json"
     run(["tangles", "--input", two_k4_file, "--order", "3", "--output", str(tangles)])
-    out = tmp_path / "verify.json"
-    single = tmp_path / "verify1.json"
-    assert (
-        run(
-            [
-                "verify",
-                "--input",
-                two_k4_file,
-                "--input",
-                str(tangles),
-                "--threads",
-                "4",
-                "--output",
-                str(out),
-            ]
-        )
-        == 0
-    )
-    assert (
-        run(
-            ["verify", "--input", two_k4_file, "--input", str(tangles), "--output", str(single)]
-        )
-        == 0
-    )
-    assert out.read_bytes() == single.read_bytes()
+    first, again = tmp_path / "verify.json", tmp_path / "verify2.json"
+    for out in (first, again):
+        args = ["verify", "--input", two_k4_file, "--input", str(tangles), "--output", str(out)]
+        assert run(args) == 0
+    doc = json.loads(first.read_text())
+    assert doc["checks"] == [{"check": "tangles", "status": "pass", "failing": []}]
+    assert first.read_bytes() == again.read_bytes()
 
 
 def test_error_reports_are_machine_readable(tmp_path, capsys):
@@ -247,3 +236,170 @@ def test_unknown_artifact_kind_errors(two_k4_file, tmp_path, capsys):
     code = run(["verify", "--input", two_k4_file, "--input", str(stray)])
     assert code == 1
     capsys.readouterr()
+
+
+def test_verify_crossing_set_reports_first_crossing_pair(tmp_path):
+    cycle = [f"c{i}" for i in range(6)]
+    graph = {"vertices": cycle, "edges": [[cycle[i], cycle[(i + 1) % 6]] for i in range(6)]}
+    gpath = tmp_path / "c6.json"
+    gpath.write_text(json.dumps(graph))
+    # the first member is nested with both others, which cross; sorted by
+    # sides, the crossing pair would come out the other way round
+    members = [
+        {"a": ["c0", "c1", "c2"], "b": ["c0", "c2", "c3", "c4", "c5"]},
+        {"a": ["c0", "c1", "c2", "c3", "c5"], "b": ["c3", "c4", "c5"]},
+        {"a": ["c0", "c1", "c2", "c3", "c4"], "b": ["c0", "c4", "c5"]},
+    ]
+    npath = tmp_path / "nested.json"
+    npath.write_text(json.dumps({"kind": "nested_set", "members": members}))
+    out = tmp_path / "report.json"
+    code = run(["verify", "--input", str(gpath), "--input", str(npath), "--output", str(out)])
+    assert code == 2
+    doc = json.loads(out.read_text())
+    assert doc["ok"] is False
+    assert doc["checks"] == [{"check": "nestedness", "status": "fail", "witness": members[1:]}]
+
+
+def _fault_case(tmp_path, two_k4_file, case):
+    """The argument list of one input fault and the text its error names."""
+    missing = str(tmp_path / "absent.json")
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"vertices": ["a"], "edges": [')
+    bare = tmp_path / "bare.json"
+    bare.write_text('{"kind": "nested_set"}')
+    return {
+        "nonexistent input": (["tangles", "--input", missing], missing),
+        "invalid JSON": (["tot", "--input", str(broken)], str(broken)),
+        "decompose without members": (
+            ["decompose", "--input", two_k4_file, "--input", str(bare)], str(bare)
+        ),
+        "verify without members": (["verify", "--input", two_k4_file, "--input", str(bare)], str(bare)),
+        "tangles without input": (["tangles"], "--input"),
+        "tot without input": (["tot"], "--input"),
+        "decompose with one input": (["decompose", "--input", two_k4_file], "--input"),
+        "verify without input": (["verify"], "--input"),
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "nonexistent input",
+        "invalid JSON",
+        "decompose without members",
+        "verify without members",
+        "tangles without input",
+        "tot without input",
+        "decompose with one input",
+        "verify without input",
+    ],
+)
+def test_input_faults_are_json_errors(two_k4_file, tmp_path, capsys, case):
+    args, named = _fault_case(tmp_path, two_k4_file, case)
+    assert run(args) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == "error"
+    assert doc["error"] == "GraphFormatError"
+    assert named in doc["message"]
+
+
+def test_order_above_vertex_count_is_a_json_error(tmp_path, capsys):
+    one = tmp_path / "one.json"
+    one.write_text('{"vertices": ["a"], "edges": []}')
+    assert run(["tangles", "--input", str(one), "--order", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "PreconditionError"
+
+
+def test_config_hash_follows_input_contents(two_k4_file, tmp_path, capsys):
+    copy = tmp_path / "copy.json"
+    copy.write_text(open(two_k4_file).read())
+
+    def config_hash(path):
+        assert run(["tangles", "--input", str(path), "--order", "2"]) == 0
+        return json.loads(capsys.readouterr().out)["config_hash"]
+
+    assert config_hash(two_k4_file) == config_hash(copy)
+    before = config_hash(copy)
+    copy.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
+    assert config_hash(copy) != before
+
+
+# Valid documents on two triangles joined by an edge, which the property
+# below breaks one at a time.
+_TRIANGLES = {
+    "vertices": ["a1", "a2", "a3", "b1", "b2", "b3"],
+    "edges": [["a1", "a2"], ["a1", "a3"], ["a2", "a3"], ["a3", "b1"], ["b1", "b2"], ["b1", "b3"], ["b2", "b3"]],
+}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.sampled_from(["", "a", "a1", "b", "n0", "kind"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["kind", "members", "tangles", "nodes", "edges", "bags", "vertices", "a", "b"]),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=6,
+)
+
+
+def _valid_documents(tmp_dir) -> list:
+    gpath = os.path.join(tmp_dir, "g.json")
+    with open(gpath, "w") as fh:
+        json.dump(_TRIANGLES, fh)
+    docs = [_TRIANGLES]
+    for command, extra in (("tangles", []), ("tot", []), ("decompose", ["--input", gpath + ".tot"])):
+        out = gpath + "." + command
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, "--input", gpath, "--order", "2", "--output", out] + extra) == 0
+        with open(out) as fh:
+            docs.append(json.load(fh))
+    return docs
+
+
+def _paths(doc, prefix=()):
+    """Every path of keys and indices into doc, the root included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _broken(draw, doc):
+    """doc with one value replaced by arbitrary JSON, or one key or item removed."""
+    path = draw(st.sampled_from(list(_paths(doc))))
+    replacement = draw(_JSON)
+    if not path:
+        return replacement
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = replacement
+    return doc
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_malformed_documents_give_json_reports(data):
+    command, inputs = data.draw(
+        st.sampled_from([("tangles", [0]), ("tot", [0]), ("decompose", [0, 2]), ("verify", [0, 1, 2, 3])])
+    )
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        docs = _valid_documents(tmp_dir)
+        spoiled = data.draw(st.sampled_from(inputs))
+        args = [command, "--order", "2"]
+        for index in inputs:
+            doc = data.draw(_broken(docs[index])) if index == spoiled else docs[index]
+            path = os.path.join(tmp_dir, f"in{index}.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            args += ["--input", path]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(args)
+    assert code in (0, 1, 2)
+    json.loads(out.getvalue())

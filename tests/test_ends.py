@@ -4,6 +4,7 @@ import pytest
 
 from tangletree.errors import PreconditionError
 from tangletree.ends import (
+    CombWitness,
     Direction,
     directions_in_closure,
     find_comb,
@@ -12,6 +13,7 @@ from tangletree.ends import (
     thick_end_pipeline,
     thin_end_bound,
 )
+from tangletree.graph import Graph
 from tangletree.limits import limit_separator_prefix
 from tangletree.separations import NestedSet, supremum
 from tangletree.tangles import clique_witness
@@ -19,6 +21,30 @@ from tangletree.tangles import clique_witness
 
 def _attachments(p, upto):
     return {p.attachment_vertex(i) for i in range(upto)}
+
+
+class _OneRayPresentation:
+    """The least presentation `find_comb` needs: one window, one ray."""
+
+    def __init__(self, g, ray):
+        self.g, self.ray = g, ray
+
+    def graph_at(self, m):
+        return self.g
+
+    def rays_in_layer(self, m):
+        return ("R0",)
+
+    def ray_prefix(self, label, m):
+        return self.ray
+
+
+def test_find_comb_ports_do_not_collide_with_vertices():
+    # a vertex named like the spine vertex's port, "@" + "x", is the target
+    g = Graph.from_data(["x", "@x", "y"], [("x", "y"), ("@x", "y")])
+    comb = find_comb(_OneRayPresentation(g, ("x",)), 0, {"@x"}, 1)
+    assert comb == CombWitness(spine=("x",), teeth_paths=(("x", "y", "@x"),))
+    comb.validate(g, frozenset({"@x"}))
 
 
 def test_find_comb_ray_all_vertices(ray_presentation):

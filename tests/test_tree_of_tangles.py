@@ -1,6 +1,8 @@
 """Tree-of-tangles building, induced decompositions, exhaustiveness verdicts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tangletree.errors import IncoherentChainError, PreconditionError
 from tangletree.graph import Graph
@@ -9,6 +11,7 @@ from tangletree.separations import (
     SeparationSequence,
     enumerate_separations,
     make_separation,
+    relation,
 )
 from tangletree.tangles import clique_witness, enumerate_tangles
 from tangletree.tree_of_tangles import (
@@ -21,7 +24,7 @@ from tangletree.tree_of_tangles import (
     verify_tree_of_tangles,
 )
 from .conftest import path_graph, two_k4_bridge
-from .oracles import nested_efficient_subsets_exist
+from .oracles import consistent_orientations_brute, nested_efficient_subsets_exist
 
 
 def test_single_tangle_gives_empty_nested_set():
@@ -259,3 +262,45 @@ def test_dot_export_mentions_bags():
     assert dot.startswith("graph")
     assert "p00,p01" in dot and "p01,p02" in dot
     assert TreeDecomposition.from_json(td.to_json()).bags == td.bags
+
+
+@st.composite
+def nested_sets(draw, max_members: int = 12):
+    """A sparse connected graph on at most 12 vertices and a nested set of
+    its proper separations of order <= 2, grown in a drawn order."""
+    size = draw(st.integers(0, max_members))
+    n = draw(st.integers(2, 12))
+    verts = [f"v{i:02d}" for i in range(n)]
+    edges = {(verts[draw(st.integers(max(0, i - 3), i - 1))], verts[i]) for i in range(1, n)}
+    for a, b in draw(st.lists(st.tuples(st.sampled_from(verts), st.sampled_from(verts)), max_size=2)):
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    g = Graph.from_data(verts, edges)
+    seps = [s for s in enumerate_separations(g, 2) if s.is_proper()]
+    members = []
+    for s in draw(st.permutations(seps)):
+        if len(members) == size:
+            break
+        if all(relation(s, t).nested for t in members):
+            members.append(s)
+    return g, members
+
+
+@settings(max_examples=100)
+@given(case=nested_sets())
+def test_induce_matches_orientation_sweep(case):
+    g, members = case
+    td = induce_tree_decomposition(g, NestedSet.of(g, members))
+    assert (td.nodes, td.edges, td.bags) == consistent_orientations_brute(g, members)
+
+
+def test_induce_long_chain_on_a_path():
+    g = path_graph(30)
+    vs = sorted(g.vertices)
+    chain = [make_separation(g, vs[: i + 1], vs[i:]).canonical() for i in range(1, 28)]
+    nested = NestedSet.of(g, chain)
+    td = induce_tree_decomposition(g, nested)
+    assert len(td.bags) == 28 and len(td.edges) == 27
+    expected = [vs[i : i + 2] for i in range(27)] + [vs[27:]]
+    assert sorted(sorted(bag) for bag in td.bags.values()) == expected
+    assert verify_tree_decomposition(g, td, nested, []).ok
