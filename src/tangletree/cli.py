@@ -11,12 +11,20 @@ configuration produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
+import os
 import sys
 
 from . import __version__
-from .errors import GraphFormatError, TangletreeError
+from .errors import (
+    FamilyParameterError,
+    GraphFormatError,
+    OutputError,
+    PreconditionError,
+    TangletreeError,
+)
 from .families import LayeredPresentation, generate_family
 from .graph import Graph, load_graph
 from .limits import (
@@ -68,11 +76,21 @@ def _stamp(doc: dict, args) -> dict:
 
 
 def _emit(args, text: str) -> None:
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
+    """Write text to stdout, or atomically to --output: into a temporary
+    file beside it, then renamed onto it, so the path never holds a partial
+    artifact."""
+    if not args.output:
         sys.stdout.write(text)
+        return
+    tmp = f"{args.output}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, args.output)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise OutputError(f"cannot write output {args.output}: {exc.strerror}") from exc
 
 
 def _emit_json(args, doc: dict) -> None:
@@ -120,7 +138,12 @@ def _family_presentation(args) -> LayeredPresentation:
     if args.family:
         params: dict = {"horizon": args.horizon}
         if args.sizes:
-            params["sizes"] = [int(s) for s in args.sizes.split(",")]
+            try:
+                params["sizes"] = [int(s) for s in args.sizes.split(",")]
+            except ValueError:
+                raise FamilyParameterError(
+                    f"--sizes must be comma-separated integers, got {args.sizes!r}"
+                ) from None
         if args.width is not None:
             params["width"] = args.width
         return generate_family(args.family, params)
@@ -132,6 +155,8 @@ def _family_presentation(args) -> LayeredPresentation:
 def _family_bundle(p: LayeredPresentation):
     """Canonical nested set, per-layer chains, and tangle pool at the top."""
     chains = p.canonical_layer_chains()
+    if not chains:
+        raise PreconditionError(f"no canonical separations up to horizon {p.horizon}")
     top = max(chains)
     g = p.graph_at(top)
     members = [item.canonical() for item in chains[top]]
@@ -381,13 +406,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.budget < 1:
-        parser.error("--budget must be positive")
+    args = build_parser().parse_args(argv)
     try:
+        if args.budget < 1:
+            raise PreconditionError("--budget must be positive")
         return args.func(args)
     except TangletreeError as exc:
+        # errors go to stdout, never to --output, so a failed command leaves
+        # the artifact of an earlier run in place
+        args.output = None
         if args.format == "json":
             doc = {
                 "kind": "error",

@@ -18,6 +18,10 @@ class GraphFormatError(TangletreeError):
         super().__init__(f"{message} ({context})" if context else message)
 
 
+class OutputError(TangletreeError):
+    """The CLI could not write its --output file."""
+
+
 class UnknownVertexError(TangletreeError):
     """A vertex set argument mentions a vertex the graph does not declare."""
 

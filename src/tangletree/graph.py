@@ -8,12 +8,18 @@ byte for byte.
 Disjoint path computation uses unit-vertex-capacity max-flow on the
 split-vertex digraph, so its cardinality equals the minimum vertex cut
 between the two terminal sets (Menger duality); tests check this against
-brute-force cut enumeration on small graphs.
+brute-force cut enumeration on small graphs. One solver, `_solve`, serves
+both `disjoint_paths` and `minimum_separator`. It works on integer node ids
+whose order is the sorted order of the split vertices, so its breadth-first
+scans, and with them the emitted paths and the leftmost cut, follow from
+that order alone; tests pin it to a tuple-keyed reference network. Each
+graph memoizes the (paths, cut) of every terminal pair it has solved.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -84,6 +90,20 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         return {v: frozenset(ns) for v, ns in adj.items()}
+
+    @cached_property
+    def _flow_index(self) -> tuple[list[str], dict[str, int], list[list[int]]]:
+        """Sorted vertex names, their indices, and each vertex's closed
+        neighbourhood as sorted indices, for `_solve`."""
+        names = sorted(self.vertices)
+        index = {v: i for i, v in enumerate(names)}
+        closed = [sorted([i] + [index[u] for u in self.adjacency[v]]) for i, v in enumerate(names)]
+        return names, index, closed
+
+    @cached_property
+    def _flow_memo(self) -> dict:
+        """(paths, cut) by (s, t), filled by `_solve`; lives as long as the graph."""
+        return {}
 
     def neighbors(self, v: str) -> frozenset[str]:
         if v not in self.vertices:
@@ -215,112 +235,111 @@ def tight_components(g: Graph, x: Iterable[str]) -> list[frozenset[str]]:
     return [k for k in components(g, x) if g.neighbourhood(k) == x]
 
 
-class _FlowNetwork:
-    """Split-vertex unit-capacity network for vertex-disjoint path search.
+def _terminals(g: Graph, s: Iterable[str], t: Iterable[str]) -> tuple[frozenset[str], frozenset[str]]:
+    s = frozenset(s)
+    t = frozenset(t)
+    for side in (s, t):
+        unknown = side - g.vertices
+        if unknown:
+            raise UnknownVertexError(min(unknown))
+    return s, t
 
-    Every graph vertex v becomes an arc v_in -> v_out of capacity one;
-    adjacency contributes u_out -> v_in both ways. Sources attach at v_in,
-    targets leave from v_out, so a source that is also a target yields the
-    trivial one-vertex path.
+
+def _solve(g: Graph, s: frozenset[str], t: frozenset[str]):
+    """(paths, cut) of the unit-vertex-capacity max flow from s to t.
+
+    The split-vertex network gives vertex i (in sorted order) the in-node i
+    and the out-node n+i, joined by an arc of capacity one; edges join
+    out-nodes to in-nodes both ways, uncapped; the source 2n+1 feeds the
+    in-nodes of s and the out-nodes of t feed the sink 2n. Breadth-first
+    search scans each node's residual arcs in increasing id order and
+    augments along one shortest path at a time.
+
+    Since every vertex carries at most one unit, the flow is held as
+    `into[v]`: the node whose flow enters in-node v (a vertex, the source,
+    or -1 when v carries none). That fixes every residual arc. An in-node
+    leads on to its own out-node while v is unused, and otherwise back
+    along its one incoming unit; an out-node leads to the in-nodes of its
+    closed neighbourhood (its own in-node only while v is used, and an
+    unused v's in-node is always seen before its out-node) and, in t, to
+    the sink. The search that finds no augmenting path has reached exactly
+    the source side of the leftmost minimum cut.
+
+    Results are memoized on g by (s, t); the memo holds no flow state.
     """
-
-    SRC = ("src", "")
-    SNK = ("snk", "")
-
-    def __init__(self, g: Graph, sources: frozenset[str], targets: frozenset[str]):
-        self.g = g
-        self.sources = sources
-        self.targets = targets
-        cap: dict[tuple, dict[tuple, int]] = {}
-        big = len(g.vertices) + 1  # only vertex arcs may be cut
-
-        def arc(a, b, c):
-            cap.setdefault(a, {})[b] = c
-            cap.setdefault(b, {}).setdefault(a, 0)
-
-        for v in sorted(g.vertices):
-            arc(("in", v), ("out", v), 1)
-        for u, v in sorted(g.edges):
-            arc(("out", u), ("in", v), big)
-            arc(("out", v), ("in", u), big)
-        for v in sorted(sources):
-            arc(self.SRC, ("in", v), big)
-        for v in sorted(targets):
-            arc(("out", v), self.SNK, big)
-        cap.setdefault(self.SRC, {})
-        cap.setdefault(self.SNK, {})
-        self.cap = cap
-        self.flow: dict[tuple, dict[tuple, int]] = {
-            a: {b: 0 for b in nbrs} for a, nbrs in cap.items()
-        }
-
-    def _residual_neighbors(self, node):
-        for b in sorted(self.cap[node]):
-            if self.cap[node][b] - self.flow[node][b] > 0:
-                yield b
-
-    def _augment_once(self) -> bool:
-        prev: dict[tuple, tuple] = {self.SRC: self.SRC}
-        queue = [self.SRC]
+    memo = g._flow_memo
+    hit = memo.get((s, t))
+    if hit is not None:
+        return hit
+    names, index, closed = g._flow_index
+    n = len(names)
+    snk = 2 * n
+    src = snk + 1
+    starts = sorted(index[v] for v in s)
+    in_t = [False] * n
+    for v in t:
+        in_t[index[v]] = True
+    into = [-1] * n
+    while True:
+        prev = [-1] * (snk + 2)
+        queue = deque(starts)
+        for v in starts:
+            prev[v] = src
         while queue:
-            node = queue.pop(0)
-            if node == self.SNK:
-                break
-            for b in self._residual_neighbors(node):
-                if b not in prev:
-                    prev[b] = node
-                    queue.append(b)
-        if self.SNK not in prev:
-            return False
-        node = self.SNK
-        while node != self.SRC:
-            p = prev[node]
-            self.flow[p][node] += 1
-            self.flow[node][p] -= 1
-            node = p
-        return True
-
-    def max_flow(self) -> int:
-        value = 0
-        while self._augment_once():
-            value += 1
-        return value
-
-    def paths(self) -> list[list[str]]:
-        """Decompose the integral flow into vertex-disjoint paths."""
-        out: list[list[str]] = []
-        for start in sorted(self.sources):
-            if self.flow[self.SRC].get(("in", start), 0) <= 0:
+            x = queue.popleft()
+            if x < n:
+                u = into[x]
+                if u < 0:
+                    y = n + x
+                elif u == src:
+                    continue
+                else:
+                    y = n + u
+                if prev[y] < 0:
+                    prev[y] = x
+                    queue.append(y)
                 continue
-            path = [start]
-            node = ("out", start)
-            while self.flow[node].get(self.SNK, 0) <= 0:
-                nxt = None
-                for b in sorted(self.flow[node]):
-                    if self.flow[node][b] > 0:
-                        nxt = b
-                        break
-                assert nxt is not None, "flow decomposition lost its way"
-                path.append(nxt[1])
-                node = ("out", nxt[1])
-            out.append(path)
-        return out
-
-    def min_cut_vertices(self) -> frozenset[str]:
-        """Leftmost minimum vertex cut via residual reachability."""
-        reach = {self.SRC}
-        queue = [self.SRC]
-        while queue:
-            node = queue.pop(0)
-            for b in self._residual_neighbors(node):
-                if b not in reach:
-                    reach.add(b)
-                    queue.append(b)
-        cut = set()
-        for v in self.g.vertices:
-            if ("in", v) in reach and ("out", v) not in reach:
-                cut.add(v)
-        return frozenset(cut)
+            v = x - n
+            for w in closed[v]:
+                if prev[w] < 0:
+                    prev[w] = x
+                    queue.append(w)
+            if in_t[v]:
+                prev[snk] = x
+                break
+        if prev[snk] < 0:
+            break
+        # walk back from the sink: an arc from the source or another vertex's
+        # out-node into in-node v now carries v's unit, and an arc from v's
+        # in-node back to another out-node takes the old unit off; the arcs
+        # between a vertex's own two nodes leave `into` as the rest set it
+        node = prev[snk]
+        while node != src:
+            back = prev[node]
+            if node < n:
+                if back == src:
+                    into[node] = src
+                elif back - n != node:
+                    into[node] = back - n
+            elif back != node - n:
+                into[back] = -1
+            node = back
+    onward = [-1] * n
+    for v, u in enumerate(into):
+        if 0 <= u < n:
+            onward[u] = v
+    paths = []
+    for v in starts:
+        if into[v] != src:
+            continue
+        path = [names[v]]
+        while onward[v] >= 0:
+            v = onward[v]
+            path.append(names[v])
+        paths.append(tuple(path))
+    cut = frozenset(names[v] for v in range(n) if prev[v] >= 0 and prev[n + v] < 0)
+    memo[(s, t)] = hit = (tuple(paths), cut)
+    return hit
 
 
 def disjoint_paths(g: Graph, s: Iterable[str], t: Iterable[str]) -> list[list[str]]:
@@ -330,17 +349,10 @@ def disjoint_paths(g: Graph, s: Iterable[str], t: Iterable[str]) -> list[list[st
     both s and t contributes a one-vertex path. Output is deterministic for
     a fixed input: paths are sorted by their first vertex.
     """
-    s = frozenset(s)
-    t = frozenset(t)
-    for side in (s, t):
-        unknown = side - g.vertices
-        if unknown:
-            raise UnknownVertexError(min(unknown))
+    s, t = _terminals(g, s, t)
     if not s or not t:
         return []
-    net = _FlowNetwork(g, s, t)
-    net.max_flow()
-    return net.paths()
+    return [list(path) for path in _solve(g, s, t)[0]]
 
 
 def minimum_separator(g: Graph, s: Iterable[str], t: Iterable[str]) -> frozenset[str]:
@@ -348,17 +360,10 @@ def minimum_separator(g: Graph, s: Iterable[str], t: Iterable[str]) -> frozenset
 
     The cut may intersect s and t; its size equals len(disjoint_paths(g,s,t)).
     """
-    s = frozenset(s)
-    t = frozenset(t)
-    for side in (s, t):
-        unknown = side - g.vertices
-        if unknown:
-            raise UnknownVertexError(min(unknown))
+    s, t = _terminals(g, s, t)
     if not s or not t:
         return frozenset()
-    net = _FlowNetwork(g, s, t)
-    net.max_flow()
-    return net.min_cut_vertices()
+    return _solve(g, s, t)[1]
 
 
 def crossing_edge(g: Graph, side_a: frozenset[str], side_b: frozenset[str]) -> Edge | None:

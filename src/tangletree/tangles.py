@@ -33,6 +33,7 @@ from .errors import (
     FamilyParameterError,
     GraphFormatError,
     OrientationUndecidableError,
+    PreconditionError,
 )
 from .graph import Graph, components, disjoint_paths, minimum_separator
 from .separations import (
@@ -409,7 +410,7 @@ def enumerate_tangles(
     if not g.is_connected():
         raise DisconnectedGraphError("enumerate_tangles requires a connected graph")
     if k < 1:
-        raise ValueError("tangle order must be at least 1")
+        raise PreconditionError(f"tangle order must be at least 1, got {k}")
     seps = enumerate_separations(g, k - 1, budget=enumeration_budget)
     results: list[Tangle] = []
     chosen: list[OrientedSeparation] = []

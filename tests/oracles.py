@@ -4,7 +4,9 @@ These deliberately avoid the library's search structures: separations come
 from ternary side assignments, cuts and distinguishers from raw subset
 enumeration, tangles from a naive backtracking that re-scans every
 consistency pair and covering triple from scratch. They stay the slow,
-trustworthy side of every dual-route check.
+trustworthy side of every dual-route check. The tuple-keyed flow network,
+a dict of dicts scanned in sorted key order, is the reference for the
+library's integer-indexed max-flow solver.
 """
 
 from __future__ import annotations
@@ -216,3 +218,119 @@ def nested_efficient_subsets_exist(g, tangles, pair_candidates) -> bool:
         return False
 
     return search(0, [])
+
+
+class _FlowNetwork:
+    """Split-vertex unit-capacity network for vertex-disjoint path search.
+
+    Every graph vertex v becomes an arc v_in -> v_out of capacity one;
+    adjacency contributes u_out -> v_in both ways. Sources attach at v_in,
+    targets leave from v_out, so a source that is also a target yields the
+    trivial one-vertex path.
+    """
+
+    SRC = ("src", "")
+    SNK = ("snk", "")
+
+    def __init__(self, g: Graph, sources: frozenset[str], targets: frozenset[str]):
+        self.g = g
+        self.sources = sources
+        self.targets = targets
+        cap: dict[tuple, dict[tuple, int]] = {}
+        big = len(g.vertices) + 1  # only vertex arcs may be cut
+
+        def arc(a, b, c):
+            cap.setdefault(a, {})[b] = c
+            cap.setdefault(b, {}).setdefault(a, 0)
+
+        for v in sorted(g.vertices):
+            arc(("in", v), ("out", v), 1)
+        for u, v in sorted(g.edges):
+            arc(("out", u), ("in", v), big)
+            arc(("out", v), ("in", u), big)
+        for v in sorted(sources):
+            arc(self.SRC, ("in", v), big)
+        for v in sorted(targets):
+            arc(("out", v), self.SNK, big)
+        cap.setdefault(self.SRC, {})
+        cap.setdefault(self.SNK, {})
+        self.cap = cap
+        self.flow: dict[tuple, dict[tuple, int]] = {
+            a: {b: 0 for b in nbrs} for a, nbrs in cap.items()
+        }
+
+    def _residual_neighbors(self, node):
+        for b in sorted(self.cap[node]):
+            if self.cap[node][b] - self.flow[node][b] > 0:
+                yield b
+
+    def _augment_once(self) -> bool:
+        prev: dict[tuple, tuple] = {self.SRC: self.SRC}
+        queue = [self.SRC]
+        while queue:
+            node = queue.pop(0)
+            if node == self.SNK:
+                break
+            for b in self._residual_neighbors(node):
+                if b not in prev:
+                    prev[b] = node
+                    queue.append(b)
+        if self.SNK not in prev:
+            return False
+        node = self.SNK
+        while node != self.SRC:
+            p = prev[node]
+            self.flow[p][node] += 1
+            self.flow[node][p] -= 1
+            node = p
+        return True
+
+    def max_flow(self) -> int:
+        value = 0
+        while self._augment_once():
+            value += 1
+        return value
+
+    def paths(self) -> list[list[str]]:
+        """Decompose the integral flow into vertex-disjoint paths."""
+        out: list[list[str]] = []
+        for start in sorted(self.sources):
+            if self.flow[self.SRC].get(("in", start), 0) <= 0:
+                continue
+            path = [start]
+            node = ("out", start)
+            while self.flow[node].get(self.SNK, 0) <= 0:
+                nxt = None
+                for b in sorted(self.flow[node]):
+                    if self.flow[node][b] > 0:
+                        nxt = b
+                        break
+                assert nxt is not None, "flow decomposition lost its way"
+                path.append(nxt[1])
+                node = ("out", nxt[1])
+            out.append(path)
+        return out
+
+    def min_cut_vertices(self) -> frozenset[str]:
+        """Leftmost minimum vertex cut via residual reachability."""
+        reach = {self.SRC}
+        queue = [self.SRC]
+        while queue:
+            node = queue.pop(0)
+            for b in self._residual_neighbors(node):
+                if b not in reach:
+                    reach.add(b)
+                    queue.append(b)
+        cut = set()
+        for v in self.g.vertices:
+            if ("in", v) in reach and ("out", v) not in reach:
+                cut.add(v)
+        return frozenset(cut)
+
+
+def flow_reference(g: Graph, s: frozenset[str], t: frozenset[str]):
+    """(paths, cut) from the tuple-keyed reference network above, which
+    scans its residual arcs in sorted key order; s and t non-empty."""
+    net = _FlowNetwork(g, frozenset(s), frozenset(t))
+    net.max_flow()
+    return net.paths(), net.min_cut_vertices()

@@ -403,3 +403,68 @@ def test_malformed_documents_give_json_reports(data):
             code = main(args)
     assert code in (0, 1, 2)
     json.loads(out.getvalue())
+
+
+def test_order_below_one_is_a_json_error(two_k4_file, capsys):
+    assert run(["tangles", "--input", two_k4_file, "--order", "0"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "PreconditionError"
+    assert "order" in doc["message"]
+
+
+def test_sizes_that_are_not_integers_are_a_json_error(capsys):
+    assert run(["generate", "--family", "clique_chain", "--sizes", "3,x"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "FamilyParameterError"
+    assert "--sizes" in doc["message"]
+
+
+def test_output_into_missing_directory_is_a_json_error(tmp_path, capsys):
+    target = tmp_path / "absent" / "pres.json"
+    assert run(["generate", "--family", "ray", "--output", str(target)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "OutputError"
+    assert str(target) in doc["message"]
+    assert not target.parent.exists()
+
+
+def test_failed_command_leaves_existing_output_untouched(two_k4_file, tmp_path, capsys):
+    out = tmp_path / "tangles.json"
+    assert run(["tangles", "--input", two_k4_file, "--output", str(out)]) == 0
+    before = out.read_bytes()
+    assert run(["tangles", "--input", two_k4_file, "--order", "0", "--output", str(out)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "PreconditionError"
+    assert out.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["tangles.json", "two_k4.json"]  # no temporary file
+
+
+def _int_text(low, high):
+    return st.integers(low, high).map(str)
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_argument_values_give_json_reports(data):
+    """Values that pass argparse's type checks but not the commands' own."""
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        gpath = os.path.join(tmp_dir, "g.json")
+        with open(gpath, "w") as fh:
+            json.dump(_TRIANGLES, fh)
+        command = data.draw(st.sampled_from(["tangles", "tot", "generate", "limits", "interlace", "ends"]))
+        if command in ("tangles", "tot"):
+            args = [command, "--input", gpath, "--order", data.draw(_int_text(-2, 8))]
+        else:
+            family = data.draw(st.sampled_from(["clique_chain", "ray", "double_ray", "grid", "binary_tree"]))
+            args = [command, "--family", family, "--horizon", data.draw(_int_text(-2, 3))]
+            args += ["--width", data.draw(_int_text(-1, 3))]
+            sizes = st.lists(_int_text(-3, 40) | st.sampled_from(["", "x", " 9", "1.5"]), min_size=1, max_size=5)
+            if data.draw(st.booleans()):
+                args += ["--sizes=" + ",".join(data.draw(sizes))]  # one token, even with a leading "-"
+        args += ["--budget", data.draw(_int_text(-1, 10) | st.just("2000000"))]
+        if data.draw(st.booleans()):
+            args += ["--output", os.path.join(tmp_dir, "absent", "out.json")]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(args)
+    assert code in (0, 1, 2)
+    json.loads(out.getvalue())
