@@ -47,7 +47,6 @@ from .tangles import (
 from .tree_of_tangles import (
     TreeDecomposition,
     build_tree_of_tangles,
-    exhaustiveness_evidence,
     induce_tree_decomposition,
     verify_tree_decomposition,
     verify_tree_of_tangles,
@@ -58,6 +57,7 @@ from .limits import (
     check_strongly_relevant,
     classify_vs_limit,
     construct_interlaced,
+    exhaustiveness_evidence,
     limit_separator_growth,
     limit_separator_prefix,
     pseudo_tight_check,

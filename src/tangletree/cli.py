@@ -30,6 +30,7 @@ from .graph import Graph, load_graph
 from .limits import (
     check_interlaced_pair,
     construct_interlaced,
+    exhaustiveness_evidence,
     limit_separator_growth,
     thin_out,
 )
@@ -44,7 +45,6 @@ from .tree_of_tangles import (
     TreeDecomposition,
     _edge_induced_separation,
     build_tree_of_tangles,
-    exhaustiveness_evidence,
     induce_tree_decomposition,
     verify_tree_decomposition,
     verify_tree_of_tangles,
@@ -63,7 +63,7 @@ def _file_sha256(path: str) -> str | None:
 def _config_hash(args: argparse.Namespace) -> str:
     # the output path steers delivery, not the computation, so it stays out
     # of the hash; inputs count by their contents, not by their paths
-    payload = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "output")}
+    payload = {k: v for k, v in sorted(vars(args).items()) if k != "output"}
     payload["input"] = [_file_sha256(path) for path in args.input]
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -370,38 +370,36 @@ def cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
+COMMANDS = {
+    "generate": cmd_generate,
+    "tangles": cmd_tangles,
+    "tot": cmd_tot,
+    "decompose": cmd_decompose,
+    "limits": cmd_limits,
+    "interlace": cmd_interlace,
+    "ends": cmd_ends,
+    "verify": cmd_verify,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One parser: the command name, then options shared by every command,
+    which may also come before the name."""
     parser = argparse.ArgumentParser(
         prog="tangletree",
         description="Separation, tangle, and end analysis on finite windows",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--input", action="append", default=[], help="input artifact path (repeatable)")
-        sp.add_argument("--family", choices=("clique_chain", "ray", "double_ray", "grid", "binary_tree"))
-        sp.add_argument("--sizes", help="comma-separated clique sizes override")
-        sp.add_argument("--horizon", type=int, default=3)
-        sp.add_argument("--width", type=int, default=None, help="strip width for the grid family")
-        sp.add_argument("--order", type=int, default=3)
-        sp.add_argument("--budget", type=int, default=2_000_000)
-        sp.add_argument("--format", choices=("json", "dot", "csv"), default="json")
-        sp.add_argument("--output", default=None)
-
-    for name, fn in (
-        ("generate", cmd_generate),
-        ("tangles", cmd_tangles),
-        ("tot", cmd_tot),
-        ("decompose", cmd_decompose),
-        ("limits", cmd_limits),
-        ("interlace", cmd_interlace),
-        ("ends", cmd_ends),
-        ("verify", cmd_verify),
-    ):
-        sp = sub.add_parser(name)
-        common(sp)
-        sp.set_defaults(func=fn)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--input", action="append", default=[], help="input artifact path (repeatable)")
+    parser.add_argument("--family", choices=("clique_chain", "ray", "double_ray", "grid", "binary_tree"))
+    parser.add_argument("--sizes", help="comma-separated clique sizes override")
+    parser.add_argument("--horizon", type=int, default=3)
+    parser.add_argument("--width", type=int, default=None, help="strip width for the grid family")
+    parser.add_argument("--order", type=int, default=3)
+    parser.add_argument("--budget", type=int, default=2_000_000)
+    parser.add_argument("--format", choices=("json", "dot", "csv"), default="json")
+    parser.add_argument("--output", default=None)
     return parser
 
 
@@ -410,7 +408,7 @@ def main(argv=None) -> int:
     try:
         if args.budget < 1:
             raise PreconditionError("--budget must be positive")
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except TangletreeError as exc:
         # errors go to stdout, never to --output, so a failed command leaves
         # the artifact of an earlier run in place

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import FamilyParameterError, PreconditionError
 from .graph import Graph, components, disjoint_paths
-from .limits import limit_separator_growth, limit_separator_prefix
+from .limits import exhaustiveness_evidence, limit_separator_growth, limit_separator_prefix
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     NestedSet,
@@ -31,7 +31,7 @@ from .separations import (
     supremum,
 )
 from .tangles import Orienter
-from .tree_of_tangles import classify_pairs, exhaustiveness_evidence
+from .tree_of_tangles import classify_pairs
 
 
 @dataclass(frozen=True)

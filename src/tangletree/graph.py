@@ -92,9 +92,10 @@ class Graph:
         return {v: frozenset(ns) for v, ns in adj.items()}
 
     @cached_property
-    def _flow_index(self) -> tuple[list[str], dict[str, int], list[list[int]]]:
+    def _vertex_index(self) -> tuple[list[str], dict[str, int], list[list[int]]]:
         """Sorted vertex names, their indices, and each vertex's closed
-        neighbourhood as sorted indices, for `_solve`."""
+        neighbourhood as sorted indices: the one vertex order that `_solve`
+        and the bitmask sides of separations share."""
         names = sorted(self.vertices)
         index = {v: i for i, v in enumerate(names)}
         closed = [sorted([i] + [index[u] for u in self.adjacency[v]]) for i, v in enumerate(names)]
@@ -104,6 +105,14 @@ class Graph:
     def _flow_memo(self) -> dict:
         """(paths, cut) by (s, t), filled by `_solve`; lives as long as the graph."""
         return {}
+
+    def mask(self, vs: Iterable[str]) -> int:
+        """vs as an int with bit i set for the i-th vertex in sorted order."""
+        index = self._vertex_index[1]
+        mask = 0
+        for v in vs:
+            mask |= 1 << index[v]
+        return mask
 
     def neighbors(self, v: str) -> frozenset[str]:
         if v not in self.vertices:
@@ -271,7 +280,7 @@ def _solve(g: Graph, s: frozenset[str], t: frozenset[str]):
     hit = memo.get((s, t))
     if hit is not None:
         return hit
-    names, index, closed = g._flow_index
+    names, index, closed = g._vertex_index
     n = len(names)
     snk = 2 * n
     src = snk + 1

@@ -7,6 +7,11 @@ separations are nested when some orientations are comparable; `relation`
 decides this twice, via the definition and via the corner test on
 (A & D) - S with S = (A & B) & (C & D), and insists the two agree.
 
+Sides are frozensets of vertex names in the API and JSON; each oriented
+separation also caches them as int bitmasks, on which `leq`, the corner test
+and `relation` run. A `Separation` builds its two orientations once, on first
+request, and hands back that same validated pair after.
+
 Sequences ordered by <= have a supremum (union of the left sides,
 intersection of the right sides), which is again a separation; domination
 and interlacing compare sequences through that order.
@@ -41,7 +46,7 @@ def _sort_key(vs: frozenset[str]) -> tuple[str, ...]:
 
 @dataclass(frozen=True, eq=False)
 class OrientedSeparation:
-    """One orientation (A, B) of a separation of `graph`."""
+    """One orientation (A, B) of a separation of `graph`, validated when built."""
 
     graph: Graph
     side_a: frozenset[str]
@@ -59,6 +64,8 @@ class OrientedSeparation:
         object.__setattr__(self, "_hash", hash((self.side_a, self.side_b)))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, OrientedSeparation):
             return NotImplemented
         return (
@@ -82,11 +89,19 @@ class OrientedSeparation:
         return len(self.separator)
 
     @cached_property
+    def masks(self) -> tuple[int, int]:
+        """(A, B) as `Graph.mask` bitmasks, computed on first use."""
+        return self.graph.mask(self.side_a), self.graph.mask(self.side_b)
+
+    @cached_property
     def side_a_edges(self) -> frozenset:
         return self.graph.edges_within(self.side_a)
 
     def reverse(self) -> "OrientedSeparation":
         return OrientedSeparation(self.graph, self.side_b, self.side_a)
+
+    def orientations(self) -> tuple["OrientedSeparation", "OrientedSeparation"]:
+        return (self, self.reverse())
 
     def canonical(self) -> "Separation":
         if _sort_key(self.side_a) <= _sort_key(self.side_b):
@@ -141,16 +156,24 @@ class Separation:
     def sort_key(self) -> tuple:
         return (_sort_key(self.side_a), _sort_key(self.side_b))
 
+    @cached_property
+    def _orientations(self) -> tuple[OrientedSeparation, OrientedSeparation]:
+        return (
+            OrientedSeparation(self.graph, self.side_a, self.side_b),
+            OrientedSeparation(self.graph, self.side_b, self.side_a),
+        )
+
     def orient(self, toward: str) -> OrientedSeparation:
         """Orientation with the named stored side ('a' or 'b') as B."""
         if toward == "b":
-            return OrientedSeparation(self.graph, self.side_a, self.side_b)
+            return self._orientations[0]
         if toward == "a":
-            return OrientedSeparation(self.graph, self.side_b, self.side_a)
+            return self._orientations[1]
         raise ValueError(f"toward must be 'a' or 'b', got {toward!r}")
 
     def orientations(self) -> tuple[OrientedSeparation, OrientedSeparation]:
-        return (self.orient("b"), self.orient("a"))
+        """(A, B) and (B, A): the same two objects on every call."""
+        return self._orientations
 
     def is_proper(self) -> bool:
         v = self.graph.vertices
@@ -178,20 +201,24 @@ def _same_graph(s, t) -> None:
         raise AmbientMismatchError("separations live over different graphs")
 
 
+def _leq(a: int, b: int, c: int, d: int) -> bool:
+    """(A, B) <= (C, D) on masks: A <= C and B >= D."""
+    return not (a & ~c or d & ~b)
+
+
+def _leq_corner(a: int, b: int, c: int, d: int) -> bool:
+    """Corner form of <= on masks: (A & D) - S empty, S = (A & B) & (C & D)."""
+    return not (a & d & ~(a & b & c & d))
+
+
 def leq(s: OrientedSeparation, t: OrientedSeparation) -> bool:
     """(A, B) <= (C, D) iff A <= C and B >= D."""
     _same_graph(s, t)
-    return s.side_a <= t.side_a and s.side_b >= t.side_b
+    return _leq(*s.masks, *t.masks)
 
 
 def lt(s: OrientedSeparation, t: OrientedSeparation) -> bool:
     return leq(s, t) and not (s.side_a == t.side_a and s.side_b == t.side_b)
-
-
-def _leq_corner(s: OrientedSeparation, t: OrientedSeparation) -> bool:
-    """Corner form of <= : (A & D) - S empty, S = (A & B) & (C & D)."""
-    shared = s.separator & t.separator
-    return not ((s.side_a & t.side_b) - shared)
 
 
 @dataclass(frozen=True)
@@ -213,30 +240,20 @@ def relation(s: Separation | OrientedSeparation, t: Separation | OrientedSeparat
     InternalCheckError since it can only come from an implementation bug.
     """
     _same_graph(s, t)
-    s_or = s.orientations() if isinstance(s, Separation) else (s, s.reverse())
-    t_or = t.orientations() if isinstance(t, Separation) else (t, t.reverse())
     witness = None
-    any_comparable = False
-    for so in s_or:
-        for to in t_or:
-            by_def = leq(so, to)
-            by_corner = _leq_corner(so, to)
-            if by_def != by_corner:
+    for so in s.orientations():
+        a, b = so.masks
+        for to in t.orientations():
+            c, d = to.masks
+            below = _leq(a, b, c, d)
+            above = _leq(c, d, a, b)
+            if below != _leq_corner(a, b, c, d) or above != _leq_corner(c, d, a, b):
                 raise InternalCheckError(
-                    f"corner test disagrees with definition on {so!r} vs {to!r}"
+                    f"corner test disagrees with definition between {so!r} and {to!r}"
                 )
-            if by_def:
-                any_comparable = True
-                if witness is None:
-                    witness = (so, to)
-            if leq(to, so) != _leq_corner(to, so):
-                raise InternalCheckError(
-                    f"corner test disagrees with definition on {to!r} vs {so!r}"
-                )
-            if witness is None and leq(to, so):
-                any_comparable = True
-                witness = (to, so)
-    return Relation(any_comparable, witness)
+            if witness is None and (below or above):
+                witness = (so, to) if below else (to, so)
+    return Relation(witness is not None, witness)
 
 
 def first_crossing(

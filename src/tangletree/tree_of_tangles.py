@@ -1,4 +1,4 @@
-"""Trees of tangles, induced tree-decompositions, and exhaustiveness verdicts.
+"""Trees of tangles and induced tree-decompositions.
 
 A tree of tangles for a tangle list is a nested set N of separations such
 that every member efficiently distinguishes some pair (relevance) and every
@@ -28,7 +28,6 @@ from .errors import (
     DisconnectedGraphError,
     EmptyGraphError,
     GraphFormatError,
-    IncoherentChainError,
     InternalCheckError,
     PreconditionError,
 )
@@ -40,10 +39,8 @@ from .separations import (
     Separation,
     enumerate_separations,
     first_crossing,
-    is_tight,
     leq,
     relation,
-    supremum,
 )
 from .tangles import (
     Orienter,
@@ -493,105 +490,4 @@ def verify_tree_decomposition(
         induced_equal=induced_equal,
         efficiency_ok=not missed,
         witnesses=witnesses,
-    )
-
-
-@dataclass(frozen=True)
-class ExhaustivenessVerdict:
-    verdict: str  # exhaustive-evidence | non-exhaustive-witness | inconclusive
-    evidence_only: bool
-    max_order: int
-    reference_layer: int
-    stable_b_prefix: tuple[str, ...]
-    notes: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "exhaustiveness_verdict",
-            "verdict": self.verdict,
-            "evidence_only": self.evidence_only,
-            "max_order": self.max_order,
-            "reference_layer": self.reference_layer,
-            "stable_b_prefix": list(self.stable_b_prefix),
-            "notes": list(self.notes),
-        }
-
-
-def check_chain_coherence(p, chains: dict) -> None:
-    """Items must restrict across layers: same separator, same A inside the
-    smaller window."""
-    layers = sorted(chains)
-    for prev, cur in zip(layers, layers[1:]):
-        small = chains[prev]
-        big = chains[cur]
-        win = p.graph_at(prev).vertices
-        for idx in range(min(len(small), len(big))):
-            a, b = small[idx], big[idx]
-            if a.separator != b.separator or (b.side_a & win) != a.side_a:
-                raise IncoherentChainError(
-                    f"item {idx} differs between layers {prev} and {cur}"
-                )
-
-
-def exhaustiveness_evidence(
-    p,
-    chains: dict,
-    *,
-    stability_span: int = 3,
-) -> ExhaustivenessVerdict:
-    """Finite-horizon verdict on whether the chain is exhausting the graph.
-
-    Bounded orders of an all-tight chain are evidence of exhaustion; the
-    strict-side of the supremum stabilizing to a fixed non-empty trace in the
-    reference window across `stability_span` successive horizons witnesses
-    the opposite. Anything else, including conflicting signals, is
-    inconclusive. All verdicts are finite-horizon evidence, not proof.
-    """
-    if not chains:
-        raise PreconditionError("no chain layers supplied")
-    check_chain_coherence(p, chains)
-    layers = sorted(chains)
-    ref = layers[0]
-    ref_vertices = p.graph_at(ref).vertices
-    notes = []
-    all_tight = True
-    for m in layers:
-        g_m = p.graph_at(m)
-        for item in chains[m]:
-            if not is_tight(g_m, item):
-                all_tight = False
-                notes.append(f"item of order {item.order} not tight in layer {m}")
-                break
-        if not all_tight:
-            break
-    orders_ref = [it.order for it in chains[ref]]
-    max_ref = max(orders_ref)
-    max_all = max(it.order for m in layers for it in chains[m])
-    bounded = max_all <= max_ref
-    traces = []
-    for m in layers:
-        sup = supremum(chains[m])
-        traces.append(frozenset((sup.side_b - sup.side_a) & ref_vertices))
-    tail = traces[-stability_span:]
-    stable_nonempty = (
-        len(traces) >= stability_span
-        and all(t == tail[0] for t in tail)
-        and bool(tail[0])
-    )
-    if stable_nonempty and bounded and all_tight:
-        notes.append("conflicting signals: bounded tight chain with stable B-trace")
-        verdict = "inconclusive"
-    elif stable_nonempty:
-        verdict = "non-exhaustive-witness"
-    elif bounded and all_tight:
-        verdict = "exhaustive-evidence"
-    else:
-        verdict = "inconclusive"
-    return ExhaustivenessVerdict(
-        verdict=verdict,
-        evidence_only=True,
-        max_order=max_all,
-        reference_layer=ref,
-        stable_b_prefix=tuple(sorted(tail[0])) if stable_nonempty else (),
-        notes=tuple(notes),
     )

@@ -6,7 +6,8 @@ enumeration, tangles from a naive backtracking that re-scans every
 consistency pair and covering triple from scratch. They stay the slow,
 trustworthy side of every dual-route check. The tuple-keyed flow network,
 a dict of dicts scanned in sorted key order, is the reference for the
-library's integer-indexed max-flow solver.
+library's integer-indexed max-flow solver, and the frozenset form of
+`relation` is the reference for the bitmask one.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from tangletree.graph import Graph, components
-from tangletree.separations import OrientedSeparation, Separation, leq
+from tangletree.errors import InternalCheckError
+from tangletree.separations import OrientedSeparation, Relation, Separation, leq
 from tangletree.tangles import PreTangle, Tangle
 
 
@@ -334,3 +336,45 @@ def flow_reference(g: Graph, s: frozenset[str], t: frozenset[str]):
     net = _FlowNetwork(g, frozenset(s), frozenset(t))
     net.max_flow()
     return net.paths(), net.min_cut_vertices()
+
+
+def _leq_sets(s: OrientedSeparation, t: OrientedSeparation) -> bool:
+    """(A, B) <= (C, D) iff A <= C and B >= D, on the frozenset sides."""
+    return s.side_a <= t.side_a and s.side_b >= t.side_b
+
+
+def _leq_corner_sets(s: OrientedSeparation, t: OrientedSeparation) -> bool:
+    """Corner form of <= : (A & D) - S empty, S = (A & B) & (C & D)."""
+    shared = s.separator & t.separator
+    return not ((s.side_a & t.side_b) - shared)
+
+
+def relation_reference(
+    s: Separation | OrientedSeparation, t: Separation | OrientedSeparation
+) -> Relation:
+    """`relation` computed on frozenset sides: both tests on every ordered
+    orientation pair, the first comparable pair found as the witness."""
+    s_or = s.orientations() if isinstance(s, Separation) else (s, s.reverse())
+    t_or = t.orientations() if isinstance(t, Separation) else (t, t.reverse())
+    witness = None
+    any_comparable = False
+    for so in s_or:
+        for to in t_or:
+            by_def = _leq_sets(so, to)
+            by_corner = _leq_corner_sets(so, to)
+            if by_def != by_corner:
+                raise InternalCheckError(
+                    f"corner test disagrees with definition on {so!r} vs {to!r}"
+                )
+            if by_def:
+                any_comparable = True
+                if witness is None:
+                    witness = (so, to)
+            if _leq_sets(to, so) != _leq_corner_sets(to, so):
+                raise InternalCheckError(
+                    f"corner test disagrees with definition on {to!r} vs {so!r}"
+                )
+            if witness is None and _leq_sets(to, so):
+                any_comparable = True
+                witness = (to, so)
+    return Relation(any_comparable, witness)

@@ -14,6 +14,7 @@ from tangletree.limits import (
     check_interlaced_pair,
     classify_vs_limit,
     construct_interlaced,
+    exhaustiveness_evidence,
     limit_separator_growth,
     pseudo_tight_check,
     thin_out,
@@ -35,7 +36,6 @@ from tangletree.tangles import (
 )
 from tangletree.tree_of_tangles import (
     build_tree_of_tangles,
-    exhaustiveness_evidence,
     induce_tree_decomposition,
     verify_tree_decomposition,
     verify_tree_of_tangles,

@@ -324,6 +324,25 @@ def test_config_hash_follows_input_contents(two_k4_file, tmp_path, capsys):
     assert config_hash(copy) != before
 
 
+def test_config_hash_is_pinned(tmp_path, capsys):
+    """The hash a fixed `tangles` command has always printed, with the
+    options given after or before the command name."""
+    path = tmp_path / "g4.json"
+    path.write_text('{"vertices":["a","b","c","d"],"edges":[["a","b"],["b","c"],["c","d"],["a","c"]]}')
+    for args in (["tangles", "--input", str(path), "--order", "2"], ["--order", "2", "tangles", "--input", str(path)]):
+        assert run(args) == 0
+        assert json.loads(capsys.readouterr().out)["config_hash"] == "6becd41318ae32f2"
+
+
+@pytest.mark.parametrize(
+    "args, code", [([], 2), (["nope"], 2), (["--version"], 0), (["tangles", "--help"], 0)]
+)
+def test_parser_exit_codes(args, code):
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == code
+
+
 # Valid documents on two triangles joined by an edge, which the property
 # below breaks one at a time.
 _TRIANGLES = {

@@ -12,6 +12,7 @@ from tangletree.families import (
     truncate,
 )
 from tangletree.graph import load_graph
+from tangletree.limits import check_chain_coherence
 from tangletree.separations import is_tight
 
 
@@ -184,8 +185,6 @@ def test_clique_never_split_strictly_by_enumerated_separations(scaled_chain):
 
 
 def test_canonical_chains_are_tight_and_coherent(scaled_chain, ray_presentation, grid_presentation):
-    from tangletree.tree_of_tangles import check_chain_coherence
-
     for p in (scaled_chain, ray_presentation, grid_presentation):
         chains = p.canonical_layer_chains()
         check_chain_coherence(p, chains)

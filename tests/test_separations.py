@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tangletree import separations
 from tangletree.errors import (
     AmbientMismatchError,
     CoverError,
     CrossingEdgeError,
     DisconnectedGraphError,
     EmptyGraphError,
+    InternalCheckError,
     SequenceOrderError,
     UnknownVertexError,
 )
@@ -31,7 +33,7 @@ from tangletree.separations import (
     supremum,
 )
 from .conftest import cycle_graph, path_graph, random_connected_graph
-from .oracles import all_separations_brute
+from .oracles import all_separations_brute, relation_reference
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +115,57 @@ def test_relation_chain_items_nested(scaled_chain):
     rel = relation(chain[0].canonical(), chain[1].canonical())
     assert rel.nested
     assert rel.witness is not None
+
+
+def _sides(o):
+    return (o.side_a, o.side_b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_relation_matches_frozenset_reference(data):
+    """Same verdict, same witness sides in the same order, for Separation,
+    OrientedSeparation and mixed pairs; oriented inputs are sometimes built
+    afresh rather than taken from a separation's cached pair."""
+    seed = data.draw(st.integers(0, 10**6))
+    g = random_connected_graph(random.Random(seed), data.draw(st.integers(1, 7)))
+    seps = enumerate_separations(g, min(2, len(g.vertices)))
+
+    def draw_input():
+        s = data.draw(st.sampled_from(seps))
+        kind = data.draw(st.sampled_from(["separation", "cached", "fresh"]))
+        if kind == "separation":
+            return s
+        o = s.orient(data.draw(st.sampled_from("ab")))
+        return o if kind == "cached" else make_separation(g, o.side_a, o.side_b)
+
+    for _ in range(20):
+        s, t = draw_input(), draw_input()
+        got, want = relation(s, t), relation_reference(s, t)
+        assert got.nested == want.nested
+        if want.witness is None:
+            assert got.witness is None
+        else:
+            assert [_sides(o) for o in got.witness] == [_sides(o) for o in want.witness]
+
+
+def test_relation_raises_when_corner_test_disagrees(monkeypatch):
+    g = cycle_graph(4)
+    s = sep(g, {"c00", "c01", "c02"}, {"c02", "c03", "c00"}).canonical()
+    t = sep(g, {"c00", "c01"}, {"c01", "c02", "c03", "c00"}).canonical()
+    assert relation(s, t).nested
+    corner = separations._leq_corner
+    monkeypatch.setattr(separations, "_leq_corner", lambda *masks: not corner(*masks))
+    with pytest.raises(InternalCheckError):
+        relation(s, t)
+
+
+def test_orientations_are_built_once(p3):
+    s = sep(p3, {"p00", "p01"}, {"p01", "p02"}).canonical()
+    x, y = s.orientations()
+    assert s.orientations()[0] is x and s.orientations()[1] is y
+    assert s.orient("b") is x and s.orient("a") is y
+    assert (x.side_a, x.side_b) == (s.side_a, s.side_b) and y == x.reverse()
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,12 +13,11 @@ from tangletree.separations import (
     make_separation,
     relation,
 )
+from tangletree.limits import check_chain_coherence, exhaustiveness_evidence
 from tangletree.tangles import clique_witness, enumerate_tangles
 from tangletree.tree_of_tangles import (
     TreeDecomposition,
     build_tree_of_tangles,
-    check_chain_coherence,
-    exhaustiveness_evidence,
     induce_tree_decomposition,
     verify_tree_decomposition,
     verify_tree_of_tangles,
