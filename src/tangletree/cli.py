@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import cache
 
 from . import __version__
 from .errors import (
@@ -382,9 +383,11 @@ COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     """One parser: the command name, then options shared by every command,
-    which may also come before the name."""
+    which may also come before the name. Built once: parsing leaves it
+    unchanged, and `append` copies the `--input` default before adding."""
     parser = argparse.ArgumentParser(
         prog="tangletree",
         description="Separation, tangle, and end analysis on finite windows",

@@ -19,9 +19,11 @@ and interlacing compare sequences through that order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -287,6 +289,9 @@ def _ambient(g: Graph, s) -> None:
         raise AmbientMismatchError("separation does not live over this graph")
 
 
+_last_enumeration: tuple = (None, -1, [])  # (graph, max_order, list) of the last one finished
+
+
 def enumerate_separations(
     g: Graph,
     max_order: int,
@@ -301,7 +306,17 @@ def enumerate_separations(
     deduplication across candidates is needed. Improper separations are
     included (query `Separation.is_proper`). The budget bounds the number of
     separator candidates examined.
+
+    The last finished enumeration stays in one slot. A call on that same
+    graph object (`is`) at its order or lower gets a copy, cut to max_order,
+    and still raises if sum(C(|V|, s) for s <= max_order) exceeds the budget.
     """
+    global _last_enumeration
+    last_graph, last_order, last_out = _last_enumeration
+    if g is last_graph and max_order <= last_order:
+        if sum(comb(len(g.vertices), s) for s in range(max_order + 1)) > budget:
+            raise BudgetExceededError("separator candidates", budget)
+        return last_out[: bisect_right(last_out, max_order, key=order)]
     if not g.vertices:
         raise EmptyGraphError("enumerate_separations requires a non-empty graph")
     if not g.is_connected():
@@ -336,7 +351,8 @@ def enumerate_separations(
                 )
                 out.append(sep.canonical())
     out.sort(key=lambda s: (s.order, s.sort_key))
-    return out
+    _last_enumeration = (g, max_order, out)  # one rebinding: readers see old or new
+    return out[:]
 
 
 @dataclass(frozen=True, eq=False)

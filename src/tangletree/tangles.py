@@ -40,6 +40,7 @@ from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     OrientedSeparation,
     Separation,
+    _leq,
     enumerate_separations,
 )
 
@@ -267,33 +268,45 @@ class PreTangleReport:
         return self.complete and self.consistent
 
 
-def _inconsistent(x: OrientedSeparation, y: OrientedSeparation) -> bool:
-    """True iff reverse(x) <= y, i.e. (B, A) <= (C, D) for x = (A, B), y = (C, D).
-
-    Both halves read B <= C and D <= A, so the relation is symmetric:
-    reverse(x) <= y iff reverse(y) <= x. Callers pass orientations of two
-    distinct separations of one graph.
-    """
-    return x.side_b <= y.side_a and x.side_a >= y.side_b
-
-
 def _consistency_witness(members: Sequence[OrientedSeparation]):
     """First pair (x, y) with reverse(x) <= y among orientations of distinct
     separations, else None."""
     for i, x in enumerate(members):
+        a, b = x.masks
         for y in members[i + 1 :]:
-            if _inconsistent(x, y):
+            if _leq(b, a, *y.masks):
                 return (x, y)
     return None
 
 
+def _maximal_pair_inconsistent(members: Sequence[OrientedSeparation]) -> bool:
+    """True iff two <=-maximal members, or one with itself, are inconsistent.
+
+    reverse(x) <= y is symmetric in x and y and upward-closed: it gives
+    reverse(x) <= y' for y <= y'. So False proves consistency. A member is
+    inconsistent with itself iff it is co-small, (V, B).
+    """
+    kept: list[tuple[int, int]] = []
+    for o in sorted(members, key=lambda o: (-len(o.side_a), len(o.side_b))):
+        a, b = o.masks  # anything above o came earlier, so kept is the antichain
+        if not any(_leq(a, b, c, d) for c, d in kept):
+            kept.append((a, b))
+            if any(_leq(b, a, c, d) for c, d in kept):
+                return True
+    return False
+
+
 def check_pretangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> PreTangleReport:
-    """Completeness and consistency report with witnesses on failure."""
+    """Completeness and consistency report with witnesses on failure.
+
+    Consistency is decided on the <=-maximal members; the first-pair scan
+    over all members runs only when they flag a pair, to name the witness."""
     domain = set(enumerate_separations(g, p.order_bound - 1, budget=budget))
     have = set(p.choices)
     missing = tuple(sorted(domain - have, key=lambda s: s.sort_key))
     extra = tuple(sorted(have - domain, key=lambda s: s.sort_key))
-    witness = _consistency_witness(p.oriented_members())
+    members = p.oriented_members()
+    witness = _consistency_witness(members) if _maximal_pair_inconsistent(members) else None
     return PreTangleReport(
         complete=not missing and not extra,
         consistent=witness is None,
@@ -303,27 +316,40 @@ def check_pretangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION
     )
 
 
-def _covering_third(
-    g: Graph,
-    pool: list[OrientedSeparation],
-    x: OrientedSeparation,
-    y: OrientedSeparation,
-):
-    """Some z in pool with G[x.A] | G[y.A] | G[z.A] = G, else None.
+def _mask_encoder(g: Graph):
+    """(all vertices, all edges, encode) as masks; encode(A, B) gives the
+    tuple (A, B, edges inside A, |A|) that the covering test runs on. Edge
+    bit j stands for the j-th edge in sorted order."""
+    all_edges = (1 << len(g.edges)) - 1
+    keep = dict.fromkeys(g.vertices, all_edges)  # edges kept when the vertex leaves A
+    for j, (u, v) in enumerate(sorted(g.edges)):
+        keep[u] &= ~(1 << j)
+        keep[v] &= ~(1 << j)
 
-    pool must be sorted by decreasing |side_a| so the size cutoff can stop
-    the scan early.
-    """
-    vmiss = g.vertices - x.side_a - y.side_a
+    def encode(a: frozenset[str], b: frozenset[str]) -> tuple[int, int, int, int]:
+        inside = all_edges
+        for v in g.vertices - a:
+            inside &= keep[v]
+        return (g.mask(a), g.mask(b), inside, len(a))
+
+    return (1 << len(g.vertices)) - 1, all_edges, encode
+
+
+def _cover(pool: list[tuple], all_vertices: int, all_edges: int, x: tuple, y: tuple):
+    """Some z in pool with G[x.A] | G[y.A] | G[z.A] = G, else None, on
+    `_mask_encoder` tuples. pool must be sorted by decreasing |A|, so the
+    size cutoff can stop the scan early."""
+    vmiss = all_vertices & ~(x[0] | y[0])
+    need = vmiss.bit_count()
     emiss = None
     for z in pool:
-        if len(z.side_a) < len(vmiss):
+        if z[3] < need:
             return None
-        if not vmiss <= z.side_a:
+        if vmiss & ~z[0]:
             continue
         if emiss is None:
-            emiss = g.edges - x.side_a_edges - y.side_a_edges
-        if emiss <= z.side_a_edges:
+            emiss = all_edges & ~(x[2] | y[2])
+        if not emiss & ~z[2]:
             return z
     return None
 
@@ -339,17 +365,16 @@ class TangleReport:
         return self.pretangle.ok and self.axiom_ok
 
 
-def _maximal(members: list[OrientedSeparation]) -> list[OrientedSeparation]:
-    """One member per inclusion-maximal side A, by decreasing |A|.
+def _maximal(members: list[tuple]) -> list[tuple]:
+    """One member per inclusion-maximal side A, by decreasing |A| (stable).
 
     If A <= C then G[A] <= G[C], so a covering triple exists among members
     iff one exists among these: replace each part of a triple by a kept
     member whose side A contains it.
     """
-    by_size = sorted(members, key=lambda o: (-len(o.side_a), o.canonical().sort_key))
-    kept: list[OrientedSeparation] = []
-    for o in by_size:
-        if not any(o.side_a <= m.side_a for m in kept):
+    kept: list[tuple] = []
+    for o in sorted(members, key=lambda o: -o[3]):
+        if not any(not o[0] & ~m[0] for m in kept):
             kept.append(o)
     return kept
 
@@ -358,15 +383,16 @@ def check_tangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION_BU
     """Pre-tangle checks plus the covering-triple axiom, scanned over the
     members with maximal side A (see `_maximal`)."""
     pre = check_pretangle(g, p, budget=budget)
-    by_size = _maximal(p.oriented_members())
+    all_vertices, all_edges, encode = _mask_encoder(g)
+    by_size = _maximal([(*encode(o.side_a, o.side_b), o) for o in p.oriented_members()])
     witness = None
     for i, x in enumerate(by_size):
         for y in by_size[i:]:
-            if len(x.side_a) + len(y.side_a) + len(by_size[0].side_a) < len(g.vertices):
+            if x[3] + y[3] + by_size[0][3] < len(g.vertices):
                 break
-            z = _covering_third(g, by_size, x, y)
+            z = _cover(by_size, all_vertices, all_edges, x, y)
             if z is not None:
-                witness = (x, y, z)
+                witness = (x[4], y[4], z[4])
                 break
         if witness:
             break
@@ -404,6 +430,8 @@ def enumerate_tangles(
     as completed branches. The covering test runs on the chosen orientations
     with maximal side A only (see `_maximal`), and the search keeps its own
     stack, so its depth is not bounded by the interpreter's recursion limit.
+    Both orientations of each separation are encoded once, as
+    `_mask_encoder` tuples, so each test in the search is a few int operations.
     """
     if not g.vertices:
         raise EmptyGraphError("enumerate_tangles requires a non-empty graph")
@@ -412,30 +440,34 @@ def enumerate_tangles(
     if k < 1:
         raise PreconditionError(f"tangle order must be at least 1, got {k}")
     seps = enumerate_separations(g, k - 1, budget=enumeration_budget)
+    all_vertices, all_edges, encode = _mask_encoder(g)
+    encoded = [(encode(s.side_a, s.side_b), encode(s.side_b, s.side_a)) for s in seps]
     results: list[Tangle] = []
-    chosen: list[OrientedSeparation] = []
-    maximal: list[OrientedSeparation] = []  # chosen with maximal side A, by decreasing |A|
-    undo: list[list[OrientedSeparation]] = []  # `maximal` before each chosen entry
+    chosen: list[tuple] = []
+    maximal: list[tuple] = []  # chosen with maximal side A, by decreasing |A|
+    undo: list[list[tuple]] = []  # `maximal` before each chosen entry
     nodes = 0
 
-    def admit(new: OrientedSeparation) -> list[OrientedSeparation] | None:
+    def admit(new: tuple) -> list[tuple] | None:
         """`maximal` with new added, or None if new breaks an axiom.
 
         Triples among the chosen orientations already passed, so only
         triples through new are tested, and only against maximal members.
         """
-        if any(_inconsistent(new, old) for old in chosen):
-            return None
-        a = new.side_a
-        if any(a <= m.side_a for m in maximal):
-            return maximal
-        pool = [m for m in maximal if not m.side_a < a]
+        a, b, _, size = new
+        for c, d, _, _ in chosen:
+            if not (b & ~c or d & ~a):
+                return None
+        for m in maximal:
+            if not a & ~m[0]:
+                return maximal
+        pool = [m for m in maximal if m[0] & ~a]
         pos = 0
-        while pos < len(pool) and len(pool[pos].side_a) >= len(a):
+        while pos < len(pool) and pool[pos][3] >= size:
             pos += 1
         pool.insert(pos, new)
         for x in pool:
-            if _covering_third(g, pool, new, x) is not None:
+            if _cover(pool, all_vertices, all_edges, new, x) is not None:
                 return None
         return pool
 
@@ -444,16 +476,14 @@ def enumerate_tangles(
     while stack:
         i = len(stack) - 1
         if i == len(seps):
-            choices = {
-                sep: ("b" if oriented.side_b == sep.side_b else "a")
-                for sep, oriented in zip(seps, chosen)
-            }
+            # stack[j] - 1 is the orientation picked at depth j
+            choices = {sep: "ba"[picked - 1] for sep, picked in zip(seps, stack)}
             results.append(Tangle(g, k, choices))
         elif stack[i] < 2:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError("tangle search nodes", budget)
-            new = seps[i].orient("ba"[stack[i]])
+            new = encoded[i][stack[i]]
             stack[i] += 1
             grown = admit(new)
             if grown is not None:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tangletree import cli
 from tangletree.cli import main
 from .conftest import two_k4_bridge
 
@@ -332,6 +333,18 @@ def test_config_hash_is_pinned(tmp_path, capsys):
     for args in (["tangles", "--input", str(path), "--order", "2"], ["--order", "2", "tangles", "--input", str(path)]):
         assert run(args) == 0
         assert json.loads(capsys.readouterr().out)["config_hash"] == "6becd41318ae32f2"
+
+
+def test_reused_parser_keeps_inputs_per_call(two_k4_file, monkeypatch):
+    """The parser is built once; `--input` values of one call must not leak
+    into the `append` default the next call starts from."""
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "tangles", lambda args: seen.append(list(args.input)) or 0)
+    assert run(["tangles", "--input", two_k4_file, "--input", "second.json"]) == 0
+    assert run(["tangles", "--input", two_k4_file]) == 0
+    assert run(["tangles"]) == 0
+    assert seen == [[two_k4_file, "second.json"], [two_k4_file], []]
+    assert cli.build_parser() is cli.build_parser()
 
 
 @pytest.mark.parametrize(

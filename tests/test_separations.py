@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tangletree import separations
 from tangletree.errors import (
     AmbientMismatchError,
+    BudgetExceededError,
     CoverError,
     CrossingEdgeError,
     DisconnectedGraphError,
@@ -237,11 +238,56 @@ def test_enumerate_rejects_empty():
 
 
 def test_enumerate_budget():
-    from tangletree.errors import BudgetExceededError
-
     g = path_graph(6)
     with pytest.raises(BudgetExceededError):
         enumerate_separations(g, 3, budget=3)
+
+
+def test_enumeration_slot_hit_keeps_the_budget():
+    """A hit costs no search, but the candidate count of its order still
+    counts: 1 + 7 + 21 = 29 separators for order 2 on 7 vertices, 8 for
+    order 1."""
+    g = cycle_graph(7)
+    enumerate_separations(g, 2)
+    for max_order, needed in ((2, 29), (1, 8)):
+        with pytest.raises(BudgetExceededError):
+            enumerate_separations(g, max_order, budget=needed - 1)
+        assert enumerate_separations(g, max_order, budget=needed)
+
+
+def test_enumeration_slot_lower_order_hit_equals_fresh_enumeration():
+    g = cycle_graph(7)
+    top = enumerate_separations(g, 3)
+    lower = enumerate_separations(g, 2)
+    assert lower[0] is top[0]  # served from the slot
+    assert lower == enumerate_separations(cycle_graph(7), 2)
+
+
+def test_enumeration_slot_returns_copies():
+    g = cycle_graph(7)
+    expected = enumerate_separations(cycle_graph(7), 2)
+    for max_order in (2, 2, 1):  # a miss, a hit at its order, a lower-order hit
+        enumerate_separations(g, max_order).clear()
+        assert enumerate_separations(g, 2) == expected
+
+
+def test_enumeration_slot_needs_the_same_graph_object():
+    g, twin = cycle_graph(7), cycle_graph(7)
+    first = enumerate_separations(g, 2)
+    again = enumerate_separations(twin, 2)
+    assert again == first
+    assert not any(a is b for a, b in zip(first, again))
+
+
+def test_enumeration_slot_keeps_nothing_from_a_failed_miss():
+    g = cycle_graph(7)
+    enumerate_separations(g, 1)
+    before = separations._last_enumeration
+    with pytest.raises(BudgetExceededError):
+        enumerate_separations(cycle_graph(7), 2, budget=28)
+    with pytest.raises(BudgetExceededError):
+        enumerate_separations(g, 2, budget=28)
+    assert separations._last_enumeration is before
 
 
 @settings(max_examples=40, deadline=None)

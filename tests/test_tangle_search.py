@@ -14,8 +14,15 @@ from hypothesis import strategies as st
 from tangletree.cli import main
 from tangletree.errors import BudgetExceededError
 from tangletree.graph import Graph
-from tangletree.separations import enumerate_separations, leq
-from tangletree.tangles import PreTangle, check_tangle, enumerate_tangles
+from tangletree.separations import Separation, enumerate_separations, leq
+from tangletree.tangles import (
+    PreTangle,
+    _consistency_witness,
+    check_pretangle,
+    check_tangle,
+    enumerate_tangles,
+    find_vertex_covering_triple,
+)
 from tangletree.tree_of_tangles import build_tree_of_tangles
 from .conftest import clique_chain_graph, grid_graph
 from .oracles import _consistent_brute, _covers_brute, all_tangles_brute
@@ -89,15 +96,10 @@ def test_check_tangle_on_flipped_member_matches_brute_force(g, k, data):
     _assert_check_matches_brute(g, PreTangle(g, k, choices))
 
 
-@settings(max_examples=60)
-@given(g=connected_graphs(), k=st.integers(2, 4), data=st.data())
-def test_check_tangle_toward_a_vertex_matches_brute_force(g, k, data):
-    """Orient each separation toward the side whose strict part holds v;
-    where v lies in the separator, toward V for an improper separation and
-    by a drawn choice otherwise. Such orientations are often consistent yet
-    covered only by distinct members, which a flipped tangle rarely is."""
-    k, seps = _order_and_domain(g, k)
-    v = data.draw(st.sampled_from(sorted(g.vertices)))
+def _toward_vertex(g: Graph, seps, v: str, draw) -> dict:
+    """Each separation toward the side whose strict part holds v; where v
+    lies in the separator, toward V for an improper separation and by a
+    drawn choice otherwise."""
     choices = {}
     for sep in seps:
         if v in sep.side_b - sep.side_a:
@@ -107,8 +109,55 @@ def test_check_tangle_toward_a_vertex_matches_brute_force(g, k, data):
         elif sep.side_b == g.vertices:
             choices[sep] = "b"
         else:
-            choices[sep] = data.draw(st.sampled_from("ab"))
-    _assert_check_matches_brute(g, PreTangle(g, k, choices))
+            choices[sep] = draw(st.sampled_from("ab"))
+    return choices
+
+
+@settings(max_examples=60)
+@given(g=connected_graphs(), k=st.integers(2, 4), data=st.data())
+def test_check_tangle_toward_a_vertex_matches_brute_force(g, k, data):
+    """Orientations toward a vertex (see `_toward_vertex`) are often
+    consistent yet covered only by distinct members, which a flipped tangle
+    rarely is."""
+    k, seps = _order_and_domain(g, k)
+    v = data.draw(st.sampled_from(sorted(g.vertices)))
+    _assert_check_matches_brute(g, PreTangle(g, k, _toward_vertex(g, seps, v, data.draw)))
+
+
+@settings(max_examples=80)
+@given(
+    g=connected_graphs(),
+    k=st.integers(1, 4),
+    kind=st.sampled_from(("flipped tangle", "toward a vertex", "co-small member")),
+    data=st.data(),
+)
+def test_fast_consistency_check_matches_full_scan(g, k, kind, data):
+    """`check_pretangle` decides consistency on the <=-maximal members and
+    runs the first-pair scan only when they flag a pair; its verdict and
+    witness must be the full scan's. The co-small variant turns one improper
+    separation toward (V, S), which flags itself and forces the fallback."""
+    k, seps = _order_and_domain(g, k)
+    if kind == "flipped tangle":
+        tangles = enumerate_tangles(g, k)
+        while not tangles:  # every connected graph has exactly one order-1 tangle
+            k -= 1
+            tangles = enumerate_tangles(g, k)
+        choices = dict(data.draw(st.sampled_from(tangles)).choices)
+        flip = data.draw(st.sampled_from(sorted(choices, key=lambda s: s.sort_key)))
+        choices[flip] = "a" if choices[flip] == "b" else "b"
+    else:
+        v = data.draw(st.sampled_from(sorted(g.vertices)))
+        choices = _toward_vertex(g, seps, v, data.draw)
+        if kind == "co-small member":
+            improper = [s for s in seps if not s.is_proper()]
+            sep = data.draw(st.sampled_from(improper))
+            choices[sep] = "b" if sep.side_a == g.vertices else "a"
+            assert sep.orient(choices[sep]).side_a == g.vertices
+    p = PreTangle(g, k, choices)
+    members = p.oriented_members()
+    report = check_pretangle(g, p)
+    assert report.witness_pair == _consistency_witness(members)
+    assert report.consistent == (report.witness_pair is None) == _consistent_brute(members)
 
 
 def test_grid_order_four_finishes_without_recursion():
@@ -123,6 +172,35 @@ def test_grid_order_four_finishes_without_recursion():
 def test_grid_order_four_budget_is_a_budget_error():
     with pytest.raises(BudgetExceededError):
         enumerate_tangles(grid_graph(3, 6), 4, budget=100)
+
+
+def test_grid_order_four_search_visits_2486_nodes():
+    """The search's node count, pinned: one node short of it is a budget
+    error, and with it the search completes and finds no tangle."""
+    g = grid_graph(3, 6)
+    with pytest.raises(BudgetExceededError):
+        enumerate_tangles(g, 4, budget=2485)
+    assert enumerate_tangles(g, 4, budget=2486) == []
+
+
+def test_edge_decides_covering_triple():
+    """A pendant edge c-p on two triangles c,x,y and x,y,z. Its order-2
+    tangle at the bridge holds (∅ | V), ({p} | V) and ({c, x, y, z} | {c, p}).
+    Their sides A cover every vertex but miss the edge c-p, so they are no
+    covering triple, and only the edge masks tell the search and
+    `check_tangle` so."""
+    g = Graph.from_data("cpxyz", [("c", "p"), ("c", "x"), ("c", "y"), ("x", "y"), ("x", "z"), ("y", "z")])
+    tangles = enumerate_tangles(g, 2)
+    assert len(tangles) == 2  # one per block with an edge: the bridge and the rest
+    split = Separation.from_json(g, {"a": ["c", "p"], "b": ["c", "x", "y", "z"]})
+    bridge = next(t for t in tangles if t.choices[split] == "a")  # B = {c, p}
+    sides = [frozenset("cxyz"), frozenset("p"), frozenset()]
+    members = {o.side_a: o for o in bridge.oriented_members()}
+    triple = [members[a] for a in sides]
+    assert frozenset().union(*sides) == g.vertices
+    assert g.edges - frozenset().union(*(o.side_a_edges for o in triple)) == {("c", "p")}
+    assert check_tangle(g, bridge).ok
+    assert find_vertex_covering_triple(g, bridge) is not None
 
 
 def test_cli_tangles_grid_order_four(tmp_path):
