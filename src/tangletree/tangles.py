@@ -22,6 +22,7 @@ enumeration with an explicit budget instead.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -83,8 +84,13 @@ class PreTangle:
             )
         return sep.orient(toward)
 
-    def oriented_members(self) -> list[OrientedSeparation]:
-        return [s.orient(t) for s, t in sorted(self.choices.items(), key=lambda kv: kv[0].sort_key)]
+    def oriented_members(self) -> tuple[OrientedSeparation, ...]:
+        """The chosen orientations in canonical separation order, sorted once."""
+        return self._members
+
+    @cached_property
+    def _members(self) -> tuple[OrientedSeparation, ...]:
+        return tuple(s.orient(t) for s, t in sorted(self.choices.items(), key=lambda kv: kv[0].sort_key))
 
     def to_json(self) -> dict:
         return {
@@ -317,22 +323,38 @@ def check_pretangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION
 
 
 def _mask_encoder(g: Graph):
-    """(all vertices, all edges, encode) as masks; encode(A, B) gives the
-    tuple (A, B, edges inside A, |A|) that the covering test runs on. Edge
-    bit j stands for the j-th edge in sorted order."""
-    all_edges = (1 << len(g.edges)) - 1
-    keep = dict.fromkeys(g.vertices, all_edges)  # edges kept when the vertex leaves A
+    """(all vertices, all edges, encode) as masks; encode(A, B), on the
+    `OrientedSeparation.masks` of an orientation, gives the tuple
+    (A, B, edges inside A, |A|) that the covering test runs on. Edge bit j
+    stands for the j-th edge in sorted order.
+
+    The edges inside A are those no vertex outside A touches. encode reads
+    them off one table per 8 vertices, indexed by which of those lie
+    outside A, so it takes |V|/8 lookups rather than one per vertex.
+    """
+    touching = dict.fromkeys(g.vertices, 0)  # the edges at each vertex
     for j, (u, v) in enumerate(sorted(g.edges)):
-        keep[u] &= ~(1 << j)
-        keep[v] &= ~(1 << j)
+        touching[u] |= 1 << j
+        touching[v] |= 1 << j
+    ordered = [touching[v] for v in sorted(g.vertices)]  # in `Graph.mask` bit order
+    tables = []  # tables[c][s]: the edges at vertices 8c + i for the bits i of s
+    for c in range(0, len(ordered), 8):
+        table = [0]
+        for edges in ordered[c : c + 8]:
+            table += [t | edges for t in table]
+        tables.append(table)
+    all_vertices = (1 << len(ordered)) - 1
+    all_edges = (1 << len(g.edges)) - 1
 
-    def encode(a: frozenset[str], b: frozenset[str]) -> tuple[int, int, int, int]:
-        inside = all_edges
-        for v in g.vertices - a:
-            inside &= keep[v]
-        return (g.mask(a), g.mask(b), inside, len(a))
+    def encode(a: int, b: int) -> tuple[int, int, int, int]:
+        outside = all_vertices ^ a
+        cut = 0
+        for table in tables:
+            cut |= table[outside & 255]
+            outside >>= 8
+        return (a, b, all_edges & ~cut, a.bit_count())
 
-    return (1 << len(g.vertices)) - 1, all_edges, encode
+    return all_vertices, all_edges, encode
 
 
 def _cover(pool: list[tuple], all_vertices: int, all_edges: int, x: tuple, y: tuple):
@@ -365,6 +387,10 @@ class TangleReport:
         return self.pretangle.ok and self.axiom_ok
 
 
+def _minus_size(m: tuple) -> int:
+    return -m[3]
+
+
 def _maximal(members: list[tuple]) -> list[tuple]:
     """One member per inclusion-maximal side A, by decreasing |A| (stable).
 
@@ -384,7 +410,7 @@ def check_tangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION_BU
     members with maximal side A (see `_maximal`)."""
     pre = check_pretangle(g, p, budget=budget)
     all_vertices, all_edges, encode = _mask_encoder(g)
-    by_size = _maximal([(*encode(o.side_a, o.side_b), o) for o in p.oriented_members()])
+    by_size = _maximal([(*encode(*o.masks), o) for o in p.oriented_members()])
     witness = None
     for i, x in enumerate(by_size):
         for y in by_size[i:]:
@@ -425,13 +451,22 @@ def enumerate_tangles(
     """Exactly all tangles of order k, by depth-first orientation search.
 
     Separations are fixed in (order, canonical) order; each partial
-    orientation is pruned on the first consistency violation or covering
-    triple among the chosen orientations, which leaves precisely the tangles
-    as completed branches. The covering test runs on the chosen orientations
-    with maximal side A only (see `_maximal`), and the search keeps its own
-    stack, so its depth is not bounded by the interpreter's recursion limit.
-    Both orientations of each separation are encoded once, as
-    `_mask_encoder` tuples, so each test in the search is a few int operations.
+    orientation is pruned on the first covering triple among the chosen
+    orientations, which leaves precisely the tangles as completed branches.
+    The search keeps its own stack, so its depth is not bounded by the
+    interpreter's recursion limit.
+
+    Both orientations of each separation are encoded once, from their
+    cached `OrientedSeparation.masks`, as `_mask_encoder` tuples. The
+    covering test runs against the chosen orientations with maximal side A
+    only (see `_maximal`), and stops once |A| sizes show that no third
+    member can cover what two leave out.
+
+    No consistency test runs, as the covering test rejects every
+    inconsistent orientation. Each vertex and each edge of G lies inside A
+    or inside B, since (A, B) is a separation. If a new (A, B) and a chosen
+    (C, D) have (B, A) <= (C, D), then B <= C puts each of them inside A or
+    inside C, so (A, B), (C, D), (C, D) is a covering triple.
     """
     if not g.vertices:
         raise EmptyGraphError("enumerate_tangles requires a non-empty graph")
@@ -440,33 +475,32 @@ def enumerate_tangles(
     if k < 1:
         raise PreconditionError(f"tangle order must be at least 1, got {k}")
     seps = enumerate_separations(g, k - 1, budget=enumeration_budget)
+    n = len(g.vertices)
     all_vertices, all_edges, encode = _mask_encoder(g)
-    encoded = [(encode(s.side_a, s.side_b), encode(s.side_b, s.side_a)) for s in seps]
+    encoded = [(encode(a, b), encode(b, a)) for a, b in (s.orient("b").masks for s in seps)]
     results: list[Tangle] = []
-    chosen: list[tuple] = []
     maximal: list[tuple] = []  # chosen with maximal side A, by decreasing |A|
     undo: list[list[tuple]] = []  # `maximal` before each chosen entry
     nodes = 0
 
     def admit(new: tuple) -> list[tuple] | None:
-        """`maximal` with new added, or None if new breaks an axiom.
+        """`maximal` with new added, or None if new completes a covering triple.
 
         Triples among the chosen orientations already passed, so only
         triples through new are tested, and only against maximal members.
         """
-        a, b, _, size = new
-        for c, d, _, _ in chosen:
-            if not (b & ~c or d & ~a):
-                return None
-        for m in maximal:
+        a, _, _, size = new
+        pos = bisect_right(maximal, -size, key=_minus_size)  # the members with |A| >= size
+        head = maximal[:pos]
+        for m in head:
             if not a & ~m[0]:
                 return maximal
-        pool = [m for m in maximal if m[0] & ~a]
-        pos = 0
-        while pos < len(pool) and pool[pos][3] >= size:
-            pos += 1
-        pool.insert(pos, new)
+        outside = all_vertices ^ a
+        pool = head + [new] + [m for m in maximal[pos:] if m[0] & outside]
+        least = n - size - pool[0][3]  # |x.A| below this leaves more than any z covers
         for x in pool:
+            if x[3] < least:
+                break
             if _cover(pool, all_vertices, all_edges, new, x) is not None:
                 return None
         return pool
@@ -487,14 +521,12 @@ def enumerate_tangles(
             stack[i] += 1
             grown = admit(new)
             if grown is not None:
-                chosen.append(new)
                 undo.append(maximal)
                 maximal = grown
                 stack.append(0)
             continue
         stack.pop()
         if i:
-            chosen.pop()
             maximal = undo.pop()
     return results
 

@@ -4,7 +4,10 @@ These deliberately avoid the library's search structures: separations come
 from ternary side assignments, cuts and distinguishers from raw subset
 enumeration, tangles from a naive backtracking that re-scans every
 consistency pair and covering triple from scratch. They stay the slow,
-trustworthy side of every dual-route check. The tuple-keyed flow network,
+trustworthy side of every dual-route check. The list-scan tangle search,
+which tests consistency against every chosen orientation and scans covering
+triples without a size cutoff, is the reference for the library's search,
+which does neither, in the same visit order. The tuple-keyed flow network,
 a dict of dicts scanned in sorted key order, is the reference for the
 library's integer-indexed max-flow solver, and the frozenset form of
 `relation` is the reference for the bitmask one.
@@ -16,7 +19,7 @@ from itertools import combinations, product
 
 from tangletree.graph import Graph, components
 from tangletree.errors import InternalCheckError
-from tangletree.separations import OrientedSeparation, Relation, Separation, leq
+from tangletree.separations import OrientedSeparation, Relation, Separation, enumerate_separations, leq
 from tangletree.tangles import PreTangle, Tangle
 
 
@@ -119,6 +122,78 @@ def all_tangles_brute(g: Graph, k: int, seps: list[Separation]) -> list[Tangle]:
 
     rec(0)
     return results
+
+
+def tangle_search_reference(g: Graph, k: int) -> tuple[list[Tangle], int]:
+    """(tangles of order k, search nodes) by the list-scan search.
+
+    It visits orientations in the library's order, one node per orientation
+    tried, and keeps the chosen orientations with inclusion-maximal side A.
+    Each new orientation is tested for consistency against every chosen one
+    and, unless a kept side A contains its own, for a covering triple against
+    every pair of it and a kept member, with no size cutoff; it enters the
+    kept list by a linear insertion scan.
+    """
+    seps = enumerate_separations(g, k - 1)
+    edges = sorted(g.edges)
+    all_vertices = g.mask(g.vertices)
+    all_edges = (1 << len(edges)) - 1
+
+    def encode(a: frozenset[str], b: frozenset[str]) -> tuple[int, int, int, int]:
+        inside = sum(1 << j for j, (u, v) in enumerate(edges) if u in a and v in a)
+        return (g.mask(a), g.mask(b), inside, len(a))
+
+    def covered(pool: list[tuple], x: tuple) -> bool:
+        return any(
+            x[0] | y[0] | z[0] == all_vertices and x[2] | y[2] | z[2] == all_edges
+            for y in pool
+            for z in pool
+        )
+
+    encoded = [(encode(s.side_a, s.side_b), encode(s.side_b, s.side_a)) for s in seps]
+    results: list[Tangle] = []
+    chosen: list[tuple] = []
+    maximal: list[tuple] = []
+    undo: list[list[tuple]] = []
+    nodes = 0
+
+    def admit(new: tuple) -> list[tuple] | None:
+        a, b, _, size = new
+        for c, d, _, _ in chosen:
+            if not (b & ~c or d & ~a):
+                return None
+        for m in maximal:
+            if not a & ~m[0]:
+                return maximal
+        pool = [m for m in maximal if m[0] & ~a]
+        pos = 0
+        while pos < len(pool) and pool[pos][3] >= size:
+            pos += 1
+        pool.insert(pos, new)
+        return None if covered(pool, new) else pool
+
+    stack = [0]
+    while stack:
+        i = len(stack) - 1
+        if i == len(seps):
+            choices = {sep: "ba"[picked - 1] for sep, picked in zip(seps, stack)}
+            results.append(Tangle(g, k, choices))
+        elif stack[i] < 2:
+            nodes += 1
+            new = encoded[i][stack[i]]
+            stack[i] += 1
+            grown = admit(new)
+            if grown is not None:
+                chosen.append(new)
+                undo.append(maximal)
+                maximal = grown
+                stack.append(0)
+            continue
+        stack.pop()
+        if i:
+            chosen.pop()
+            maximal = undo.pop()
+    return results, nodes
 
 
 def min_distinguishing_order_brute(g: Graph, p: PreTangle, q: PreTangle) -> int | None:

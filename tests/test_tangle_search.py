@@ -24,8 +24,8 @@ from tangletree.tangles import (
     find_vertex_covering_triple,
 )
 from tangletree.tree_of_tangles import build_tree_of_tangles
-from .conftest import clique_chain_graph, grid_graph
-from .oracles import _consistent_brute, _covers_brute, all_tangles_brute
+from .conftest import clique_chain_graph, grid_graph, path_graph
+from .oracles import _consistent_brute, _covers_brute, all_tangles_brute, tangle_search_reference
 
 # The oracles re-scan every triple at every search node, so their time grows
 # with the cube of the domain; this caps the separations one example gives them.
@@ -60,6 +60,92 @@ def test_enumerate_tangles_matches_brute_force(g, k):
     fast = [t._key for t in enumerate_tangles(g, k)]
     brute = [t._key for t in all_tangles_brute(g, k, seps)]
     assert fast == brute
+
+
+def _assert_search_visits(g: Graph, k: int, nodes: int) -> list:
+    """The search's tangles, with its node count pinned by the budget: one
+    node short of it is a budget error, and with it the search completes."""
+    with pytest.raises(BudgetExceededError):
+        enumerate_tangles(g, k, budget=nodes - 1)
+    return enumerate_tangles(g, k, budget=nodes)
+
+
+@settings(max_examples=80)
+@given(g=connected_graphs(max_vertices=8), k=st.integers(1, 4))
+def test_search_matches_list_scan_search(g, k):
+    """Without a consistency test, with the size cutoff of the covering scan
+    and with the bisected pool, the search must decide as the list-scan
+    search does at every node: the same tangles in the same order, in the
+    same node count."""
+    k = min(k, len(g.vertices) + 1)
+    reference, nodes = tangle_search_reference(g, k)
+    found = _assert_search_visits(g, k, nodes)
+    assert [t._key for t in found] == [t._key for t in reference]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph.from_data(["x"], []),
+        Graph.from_data(["x", "y"], [("x", "y")]),
+        path_graph(3),
+    ],
+    ids=["single vertex", "K2", "path of 3"],
+)
+def test_order_one_tangle_is_the_empty_small_side(g):
+    """Every search starts at the order-0 separation {∅, V}, with nothing
+    chosen. The covering test rejects (V, ∅), as V alone covers G, so the
+    one order-1 tangle orients {∅, V} as (∅, V)."""
+    (t,) = enumerate_tangles(g, 1)
+    (member,) = t.oriented_members()
+    assert (member.side_a, member.side_b) == (frozenset(), g.vertices)
+    assert check_tangle(g, t).ok
+
+
+def test_check_pretangle_on_flipped_co_small_member():
+    """K2's order-2 tangle with {∅, V} flipped to the co-small (V, ∅). A
+    co-small member is inconsistent with itself, which the <=-maximal filter
+    flags; consistency asks about distinct separations, so the verdict and
+    witness come from the full scan. Alone, at order 1, it is consistent and
+    only the covering axiom fails. The choices go in backwards: the members,
+    and so the witness, follow canonical order, not insertion order."""
+    g = Graph.from_data(["x", "y"], [("x", "y")])
+    empty = Separation.from_json(g, {"a": [], "b": ["x", "y"]})
+    (edge,) = enumerate_tangles(g, 2)
+    choices = {**edge.choices, empty: "a"}
+    ordered = sorted(choices, key=lambda s: s.sort_key)
+    p = PreTangle(g, 2, {s: choices[s] for s in reversed(ordered)})
+    assert [o.canonical() for o in p.oriented_members()] == ordered
+    report = check_pretangle(g, p)
+    assert report.complete and not report.consistent
+    x, y = report.witness_pair
+    assert (x.side_a, x.side_b) == (g.vertices, frozenset())
+    assert (y.side_a, y.side_b) == (frozenset("x"), g.vertices)
+    alone = check_tangle(g, PreTangle(g, 1, {empty: "a"}))
+    assert alone.pretangle.ok and alone.pretangle.witness_pair is None
+    assert not alone.axiom_ok
+
+
+@settings(max_examples=60)
+@given(g=connected_graphs(), data=st.data())
+def test_inconsistent_pair_is_a_covering_triple(g, data):
+    """Why the search needs no consistency test: if reverse(x) <= y for
+    orientations x, y of distinct separations, then x, y, y cover G."""
+    seps = enumerate_separations(g, min(2, len(g.vertices)))
+    x = data.draw(st.sampled_from(seps)).orient(data.draw(st.sampled_from("ab")))
+    for y in (o for s in seps for o in s.orientations()):
+        if y.canonical() != x.canonical() and leq(x.reverse(), y):
+            assert _covers_brute(g, (x, y, y))
+
+
+def test_clique_chain_order_three_search_visits_33448_nodes():
+    tangles = _assert_search_visits(clique_chain_graph(8, 6), 3, 33448)
+    assert len(tangles) == 8
+
+
+def test_grid_four_by_six_order_four_search_visits_5458_nodes():
+    tangles = _assert_search_visits(grid_graph(4, 6), 4, 5458)
+    assert len(tangles) == 1
 
 
 def _assert_check_matches_brute(g: Graph, p: PreTangle) -> None:
