@@ -12,7 +12,6 @@ from .graph import (
 )
 from .separations import (
     NestedSet,
-    OrientedSeparation,
     Separation,
     SeparationSequence,
     dominates,
@@ -22,7 +21,6 @@ from .separations import (
     is_tight,
     leq,
     make_separation,
-    order,
     pushing_index,
     relation,
     supremum,
@@ -42,7 +40,6 @@ from .tangles import (
     enumerate_tangles,
     materialize,
     min_distinguishing_order,
-    orient_by_witness,
 )
 from .tree_of_tangles import (
     TreeDecomposition,

@@ -218,7 +218,7 @@ def cmd_tot(args) -> int:
 def cmd_decompose(args) -> int:
     paths = _inputs(args, 2)
     g = _load(paths[0], _as_graph)
-    members = _load(paths[1], lambda doc: [Separation.from_json(g, d) for d in doc["members"]])
+    members = _load(paths[1], lambda doc: [Separation.from_json(g, d).canonical() for d in doc["members"]])
     crossing = first_crossing(members)
     if crossing:
         doc = {
@@ -328,7 +328,7 @@ def _as_artifact(g: Graph, doc: dict):
     """(kind, parsed artifact) of a document `verify` checks against g."""
     kind = _kind_of(doc)
     if kind == "nested_set":
-        return kind, [Separation.from_json(g, d) for d in doc["members"]]
+        return kind, [Separation.from_json(g, d).canonical() for d in doc["members"]]
     if kind == "tangle_list":
         return kind, [PreTangle.from_json(g, d) for d in doc["tangles"]]
     if kind == "tree_decomposition":

@@ -33,7 +33,7 @@ from itertools import combinations
 
 from .errors import FamilyParameterError, GraphFormatError
 from .graph import Graph, _edge
-from .separations import OrientedSeparation, SeparationSequence
+from .separations import Separation, SeparationSequence
 
 FAMILIES = ("clique_chain", "ray", "double_ray", "grid", "binary_tree")
 
@@ -103,7 +103,7 @@ class LayeredPresentation:
         sep |= {f"v:{n}:{j}" for j in range(1, 2 ** (n + 1) + 1)}
         return frozenset(sep)
 
-    def chain_item(self, n: int, m: int) -> OrientedSeparation:
+    def chain_item(self, n: int, m: int) -> Separation:
         """Canonical chain separation at level n, materialized in layer m."""
         g = self.graph_at(m)
         if self.family == "clique_chain":
@@ -133,7 +133,7 @@ class LayeredPresentation:
         else:
             raise FamilyParameterError(f"no canonical chain for {self.family!r}")
         b = (g.vertices - a) | s
-        return OrientedSeparation(g, a, b)
+        return Separation(g, a, b)
 
     def _chain_levels(self, m: int) -> range:
         if self.family == "clique_chain":

@@ -35,7 +35,7 @@ from .graph import Graph, tight_components
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     NestedSet,
-    OrientedSeparation,
+    Separation,
     SeparationSequence,
     is_tight,
     leq,
@@ -51,7 +51,7 @@ class LimitRelationReport:
     """Which relations a fixed separation bears to the window supremum, and
     from which window index the per-item counterpart holds onward."""
 
-    supremum: OrientedSeparation
+    supremum: Separation
     below: int | None
     reverse_below: int | None
     above: int | None
@@ -73,7 +73,7 @@ def _stable_from(items, predicate) -> int | None:
     return idx
 
 
-def classify_vs_limit(seq: SeparationSequence, cd: OrientedSeparation) -> LimitRelationReport:
+def classify_vs_limit(seq: SeparationSequence, cd: Separation) -> LimitRelationReport:
     """Relation report of the finite-order separation cd against the window
     supremum of a strictly increasing sequence."""
     sup = supremum(seq)
@@ -218,8 +218,8 @@ def _efficiently_distinguishes(g, sep, p, q, *, budget) -> bool:
 
 def check_strongly_relevant(
     g: Graph,
-    s: OrientedSeparation,
-    t: OrientedSeparation,
+    s: Separation,
+    t: Separation,
     pool: list[Orienter],
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
@@ -292,7 +292,7 @@ def construct_interlaced(
         if pq is None:
             raise PreconditionError(f"item {item!r} is not pool-relevant")
         partners.append(pq)
-    out: list[OrientedSeparation] = [seq[0]]
+    out: list[Separation] = [seq[0]]
     for idx in range(len(seq) - 1):
         cur, nxt = seq[idx], seq[idx + 1]
         p_cur, _ = partners[idx]

@@ -1,16 +1,20 @@
 """Separations of a graph: orientations, order, nestedness, sequences, limits.
 
-An oriented separation (A, B) is a pair of vertex sets covering V(G) with no
-edge between A - B and B - A; its separator is A & B and its order is
-|A & B|. The partial order is (A, B) <= (C, D) iff A <= C and B >= D. Two
+A separation (A, B) is a pair of vertex sets covering V(G) with no edge
+between A - B and B - A; its separator is A & B and its order is |A & B|.
+The partial order is (A, B) <= (C, D) iff A <= C and B >= D. Two
 separations are nested when some orientations are comparable; `relation`
 decides this twice, via the definition and via the corner test on
 (A & D) - S with S = (A & B) & (C & D), and insists the two agree.
 
-Sides are frozensets of vertex names in the API and JSON; each oriented
-separation also caches them as int bitmasks, on which `leq`, the corner test
-and `relation` run. A `Separation` builds its two orientations once, on first
-request, and hands back that same validated pair after.
+One class, `Separation`, is the oriented pair (A, B). The unoriented
+separation {A, B} is its canonical orientation, the one of (A, B) and
+(B, A) with the smaller `sort_key`. The public constructor validates the
+sides once; `reverse()` builds (B, A) on first call without checking it
+again, since it is a separation exactly when (A, B) is, and links the two.
+Each object caches its sort key and its sides as int bitmasks, on which
+`leq`, the corner test and `relation` run. Sides are frozensets of vertex
+names in the API and JSON.
 
 Sequences ordered by <= have a supremum (union of the left sides,
 intersection of the right sides), which is again a separation; domination
@@ -24,7 +28,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb
+from operator import attrgetter
 from typing import Iterable, Sequence
+from weakref import ref
 
 from .errors import (
     AmbientMismatchError,
@@ -32,6 +38,7 @@ from .errors import (
     CoverError,
     DisconnectedGraphError,
     EmptyGraphError,
+    GraphFormatError,
     InternalCheckError,
     PreconditionError,
     SequenceOrderError,
@@ -42,13 +49,13 @@ from .graph import Graph, check_no_crossing, components, tight_components
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
 
-def _sort_key(vs: frozenset[str]) -> tuple[str, ...]:
-    return tuple(sorted(vs))
-
-
 @dataclass(frozen=True, eq=False)
-class OrientedSeparation:
-    """One orientation (A, B) of a separation of `graph`, validated when built."""
+class Separation:
+    """The oriented separation (A, B) of `graph`, validated when built.
+
+    The unoriented separation {A, B} is `canonical()`: this object or its
+    reverse, whichever has the smaller `sort_key`.
+    """
 
     graph: Graph
     side_a: frozenset[str]
@@ -68,7 +75,7 @@ class OrientedSeparation:
     def __eq__(self, other):
         if self is other:
             return True
-        if not isinstance(other, OrientedSeparation):
+        if not isinstance(other, Separation):
             return NotImplemented
         return (
             self.side_a == other.side_a
@@ -91,116 +98,88 @@ class OrientedSeparation:
         return len(self.separator)
 
     @cached_property
+    def sort_key(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """(sorted A, sorted B): the canonical order compares these."""
+        return (tuple(sorted(self.side_a)), tuple(sorted(self.side_b)))
+
+    @cached_property
     def masks(self) -> tuple[int, int]:
         """(A, B) as `Graph.mask` bitmasks, computed on first use."""
         return self.graph.mask(self.side_a), self.graph.mask(self.side_b)
 
-    @cached_property
-    def side_a_edges(self) -> frozenset:
-        return self.graph.edges_within(self.side_a)
+    def reverse(self) -> "Separation":
+        """(B, A): `s.reverse() is s.reverse()` and `s.reverse().reverse() is s`.
 
-    def reverse(self) -> "OrientedSeparation":
-        return OrientedSeparation(self.graph, self.side_b, self.side_a)
-
-    def orientations(self) -> tuple["OrientedSeparation", "OrientedSeparation"]:
-        return (self, self.reverse())
+        Built on first call without a check, since it is a separation exactly
+        when (A, B) is, from the swapped halves of what this object has
+        cached. The builder holds it and it links back by weak reference: a
+        cycle would keep each pair alive until a full garbage collection.
+        """
+        d = self.__dict__
+        r = d.get("_reverse")
+        if r is None:
+            back = d.get("_back")
+            r = back and back()
+            if r is None:
+                r = object.__new__(Separation)
+                r.__dict__.update(
+                    graph=self.graph,
+                    side_a=self.side_b,
+                    side_b=self.side_a,
+                    _hash=hash((self.side_b, self.side_a)),
+                    _back=ref(self),
+                )
+                for name in ("sort_key", "masks"):
+                    if name in d:
+                        x, y = d[name]
+                        r.__dict__[name] = (y, x)
+                d["_reverse"] = r
+        return r
 
     def canonical(self) -> "Separation":
-        if _sort_key(self.side_a) <= _sort_key(self.side_b):
-            return Separation(self.graph, self.side_a, self.side_b)
-        return Separation(self.graph, self.side_b, self.side_a)
+        """The unoriented separation: self or self.reverse(), whichever has
+        the smaller sort key."""
+        a, b = self.sort_key
+        return self if a <= b else self.reverse()
 
-    def to_json(self) -> dict:
-        return {"a": sorted(self.side_a), "b": sorted(self.side_b)}
-
-    @classmethod
-    def from_json(cls, g: Graph, doc: dict) -> "OrientedSeparation":
-        return make_separation(g, doc["a"], doc["b"])
-
-
-@dataclass(frozen=True, eq=False)
-class Separation:
-    """Canonical unordered form: the lexicographically smaller side first."""
-
-    graph: Graph
-    side_a: frozenset[str]
-    side_b: frozenset[str]
-
-    def __post_init__(self):
-        if _sort_key(self.side_a) > _sort_key(self.side_b):
-            raise InternalCheckError("Separation sides not in canonical order")
-        object.__setattr__(self, "_hash", hash((self.side_a, self.side_b)))
-
-    def __eq__(self, other):
-        if not isinstance(other, Separation):
-            return NotImplemented
-        return (
-            self.side_a == other.side_a
-            and self.side_b == other.side_b
-            and (self.graph is other.graph or self.graph == other.graph)
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"{{{sorted(self.side_a)} , {sorted(self.side_b)}}}"
-
-    @cached_property
-    def separator(self) -> frozenset[str]:
-        return self.side_a & self.side_b
-
-    @property
-    def order(self) -> int:
-        return len(self.separator)
-
-    @property
-    def sort_key(self) -> tuple:
-        return (_sort_key(self.side_a), _sort_key(self.side_b))
-
-    @cached_property
-    def _orientations(self) -> tuple[OrientedSeparation, OrientedSeparation]:
-        return (
-            OrientedSeparation(self.graph, self.side_a, self.side_b),
-            OrientedSeparation(self.graph, self.side_b, self.side_a),
-        )
-
-    def orient(self, toward: str) -> OrientedSeparation:
-        """Orientation with the named stored side ('a' or 'b') as B."""
+    def orient(self, toward: str) -> "Separation":
+        """The orientation with the named side ('a' or 'b') of this one as B."""
         if toward == "b":
-            return self._orientations[0]
+            return self
         if toward == "a":
-            return self._orientations[1]
+            return self.reverse()
         raise ValueError(f"toward must be 'a' or 'b', got {toward!r}")
 
-    def orientations(self) -> tuple[OrientedSeparation, OrientedSeparation]:
+    def orientations(self) -> tuple["Separation", "Separation"]:
         """(A, B) and (B, A): the same two objects on every call."""
-        return self._orientations
+        return (self, self.reverse())
 
     def is_proper(self) -> bool:
         v = self.graph.vertices
         return self.side_a != v and self.side_b != v
 
     def to_json(self) -> dict:
-        return {"a": sorted(self.side_a), "b": sorted(self.side_b)}
+        a, b = self.sort_key
+        return {"a": list(a), "b": list(b)}
 
     @classmethod
     def from_json(cls, g: Graph, doc: dict) -> "Separation":
-        return make_separation(g, doc["a"], doc["b"]).canonical()
+        """The separation (a, b) of a document; each side must be a list of
+        vertex names."""
+        sides = (doc["a"], doc["b"])
+        if not all(isinstance(side, list) and all(isinstance(v, str) for v in side) for side in sides):
+            raise GraphFormatError("separation sides must be lists of vertex names")
+        return make_separation(g, *sides)
 
 
-def make_separation(g: Graph, a: Iterable[str], b: Iterable[str]) -> OrientedSeparation:
-    """Validated construction of the oriented separation (a, b) of g."""
-    return OrientedSeparation(g, frozenset(a), frozenset(b))
+def make_separation(g: Graph, a: Iterable[str], b: Iterable[str]) -> Separation:
+    """Validated construction of the separation (a, b) of g."""
+    return Separation(g, frozenset(a), frozenset(b))
 
 
-def order(s: OrientedSeparation | Separation) -> int:
-    return s.order
-
-
-def _same_graph(s, t) -> None:
-    if not (s.graph is t.graph or s.graph == t.graph):
-        raise AmbientMismatchError("separations live over different graphs")
+def _ambient(g: Graph, s) -> None:
+    if not (s.graph is g or s.graph == g):
+        raise AmbientMismatchError("separation does not live over this graph")
 
 
 def _leq(a: int, b: int, c: int, d: int) -> bool:
@@ -213,13 +192,13 @@ def _leq_corner(a: int, b: int, c: int, d: int) -> bool:
     return not (a & d & ~(a & b & c & d))
 
 
-def leq(s: OrientedSeparation, t: OrientedSeparation) -> bool:
+def leq(s: Separation, t: Separation) -> bool:
     """(A, B) <= (C, D) iff A <= C and B >= D."""
-    _same_graph(s, t)
+    _ambient(s.graph, t)
     return _leq(*s.masks, *t.masks)
 
 
-def lt(s: OrientedSeparation, t: OrientedSeparation) -> bool:
+def lt(s: Separation, t: Separation) -> bool:
     return leq(s, t) and not (s.side_a == t.side_a and s.side_b == t.side_b)
 
 
@@ -228,20 +207,20 @@ class Relation:
     """Outcome of the nested/cross decision for two separations."""
 
     nested: bool
-    witness: tuple[OrientedSeparation, OrientedSeparation] | None = None
+    witness: tuple[Separation, Separation] | None = None
 
     @property
     def cross(self) -> bool:
         return not self.nested
 
 
-def relation(s: Separation | OrientedSeparation, t: Separation | OrientedSeparation) -> Relation:
+def relation(s: Separation, t: Separation) -> Relation:
     """Decide nested-with-witness vs cross, by definition and corner test.
 
     The two tests must agree on every orientation pair; disagreement raises
     InternalCheckError since it can only come from an implementation bug.
     """
-    _same_graph(s, t)
+    _ambient(s.graph, t)
     witness = None
     for so in s.orientations():
         a, b = so.masks
@@ -259,8 +238,8 @@ def relation(s: Separation | OrientedSeparation, t: Separation | OrientedSeparat
 
 
 def first_crossing(
-    seps: Sequence[Separation | OrientedSeparation],
-) -> tuple[Separation | OrientedSeparation, Separation | OrientedSeparation] | None:
+    seps: Sequence[Separation],
+) -> tuple[Separation, Separation] | None:
     """First crossing pair (s, t), s before t, in the given order, else None."""
     for s, t in combinations(seps, 2):
         if relation(s, t).cross:
@@ -268,12 +247,12 @@ def first_crossing(
     return None
 
 
-def is_proper(g: Graph, s: Separation | OrientedSeparation) -> bool:
+def is_proper(g: Graph, s: Separation) -> bool:
     _ambient(g, s)
-    return s.side_a != g.vertices and s.side_b != g.vertices
+    return s.is_proper()
 
 
-def is_tight(g: Graph, s: Separation | OrientedSeparation) -> bool:
+def is_tight(g: Graph, s: Separation) -> bool:
     """Both strict sides contain a tight component of g - (A & B)."""
     _ambient(g, s)
     strict_a = s.side_a - s.side_b
@@ -282,11 +261,6 @@ def is_tight(g: Graph, s: Separation | OrientedSeparation) -> bool:
         return False
     tight = tight_components(g, s.separator)
     return any(k <= strict_a for k in tight) and any(k <= strict_b for k in tight)
-
-
-def _ambient(g: Graph, s) -> None:
-    if not (s.graph is g or s.graph == g):
-        raise AmbientMismatchError("separation does not live over this graph")
 
 
 _last_enumeration: tuple = (None, -1, [])  # (graph, max_order, list) of the last one finished
@@ -316,7 +290,7 @@ def enumerate_separations(
     if g is last_graph and max_order <= last_order:
         if sum(comb(len(g.vertices), s) for s in range(max_order + 1)) > budget:
             raise BudgetExceededError("separator candidates", budget)
-        return last_out[: bisect_right(last_out, max_order, key=order)]
+        return last_out[: bisect_right(last_out, max_order, key=attrgetter("order"))]
     if not g.vertices:
         raise EmptyGraphError("enumerate_separations requires a non-empty graph")
     if not g.is_connected():
@@ -334,9 +308,7 @@ def enumerate_separations(
             separator = frozenset(sep_tuple)
             comps = components(g, separator)
             if not comps:
-                out.append(
-                    OrientedSeparation(g, separator, separator).canonical()
-                )
+                out.append(Separation(g, separator, separator))  # A == B: canonical
                 continue
             rest = comps[1:]
             # first component pinned to the left side; this halves the
@@ -346,9 +318,7 @@ def enumerate_separations(
                 right: set[str] = set()
                 for i, comp in enumerate(rest):
                     (left if mask >> i & 1 else right).update(comp)
-                sep = OrientedSeparation(
-                    g, frozenset(left) | separator, frozenset(right) | separator
-                )
+                sep = Separation(g, frozenset(left) | separator, frozenset(right) | separator)
                 out.append(sep.canonical())
     out.sort(key=lambda s: (s.order, s.sort_key))
     _last_enumeration = (g, max_order, out)  # one rebinding: readers see old or new
@@ -363,15 +333,14 @@ class SeparationSequence:
     callers that only need the non-strict regime.
     """
 
-    items: tuple[OrientedSeparation, ...]
+    items: tuple[Separation, ...]
     strict: bool = True
 
     def __post_init__(self):
         if self.items:
             g = self.items[0].graph
             for it in self.items[1:]:
-                if not (it.graph is g or it.graph == g):
-                    raise AmbientMismatchError("sequence items over different graphs")
+                _ambient(g, it)
         for prev, cur in zip(self.items, self.items[1:]):
             if not leq(prev, cur):
                 raise SequenceOrderError(f"items not increasing: {prev!r} !<= {cur!r}")
@@ -379,11 +348,11 @@ class SeparationSequence:
                 raise SequenceOrderError(f"items not strictly increasing at {cur!r}")
 
     @classmethod
-    def strictly_increasing(cls, items: Sequence[OrientedSeparation]) -> "SeparationSequence":
+    def strictly_increasing(cls, items: Sequence[Separation]) -> "SeparationSequence":
         return cls(tuple(items), strict=True)
 
     @classmethod
-    def weakly_increasing(cls, items: Sequence[OrientedSeparation]) -> "SeparationSequence":
+    def weakly_increasing(cls, items: Sequence[Separation]) -> "SeparationSequence":
         return cls(tuple(items), strict=False)
 
     @property
@@ -406,11 +375,11 @@ class SeparationSequence:
 
     @classmethod
     def from_json(cls, g: Graph, doc: dict, *, strict: bool = True) -> "SeparationSequence":
-        items = tuple(OrientedSeparation.from_json(g, d) for d in doc["items"])
+        items = tuple(Separation.from_json(g, d) for d in doc["items"])
         return cls(items, strict=strict)
 
 
-def supremum(seq: SeparationSequence | Sequence[OrientedSeparation]) -> OrientedSeparation:
+def supremum(seq: SeparationSequence | Sequence[Separation]) -> Separation:
     """(union of A_i, intersection of B_i); valid for any non-empty run."""
     items = list(seq)
     if not items:
@@ -419,22 +388,21 @@ def supremum(seq: SeparationSequence | Sequence[OrientedSeparation]) -> Oriented
     a: set[str] = set()
     b = set(items[0].side_b)
     for it in items:
-        if not (it.graph is g or it.graph == g):
-            raise AmbientMismatchError("items over different graphs")
+        _ambient(g, it)
         a |= it.side_a
         b &= it.side_b
-    return OrientedSeparation(g, frozenset(a), frozenset(b))
+    return Separation(g, frozenset(a), frozenset(b))
 
 
 def dominates(
-    seq1: SeparationSequence | Sequence[OrientedSeparation],
-    seq2: SeparationSequence | Sequence[OrientedSeparation],
+    seq1: SeparationSequence | Sequence[Separation],
+    seq2: SeparationSequence | Sequence[Separation],
 ) -> bool:
     """Each item of seq2 lies below some item of seq1."""
     items1 = list(seq1)
     items2 = list(seq2)
     if items1 and items2:
-        _same_graph(items1[0], items2[0])
+        _ambient(items1[0].graph, items2[0])
     return all(any(leq(c, a) for a in items1) for c in items2)
 
 
@@ -486,19 +454,23 @@ class NestedSet:
     members: frozenset[Separation]
 
     def __post_init__(self):
-        ms = sorted(self.members, key=lambda s: s.sort_key)
-        for s in ms:
+        for s in self._ordered:
             _ambient(self.graph, s)
-        crossing = first_crossing(ms)
+        crossing = first_crossing(self._ordered)
         if crossing:
             raise SequenceOrderError(f"members cross: {crossing[0]!r} vs {crossing[1]!r}")
+
+    @cached_property
+    def _ordered(self) -> tuple[Separation, ...]:
+        """The members by sort key, sorted once."""
+        return tuple(sorted(self.members, key=attrgetter("sort_key")))
 
     @classmethod
     def of(cls, g: Graph, members: Iterable[Separation]) -> "NestedSet":
         return cls(g, frozenset(members))
 
     def __iter__(self):
-        return iter(sorted(self.members, key=lambda s: s.sort_key))
+        return iter(self._ordered)
 
     def __len__(self):
         return len(self.members)
@@ -506,15 +478,9 @@ class NestedSet:
     def __contains__(self, sep: Separation) -> bool:
         return sep in self.members
 
-    def orientations(self) -> list[OrientedSeparation]:
-        out = []
-        for s in self:
-            out.extend(s.orientations())
-        return out
-
     def to_json(self) -> dict:
         return {"members": [s.to_json() for s in self]}
 
     @classmethod
     def from_json(cls, g: Graph, doc: dict) -> "NestedSet":
-        return cls.of(g, (Separation.from_json(g, d) for d in doc["members"]))
+        return cls.of(g, (Separation.from_json(g, d).canonical() for d in doc["members"]))

@@ -39,7 +39,6 @@ from .errors import (
 from .graph import Graph, components, disjoint_paths, minimum_separator
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
-    OrientedSeparation,
     Separation,
     _leq,
     enumerate_separations,
@@ -57,7 +56,9 @@ class PreTangle:
     choices: dict
 
     def __post_init__(self):
-        key = tuple(sorted((s.sort_key, t) for s, t in self.choices.items()))
+        items = tuple(sorted(self.choices.items(), key=lambda kv: kv[0].sort_key))
+        key = tuple((s.sort_key, t) for s, t in items)
+        object.__setattr__(self, "_items", items)  # the one sort of the choices
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash((self.order_bound, key)))
 
@@ -76,7 +77,7 @@ class PreTangle:
     def orients(self, sep: Separation) -> bool:
         return sep in self.choices
 
-    def orient(self, sep: Separation) -> OrientedSeparation:
+    def orient(self, sep: Separation) -> Separation:
         toward = self.choices.get(sep)
         if toward is None:
             raise OrientationUndecidableError(
@@ -84,30 +85,27 @@ class PreTangle:
             )
         return sep.orient(toward)
 
-    def oriented_members(self) -> tuple[OrientedSeparation, ...]:
+    def oriented_members(self) -> tuple[Separation, ...]:
         """The chosen orientations in canonical separation order, sorted once."""
         return self._members
 
     @cached_property
-    def _members(self) -> tuple[OrientedSeparation, ...]:
-        return tuple(s.orient(t) for s, t in sorted(self.choices.items(), key=lambda kv: kv[0].sort_key))
+    def _members(self) -> tuple[Separation, ...]:
+        return tuple(s.orient(t) for s, t in self._items)
 
     def to_json(self) -> dict:
         return {
             "order_bound": self.order_bound,
-            "orientation": [
-                {"sep": s.to_json(), "toward": t}
-                for s, t in sorted(self.choices.items(), key=lambda kv: kv[0].sort_key)
-            ],
+            "orientation": [{"sep": s.to_json(), "toward": t} for s, t in self._items],
         }
 
     @classmethod
     def from_json(cls, g: Graph, doc: dict) -> "PreTangle":
         order_bound = doc["order_bound"]
-        if not isinstance(order_bound, int) or order_bound > len(g.vertices) + 1:
-            raise GraphFormatError(f"order_bound must be an integer <= |V| + 1, got {order_bound!r}")
+        if type(order_bound) is not int or not 1 <= order_bound <= len(g.vertices) + 1:  # not bool
+            raise GraphFormatError(f"order_bound must be an integer in 1..|V| + 1, got {order_bound!r}")
         choices = {
-            Separation.from_json(g, entry["sep"]): entry["toward"]
+            Separation.from_json(g, entry["sep"]).canonical(): entry["toward"]
             for entry in doc["orientation"]
         }
         if any(toward not in ("a", "b") for toward in choices.values()):
@@ -194,7 +192,7 @@ class TangleWitness:
             return False
         return True
 
-    def orient(self, sep: Separation) -> OrientedSeparation:
+    def orient(self, sep: Separation) -> Separation:
         if sep.order >= self.order_bound:
             raise OrientationUndecidableError(
                 f"separation of order {sep.order} outside this order-{self.order_bound} domain"
@@ -231,10 +229,6 @@ class TangleWitness:
 Orienter = PreTangle | TangleWitness
 
 
-def orient_by_witness(w: TangleWitness, s: Separation) -> OrientedSeparation:
-    return w.orient(s)
-
-
 def clique_witness(g: Graph, clique: Iterable[str], order_bound: int) -> TangleWitness:
     return TangleWitness("clique", g, order_bound, clique=frozenset(clique))
 
@@ -267,14 +261,14 @@ class PreTangleReport:
     consistent: bool
     missing: tuple[Separation, ...]
     extra: tuple[Separation, ...]
-    witness_pair: tuple[OrientedSeparation, OrientedSeparation] | None
+    witness_pair: tuple[Separation, Separation] | None
 
     @property
     def ok(self) -> bool:
         return self.complete and self.consistent
 
 
-def _consistency_witness(members: Sequence[OrientedSeparation]):
+def _consistency_witness(members: Sequence[Separation]):
     """First pair (x, y) with reverse(x) <= y among orientations of distinct
     separations, else None."""
     for i, x in enumerate(members):
@@ -285,7 +279,7 @@ def _consistency_witness(members: Sequence[OrientedSeparation]):
     return None
 
 
-def _maximal_pair_inconsistent(members: Sequence[OrientedSeparation]) -> bool:
+def _maximal_pair_inconsistent(members: Sequence[Separation]) -> bool:
     """True iff two <=-maximal members, or one with itself, are inconsistent.
 
     reverse(x) <= y is symmetric in x and y and upward-closed: it gives
@@ -324,7 +318,7 @@ def check_pretangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION
 
 def _mask_encoder(g: Graph):
     """(all vertices, all edges, encode) as masks; encode(A, B), on the
-    `OrientedSeparation.masks` of an orientation, gives the tuple
+    `Separation.masks` of an orientation, gives the tuple
     (A, B, edges inside A, |A|) that the covering test runs on. Edge bit j
     stands for the j-th edge in sorted order.
 
@@ -425,22 +419,6 @@ def check_tangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION_BU
     return TangleReport(pretangle=pre, axiom_ok=witness is None, witness_triple=witness)
 
 
-def find_vertex_covering_triple(g: Graph, p: PreTangle):
-    """Diagnostic-only weaker predicate: triple covering the vertices alone."""
-    members = sorted(
-        p.oriented_members(), key=lambda o: (-len(o.side_a), o.canonical().sort_key)
-    )
-    for i, x in enumerate(members):
-        for y in members[i:]:
-            vmiss = g.vertices - x.side_a - y.side_a
-            for z in members:
-                if len(z.side_a) < len(vmiss):
-                    break
-                if vmiss <= z.side_a:
-                    return (x, y, z)
-    return None
-
-
 def enumerate_tangles(
     g: Graph,
     k: int,
@@ -457,7 +435,7 @@ def enumerate_tangles(
     interpreter's recursion limit.
 
     Both orientations of each separation are encoded once, from their
-    cached `OrientedSeparation.masks`, as `_mask_encoder` tuples. The
+    cached `Separation.masks`, as `_mask_encoder` tuples. The
     covering test runs against the chosen orientations with maximal side A
     only (see `_maximal`), and stops once |A| sizes show that no third
     member can cover what two leave out.
@@ -561,7 +539,7 @@ def _separation_from_cut(g: Graph, cut: frozenset[str], core: frozenset[str]) ->
             b_side |= comp
         else:
             a_side |= comp
-    return OrientedSeparation(g, frozenset(a_side), frozenset(b_side)).canonical()
+    return Separation(g, frozenset(a_side), frozenset(b_side)).canonical()
 
 
 def efficient_distinguisher(

@@ -35,7 +35,6 @@ from .graph import Graph, components, minimum_separator
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     NestedSet,
-    OrientedSeparation,
     Separation,
     enumerate_separations,
     first_crossing,
@@ -103,9 +102,7 @@ def _min_order_distinguishers(
                     b_side |= c
                 for i, c in enumerate(neutral):
                     (a_side if mask >> i & 1 else b_side).update(c)
-                sep = OrientedSeparation(
-                    g, frozenset(a_side), frozenset(b_side)
-                ).canonical()
+                sep = Separation(g, frozenset(a_side), frozenset(b_side)).canonical()
                 if distinguishes(sep, p, q):
                     found.append(sep)
     else:
@@ -342,7 +339,7 @@ class TreeDecomposition:
         return "\n".join(lines) + "\n"
 
 
-def _toward(t: Separation, top: OrientedSeparation) -> OrientedSeparation:
+def _toward(t: Separation, top: Separation) -> Separation:
     """The orientation of t in the consistent orientation where `top` is
     maximal: t's orientation <= top, else the reverse of its orientation
     >= top. One of the two exists because t and top are nested."""
@@ -372,7 +369,7 @@ def induce_tree_decomposition(g: Graph, n: NestedSet) -> TreeDecomposition:
     for m in ms:
         if not m.is_proper():
             raise PreconditionError(f"improper member {m!r}")
-    nodes: dict[str, tuple[OrientedSeparation, ...]] = {} if ms else {"n": ()}
+    nodes: dict[str, tuple[Separation, ...]] = {} if ms else {"n": ()}
     edges = []
     for m in ms:
         ends = []
@@ -417,7 +414,7 @@ class TreeDecompositionReport:
         )
 
 
-def _edge_induced_separation(g: Graph, td: TreeDecomposition, edge) -> OrientedSeparation:
+def _edge_induced_separation(g: Graph, td: TreeDecomposition, edge) -> Separation:
     """The separation across a tree edge (u, v): the bags on u's side
     against the bags on v's side."""
     u, v = edge
@@ -426,7 +423,7 @@ def _edge_induced_separation(g: Graph, td: TreeDecomposition, edge) -> OrientedS
     side_v: set[str] = set()
     for node in td.nodes:
         (side_u if node in near else side_v).update(td.bags[node])
-    return OrientedSeparation(g, frozenset(side_u), frozenset(side_v))
+    return Separation(g, frozenset(side_u), frozenset(side_v))
 
 
 def verify_tree_decomposition(

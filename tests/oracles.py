@@ -19,7 +19,7 @@ from itertools import combinations, product
 
 from tangletree.graph import Graph, components
 from tangletree.errors import InternalCheckError
-from tangletree.separations import OrientedSeparation, Relation, Separation, enumerate_separations, leq
+from tangletree.separations import Relation, Separation, enumerate_separations, leq
 from tangletree.tangles import PreTangle, Tangle
 
 
@@ -33,7 +33,7 @@ def all_separations_brute(g: Graph, max_order: int) -> set[Separation]:
         if len(side_a & side_b) > max_order:
             continue
         try:
-            sep = OrientedSeparation(g, side_a, side_b)
+            sep = Separation(g, side_a, side_b)
         except Exception:
             continue
         out.add(sep.canonical())
@@ -72,7 +72,7 @@ def _connects(g: Graph, s: frozenset[str], t: frozenset[str], removed: frozenset
     return False
 
 
-def _consistent_brute(chosen: list[OrientedSeparation]) -> bool:
+def _consistent_brute(chosen: list[Separation]) -> bool:
     for x in chosen:
         for y in chosen:
             if x.canonical() == y.canonical():
@@ -86,14 +86,14 @@ def _covers_brute(g: Graph, triple) -> bool:
     vs = frozenset().union(*(o.side_a for o in triple))
     if vs != g.vertices:
         return False
-    es = frozenset().union(*(o.side_a_edges for o in triple))
+    es = frozenset().union(*(g.edges_within(o.side_a) for o in triple))
     return es == g.edges
 
 
 def all_tangles_brute(g: Graph, k: int, seps: list[Separation]) -> list[Tangle]:
     """Naive backtracking over complete orientations with full re-scans."""
     results: list[Tangle] = []
-    chosen: list[OrientedSeparation] = []
+    chosen: list[Separation] = []
 
     def ok_so_far() -> bool:
         if not _consistent_brute(chosen):
@@ -213,7 +213,7 @@ def min_distinguishing_order_brute(g: Graph, p: PreTangle, q: PreTangle) -> int 
                 right: set[str] = set()
                 for i, comp in enumerate(rest):
                     (left if mask >> i & 1 else right).update(comp)
-                sep = OrientedSeparation(
+                sep = Separation(
                     g, frozenset(left) | separator, frozenset(right) | separator
                 ).canonical()
                 if p.orient(sep) != q.orient(sep):
@@ -413,24 +413,22 @@ def flow_reference(g: Graph, s: frozenset[str], t: frozenset[str]):
     return net.paths(), net.min_cut_vertices()
 
 
-def _leq_sets(s: OrientedSeparation, t: OrientedSeparation) -> bool:
+def _leq_sets(s: Separation, t: Separation) -> bool:
     """(A, B) <= (C, D) iff A <= C and B >= D, on the frozenset sides."""
     return s.side_a <= t.side_a and s.side_b >= t.side_b
 
 
-def _leq_corner_sets(s: OrientedSeparation, t: OrientedSeparation) -> bool:
+def _leq_corner_sets(s: Separation, t: Separation) -> bool:
     """Corner form of <= : (A & D) - S empty, S = (A & B) & (C & D)."""
     shared = s.separator & t.separator
     return not ((s.side_a & t.side_b) - shared)
 
 
-def relation_reference(
-    s: Separation | OrientedSeparation, t: Separation | OrientedSeparation
-) -> Relation:
+def relation_reference(s: Separation, t: Separation) -> Relation:
     """`relation` computed on frozenset sides: both tests on every ordered
     orientation pair, the first comparable pair found as the witness."""
-    s_or = s.orientations() if isinstance(s, Separation) else (s, s.reverse())
-    t_or = t.orientations() if isinstance(t, Separation) else (t, t.reverse())
+    s_or = (s, s.reverse())
+    t_or = (t, t.reverse())
     witness = None
     any_comparable = False
     for so in s_or:

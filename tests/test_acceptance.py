@@ -21,7 +21,7 @@ from tangletree.limits import (
 )
 from tangletree.separations import (
     NestedSet,
-    OrientedSeparation,
+    Separation,
     SeparationSequence,
     enumerate_separations,
     is_tight,
@@ -278,7 +278,7 @@ def test_criterion_08_limit_relation_stability(scaled_chain, grid_presentation):
             right = set(separator)
             for comp in comps:
                 (left if rng.random() < 0.5 else right).update(comp)
-            cd = OrientedSeparation(g, frozenset(left), frozenset(right))
+            cd = Separation(g, frozenset(left), frozenset(right))
             report = classify_vs_limit(chain, cd)
             rev = cd.reverse()
             for kind, predicate in (

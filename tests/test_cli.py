@@ -221,6 +221,33 @@ def test_verify_tangle_list(two_k4_file, tmp_path):
     assert first.read_bytes() == again.read_bytes()
 
 
+def _path_abc(tmp_path):
+    path = tmp_path / "abc.json"
+    path.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}))
+    return str(path)
+
+
+def test_verify_rejects_string_sides(tmp_path, capsys):
+    """A side written as the string "ab" is not the vertex list ["a", "b"]."""
+    nested = tmp_path / "nested.json"
+    nested.write_text(json.dumps({"kind": "nested_set", "members": [{"a": "ab", "b": "bc"}]}))
+    assert run(["verify", "--input", _path_abc(tmp_path), "--input", str(nested)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == "error" and doc["error"] == "GraphFormatError"
+
+
+@pytest.mark.parametrize("order_bound", [-5, 0, True])
+def test_verify_rejects_tangle_order_below_one(tmp_path, capsys, order_bound):
+    tangles = tmp_path / "tangles.json"
+    tangles.write_text(
+        json.dumps({"kind": "tangle_list", "tangles": [{"order_bound": order_bound, "orientation": []}]})
+    )
+    assert run(["verify", "--input", _path_abc(tmp_path), "--input", str(tangles)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == "error" and doc["error"] == "GraphFormatError"
+    assert "order_bound" in doc["message"]
+
+
 def test_error_reports_are_machine_readable(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"vertices":["a"],"edges":[["a","a"]]}')

@@ -33,7 +33,7 @@ from tangletree.separations import (
     relation,
     supremum,
 )
-from .conftest import cycle_graph, path_graph, random_connected_graph
+from .conftest import cycle_graph, grid_graph, path_graph, random_connected_graph
 from .oracles import all_separations_brute, relation_reference
 
 
@@ -125,9 +125,9 @@ def _sides(o):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_relation_matches_frozenset_reference(data):
-    """Same verdict, same witness sides in the same order, for Separation,
-    OrientedSeparation and mixed pairs; oriented inputs are sometimes built
-    afresh rather than taken from a separation's cached pair."""
+    """Same verdict, same witness sides in the same order, for canonical,
+    reversed and mixed pairs; oriented inputs are sometimes built afresh
+    rather than taken from a separation's cached pair."""
     seed = data.draw(st.integers(0, 10**6))
     g = random_connected_graph(random.Random(seed), data.draw(st.integers(1, 7)))
     seps = enumerate_separations(g, min(2, len(g.vertices)))
@@ -167,6 +167,40 @@ def test_orientations_are_built_once(p3):
     assert s.orientations()[0] is x and s.orientations()[1] is y
     assert s.orient("b") is x and s.orient("a") is y
     assert (x.side_a, x.side_b) == (s.side_a, s.side_b) and y == x.reverse()
+
+
+def test_sides_are_validated_once(monkeypatch):
+    """Enumeration checks each separation's sides once; the orientations it
+    hands out are that object and its reverse, which are not checked again."""
+    calls = []
+    check = separations.check_no_crossing
+    monkeypatch.setattr(separations, "check_no_crossing", lambda *a: calls.append(1) or check(*a))
+    seps = enumerate_separations(grid_graph(3, 6), 4)
+    for s in seps:
+        assert s.orient("b") is s and s.orient("a") is s.reverse()
+        assert s.reverse() is s.reverse() and s.reverse().reverse() is s
+        assert s.canonical() is s and s.reverse().canonical() is s
+    assert len(seps) == 5280
+    assert len(calls) == len(seps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cached_sort_key_matches_the_sides(data):
+    seed = data.draw(st.integers(0, 10**6))
+    g = random_connected_graph(random.Random(seed), data.draw(st.integers(1, 7)))
+    for s in enumerate_separations(g, min(2, len(g.vertices))):
+        fresh = make_separation(g, s.side_b, s.side_a)  # nothing cached yet
+        for o in (s, s.reverse(), fresh.reverse(), fresh):
+            assert o.sort_key == (tuple(sorted(o.side_a)), tuple(sorted(o.side_b)))
+        assert s.sort_key <= s.reverse().sort_key
+
+
+def test_canonical_orientation_equals_its_separation(p3):
+    s = sep(p3, {"p00", "p01"}, {"p01", "p02"}).canonical()
+    fresh = sep(p3, s.side_b, s.side_a)
+    assert fresh != s and fresh.canonical() == s and hash(fresh.canonical()) == hash(s)
+    assert fresh.reverse() == s and {s: 1}[fresh.reverse()] == 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -23,10 +23,8 @@ from tangletree.tangles import (
     efficient_distinguisher,
     end_region_witness,
     enumerate_tangles,
-    find_vertex_covering_triple,
     materialize,
     min_distinguishing_order,
-    orient_by_witness,
 )
 from .conftest import (
     clique_graph,
@@ -203,15 +201,13 @@ def test_orient_by_witness_examples(scaled_chain):
     g = scaled_chain.graph_at(2)
     w = clique_witness(g, scaled_chain.clique(0), 3)
     trivial = make_separation(g, set(), g.vertices).canonical()
-    assert orient_by_witness(w, trivial) == trivial.orient("b") or orient_by_witness(
-        w, trivial
-    ).side_b == g.vertices
+    assert w.orient(trivial) == trivial.orient("b") or w.orient(trivial).side_b == g.vertices
     s0 = scaled_chain.chain_item(0, 2).canonical()
-    oriented = orient_by_witness(w, s0)
+    oriented = w.orient(s0)
     assert scaled_chain.clique(0) <= oriented.side_b
     with pytest.raises(OrientationUndecidableError):
         big = scaled_chain.chain_item(1, 2).canonical()
-        orient_by_witness(w, big)  # order 5 exceeds the bound 3
+        w.orient(big)  # order 5 exceeds the bound 3
 
 
 def test_orient_by_witness_bridge_separation():
@@ -220,7 +216,7 @@ def test_orient_by_witness_bridge_separation():
     bridge = make_separation(
         g, {"b1", "b2", "b3", "b4"}, {"b1", "a1", "a2", "a3", "a4"}
     ).canonical()
-    oriented = orient_by_witness(w, bridge)
+    oriented = w.orient(bridge)
     assert {"a1", "a2", "a3", "a4"} <= oriented.side_b
 
 
@@ -286,7 +282,8 @@ def test_vertex_only_diagnostic_is_weaker():
     t = enumerate_tangles(g, 2)[0]
     # a triple of small sides can cover all vertices without the edges
     assert check_tangle(g, t).ok
-    assert find_vertex_covering_triple(g, t) is not None
+    sides = [o.side_a for o in t.oriented_members()]
+    assert any(x | y | z == g.vertices for x in sides for y in sides for z in sides)
 
 
 @settings(max_examples=15, deadline=None)
