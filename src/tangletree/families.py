@@ -28,7 +28,7 @@ and levels beyond the override fall back to the minimum admissible size
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import FamilyParameterError, GraphFormatError

@@ -43,7 +43,7 @@ from .separations import (
     relation,
     supremum,
 )
-from .tangles import Orienter, distinguishes, min_distinguishing_order
+from .tangles import Orienter, _splits, distinguishes, min_distinguishing_order
 
 
 @dataclass(frozen=True)
@@ -207,13 +207,7 @@ class StrongRelevanceReport:
 
 
 def _efficiently_distinguishes(g, sep, p, q, *, budget) -> bool:
-    if sep.order >= min(p.order_bound, q.order_bound):
-        return False
-    if not (p.orients(sep) and q.orients(sep)):
-        return False
-    if p.orient(sep) == q.orient(sep):
-        return False
-    return min_distinguishing_order(g, p, q, budget=budget) == sep.order
+    return _splits(sep, p, q) and min_distinguishing_order(g, p, q, budget=budget) == sep.order
 
 
 def check_strongly_relevant(

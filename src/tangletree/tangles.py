@@ -104,12 +104,13 @@ class PreTangle:
         order_bound = doc["order_bound"]
         if type(order_bound) is not int or not 1 <= order_bound <= len(g.vertices) + 1:  # not bool
             raise GraphFormatError(f"order_bound must be an integer in 1..|V| + 1, got {order_bound!r}")
-        choices = {
-            Separation.from_json(g, entry["sep"]).canonical(): entry["toward"]
-            for entry in doc["orientation"]
-        }
-        if any(toward not in ("a", "b") for toward in choices.values()):
-            raise GraphFormatError("toward must be 'a' or 'b'")
+        choices = {}
+        for entry in doc["orientation"]:
+            sep, toward = Separation.from_json(g, entry["sep"]), entry["toward"]
+            if toward not in ("a", "b"):
+                raise GraphFormatError("toward must be 'a' or 'b'")
+            canonical = sep.canonical()  # toward names a side as written
+            choices[canonical] = "b" if sep.orient(toward) is canonical else "a"
         return cls(g, order_bound, choices)
 
 
@@ -301,12 +302,17 @@ def check_pretangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION
 
     Consistency is decided on the <=-maximal members; the first-pair scan
     over all members runs only when they flag a pair, to name the witness."""
+    return _pretangle_report(g, p, budget, scan=True)
+
+
+def _pretangle_report(g: Graph, p: PreTangle, budget: int, scan: bool) -> PreTangleReport:
+    """`check_pretangle`'s report; with scan False, p is known consistent."""
     domain = set(enumerate_separations(g, p.order_bound - 1, budget=budget))
     have = set(p.choices)
     missing = tuple(sorted(domain - have, key=lambda s: s.sort_key))
     extra = tuple(sorted(have - domain, key=lambda s: s.sort_key))
     members = p.oriented_members()
-    witness = _consistency_witness(members) if _maximal_pair_inconsistent(members) else None
+    witness = _consistency_witness(members) if scan and _maximal_pair_inconsistent(members) else None
     return PreTangleReport(
         complete=not missing and not extra,
         consistent=witness is None,
@@ -401,8 +407,12 @@ def _maximal(members: list[tuple]) -> list[tuple]:
 
 def check_tangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> TangleReport:
     """Pre-tangle checks plus the covering-triple axiom, scanned over the
-    members with maximal side A (see `_maximal`)."""
-    pre = check_pretangle(g, p, budget=budget)
+    members with maximal side A (see `_maximal`).
+
+    The axiom decides consistency when it holds: an inconsistent pair x, y
+    makes x, y, y a covering triple (see `enumerate_tangles`). So the
+    consistency scan of `check_pretangle` runs only when a triple is found,
+    and the pre-tangle report is `check_pretangle`'s either way."""
     all_vertices, all_edges, encode = _mask_encoder(g)
     by_size = _maximal([(*encode(*o.masks), o) for o in p.oriented_members()])
     witness = None
@@ -416,6 +426,7 @@ def check_tangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION_BU
                 break
         if witness:
             break
+    pre = _pretangle_report(g, p, budget, scan=witness is not None)
     return TangleReport(pretangle=pre, axiom_ok=witness is None, witness_triple=witness)
 
 
@@ -519,6 +530,7 @@ def distinguishes(s: Separation, p: Orienter, q: Orienter) -> bool:
 
 
 def _clique_cores(p: Orienter, q: Orienter):
+    """The two cliques when p and q are both clique witnesses, else None."""
     if (
         isinstance(p, TangleWitness)
         and isinstance(q, TangleWitness)
@@ -527,6 +539,17 @@ def _clique_cores(p: Orienter, q: Orienter):
     ):
         return p.clique, q.clique
     return None
+
+
+def _splits(sep: Separation, p: Orienter, q: Orienter) -> bool:
+    """True iff sep lies below both order bounds and p and q both orient it,
+    in opposite directions."""
+    return (
+        sep.order < min(p.order_bound, q.order_bound)
+        and p.orients(sep)
+        and q.orients(sep)
+        and p.orient(sep) != q.orient(sep)
+    )
 
 
 def _separation_from_cut(g: Graph, cut: frozenset[str], core: frozenset[str]) -> Separation:
@@ -548,40 +571,29 @@ def efficient_distinguisher(
     q: Orienter,
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-    candidates: list[Separation] | None = None,
 ) -> Separation | None:
     """A minimum-order separation distinguishing p and q, or None.
 
     For two clique witnesses the minimum order equals the minimum vertex cut
     between the cliques, and the leftmost minimum cut gives a deterministic
-    representative. Otherwise candidates are scanned in (order, canonical)
-    order, so the returned separation is the lexicographically least one of
-    minimum order.
+    representative. Otherwise the separations below the common order bound
+    are scanned in (order, canonical) order, so the returned separation is
+    the lexicographically least one of minimum order. Calls on one graph
+    share its enumeration through the `enumerate_separations` slot.
     """
-    bound = min(p.order_bound, q.order_bound)
     cores = _clique_cores(p, q)
     if cores is not None:
-        k_core, l_core = cores
-        value = len(disjoint_paths(g, k_core, l_core))
-        if value >= bound:
+        if min_distinguishing_order(g, p, q, budget=budget) is None:
             return None
-        cut = minimum_separator(g, k_core, l_core)
-        sep = _separation_from_cut(g, cut, l_core)
+        sep = _separation_from_cut(g, minimum_separator(g, *cores), cores[1])
         if not distinguishes(sep, p, q):
             raise OrientationUndecidableError(
                 "minimum cut failed to distinguish the clique witnesses"
             )
         return sep
-    if candidates is None:
-        candidates = enumerate_separations(g, bound - 1, budget=budget)
-    for sep in candidates:
-        if sep.order >= bound:
-            continue
-        if not (p.orients(sep) and q.orients(sep)):
-            continue
-        if p.orient(sep) != q.orient(sep):
-            return sep
-    return None
+    bound = min(p.order_bound, q.order_bound)
+    seps = enumerate_separations(g, bound - 1, budget=budget)
+    return next((sep for sep in seps if _splits(sep, p, q)), None)
 
 
 def min_distinguishing_order(
@@ -590,14 +602,12 @@ def min_distinguishing_order(
     q: Orienter,
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-    candidates: list[Separation] | None = None,
 ) -> int | None:
     cores = _clique_cores(p, q)
     if cores is not None:
-        bound = min(p.order_bound, q.order_bound)
-        value = len(disjoint_paths(g, cores[0], cores[1]))
-        return value if value < bound else None
-    sep = efficient_distinguisher(g, p, q, budget=budget, candidates=candidates)
+        value = len(disjoint_paths(g, *cores))
+        return value if value < min(p.order_bound, q.order_bound) else None
+    sep = efficient_distinguisher(g, p, q, budget=budget)
     return None if sep is None else sep.order
 
 
@@ -609,17 +619,10 @@ def distinguishable_pairs(
 ) -> list[tuple[tuple[int, int], int]]:
     """All unordered distinguishable pairs (as index pairs) with their
     efficient order, sorted ascending by (order, i, j)."""
-    candidates: list[Separation] | None = None
-    need_enum = any(_clique_cores(p, q) is None for i, p in enumerate(tangles) for q in tangles[i + 1 :])
-    if need_enum and tangles:
-        max_bound = max(min(p.order_bound, q.order_bound) for i, p in enumerate(tangles) for q in tangles[i + 1 :])
-        candidates = enumerate_separations(g, max_bound - 1, budget=budget)
     out = []
     for i in range(len(tangles)):
         for j in range(i + 1, len(tangles)):
-            o = min_distinguishing_order(
-                g, tangles[i], tangles[j], budget=budget, candidates=candidates
-            )
+            o = min_distinguishing_order(g, tangles[i], tangles[j], budget=budget)
             if o is not None:
                 out.append(((i, j), o))
     out.sort(key=lambda e: (e[1], e[0]))

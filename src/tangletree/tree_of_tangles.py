@@ -44,8 +44,8 @@ from .separations import (
 from .tangles import (
     Orienter,
     PreTangle,
-    TangleWitness,
     _clique_cores,
+    _splits,
     check_tangle,
     distinguishable_pairs,
     distinguishes,
@@ -58,7 +58,6 @@ def _min_order_distinguishers(
     q: Orienter,
     target_order: int,
     *,
-    candidates: list[Separation] | None,
     budget: int,
 ) -> list[Separation]:
     """All distinguishers of exactly the minimum order, canonically sorted.
@@ -68,12 +67,7 @@ def _min_order_distinguishers(
     size are enumerated.
     """
     found: list[Separation] = []
-    if (
-        isinstance(p, TangleWitness)
-        and isinstance(q, TangleWitness)
-        and p.kind == "clique"
-        and q.kind == "clique"
-    ):
+    if _clique_cores(p, q) is not None:
         core = p.clique & q.clique
         free = sorted(g.vertices - core)
         extra = target_order - len(core)
@@ -106,17 +100,9 @@ def _min_order_distinguishers(
                 if distinguishes(sep, p, q):
                     found.append(sep)
     else:
-        if candidates is None:
-            candidates = enumerate_separations(g, target_order, budget=budget)
-        for sep in candidates:
-            if sep.order != target_order:
-                continue
-            if not (p.orients(sep) and q.orients(sep)):
-                continue
-            if p.orient(sep) != q.orient(sep):
-                found.append(sep)
-    found = sorted(set(found), key=lambda s: s.sort_key)
-    return found
+        seps = enumerate_separations(g, target_order, budget=budget)
+        found = [sep for sep in seps if sep.order == target_order and _splits(sep, p, q)]
+    return sorted(set(found), key=lambda s: s.sort_key)
 
 
 def build_tree_of_tangles(
@@ -124,36 +110,26 @@ def build_tree_of_tangles(
     tangles: list[Orienter],
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-    validate: bool = True,
 ) -> NestedSet:
-    """Greedy nested set efficiently distinguishing the given tangles."""
+    """Greedy nested set efficiently distinguishing the given tangles.
+
+    Each materialized tangle is checked first; witnesses are not."""
     if not g.is_connected():
         raise DisconnectedGraphError("build_tree_of_tangles requires a connected graph")
-    if validate:
-        for t in tangles:
-            if isinstance(t, PreTangle):
-                report = check_tangle(g, t, budget=budget)
-                if not report.ok:
-                    raise PreconditionError(f"input is not a tangle: {report}")
+    for t in tangles:
+        if isinstance(t, PreTangle):
+            report = check_tangle(g, t, budget=budget)
+            if not report.ok:
+                raise PreconditionError(f"input is not a tangle: {report}")
     pairs = distinguishable_pairs(g, tangles, budget=budget)
     members: list[Separation] = []
-    shared_candidates: list[Separation] | None = None
-    need_enum = any(
-        not (isinstance(p, TangleWitness) and p.kind == "clique")
-        for p in tangles
-    )
-    if need_enum and pairs:
-        top = max(order for _, order in pairs)
-        shared_candidates = enumerate_separations(g, top, budget=budget)
     for (i, j), target_order in pairs:
         p, q = tangles[i], tangles[j]
         if any(
             m.order == target_order and distinguishes(m, p, q) for m in members
         ):
             continue
-        options = _min_order_distinguishers(
-            g, p, q, target_order, candidates=shared_candidates, budget=budget
-        )
+        options = _min_order_distinguishers(g, p, q, target_order, budget=budget)
         admitted = None
         for sep in options:
             if all(relation(sep, m).nested for m in members):

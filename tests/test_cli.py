@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from tangletree import cli
 from tangletree.cli import main
+from tangletree.graph import Graph
+from tangletree.tangles import PreTangle, enumerate_tangles
 from .conftest import two_k4_bridge
 
 
@@ -246,6 +248,45 @@ def test_verify_rejects_tangle_order_below_one(tmp_path, capsys, order_bound):
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "error" and doc["error"] == "GraphFormatError"
     assert "order_bound" in doc["message"]
+
+
+def test_tangle_list_written_with_swapped_sides_reads_as_written(tmp_path, capsys):
+    """Each entry written as (B, A), with its `toward` swapped, names the same
+    orientation as the entry the library writes, so the list reads back as
+    the tangles and passes `verify`."""
+    g = Graph.from_data(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    tangles = enumerate_tangles(g, 2)
+    docs = [t.to_json() for t in tangles]
+    for entry in (e for doc in docs for e in doc["orientation"]):
+        entry["sep"] = {"a": entry["sep"]["b"], "b": entry["sep"]["a"]}
+        entry["toward"] = "a" if entry["toward"] == "b" else "b"
+    assert [PreTangle.from_json(g, doc) for doc in docs] == tangles
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps({"kind": "tangle_list", "tangles": docs}))
+    assert run(["verify", "--input", _path_abc(tmp_path), "--input", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["checks"] == [{"check": "tangles", "status": "pass", "failing": []}]
+
+
+@pytest.mark.parametrize(
+    "bags",
+    [
+        {"n0": ["a", "c"], "n1": ["b"]},  # no bag holds an edge: the tree edge crosses both
+        {"n0": ["a", "b"], "n1": ["b"]},  # c is in no bag
+        {"n0": ["a", "b", "z"], "n1": ["b", "c"]},  # z is no vertex of the graph
+    ],
+)
+def test_verify_bad_tree_decomposition_is_a_fail(tmp_path, capsys, bags):
+    """On the path a-b-c, a tree edge whose sides are no separation makes a
+    computed `fail` with exit 2, not an error."""
+    td = tmp_path / "td.json"
+    td.write_text(
+        json.dumps({"kind": "tree_decomposition", "nodes": ["n0", "n1"], "edges": [["n0", "n1"]], "bags": bags})
+    )
+    assert run(["verify", "--input", _path_abc(tmp_path), "--input", str(td)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False
+    assert doc["checks"] == [{"check": "tree_decomposition", "status": "fail"}]
 
 
 def test_error_reports_are_machine_readable(tmp_path, capsys):

@@ -217,10 +217,11 @@ def test_check_tangle_toward_a_vertex_matches_brute_force(g, k, data):
     data=st.data(),
 )
 def test_fast_consistency_check_matches_full_scan(g, k, kind, data):
-    """`check_pretangle` decides consistency on the <=-maximal members and
-    runs the first-pair scan only when they flag a pair; its verdict and
-    witness must be the full scan's. The co-small variant turns one improper
-    separation toward (V, S), which flags itself and forces the fallback."""
+    """`check_pretangle` runs the first-pair scan only when the <=-maximal
+    members flag a pair, and `check_tangle` runs that check only when the
+    covering axiom fails; each verdict and witness must be the full scan's.
+    The co-small variant turns one improper separation toward (V, S), which
+    flags itself and forces the fallback."""
     k, seps = _order_and_domain(g, k)
     if kind == "flipped tangle":
         tangles = enumerate_tangles(g, k)
@@ -243,6 +244,7 @@ def test_fast_consistency_check_matches_full_scan(g, k, kind, data):
     report = check_pretangle(g, p)
     assert report.witness_pair == _consistency_witness(members)
     assert report.consistent == (report.witness_pair is None) == _consistent_brute(members)
+    assert check_tangle(g, p).pretangle == report
 
 
 def test_grid_order_four_finishes_without_recursion():

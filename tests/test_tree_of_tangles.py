@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tangletree import separations
 from tangletree.errors import IncoherentChainError, PreconditionError
 from tangletree.graph import Graph
 from tangletree.separations import (
@@ -22,7 +23,7 @@ from tangletree.tree_of_tangles import (
     verify_tree_decomposition,
     verify_tree_of_tangles,
 )
-from .conftest import path_graph, two_k4_bridge
+from .conftest import clique_chain_graph, path_graph, two_k4_bridge
 from .oracles import consistent_orientations_brute, nested_efficient_subsets_exist
 
 
@@ -50,13 +51,29 @@ def test_clique_chain_witness_tree_of_tangles(scaled_chain):
         clique_witness(g, scaled_chain.clique(i), len(scaled_chain.clique(i)))
         for i in range(3)
     ]
-    nested = build_tree_of_tangles(g, pool, validate=False)
+    nested = build_tree_of_tangles(g, pool)
     assert sorted(m.order for m in nested) == [2, 5]
     report = verify_tree_of_tangles(g, nested, pool)
     assert report.ok
     # the admitted members carry the canonical separator sizes of the chain
     seps = sorted(nested, key=lambda s: s.order)
     assert seps[0].separator == scaled_chain.chain_separator(0)
+
+
+@pytest.mark.parametrize("count, size", [(4, 4), (5, 6)])
+def test_enumeration_slot_serves_every_distinguisher_call(count, size):
+    """After the search, the build and both verifiers start no enumeration
+    search: each of their `enumerate_separations` calls is a slot hit, so
+    the slot is never rebound."""
+    g = clique_chain_graph(count, size)
+    tangles = enumerate_tangles(g, 3)
+    assert len(tangles) == count
+    before = separations._last_enumeration
+    nested = build_tree_of_tangles(g, tangles)
+    assert len(nested) == count - 1
+    assert verify_tree_of_tangles(g, nested, tangles).ok
+    assert verify_tree_decomposition(g, induce_tree_decomposition(g, nested), nested, tangles).ok
+    assert separations._last_enumeration is before
 
 
 def test_build_output_verified_against_exhaustive_subsets(corpus_small):
