@@ -178,6 +178,8 @@ def make_separation(g: Graph, a: Iterable[str], b: Iterable[str]) -> Separation:
 
 
 def _ambient(g: Graph, s) -> None:
+    if not isinstance(s, Separation):
+        raise AmbientMismatchError(f"expected a separation, got {type(s).__name__}")
     if not (s.graph is g or s.graph == g):
         raise AmbientMismatchError("separation does not live over this graph")
 
@@ -214,27 +216,43 @@ class Relation:
         return not self.nested
 
 
+_CROSS = Relation(False)
+
+
 def relation(s: Separation, t: Separation) -> Relation:
     """Decide nested-with-witness vs cross, by definition and corner test.
 
-    The two tests must agree on every orientation pair; disagreement raises
+    With s = (A, B) and t = (C, D), (C, D) <= (A, B) iff (B, A) <= (D, C),
+    in both forms, so the eight ordered orientation pairs hold four facts:
+    (A, B) <= (C, D), (B, A) <= (D, C), (A, B) <= (D, C) and
+    (B, A) <= (C, D). Each is decided once by each test; disagreement raises
     InternalCheckError since it can only come from an implementation bug.
+    The witness is the first true fact in that order, as (s, t), (t, s),
+    (s, reverse(t)) or (reverse(t), s); only the last two build a reverse.
     """
     _ambient(s.graph, t)
-    witness = None
-    for so in s.orientations():
-        a, b = so.masks
-        for to in t.orientations():
-            c, d = to.masks
-            below = _leq(a, b, c, d)
-            above = _leq(c, d, a, b)
-            if below != _leq_corner(a, b, c, d) or above != _leq_corner(c, d, a, b):
-                raise InternalCheckError(
-                    f"corner test disagrees with definition between {so!r} and {to!r}"
-                )
-            if witness is None and (below or above):
-                witness = (so, to) if below else (to, so)
-    return Relation(witness is not None, witness)
+    a, b = s.masks
+    c, d = t.masks
+    s_t = _leq(a, b, c, d)
+    t_s = _leq(b, a, d, c)
+    s_tr = _leq(a, b, d, c)
+    tr_s = _leq(b, a, c, d)
+    if (
+        s_t != _leq_corner(a, b, c, d)
+        or t_s != _leq_corner(b, a, d, c)
+        or s_tr != _leq_corner(a, b, d, c)
+        or tr_s != _leq_corner(b, a, c, d)
+    ):
+        raise InternalCheckError(f"corner test disagrees with definition between {s!r} and {t!r}")
+    if s_t:
+        return Relation(True, (s, t))
+    if t_s:
+        return Relation(True, (t, s))
+    if s_tr:
+        return Relation(True, (s, t.reverse()))
+    if tr_s:
+        return Relation(True, (t.reverse(), s))
+    return _CROSS
 
 
 def first_crossing(

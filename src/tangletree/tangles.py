@@ -281,20 +281,27 @@ def _consistency_witness(members: Sequence[Separation]):
 
 
 def _maximal_pair_inconsistent(members: Sequence[Separation]) -> bool:
-    """True iff two <=-maximal members, or one with itself, are inconsistent.
+    """True iff two distinct members are inconsistent, decided on the
+    <=-maximal ones.
 
     reverse(x) <= y is symmetric in x and y and upward-closed: it gives
-    reverse(x) <= y' for y <= y'. So False proves consistency. A member is
-    inconsistent with itself iff it is co-small, (V, B).
+    reverse(x) <= y' for y <= y'. So an inconsistent pair lifts to maximal
+    members m >= x and m' >= y with reverse(m) <= m'. If m is not m', the
+    maximal pair shows it. Otherwise m is co-small, (V, B), and one of x, y,
+    say z, is not m; by symmetry reverse(z) <= m. One pass over the members
+    looks for such a z for each co-small maximal m.
     """
     kept: list[tuple[int, int]] = []
+    co_small: list[Separation] = []
     for o in sorted(members, key=lambda o: (-len(o.side_a), len(o.side_b))):
         a, b = o.masks  # anything above o came earlier, so kept is the antichain
         if not any(_leq(a, b, c, d) for c, d in kept):
-            kept.append((a, b))
             if any(_leq(b, a, c, d) for c, d in kept):
                 return True
-    return False
+            kept.append((a, b))
+            if _leq(b, a, a, b):
+                co_small.append(o)
+    return any(z is not m and _leq(*z.masks[::-1], *m.masks) for m in co_small for z in members)
 
 
 def check_pretangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> PreTangleReport:

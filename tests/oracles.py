@@ -10,7 +10,9 @@ triples without a size cutoff, is the reference for the library's search,
 which does neither, in the same visit order. The tuple-keyed flow network,
 a dict of dicts scanned in sorted key order, is the reference for the
 library's integer-indexed max-flow solver, and the frozenset form of
-`relation` is the reference for the bitmask one.
+`relation` is the reference for the bitmask one. The eight-comparison mask
+loop, which tests every ordered orientation pair both ways, is the reference
+for `relation`'s four facts, witness objects included.
 """
 
 from __future__ import annotations
@@ -19,7 +21,15 @@ from itertools import combinations, product
 
 from tangletree.graph import Graph, components
 from tangletree.errors import InternalCheckError
-from tangletree.separations import Relation, Separation, enumerate_separations, leq
+from tangletree.separations import (
+    Relation,
+    Separation,
+    _ambient,
+    _leq,
+    _leq_corner,
+    enumerate_separations,
+    leq,
+)
 from tangletree.tangles import PreTangle, Tangle
 
 
@@ -451,3 +461,24 @@ def relation_reference(s: Separation, t: Separation) -> Relation:
                 any_comparable = True
                 witness = (to, so)
     return Relation(any_comparable, witness)
+
+
+def relation_eight_way(s: Separation, t: Separation) -> Relation:
+    """`relation` as an eight-comparison loop on masks: both tests on every
+    ordered orientation pair, in both directions, the first comparable pair
+    found as the witness."""
+    _ambient(s.graph, t)
+    witness = None
+    for so in s.orientations():
+        a, b = so.masks
+        for to in t.orientations():
+            c, d = to.masks
+            below = _leq(a, b, c, d)
+            above = _leq(c, d, a, b)
+            if below != _leq_corner(a, b, c, d) or above != _leq_corner(c, d, a, b):
+                raise InternalCheckError(
+                    f"corner test disagrees with definition between {so!r} and {to!r}"
+                )
+            if witness is None and (below or above):
+                witness = (so, to) if below else (to, so)
+    return Relation(witness is not None, witness)

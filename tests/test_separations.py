@@ -34,7 +34,7 @@ from tangletree.separations import (
     supremum,
 )
 from .conftest import cycle_graph, grid_graph, path_graph, random_connected_graph
-from .oracles import all_separations_brute, relation_reference
+from .oracles import all_separations_brute, relation_eight_way, relation_reference
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +159,83 @@ def test_relation_raises_when_corner_test_disagrees(monkeypatch):
     monkeypatch.setattr(separations, "_leq_corner", lambda *masks: not corner(*masks))
     with pytest.raises(InternalCheckError):
         relation(s, t)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_relation_matches_eight_way_loop(data):
+    """The four facts give the eight-comparison loop's verdict and the very
+    same witness objects, on canonical, flipped and freshly built inputs;
+    the frozenset reference still agrees."""
+    seed = data.draw(st.integers(0, 10**6))
+    g = random_connected_graph(random.Random(seed), data.draw(st.integers(1, 8)))
+    seps = enumerate_separations(g, min(data.draw(st.integers(0, 3)), len(g.vertices)))
+
+    def draw_input():
+        s = data.draw(st.sampled_from(seps))
+        kind = data.draw(st.sampled_from(["canonical", "flipped", "fresh"]))
+        if kind == "canonical":
+            return s
+        if kind == "flipped":
+            return s.reverse()
+        o = s.orient(data.draw(st.sampled_from("ab")))
+        return make_separation(g, o.side_a, o.side_b)
+
+    for _ in range(20):
+        s, t = draw_input(), draw_input()
+        got, want = relation(s, t), relation_eight_way(s, t)
+        assert got.nested == want.nested == relation_reference(s, t).nested
+        if want.witness is None:
+            assert got.witness is None
+        else:
+            assert got.witness[0] is want.witness[0] and got.witness[1] is want.witness[1]
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(separations, name)
+    monkeypatch.setattr(separations, name, lambda *masks: calls.append(1) or real(*masks))
+    return calls
+
+
+def test_relation_decides_four_facts_each_way(monkeypatch):
+    g = random_connected_graph(random.Random(3), 7)
+    seps = enumerate_separations(g, 3)[:40]
+    pairs = [(s, t) for s in seps for t in (seps[0], seps[-1], seps[20])]
+    pairs += [(s.reverse(), t) for s, t in pairs]
+    assert {relation(s, t).nested for s, t in pairs} == {True, False}
+    definition = _counting(monkeypatch, "_leq")
+    corner = _counting(monkeypatch, "_leq_corner")
+    for s, t in pairs:
+        relation(s, t)
+    assert len(definition) == len(corner) == 4 * len(pairs)
+
+
+def test_relation_on_a_crossing_pair_builds_no_reverse():
+    g = cycle_graph(4)
+    s = sep(g, {"c00", "c01", "c02"}, {"c02", "c03", "c00"})
+    t = sep(g, {"c01", "c02", "c03"}, {"c03", "c00", "c01"})
+    assert relation(s, t).cross
+    assert "_reverse" not in s.__dict__ and "_reverse" not in t.__dict__
+
+
+def test_relation_raises_when_definition_disagrees(monkeypatch):
+    g = cycle_graph(4)
+    s = sep(g, {"c00", "c01", "c02"}, {"c02", "c03", "c00"}).canonical()
+    t = sep(g, {"c00", "c01"}, {"c01", "c02", "c03", "c00"}).canonical()
+    assert relation(s, t).nested
+    definition = separations._leq
+    monkeypatch.setattr(separations, "_leq", lambda *masks: not definition(*masks))
+    with pytest.raises(InternalCheckError):
+        relation(s, t)
+
+
+@pytest.mark.parametrize("other", [None, 3, "a", ({"p00"}, {"p00", "p01", "p02"})])
+def test_non_separation_is_an_ambient_error(p3, other):
+    s = sep(p3, {"p00", "p01"}, {"p01", "p02"})
+    for call in (lambda: relation(s, other), lambda: leq(s, other), lambda: is_proper(p3, other)):
+        with pytest.raises(AmbientMismatchError):
+            call()
 
 
 def test_orientations_are_built_once(p3):

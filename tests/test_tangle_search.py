@@ -209,42 +209,82 @@ def test_check_tangle_toward_a_vertex_matches_brute_force(g, k, data):
     _assert_check_matches_brute(g, PreTangle(g, k, _toward_vertex(g, seps, v, data.draw)))
 
 
-@settings(max_examples=80)
+@settings(max_examples=100)
 @given(
     g=connected_graphs(),
     k=st.integers(1, 4),
-    kind=st.sampled_from(("flipped tangle", "toward a vertex", "co-small member")),
+    kind=st.sampled_from(("flipped tangle", "tangle flipped to co-small", "toward a vertex", "co-small member")),
     data=st.data(),
 )
 def test_fast_consistency_check_matches_full_scan(g, k, kind, data):
     """`check_pretangle` runs the first-pair scan only when the <=-maximal
     members flag a pair, and `check_tangle` runs that check only when the
     covering axiom fails; each verdict and witness must be the full scan's.
-    The co-small variant turns one improper separation toward (V, S), which
-    flags itself and forces the fallback."""
+    The co-small variants turn one improper separation toward (V, S), in a
+    tangle or toward a vertex; such a member is maximal, and only a distinct
+    member z with reverse(z) <= (V, S) makes the set inconsistent."""
     k, seps = _order_and_domain(g, k)
-    if kind == "flipped tangle":
+    if kind == "toward a vertex" or kind == "co-small member":
+        v = data.draw(st.sampled_from(sorted(g.vertices)))
+        choices = _toward_vertex(g, seps, v, data.draw)
+    else:
         tangles = enumerate_tangles(g, k)
         while not tangles:  # every connected graph has exactly one order-1 tangle
             k -= 1
             tangles = enumerate_tangles(g, k)
         choices = dict(data.draw(st.sampled_from(tangles)).choices)
+    if kind == "flipped tangle":
         flip = data.draw(st.sampled_from(sorted(choices, key=lambda s: s.sort_key)))
         choices[flip] = "a" if choices[flip] == "b" else "b"
-    else:
-        v = data.draw(st.sampled_from(sorted(g.vertices)))
-        choices = _toward_vertex(g, seps, v, data.draw)
-        if kind == "co-small member":
-            improper = [s for s in seps if not s.is_proper()]
-            sep = data.draw(st.sampled_from(improper))
-            choices[sep] = "b" if sep.side_a == g.vertices else "a"
-            assert sep.orient(choices[sep]).side_a == g.vertices
+    elif kind != "toward a vertex":
+        improper = [s for s in sorted(choices, key=lambda s: s.sort_key) if not s.is_proper()]
+        sep = data.draw(st.sampled_from(improper))
+        choices[sep] = "b" if sep.side_a == g.vertices else "a"
+        assert sep.orient(choices[sep]).side_a == g.vertices
     p = PreTangle(g, k, choices)
     members = p.oriented_members()
     report = check_pretangle(g, p)
     assert report.witness_pair == _consistency_witness(members)
     assert report.consistent == (report.witness_pair is None) == _consistent_brute(members)
     assert check_tangle(g, p).pretangle == report
+
+
+def test_co_small_maximal_member_alone_runs_no_scan(monkeypatch):
+    """The order-4 tangle of the 4x6 grid with its middle member, in sort
+    order, flipped: that member becomes the co-small (V, S) with
+    S = {g05, g11, g25}, which no other member's reverse lies below. The
+    set stays consistent, and no first-pair scan runs to show it."""
+    g = grid_graph(4, 6)
+    (tangle,) = enumerate_tangles(g, 4)
+    choices = dict(tangle.choices)
+    flip = sorted(choices, key=lambda s: s.sort_key)[len(choices) // 2]
+    choices[flip] = "a" if choices[flip] == "b" else "b"
+    assert flip.orient(choices[flip]).side_a == g.vertices
+    p = PreTangle(g, 4, choices)
+    calls = []
+    monkeypatch.setattr(
+        "tangletree.tangles._consistency_witness", lambda m: calls.append(1) or _consistency_witness(m)
+    )
+    report = check_tangle(g, p)
+    assert report.pretangle == check_pretangle(g, p)
+    assert report.pretangle.ok and report.pretangle.witness_pair is None
+    assert not report.axiom_ok
+    assert calls == []
+
+
+def test_co_small_maximal_member_with_a_partner_is_inconsistent():
+    """On the path p00-p01-p02 at order 2, (V, {}) is maximal and co-small,
+    and ({p00}, V) is a distinct member whose reverse lies below it."""
+    g = path_graph(3)
+    (tangle, _) = enumerate_tangles(g, 2)
+    choices = dict(tangle.choices)
+    empty = next(s for s in choices if not s.separator)
+    choices[empty] = "b" if empty.side_a == g.vertices else "a"
+    report = check_pretangle(g, PreTangle(g, 2, choices))
+    assert not report.consistent
+    x, y = report.witness_pair
+    assert (x.side_a, x.side_b) == (g.vertices, frozenset())
+    assert (y.side_a, y.side_b) == (frozenset({"p00"}), g.vertices)
 
 
 def test_grid_order_four_finishes_without_recursion():
