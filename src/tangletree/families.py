@@ -58,10 +58,6 @@ class LayeredPresentation:
             raise FamilyParameterError(f"layer {m} outside horizon {self.horizon}")
         return self.boundaries[m]
 
-    @property
-    def ray_labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.rays)
-
     def ray_path(self, label: str) -> tuple[str, ...]:
         for lab, path in self.rays:
             if lab == label:

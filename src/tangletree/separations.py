@@ -177,10 +177,15 @@ def make_separation(g: Graph, a: Iterable[str], b: Iterable[str]) -> Separation:
     return Separation(g, frozenset(a), frozenset(b))
 
 
-def _ambient(g: Graph, s) -> None:
+def _graph_of(s) -> Graph:
+    """The graph of s, checked to be a separation first."""
     if not isinstance(s, Separation):
         raise AmbientMismatchError(f"expected a separation, got {type(s).__name__}")
-    if not (s.graph is g or s.graph == g):
+    return s.graph
+
+
+def _ambient(g: Graph, s) -> None:
+    if not (_graph_of(s) is g or s.graph == g):
         raise AmbientMismatchError("separation does not live over this graph")
 
 
@@ -196,7 +201,7 @@ def _leq_corner(a: int, b: int, c: int, d: int) -> bool:
 
 def leq(s: Separation, t: Separation) -> bool:
     """(A, B) <= (C, D) iff A <= C and B >= D."""
-    _ambient(s.graph, t)
+    _ambient(_graph_of(s), t)
     return _leq(*s.masks, *t.masks)
 
 
@@ -230,7 +235,7 @@ def relation(s: Separation, t: Separation) -> Relation:
     The witness is the first true fact in that order, as (s, t), (t, s),
     (s, reverse(t)) or (reverse(t), s); only the last two build a reverse.
     """
-    _ambient(s.graph, t)
+    _ambient(_graph_of(s), t)
     a, b = s.masks
     c, d = t.masks
     s_t = _leq(a, b, c, d)
@@ -356,7 +361,7 @@ class SeparationSequence:
 
     def __post_init__(self):
         if self.items:
-            g = self.items[0].graph
+            g = _graph_of(self.items[0])
             for it in self.items[1:]:
                 _ambient(g, it)
         for prev, cur in zip(self.items, self.items[1:]):
@@ -402,7 +407,7 @@ def supremum(seq: SeparationSequence | Sequence[Separation]) -> Separation:
     items = list(seq)
     if not items:
         raise SequenceOrderError("supremum of an empty sequence")
-    g = items[0].graph
+    g = _graph_of(items[0])
     a: set[str] = set()
     b = set(items[0].side_b)
     for it in items:
@@ -420,7 +425,7 @@ def dominates(
     items1 = list(seq1)
     items2 = list(seq2)
     if items1 and items2:
-        _ambient(items1[0].graph, items2[0])
+        _ambient(_graph_of(items1[0]), items2[0])
     return all(any(leq(c, a) for a in items1) for c in items2)
 
 
@@ -472,7 +477,7 @@ class NestedSet:
     members: frozenset[Separation]
 
     def __post_init__(self):
-        for s in self._ordered:
+        for s in self.members:  # before `_ordered` reads their sort keys
             _ambient(self.graph, s)
         crossing = first_crossing(self._ordered)
         if crossing:

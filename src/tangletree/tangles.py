@@ -22,7 +22,6 @@ enumeration with an explicit budget instead.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -269,14 +268,86 @@ class PreTangleReport:
         return self.complete and self.consistent
 
 
+# _BIT_DIGITS[j] translates each byte to b"0" or b"1", by its bit j
+_BIT_DIGITS = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
+
+
+def _columns(masks: list[int], n: int) -> list[int]:
+    """The transpose of masks over n vertices: bit x of column v is set
+    when masks[x] holds vertex v. The masks go into one byte string, the
+    last first; a strided slice of it holds byte c of every mask, and each
+    of its 8 columns comes out by `bytes.translate` and `int(..., 2)`, with
+    no Python step per bit."""
+    if not masks:
+        return [0] * n
+    width = (n + 7) // 8
+    joined = b"".join([m.to_bytes(width, "little") for m in reversed(masks)])
+    columns = []
+    for c in range(width):
+        chunk = joined[c::width]
+        columns += [int(chunk.translate(_BIT_DIGITS[j]), 2) for j in range(min(8, n - 8 * c))]
+    return columns
+
+
+def _bits(s: int):
+    """The positions of the set bits of s, lowest first."""
+    while s:
+        low = s & -s
+        yield low.bit_length() - 1
+        s ^= low
+
+
+class _Sides:
+    """A column index over a list of sides (vertex masks): bit x of column v
+    is set when side x holds vertex v. A set of sides is an int with bit x
+    for side x, and each query narrows one by an AND per vertex, stopping
+    once it is empty."""
+
+    __slots__ = ("_columns", "_all")
+
+    def __init__(self, sides: list[int], n: int):
+        self._columns = {1 << v: c for v, c in enumerate(_columns(sides, n))}
+        self._all = (1 << n) - 1
+
+    def holding(self, among: int, s: int) -> int:
+        """The sides in among that hold every vertex of s."""
+        columns = self._columns
+        while among and s:
+            low = s & -s
+            among &= columns[low]
+            s ^= low
+        return among
+
+    def inside(self, among: int, s: int) -> int:
+        """The sides in among that lie inside s."""
+        columns = self._columns
+        s ^= self._all
+        while among and s:
+            low = s & -s
+            among &= ~columns[low]
+            s ^= low
+        return among
+
+
 def _consistency_witness(members: Sequence[Separation]):
     """First pair (x, y) with reverse(x) <= y among orientations of distinct
-    separations, else None."""
-    for i, x in enumerate(members):
-        a, b = x.masks
-        for y in members[i + 1 :]:
-            if _leq(b, a, *y.masks):
-                return (x, y)
+    separations, else None.
+
+    reverse(x) <= y iff B_x lies inside A_y and B_y inside A_x. So for each
+    x in order, column indexes of the sides A and of the sides B give every
+    later y at once, and the lowest of them is the scan's first partner."""
+    if not members:
+        return None
+    n = len(members[0].graph.vertices)
+    masks = [m.masks for m in members]
+    sides_a = _Sides([a for a, _ in masks], n)
+    sides_b = _Sides([b for _, b in masks], n)
+    later = (1 << len(masks)) - 1
+    for i, (a, b) in enumerate(masks):
+        later ^= 1 << i
+        y = sides_b.inside(sides_a.holding(later, b), a)
+        if y:
+            return members[i], members[(y & -y).bit_length() - 1]
     return None
 
 
@@ -290,17 +361,27 @@ def _maximal_pair_inconsistent(members: Sequence[Separation]) -> bool:
     maximal pair shows it. Otherwise m is co-small, (V, B), and one of x, y,
     say z, is not m; by symmetry reverse(z) <= m. One pass over the members
     looks for such a z for each co-small maximal m.
+
+    The maximal members are a set of positions in the sorted list, and the
+    tests against them read column indexes of the sides A and B (see
+    `_Sides`): (A, B) <= (C, D) iff C holds A and D lies inside B.
     """
-    kept: list[tuple[int, int]] = []
+    ordered = sorted(members, key=lambda o: (-len(o.side_a), len(o.side_b)))
+    if not ordered:
+        return False
+    n = len(ordered[0].graph.vertices)
+    masks = [o.masks for o in ordered]
+    sides_a = _Sides([a for a, _ in masks], n)
+    sides_b = _Sides([b for _, b in masks], n)
+    kept = 0  # anything above a member came earlier, so kept is the antichain
     co_small: list[Separation] = []
-    for o in sorted(members, key=lambda o: (-len(o.side_a), len(o.side_b))):
-        a, b = o.masks  # anything above o came earlier, so kept is the antichain
-        if not any(_leq(a, b, c, d) for c, d in kept):
-            if any(_leq(b, a, c, d) for c, d in kept):
+    for x, (a, b) in enumerate(masks):
+        if not sides_b.inside(sides_a.holding(kept, a), b):
+            if sides_b.inside(sides_a.holding(kept, b), a):
                 return True
-            kept.append((a, b))
+            kept |= 1 << x
             if _leq(b, a, a, b):
-                co_small.append(o)
+                co_small.append(ordered[x])
     return any(z is not m and _leq(*z.masks[::-1], *m.masks) for m in co_small for z in members)
 
 
@@ -330,10 +411,10 @@ def _pretangle_report(g: Graph, p: PreTangle, budget: int, scan: bool) -> PreTan
 
 
 def _mask_encoder(g: Graph):
-    """(all vertices, all edges, encode) as masks; encode(A, B), on the
-    `Separation.masks` of an orientation, gives the tuple
-    (A, B, edges inside A, |A|) that the covering test runs on. Edge bit j
-    stands for the j-th edge in sorted order.
+    """encode(A, B, x), on the `Separation.masks` of an orientation, gives
+    the tuple (A, B, edges inside A, |A|, x) that the covering test runs
+    on; x numbers it in its `_Antichains` family. Edge bit j stands for the
+    j-th edge in sorted order.
 
     The edges inside A are those no vertex outside A touches. encode reads
     them off one table per 8 vertices, indexed by which of those lie
@@ -343,25 +424,40 @@ def _mask_encoder(g: Graph):
     for j, (u, v) in enumerate(sorted(g.edges)):
         touching[u] |= 1 << j
         touching[v] |= 1 << j
-    ordered = [touching[v] for v in sorted(g.vertices)]  # in `Graph.mask` bit order
-    tables = []  # tables[c][s]: the edges at vertices 8c + i for the bits i of s
-    for c in range(0, len(ordered), 8):
-        table = [0]
-        for edges in ordered[c : c + 8]:
-            table += [t | edges for t in table]
-        tables.append(table)
-    all_vertices = (1 << len(ordered)) - 1
+    tables = _tables([touching[v] for v in sorted(g.vertices)])  # in `Graph.mask` bit order
+    all_vertices = (1 << len(g.vertices)) - 1
     all_edges = (1 << len(g.edges)) - 1
 
-    def encode(a: int, b: int) -> tuple[int, int, int, int]:
+    def encode(a: int, b: int, x: int) -> tuple[int, int, int, int, int]:
         outside = all_vertices ^ a
         cut = 0
         for table in tables:
             cut |= table[outside & 255]
             outside >>= 8
-        return (a, b, all_edges & ~cut, a.bit_count())
+        return (a, b, all_edges & ~cut, a.bit_count(), x)
 
-    return all_vertices, all_edges, encode
+    return encode
+
+
+def _tables(masks: list[int]) -> list[list[int]]:
+    """One table per 8 masks: tables[c][s] is the union of masks 8c + i
+    over the bits i of s."""
+    tables = []
+    for c in range(0, len(masks), 8):
+        table = [0]
+        for m in masks[c : c + 8]:
+            table += [t | m for t in table]
+        tables.append(table)
+    return tables
+
+
+def _union(tables: list[list[int]], s: int) -> int:
+    """The union of the masks at the bits of s, read off `_tables`."""
+    out = 0
+    for table in tables:
+        out |= table[s & 255]
+        s >>= 8
+    return out
 
 
 def _cover(pool: list[tuple], all_vertices: int, all_edges: int, x: tuple, y: tuple):
@@ -394,22 +490,142 @@ class TangleReport:
         return self.pretangle.ok and self.axiom_ok
 
 
-def _minus_size(m: tuple) -> int:
-    return -m[3]
+_WIDE = 4  # an antichain of at least _WIDE * |V| members runs on the column index
 
 
-def _maximal(members: list[tuple]) -> list[tuple]:
-    """One member per inclusion-maximal side A, by decreasing |A| (stable).
+class _Antichains:
+    """Antichains of sides A over one family of `_mask_encoder` tuples,
+    member x being family[x].
+
+    An antichain is a value that no method changes, so the search undoes
+    an insert by going back to the value before it. While narrow it is a
+    list by decreasing |A|, stable, and each test scans it. Once it holds
+    `_WIDE` * |V| members it is the pair (live, top): live an int with bit
+    x for member x, top the largest |A| among them. Its tests then read a
+    column index of the family's sides A (see `_Sides`), built at the first
+    switch: "does a member's side hold these vertices?" is one AND per
+    vertex instead of one step per member. Both forms give the same
+    answers; the list is faster on narrow antichains and the index on wide
+    ones, so the width, a property of the input, picks the form.
+
+    Once wide, a member whose side A lies inside a later member's stays in
+    live. No answer changes by it: each test asks for a member whose side
+    holds some set, and the later member's does whenever its does.
+    """
+
+    def __init__(self, g: Graph, family: list[tuple]):
+        self.family = family
+        self._g = g
+        self._n = len(g.vertices)
+        self._all_vertices = (1 << self._n) - 1
+        self._all_edges = (1 << len(g.edges)) - 1
+        self._wide = _WIDE * self._n
+        self._index: _Sides | None = None  # built by `_widen`, with _at_least
+        self._at_least: list[int] = []
+        self._ends: list[list[int]] | None = None
+
+    def insert(self, chain, x: int):
+        """chain with member x added, or chain itself when a member's side A
+        holds x's: the "dominated?" test. The members whose sides A lie
+        inside x's leave a list, and stay in a wide antichain (see above)."""
+        new = self.family[x]
+        a, size = new[0], new[3]
+        if type(chain) is tuple:
+            live, top = chain
+            if self._index.holding(live & self._at_least[size], a):
+                return chain
+            return (live | 1 << x, max(top, size))
+        pos = 0  # past the members with |A| >= size, which alone can hold A
+        for m in chain:
+            if m[3] < size:
+                break
+            if not a & ~m[0]:
+                return chain
+            pos += 1
+        outside = self._all_vertices ^ a
+        grown = chain[:pos] + [new] + [m for m in chain[pos:] if m[0] & outside]
+        return grown if len(grown) < self._wide else self._widen(grown)
+
+    def _widen(self, members: list[tuple]) -> tuple[int, int]:
+        """The wide form of a list, with the index built on the first call."""
+        if self._index is None:
+            family = self.family
+            self._index = _Sides([m[0] for m in family], self._n)
+            at_least = [0] * (self._n + 2)  # at_least[s]: the members with |A| >= s
+            for x, m in enumerate(family):
+                at_least[m[3]] |= 1 << x
+            for s in range(self._n, -1, -1):
+                at_least[s] |= at_least[s + 1]
+            self._at_least = at_least
+        return (sum(1 << m[4] for m in members), members[0][3])
+
+    def members(self, chain) -> list[tuple]:
+        """The members of chain: by decreasing |A|, stable, while narrow, and
+        in family order once wide. The two agree in `_maximal`."""
+        if type(chain) is list:
+            return chain
+        return [self.family[x] for x in _bits(chain[0])]
+
+    def _holding_rest(self, live: int, x: tuple, y: tuple) -> int:
+        """The members in live whose side A holds what x and y leave out:
+        each vertex outside x.A and y.A, and both ends of each edge inside
+        neither. Those are the z with G[x.A] | G[y.A] | G[z.A] = G."""
+        rest = self._all_vertices & ~(x[0] | y[0])
+        live = self._index.holding(live, rest)
+        if live:
+            if self._ends is None:  # the ends of a set of edges, in `_union`
+                self._ends = _tables([self._g.mask(e) for e in sorted(self._g.edges)])
+            edges = self._all_edges & ~(x[2] | y[2])
+            live = self._index.holding(live, _union(self._ends, edges) & ~rest)
+        return live
+
+    def cover(self, chain, x: tuple, y: tuple):
+        """The first member z of chain, in `members` order, with
+        G[x.A] | G[y.A] | G[z.A] = G, else None. Wide, the order must be
+        the family's, as in `_maximal`."""
+        if type(chain) is list:
+            return _cover(chain, self._all_vertices, self._all_edges, x, y)
+        z = self._holding_rest(chain[0], x, y)
+        return self.family[(z & -z).bit_length() - 1] if z else None
+
+    def closes(self, chain, x: int) -> bool:
+        """True iff member x of chain and two members, repetition allowed,
+        cover G. A pair x, y leaves out more than any z covers once
+        |x.A| + |y.A| + (the largest |A|) < |V|, so sizes decide first."""
+        new = self.family[x]
+        if type(chain) is list:
+            least = self._n - new[3] - chain[0][3]  # |y.A| below this leaves out too much
+            all_vertices, all_edges = self._all_vertices, self._all_edges
+            for y in chain:
+                if y[3] < least:
+                    break
+                if _cover(chain, all_vertices, all_edges, new, y) is not None:
+                    return True
+            return False
+        live, top = chain
+        least = self._n - new[3] - top
+        if least > top:
+            return False
+        ys = live & self._at_least[max(least, 0)]
+        outside = self._all_vertices ^ new[0]
+        if outside:  # y or z holds its lowest vertex; by symmetry, y does
+            ys = self._index.holding(ys, outside & -outside)
+        return any(self._holding_rest(live, new, self.family[y]) for y in _bits(ys))
+
+
+def _maximal(g: Graph, family: list[tuple]) -> tuple[_Antichains, list | tuple]:
+    """The members with inclusion-maximal side A, one per side, as an
+    antichain over family, which must be sorted by decreasing |A|.
 
     If A <= C then G[A] <= G[C], so a covering triple exists among members
     iff one exists among these: replace each part of a triple by a kept
     member whose side A contains it.
     """
-    kept: list[tuple] = []
-    for o in sorted(members, key=lambda o: -o[3]):
-        if not any(not o[0] & ~m[0] for m in kept):
-            kept.append(o)
-    return kept
+    antichains = _Antichains(g, family)
+    chain = []
+    for x in range(len(family)):
+        chain = antichains.insert(chain, x)
+    return antichains, chain
 
 
 def check_tangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> TangleReport:
@@ -420,16 +636,20 @@ def check_tangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION_BU
     makes x, y, y a covering triple (see `enumerate_tangles`). So the
     consistency scan of `check_pretangle` runs only when a triple is found,
     and the pre-tangle report is `check_pretangle`'s either way."""
-    all_vertices, all_edges, encode = _mask_encoder(g)
-    by_size = _maximal([(*encode(*o.masks), o) for o in p.oriented_members()])
+    encode = _mask_encoder(g)
+    ordered = sorted(p.oriented_members(), key=lambda o: -len(o.side_a))
+    antichains, chain = _maximal(g, [encode(*o.masks, x) for x, o in enumerate(ordered)])
+    by_size = antichains.members(chain)
     witness = None
     for i, x in enumerate(by_size):
+        if 2 * x[3] + by_size[0][3] < len(g.vertices):
+            break  # no y from x on leaves out little enough, as y[3] <= x[3]
         for y in by_size[i:]:
             if x[3] + y[3] + by_size[0][3] < len(g.vertices):
                 break
-            z = _cover(by_size, all_vertices, all_edges, x, y)
+            z = antichains.cover(chain, x, y)
             if z is not None:
-                witness = (x[4], y[4], z[4])
+                witness = (ordered[x[4]], ordered[y[4]], ordered[z[4]])
                 break
         if witness:
             break
@@ -453,10 +673,11 @@ def enumerate_tangles(
     interpreter's recursion limit.
 
     Both orientations of each separation are encoded once, from their
-    cached `Separation.masks`, as `_mask_encoder` tuples. The
-    covering test runs against the chosen orientations with maximal side A
-    only (see `_maximal`), and stops once |A| sizes show that no third
-    member can cover what two leave out.
+    cached `Separation.masks`, as `_mask_encoder` tuples; orientation 2i
+    points separation i toward "b" and 2i + 1 toward "a". The chosen ones
+    with maximal side A form an antichain (see `_Antichains`), and the
+    covering test runs against those only (see `_maximal`). It stops once
+    |A| sizes show that no third member can cover what two leave out.
 
     No consistency test runs, as the covering test rejects every
     inconsistent orientation. Each vertex and each edge of G lies inside A
@@ -471,36 +692,16 @@ def enumerate_tangles(
     if k < 1:
         raise PreconditionError(f"tangle order must be at least 1, got {k}")
     seps = enumerate_separations(g, k - 1, budget=enumeration_budget)
-    n = len(g.vertices)
-    all_vertices, all_edges, encode = _mask_encoder(g)
-    encoded = [(encode(a, b), encode(b, a)) for a, b in (s.orient("b").masks for s in seps)]
+    encode = _mask_encoder(g)
+    family = []
+    for i, (a, b) in enumerate(s.orient("b").masks for s in seps):
+        family += (encode(a, b, 2 * i), encode(b, a, 2 * i + 1))
+    antichains = _Antichains(g, family)
+    insert, closes = antichains.insert, antichains.closes
+    chain = []  # the chosen orientations with maximal side A
+    undo = []  # chain before each chosen entry
     results: list[Tangle] = []
-    maximal: list[tuple] = []  # chosen with maximal side A, by decreasing |A|
-    undo: list[list[tuple]] = []  # `maximal` before each chosen entry
     nodes = 0
-
-    def admit(new: tuple) -> list[tuple] | None:
-        """`maximal` with new added, or None if new completes a covering triple.
-
-        Triples among the chosen orientations already passed, so only
-        triples through new are tested, and only against maximal members.
-        """
-        a, _, _, size = new
-        pos = bisect_right(maximal, -size, key=_minus_size)  # the members with |A| >= size
-        head = maximal[:pos]
-        for m in head:
-            if not a & ~m[0]:
-                return maximal
-        outside = all_vertices ^ a
-        pool = head + [new] + [m for m in maximal[pos:] if m[0] & outside]
-        least = n - size - pool[0][3]  # |x.A| below this leaves more than any z covers
-        for x in pool:
-            if x[3] < least:
-                break
-            if _cover(pool, all_vertices, all_edges, new, x) is not None:
-                return None
-        return pool
-
     # stack[i] is the next orientation to try at depth i: 0 toward "b", 1 toward "a"
     stack = [0]
     while stack:
@@ -513,17 +714,18 @@ def enumerate_tangles(
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError("tangle search nodes", budget)
-            new = encoded[i][stack[i]]
+            x = 2 * i + stack[i]
             stack[i] += 1
-            grown = admit(new)
-            if grown is not None:
-                undo.append(maximal)
-                maximal = grown
+            grown = insert(chain, x)
+            # a member's side A holding x's means every triple through x was tested
+            if grown is chain or not closes(grown, x):
+                undo.append(chain)
+                chain = grown
                 stack.append(0)
             continue
         stack.pop()
         if i:
-            maximal = undo.pop()
+            chain = undo.pop()
     return results
 
 

@@ -30,6 +30,8 @@ from .errors import (
     GraphFormatError,
     InternalCheckError,
     PreconditionError,
+    SeparationError,
+    UnknownVertexError,
 )
 from .graph import Graph, components, minimum_separator
 from .separations import (
@@ -438,7 +440,7 @@ def verify_tree_decomposition(
     for edge in td.edges:
         try:
             induced.add(_edge_induced_separation(g, td, edge).canonical())
-        except Exception as exc:  # crossing edge: not a separation
+        except (SeparationError, UnknownVertexError) as exc:  # the bags across it are no separation
             induced_valid = False
             witnesses["induced_invalid"] = (edge, str(exc))
             break

@@ -12,7 +12,10 @@ a dict of dicts scanned in sorted key order, is the reference for the
 library's integer-indexed max-flow solver, and the frozenset form of
 `relation` is the reference for the bitmask one. The eight-comparison mask
 loop, which tests every ordered orientation pair both ways, is the reference
-for `relation`'s four facts, witness objects included.
+for `relation`'s four facts, witness objects included. The list scans for
+the maximal sides A, the first covering triple and the first inconsistent
+pair are the references for the column index that `tangles` switches to on
+wide antichains.
 """
 
 from __future__ import annotations
@@ -204,6 +207,44 @@ def tangle_search_reference(g: Graph, k: int) -> tuple[list[Tangle], int]:
             chosen.pop()
             maximal = undo.pop()
     return results, nodes
+
+
+def maximal_sides_reference(members: list[tuple]) -> list[tuple]:
+    """The members, tuples with side A as a mask first and |A| fourth, with
+    inclusion-maximal side A, one per side, by decreasing |A| (stable): each
+    is tested against every member kept before it."""
+    kept: list[tuple] = []
+    for o in sorted(members, key=lambda o: -o[3]):
+        if not any(not o[0] & ~m[0] for m in kept):
+            kept.append(o)
+    return kept
+
+
+def witness_triple_reference(g: Graph, p: PreTangle):
+    """`check_tangle`'s witness triple by list scans on frozensets: over the
+    members with inclusion-maximal side A, by decreasing |A| (stable), the
+    first (x, y, z) in that order, y not before x, that covers G, with no
+    size cutoff."""
+    kept: list[Separation] = []
+    for o in sorted(p.oriented_members(), key=lambda o: -len(o.side_a)):
+        if not any(o.side_a <= m.side_a for m in kept):
+            kept.append(o)
+    for i, x in enumerate(kept):
+        for y in kept[i:]:
+            for z in kept:
+                if _covers_brute(g, (x, y, z)):
+                    return (x, y, z)
+    return None
+
+
+def consistency_witness_reference(members) -> tuple[Separation, Separation] | None:
+    """The first pair (x, y), y after x, with reverse(x) <= y, by a scan of
+    every pair on frozensets."""
+    for i, x in enumerate(members):
+        for y in members[i + 1 :]:
+            if x.side_b <= y.side_a and y.side_b <= x.side_a:
+                return (x, y)
+    return None
 
 
 def min_distinguishing_order_brute(g: Graph, p: PreTangle, q: PreTangle) -> int | None:

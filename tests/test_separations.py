@@ -28,6 +28,7 @@ from tangletree.separations import (
     is_proper,
     is_tight,
     leq,
+    lt,
     make_separation,
     pushing_index,
     relation,
@@ -236,6 +237,26 @@ def test_non_separation_is_an_ambient_error(p3, other):
     for call in (lambda: relation(s, other), lambda: leq(s, other), lambda: is_proper(p3, other)):
         with pytest.raises(AmbientMismatchError):
             call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, s: relation(None, s),
+        lambda g, s: leq(3, s),
+        lambda g, s: lt(None, s),
+        lambda g, s: NestedSet.of(g, [None]),
+        lambda g, s: SeparationSequence.strictly_increasing([None]),
+        lambda g, s: supremum([None]),
+        lambda g, s: dominates([None], [s]),
+    ],
+    ids=["relation", "leq", "lt", "NestedSet.of", "strictly_increasing", "supremum", "dominates"],
+)
+def test_non_separation_first_is_an_ambient_error(p3, call):
+    """A non-separation in the first place is checked before its graph or
+    sort key is read."""
+    with pytest.raises(AmbientMismatchError):
+        call(p3, sep(p3, {"p00", "p01"}, {"p01", "p02"}))
 
 
 def test_orientations_are_built_once(p3):

@@ -6,6 +6,7 @@ import importlib
 import sys
 import time
 from itertools import combinations, combinations_with_replacement
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,16 +16,28 @@ from tangletree.cli import main
 from tangletree.errors import BudgetExceededError
 from tangletree.graph import Graph
 from tangletree.separations import Separation, enumerate_separations, leq
+from tangletree import tangles
 from tangletree.tangles import (
     PreTangle,
+    _Antichains,
     _consistency_witness,
+    _mask_encoder,
+    _maximal,
     check_pretangle,
     check_tangle,
     enumerate_tangles,
 )
 from tangletree.tree_of_tangles import build_tree_of_tangles
 from .conftest import clique_chain_graph, grid_graph, path_graph
-from .oracles import _consistent_brute, _covers_brute, all_tangles_brute, tangle_search_reference
+from .oracles import (
+    _consistent_brute,
+    _covers_brute,
+    all_tangles_brute,
+    consistency_witness_reference,
+    maximal_sides_reference,
+    tangle_search_reference,
+    witness_triple_reference,
+)
 
 # The oracles re-scan every triple at every search node, so their time grows
 # with the cube of the domain; this caps the separations one example gives them.
@@ -73,13 +86,184 @@ def _assert_search_visits(g: Graph, k: int, nodes: int) -> list:
 @given(g=connected_graphs(max_vertices=8), k=st.integers(1, 4))
 def test_search_matches_list_scan_search(g, k):
     """Without a consistency test, with the size cutoff of the covering scan
-    and with the bisected pool, the search must decide as the list-scan
-    search does at every node: the same tangles in the same order, in the
-    same node count."""
+    and with the pool kept by `_Antichains`, the search must decide as the
+    list-scan search does at every node: the same tangles in the same
+    order, in the same node count."""
     k = min(k, len(g.vertices) + 1)
     reference, nodes = tangle_search_reference(g, k)
     found = _assert_search_visits(g, k, nodes)
     assert [t._key for t in found] == [t._key for t in reference]
+
+
+@settings(max_examples=80)
+@given(g=connected_graphs(max_vertices=8), k=st.integers(1, 4), wide=st.sampled_from((0, 1)))
+def test_search_on_the_index_from_the_first_node_matches_list_scan_search(g, k, wide):
+    """With the width rule at 0, every antichain of the search is wide from
+    the first insert on, so each domination and covering test reads the
+    column index; at 1, lists of |V| members turn into the index part way
+    down. The search must still decide as the list-scan search does at
+    every node."""
+    k = min(k, len(g.vertices) + 1)
+    reference, nodes = tangle_search_reference(g, k)
+    with mock.patch.object(tangles, "_WIDE", wide):
+        found = _assert_search_visits(g, k, nodes)
+    assert [t._key for t in found] == [t._key for t in reference]
+
+
+def test_grid_search_switches_to_the_index_and_back(monkeypatch):
+    """At the default rule the 3x6 grid search at order 4 turns its
+    antichain into the index part way down, and backtracks above that depth
+    to the list again, more than once; it still takes exactly 2,486 nodes
+    and finds no tangle."""
+    kinds = []
+    insert = _Antichains.insert
+
+    def recording(self, chain, x):
+        kinds.append(type(chain))
+        return insert(self, chain, x)
+
+    monkeypatch.setattr(_Antichains, "insert", recording)
+    assert _assert_search_visits(grid_graph(3, 6), 4, 2486) == []
+    switches = [i for i in range(1, len(kinds)) if kinds[i - 1] is list and kinds[i] is tuple]
+    returns = [i for i in range(1, len(kinds)) if kinds[i - 1] is tuple and kinds[i] is list]
+    assert kinds[0] is list and len(switches) > 1 and len(returns) > 1
+
+
+@settings(max_examples=150)
+@given(g=connected_graphs(max_vertices=8), data=st.data())
+def test_antichain_forms_agree(g, data):
+    """Inserting one sequence of orientations, each of its own separation,
+    into a list that never widens and into one that widens at once, at
+    |V| / 4 members or at |V|: after each insert both report the same
+    domination, and both say alike whether the new member and two others
+    cover G. Small sides A are drawn more often, so that lists grow wide."""
+    seps = enumerate_separations(g, min(2, len(g.vertices)))
+    encode = _mask_encoder(g)
+    family = []
+    for i, (a, b) in enumerate(s.orient("b").masks for s in seps):
+        family += (encode(a, b, 2 * i), encode(b, a, 2 * i + 1))
+    small = [x if family[x][3] <= family[x ^ 1][3] else x ^ 1 for x in range(len(family))]
+    draws = st.tuples(st.sampled_from(range(len(family))), st.integers(0, 5))
+    picks = [small[x] ^ (r == 0) for x, r in data.draw(st.lists(draws, unique_by=lambda d: d[0] // 2))]
+    wide = data.draw(st.sampled_from((0, 0.25, 1)))
+    with mock.patch.object(tangles, "_WIDE", len(family) + 1):
+        narrow = _Antichains(g, family)
+    with mock.patch.object(tangles, "_WIDE", wide):
+        indexed = _Antichains(g, family)
+    chains = [[], []]
+    for x in picks:
+        grown = [narrow.insert(chains[0], x), indexed.insert(chains[1], x)]
+        assert (grown[0] is chains[0]) == (grown[1] is chains[1])
+        if grown[0] is not chains[0]:
+            assert narrow.closes(grown[0], x) == indexed.closes(grown[1], x)
+        chains = grown
+    assert type(chains[0]) is list
+
+
+def test_widened_antichain_keeps_its_largest_side():
+    """On the path p00-...-p06, the list [({p00..p05}, {p05, p06}),
+    ({p05, p06}, V)] turns into the index at 2 members. Their sides A cover
+    G, so the second member closes a covering triple with the first taken
+    twice; the size cutoff must read the largest |A| of the list, 6, not
+    its last, 2."""
+    g = path_graph(7)
+    big = Separation.from_json(g, {"a": [f"p0{i}" for i in range(6)], "b": ["p05", "p06"]})
+    small = Separation.from_json(g, {"a": ["p05", "p06"], "b": sorted(g.vertices)})
+    encode = _mask_encoder(g)
+    with mock.patch.object(tangles, "_WIDE", 2 / 7):
+        antichains = _Antichains(g, [encode(*big.masks, 0), encode(*small.masks, 1)])
+    chain = antichains.insert(antichains.insert([], 0), 1)
+    assert type(chain) is tuple
+    assert antichains.closes(chain, 1)
+
+
+def _orientation_sets(g: Graph, k: int, kind: str, draw) -> dict:
+    """Choices for every separation of order < k: a tangle, a tangle with one
+    member flipped, or toward a vertex (see `_toward_vertex`)."""
+    if kind == "toward a vertex":
+        v = draw(st.sampled_from(sorted(g.vertices)))
+        return _toward_vertex(g, enumerate_separations(g, k - 1), v, draw)
+    found = enumerate_tangles(g, k)
+    while not found:  # every connected graph has exactly one order-1 tangle
+        k -= 1
+        found = enumerate_tangles(g, k)
+    choices = dict(draw(st.sampled_from(found)).choices)
+    if kind == "flipped tangle":
+        flip = draw(st.sampled_from(sorted(choices, key=lambda s: s.sort_key)))
+        choices[flip] = "a" if choices[flip] == "b" else "b"
+    return choices
+
+
+@settings(max_examples=80)
+@given(
+    g=connected_graphs(max_vertices=8),
+    k=st.integers(1, 4),
+    kind=st.sampled_from(("tangle", "flipped tangle", "toward a vertex")),
+    wide=st.sampled_from((0, 4)),
+    data=st.data(),
+)
+def test_maximal_on_the_index_matches_linear_scan(g, k, kind, wide, data):
+    """`_maximal` keeps the same members in the same order as the linear
+    scan of its kept list, at width rule 0 (the index from the first
+    member) and 4, and `cover` names the first member, in that order, that
+    covers what each pair leaves out."""
+    k = min(k, len(g.vertices) + 1)
+    choices = _orientation_sets(g, k, kind, data.draw)
+    ordered = sorted((s.orient(t) for s, t in choices.items()), key=lambda o: -len(o.side_a))
+    encode = _mask_encoder(g)
+    family = [encode(*o.masks, x) for x, o in enumerate(ordered)]
+    with mock.patch.object(tangles, "_WIDE", wide):
+        antichains, chain = _maximal(g, family)
+    kept = antichains.members(chain)
+    assert kept == maximal_sides_reference(family)
+    for x, y in combinations_with_replacement(kept, 2):
+        first = next((z for z in kept if _covers_brute(g, (ordered[x[4]], ordered[y[4]], ordered[z[4]]))), None)
+        assert antichains.cover(chain, x, y) == first
+
+
+@settings(max_examples=80)
+@given(
+    g=connected_graphs(),
+    k=st.integers(1, 4),
+    kind=st.sampled_from(("flipped tangle", "toward a vertex")),
+    wide=st.sampled_from((0, 4)),
+    data=st.data(),
+)
+def test_witnesses_match_list_scans(g, k, kind, wide, data):
+    """The witness triple and pair of `check_tangle`, and the pair of
+    `check_pretangle`, are those of the list scans, with the index from
+    the first member or at the default width."""
+    k, _ = _order_and_domain(g, k)
+    p = PreTangle(g, k, _orientation_sets(g, k, kind, data.draw))
+    with mock.patch.object(tangles, "_WIDE", wide):
+        report = check_tangle(g, p)
+    assert report.witness_triple == witness_triple_reference(g, p)
+    pair = consistency_witness_reference(p.oriented_members())
+    assert report.pretangle.witness_pair == pair
+    assert check_pretangle(g, p).witness_pair == pair
+
+
+def test_flipped_clique_chain_tangle_witnesses():
+    """The order-3 tangle of the eight-K6 chain around its first clique
+    (1,926 members) with its middle member, in sort order, flipped: that
+    member becomes the co-small (V, {c2_3, c7_4}). It covers G three times
+    over, and with the member that points at the last clique from V minus
+    its inner vertices, it is the first inconsistent pair. Both witnesses
+    are those of the list scans."""
+    g = clique_chain_graph(8, 6)
+    choices = dict(enumerate_tangles(g, 3)[0].choices)
+    flip = sorted(choices, key=lambda s: s.sort_key)[len(choices) // 2]
+    choices[flip] = "a" if choices[flip] == "b" else "b"
+    p = PreTangle(g, 3, choices)
+    report = check_tangle(g, p)
+    flipped = flip.orient(choices[flip])
+    assert (flipped.side_a, flipped.side_b) == (g.vertices, frozenset({"c2_3", "c7_4"}))
+    assert report.witness_triple == (flipped, flipped, flipped)
+    x, y = report.pretangle.witness_pair
+    last = frozenset(f"c7_{i}" for i in range(1, 7))
+    assert x is flipped
+    assert (y.side_a, y.side_b) == (g.vertices - {"c7_2", "c7_3", "c7_5", "c7_6"}, last)
+    assert report.pretangle.witness_pair == consistency_witness_reference(p.oriented_members())
 
 
 @pytest.mark.parametrize(

@@ -175,6 +175,21 @@ def test_induce_chain_of_two_gives_path_of_three(scaled_chain):
     assert report.ok and report.induced_equal
 
 
+def test_verify_tree_decomposition_lets_a_bug_propagate(monkeypatch):
+    """Only a bad tree edge, whose bags across it are no separation, is a
+    computed failure; any other error in reading an edge propagates."""
+    g = path_graph(3)
+    nested = NestedSet.of(g, [make_separation(g, {"p00", "p01"}, {"p01", "p02"}).canonical()])
+    td = induce_tree_decomposition(g, nested)
+
+    def broken(*args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr("tangletree.tree_of_tangles._edge_induced_separation", broken)
+    with pytest.raises(KeyError):
+        verify_tree_decomposition(g, td, nested, [])
+
+
 def test_induce_rejects_improper_member():
     g = path_graph(3)
     improper = make_separation(g, set(), g.vertices).canonical()
