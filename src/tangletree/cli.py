@@ -222,8 +222,10 @@ def cmd_decompose(args) -> int:
     paths = _inputs(args, 2)
     g = _load(paths[0], _as_graph)
     members = _load(paths[1], lambda doc: [Separation.from_json(g, d).canonical() for d in doc["members"]])
-    crossing = first_crossing(members)
-    if crossing:
+    try:
+        nested = NestedSet.of(g, members)
+    except SequenceOrderError:  # name the first crossing pair in document order
+        crossing = first_crossing(members)
         doc = {
             "kind": "report",
             "check": "nestedness",
@@ -232,7 +234,6 @@ def cmd_decompose(args) -> int:
         }
         _emit_json(args, _stamp(doc, args))
         return 2
-    nested = NestedSet.of(g, members)
     td = induce_tree_decomposition(g, nested)
     report = verify_tree_decomposition(g, td, nested, [])
     if args.format == "dot":

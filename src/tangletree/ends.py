@@ -1,11 +1,12 @@
 """End machinery at truncation scale: combs, directions, ray packings.
 
 Directions are anchored to the generator-declared rays of a presentation.
-Two rays are window-equivalent at layer m when at least three pairwise
-vertex-disjoint paths join them in G_m (the threshold is a named parameter;
-one or two connections arise incidentally in every family). An equivalence
-class counts as a direction in the closure of a vertex set u when some ray
-of the class carries a comb with enough disjoint teeth in u.
+Two rays are window-equivalent at layer m when at least `_JOINING_PATHS`
+(three) pairwise vertex-disjoint paths join them in G_m; one or two
+connections arise incidentally in every family, and no caller needs another
+value. An equivalence class counts as a direction in the closure of a vertex
+set u when some ray of the class carries a comb with that many disjoint
+teeth in u, unless the caller asks for another tooth count.
 
 The thick-end pipeline stitches the finite shadows of the limit analysis
 together: growing limit-separator prefixes, a unique direction in their
@@ -32,6 +33,10 @@ from .separations import (
 )
 from .tangles import Orienter
 from .tree_of_tangles import classify_pairs
+
+# Disjoint paths that make two rays window-equivalent, and the default tooth
+# count of a comb admitting a direction.
+_JOINING_PATHS = 3
 
 
 @dataclass(frozen=True)
@@ -155,8 +160,9 @@ class DirectionsReport:
         return len(self.classes) == 1
 
 
-def ray_equivalence_classes(p, m: int, *, threshold: int = 3) -> tuple[Direction, ...]:
-    """Transitive closure of 'joined by >= threshold disjoint paths in G_m'."""
+def ray_equivalence_classes(p, m: int) -> tuple[Direction, ...]:
+    """Transitive closure of 'joined by >= `_JOINING_PATHS` disjoint paths
+    in G_m'."""
     g = p.graph_at(m)
     labels = sorted(p.rays_in_layer(m))
     parent = {lab: lab for lab in labels}
@@ -171,7 +177,7 @@ def ray_equivalence_classes(p, m: int, *, threshold: int = 3) -> tuple[Direction
         for b in labels[i + 1 :]:
             va = frozenset(p.ray_prefix(a, m))
             vb = frozenset(p.ray_prefix(b, m))
-            if len(disjoint_paths(g, va, vb)) >= threshold:
+            if len(disjoint_paths(g, va, vb)) >= _JOINING_PATHS:
                 ra, rb = find(a), find(b)
                 if ra != rb:
                     parent[max(ra, rb)] = min(ra, rb)
@@ -186,19 +192,17 @@ def directions_in_closure(
     m: int,
     u,
     *,
-    threshold: int = 3,
-    min_teeth: int | None = None,
+    min_teeth: int = _JOINING_PATHS,
 ) -> DirectionsReport:
-    """Equivalence classes whose rays admit combs with teeth in u."""
+    """Equivalence classes whose rays admit combs with `min_teeth` teeth in u."""
     g = p.graph_at(m)
     u = frozenset(u) & g.vertices
-    teeth = threshold if min_teeth is None else min_teeth
-    all_classes = ray_equivalence_classes(p, m, threshold=threshold)
+    all_classes = ray_equivalence_classes(p, m)
     admitted = []
     for cls in all_classes:
         for label in cls.rays:
             spine = p.ray_prefix(label, m)
-            if len(_teeth_paths(g, spine, u)) >= teeth:
+            if len(_teeth_paths(g, spine, u)) >= min_teeth:
                 admitted.append(cls)
                 break
     return DirectionsReport(classes=tuple(admitted), all_classes=all_classes)
@@ -260,17 +264,21 @@ def ray_packing(p, m: int, direction: Direction, base) -> RayPacking:
     territory = _direction_territory(p, m, direction, base)
     if not territory:
         raise PreconditionError("empty territory for this direction at this horizon")
-    targets = p.boundary(m) & (territory | base)
-    vertices = territory | base
+    paths = _paths_from_base(g, base, territory, p.boundary(m))
+    return RayPacking(base=base, paths=tuple(tuple(path) for path in paths))
+
+
+def _paths_from_base(g: Graph, base: frozenset[str], region: frozenset[str], targets) -> list:
+    """Maximum disjoint paths from base to targets in G[base | region] less
+    the edges inside base."""
+    vertices = region | base
     edges = [
         e
         for e in g.edges
         if e[0] in vertices and e[1] in vertices
         and not (e[0] in base and e[1] in base)
     ]
-    aux = Graph.from_data(vertices, edges)
-    paths = disjoint_paths(aux, base, targets)
-    return RayPacking(base=base, paths=tuple(tuple(path) for path in paths))
+    return disjoint_paths(Graph.from_data(vertices, edges), base, targets & vertices)
 
 
 @dataclass(frozen=True)
@@ -338,14 +346,22 @@ def _pool_efficiency(g, n: NestedSet, pool, boundary, *, budget) -> tuple[str, d
     return status, {"verified": verified, "window_limited": limited, "failed": failed}
 
 
+_STAGES = ("preconditions", "growth", "direction", "packing_growth", "beyond_limit")
+
+
+def _report(stages: list[StageReport]) -> PipelineReport:
+    """The pipeline report, with every stage not reached marked skipped."""
+    reached = {s.name for s in stages}
+    skipped = tuple(StageReport(name, "skipped", {}) for name in _STAGES if name not in reached)
+    return PipelineReport(tuple(stages) + skipped)
+
+
 def thick_end_pipeline(
     p,
     n: NestedSet,
     chains: dict,
     pool: list[Orienter],
     *,
-    lookback: int = 2,
-    threshold: int = 3,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> PipelineReport:
     """Four-stage evidence pipeline for a thick end beyond a window limit.
@@ -360,32 +376,29 @@ def thick_end_pipeline(
     g = p.graph_at(top)
     boundary = p.boundary(top)
 
-    def reject(name, **details):
-        stages.append(StageReport(name, "rejected", details))
-        for later in ("growth", "direction", "packing_growth", "beyond_limit"):
-            if later != name and all(s.name != later for s in stages):
-                stages.append(StageReport(later, "skipped", {}))
-        return PipelineReport(tuple(stages))
+    def reject(**details):
+        stages.append(StageReport("preconditions", "rejected", details))
+        return _report(stages)
 
     members = set(n.members)
     top_chain = chains[top]
     for item in top_chain:
         if item.canonical() not in members:
-            return reject("preconditions", reason="chain item outside the nested set")
+            return reject(reason="chain item outside the nested set")
         if not is_tight(g, item):
-            return reject("preconditions", reason=f"chain item of order {item.order} not tight")
+            return reject(reason=f"chain item of order {item.order} not tight")
     verdict = exhaustiveness_evidence(p, chains)
     if verdict.verdict != "non-exhaustive-witness":
-        return reject("preconditions", reason=f"exhaustiveness verdict: {verdict.verdict}")
+        return reject(reason=f"exhaustiveness verdict: {verdict.verdict}")
     eff_status, eff_details = _pool_efficiency(g, n, pool, boundary, budget=budget)
     if eff_status == "fail":
-        return reject("preconditions", reason="nested set misses pool pairs", **eff_details)
+        return reject(reason="nested set misses pool pairs", **eff_details)
     stages.append(
         StageReport("preconditions", "pass", {"verdict": verdict.verdict, **eff_details})
     )
 
     # stage 1: limit separator growth
-    table = limit_separator_growth(p, chains, lookback=lookback)
+    table = limit_separator_growth(p, chains)
     stages.append(
         StageReport(
             "growth",
@@ -394,14 +407,11 @@ def thick_end_pipeline(
         )
     )
     if stages[-1].status != "pass":
-        stages.append(StageReport("direction", "skipped", {}))
-        stages.append(StageReport("packing_growth", "skipped", {}))
-        stages.append(StageReport("beyond_limit", "skipped", {}))
-        return PipelineReport(tuple(stages))
+        return _report(stages)
 
     # stage 2: unique direction in the closure of the limit separator
-    u_top = limit_separator_prefix(chains[top], lookback=lookback)
-    report = directions_in_closure(p, top, u_top, threshold=threshold)
+    u_top = limit_separator_prefix(chains[top])
+    report = directions_in_closure(p, top, u_top)
     stages.append(
         StageReport(
             "direction",
@@ -413,29 +423,23 @@ def thick_end_pipeline(
         )
     )
     if not report.unique:
-        stages.append(StageReport("packing_growth", "skipped", {}))
-        stages.append(StageReport("beyond_limit", "skipped", {}))
-        return PipelineReport(tuple(stages))
+        return _report(stages)
     direction = report.classes[0]
 
     # stage 3: packing strictly increasing across the last three horizons
     horizons = [m for m in sorted(chains) if m >= top - 2]
     packs = []
     for m in horizons:
-        base_m = limit_separator_prefix(chains[m], lookback=lookback)
+        base_m = limit_separator_prefix(chains[m])
         packs.append((m, ray_packing(p, m, direction, base_m).size))
     growing = len(packs) >= 3 and all(a[1] < b[1] for a, b in zip(packs, packs[1:]))
-    # finite proxy for thickness: the packing reaches every k up to the
-    # largest value some horizon attains
-    reached = {size for _, size in packs}
-    thick_evidence = growing and all(
-        any(size >= k for _, size in packs) for k in range(1, max(reached) + 1)
-    )
+    # finite proxy for thickness: growing packings reach every size up to the
+    # largest one, which some horizon attains, so the proxy is the growth
     stages.append(
         StageReport(
             "packing_growth",
             "pass" if growing else "fail",
-            {"packings": packs, "thick_evidence": thick_evidence},
+            {"packings": packs, "thick_evidence": growing},
         )
     )
 
@@ -447,16 +451,8 @@ def thick_end_pipeline(
         stages.append(
             StageReport("beyond_limit", "fail", {"reason": "prefix not inside separator"})
         )
-        return PipelineReport(tuple(stages))
-    vertices = strict_b | z
-    edges = [
-        e
-        for e in g.edges
-        if e[0] in vertices and e[1] in vertices
-        and not (e[0] in z and e[1] in z)
-    ]
-    aux = Graph.from_data(vertices, edges)
-    paths = disjoint_paths(aux, z, boundary & vertices)
+        return _report(stages)
+    paths = _paths_from_base(g, z, strict_b, boundary)
     contained = all(set(path[1:]) <= strict_b for path in paths)
     status = "pass" if len(paths) == len(z) and contained and z else "fail"
     stages.append(

@@ -145,10 +145,9 @@ class LayeredPresentation:
             raise FamilyParameterError(f"layer {m} too small for a canonical chain")
         return SeparationSequence.strictly_increasing(items)
 
-    def canonical_layer_chains(self, up_to: int | None = None) -> dict[int, SeparationSequence]:
-        top = self.horizon if up_to is None else up_to
+    def canonical_layer_chains(self) -> dict[int, SeparationSequence]:
         chains: dict[int, SeparationSequence] = {}
-        for m in range(top + 1):
+        for m in range(self.horizon + 1):
             if len(self._chain_levels(m)) > 0:
                 chains[m] = self.canonical_chain(m)
         return chains

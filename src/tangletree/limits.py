@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import (
     IncoherentChainError,
@@ -37,6 +38,7 @@ from .separations import (
     NestedSet,
     Separation,
     SeparationSequence,
+    _stable_from,
     is_tight,
     leq,
     lt,
@@ -62,46 +64,23 @@ class LimitRelationReport:
         return getattr(self, kind)
 
 
-def _stable_from(items, predicate) -> int | None:
-    """Least I such that predicate holds for every index >= I, or None."""
-    idx = None
-    for i in range(len(items) - 1, -1, -1):
-        if predicate(items[i]):
-            idx = i
-        else:
-            break
-    return idx
-
-
 def classify_vs_limit(seq: SeparationSequence, cd: Separation) -> LimitRelationReport:
     """Relation report of the finite-order separation cd against the window
     supremum of a strictly increasing sequence."""
     sup = supremum(seq)
-    holds = {
-        "below": leq(cd, sup),
-        "reverse_below": leq(cd.reverse(), sup),
-        "above": leq(sup, cd),
-        "cross": relation(cd.canonical(), sup.canonical()).cross,
-    }
     rev = cd.reverse()
-    below = _stable_from(seq.items, lambda it: leq(cd, it)) if holds["below"] else None
-    reverse_below = (
-        _stable_from(seq.items, lambda it: leq(rev, it)) if holds["reverse_below"] else None
-    )
-    above = _stable_from(seq.items, lambda it: leq(it, cd)) if holds["above"] else None
-    cross = (
-        _stable_from(seq.items, lambda it: relation(cd.canonical(), it.canonical()).cross)
-        if holds["cross"]
-        else None
-    )
-    return LimitRelationReport(
-        supremum=sup,
-        below=below,
-        reverse_below=reverse_below,
-        above=above,
-        cross=cross,
-        holds=holds,
-    )
+    tests = {
+        "below": lambda it: leq(cd, it),
+        "reverse_below": lambda it: leq(rev, it),
+        "above": lambda it: leq(it, cd),
+        "cross": lambda it: relation(cd.canonical(), it.canonical()).cross,
+    }
+    holds = {kind: test(sup) for kind, test in tests.items()}
+    stable = {
+        kind: _stable_from(seq.items, test) if holds[kind] else None
+        for kind, test in tests.items()
+    }
+    return LimitRelationReport(supremum=sup, holds=holds, **stable)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,50 +127,10 @@ def check_interlaced_pair(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> InterlacingReport:
     """Verify IM1 pointwise and IM2 for every index pair i < j."""
-    seq = ip.sequence
-    tangles = ip.tangles
-    im1_witness = None
-    for i, item in enumerate(seq):
-        sep = item.canonical()
-        try:
-            if tangles[i].orient(sep) != item.reverse():
-                im1_witness = (i, "reverse not in P_i")
-                break
-            if tangles[i + 1].orient(sep) != item:
-                im1_witness = (i, "forward not in P_{i+1}")
-                break
-        except OrientationUndecidableError as exc:
-            im1_witness = (i, str(exc))
-            break
+    im1_witness = _im1_witness(ip.sequence, ip.tangles)
     im2_witness = None
     if im1_witness is None:
-        for i in range(len(tangles)):
-            for j in range(i + 1, len(tangles)):
-                window = seq.items[i:j]
-                if not window:
-                    continue
-                minimal = min(it.order for it in window)
-                t_star = min_distinguishing_order(
-                    g, tangles[i], tangles[j], budget=budget
-                )
-                for item in window:
-                    if item.order != minimal:
-                        continue
-                    sep = item.canonical()
-                    try:
-                        if not distinguishes(sep, tangles[i], tangles[j]):
-                            im2_witness = (i, j, sep, "does not distinguish")
-                            break
-                    except OrientationUndecidableError as exc:
-                        im2_witness = (i, j, sep, str(exc))
-                        break
-                    if t_star != minimal:
-                        im2_witness = (i, j, sep, f"minimum order is {t_star}")
-                        break
-                if im2_witness:
-                    break
-            if im2_witness:
-                break
+        im2_witness = _im2_witness(g, ip.sequence, ip.tangles, budget=budget)
     return InterlacingReport(
         im1_ok=im1_witness is None,
         im2_ok=im1_witness is None and im2_witness is None,
@@ -200,10 +139,53 @@ def check_interlaced_pair(
     )
 
 
+def _im1_witness(seq, tangles) -> tuple | None:
+    """First index i where P_i misses reverse(s_i) or P_{i+1} misses s_i."""
+    for i, item in enumerate(seq):
+        sep = item.canonical()
+        try:
+            if tangles[i].orient(sep) != item.reverse():
+                return (i, "reverse not in P_i")
+            if tangles[i + 1].orient(sep) != item:
+                return (i, "forward not in P_{i+1}")
+        except OrientationUndecidableError as exc:
+            return (i, str(exc))
+    return None
+
+
+def _im2_witness(g, seq, tangles, *, budget) -> tuple | None:
+    """First (i, j, sep, reason) where a minimal-order item among s_i ..
+    s_{j-1} fails to efficiently distinguish P_i and P_j."""
+    for i, j in combinations(range(len(tangles)), 2):
+        window = seq.items[i:j]
+        minimal = min(it.order for it in window)
+        t_star = min_distinguishing_order(g, tangles[i], tangles[j], budget=budget)
+        for item in window:
+            if item.order != minimal:
+                continue
+            sep = item.canonical()
+            try:
+                if not distinguishes(sep, tangles[i], tangles[j]):
+                    return (i, j, sep, "does not distinguish")
+            except OrientationUndecidableError as exc:
+                return (i, j, sep, str(exc))
+            if t_star != minimal:
+                return (i, j, sep, f"minimum order is {t_star}")
+    return None
+
+
 @dataclass(frozen=True)
 class StrongRelevanceReport:
     witnessed: bool
     witness: tuple | None  # (O, P, Q)
+
+
+def _holds(t: Orienter, item: Separation) -> bool:
+    """True when item's order lies below t's order bound and t orients
+    item's separation as item. Pool members that cannot orient it do not
+    hold it."""
+    sep = item.canonical()
+    return t.order_bound > item.order and t.orients(sep) and t.orient(sep) == item
 
 
 def _efficiently_distinguishes(g, sep, p, q, *, budget) -> bool:
@@ -220,39 +202,34 @@ def check_strongly_relevant(
 ) -> StrongRelevanceReport:
     """Witness (O, P, Q) from the pool: s efficiently distinguishes O and P
     with s in P, and t efficiently distinguishes P and Q with reverse(t)
-    in P."""
+    in P. P is the first pool member in sort order that admits both
+    partners; O and Q are the first partners of P."""
     if not lt(s, t):
         raise PreconditionError("strong relevance needs s strictly below t")
     s_sep, t_sep = s.canonical(), t.canonical()
     ordered = sorted(pool, key=lambda x: x.sort_key)
     for p in ordered:
-        if p.order_bound <= max(s.order, t.order):
+        if not (_holds(p, s) and _holds(p, t.reverse())):
             continue
-        if p.orient(s_sep) != s or p.orient(t_sep) != t.reverse():
+        o = next((x for x in ordered if _efficiently_distinguishes(g, s_sep, x, p, budget=budget)), None)
+        if o is None:
             continue
-        for o in ordered:
-            if o is p or not _efficiently_distinguishes(g, s_sep, o, p, budget=budget):
-                continue
-            for q in ordered:
-                if q is p or not _efficiently_distinguishes(g, t_sep, p, q, budget=budget):
-                    continue
-                if q.orient(t_sep) != t:
-                    continue
-                return StrongRelevanceReport(True, (o, p, q))
+        q = next((x for x in ordered if _efficiently_distinguishes(g, t_sep, p, x, budget=budget)), None)
+        if q is not None:
+            return StrongRelevanceReport(True, (o, p, q))
     return StrongRelevanceReport(False, None)
 
 
-def _relevance_partner(g, sep, oriented, pool, *, budget):
-    """Lexicographically least (P, Q) with sep efficiently distinguishing
-    them and `oriented` in Q; None when sep is not pool-relevant."""
+def _relevance_partner(g, item, pool, *, budget):
+    """Lexicographically least (P, Q) with item's separation efficiently
+    distinguishing them and item in Q; None when item is not pool-relevant."""
+    sep = item.canonical()
     ordered = sorted(pool, key=lambda x: x.sort_key)
     for p in ordered:
-        if p.order_bound <= sep.order or p.orient(sep) != oriented.reverse():
+        if not _holds(p, item.reverse()):
             continue
         for q in ordered:
-            if q.order_bound <= sep.order or q.orient(sep) != oriented:
-                continue
-            if _efficiently_distinguishes(g, sep, p, q, budget=budget):
+            if _holds(q, item) and _efficiently_distinguishes(g, sep, p, q, budget=budget):
                 return (p, q)
     return None
 
@@ -282,7 +259,7 @@ def construct_interlaced(
         raise PreconditionError("item orders must be strictly increasing")
     partners = []
     for item in seq:
-        pq = _relevance_partner(g, item.canonical(), item, pool, budget=budget)
+        pq = _relevance_partner(g, item, pool, budget=budget)
         if pq is None:
             raise PreconditionError(f"item {item!r} is not pool-relevant")
         partners.append(pq)
@@ -324,71 +301,22 @@ def construct_interlaced(
 
 
 def _assign_tangles(g, seq, pool, *, budget):
-    """Middle tangles come from the strong-relevance witnesses of consecutive
-    pairs: slot i+1 holds the items' orientations (s_i forward, s_{i+1}
-    reverse) and admits efficient partners across both; the end slots pair
-    off against their chosen neighbours."""
-    ordered = sorted(pool, key=lambda x: x.sort_key)
-
-    def holds(t, item, forward: bool) -> bool:
-        sep = item.canonical()
-        if t.order_bound <= item.order or not t.orients(sep):
-            return False
-        return t.orient(sep) == (item if forward else item.reverse())
-
-    def partner_exists(t, item, left: bool) -> bool:
-        return any(
-            x is not t
-            and _efficiently_distinguishes(
-                g, item.canonical(), (x if left else t), (t if left else x), budget=budget
-            )
-            for x in ordered
-        )
-
-    slots: list = [None] * (len(seq) + 1)
-    for i in range(len(seq) - 1):
-        cur, nxt = seq[i], seq[i + 1]
-        for cand in ordered:
-            if not (holds(cand, cur, True) and holds(cand, nxt, False)):
-                continue
-            if not partner_exists(cand, cur, left=True):
-                continue
-            if not partner_exists(cand, nxt, left=False):
-                continue
-            slots[i + 1] = cand
-            break
-        if slots[i + 1] is None:
-            raise InternalCheckError(f"no tangle assignment for slot {i + 1}")
-    first = seq[0]
-    last = seq[len(seq) - 1]
+    """The pre-tangles of an interlaced pair, from the pool. One item takes
+    its relevance pair. Otherwise slot i+1 is the P of the strong-relevance
+    witness (O, P, Q) of items i and i+1, the first slot is the first
+    witness's O and the last slot the last witness's Q."""
     if len(seq) == 1:
-        for o in ordered:
-            if not holds(o, first, False):
-                continue
-            for q in ordered:
-                if q is not o and holds(q, first, True) and _efficiently_distinguishes(
-                    g, first.canonical(), o, q, budget=budget
-                ):
-                    slots[0], slots[1] = o, q
-                    break
-            if slots[0] is not None:
-                break
-    else:
-        for o in ordered:
-            if holds(o, first, False) and _efficiently_distinguishes(
-                g, first.canonical(), o, slots[1], budget=budget
-            ):
-                slots[0] = o
-                break
-        for q in ordered:
-            if holds(q, last, True) and _efficiently_distinguishes(
-                g, last.canonical(), slots[len(seq) - 1], q, budget=budget
-            ):
-                slots[len(seq)] = q
-                break
-    if any(s is None for s in slots):
-        raise InternalCheckError("tangle assignment incomplete")
-    return slots
+        pq = _relevance_partner(g, seq[0], pool, budget=budget)
+        if pq is None:
+            raise InternalCheckError("tangle assignment incomplete")
+        return list(pq)
+    witnesses = []
+    for i in range(len(seq) - 1):
+        report = check_strongly_relevant(g, seq[i], seq[i + 1], pool, budget=budget)
+        if not report.witnessed:
+            raise InternalCheckError(f"no tangle assignment for slot {i + 1}")
+        witnesses.append(report.witness)
+    return [witnesses[0][0], *(p for _, p, _ in witnesses), witnesses[-1][2]]
 
 
 @dataclass(frozen=True)
@@ -442,14 +370,14 @@ def pseudo_tight_check(
     seq: SeparationSequence,
     *,
     boundary: frozenset[str] = frozenset(),
-    threshold: int | None = None,
 ) -> PseudoTightReport:
     """Window rendering of the pseudo-tight limit property.
 
     Every interior vertex of the supremum's separator must have a neighbour
-    in B - A that lies, for at least `threshold` window indices, in a tight
-    component on the B side. Vertices too close to the window boundary are
-    reported as interference, not failures.
+    in B - A that lies, for at least half the window indices (rounded up,
+    the report's `threshold`), in a tight component on the B side. Vertices
+    too close to the window boundary are reported as interference, not
+    failures.
     """
     g = g_window
     for item in seq:
@@ -459,8 +387,7 @@ def pseudo_tight_check(
     strict_b = sup.side_b - sup.side_a
     if not strict_b:
         raise PreconditionError("supremum has empty strict B side in this window")
-    if threshold is None:
-        threshold = math.ceil(len(seq) / 2)
+    threshold = math.ceil(len(seq) / 2)
     tight_b_side: list[list[frozenset[str]]] = []
     for item in seq:
         strict = item.side_b - item.side_a
@@ -529,17 +456,17 @@ def check_chain_coherence(p, chains: dict) -> None:
                 )
 
 
-def exhaustiveness_evidence(
-    p,
-    chains: dict,
-    *,
-    stability_span: int = 3,
-) -> ExhaustivenessVerdict:
+# Successive horizons over which the strict B-side trace must stay fixed to
+# witness non-exhaustion.
+_STABILITY_SPAN = 3
+
+
+def exhaustiveness_evidence(p, chains: dict) -> ExhaustivenessVerdict:
     """Finite-horizon verdict on whether the chain is exhausting the graph.
 
     Bounded orders of an all-tight chain are evidence of exhaustion; the
     strict-side of the supremum stabilizing to a fixed non-empty trace in the
-    reference window across `stability_span` successive horizons witnesses
+    reference window across `_STABILITY_SPAN` successive horizons witnesses
     the opposite. Anything else, including conflicting signals, is
     inconclusive. All verdicts are finite-horizon evidence, not proof.
     """
@@ -568,9 +495,9 @@ def exhaustiveness_evidence(
     for m in layers:
         sup = supremum(chains[m])
         traces.append(frozenset((sup.side_b - sup.side_a) & ref_vertices))
-    tail = traces[-stability_span:]
+    tail = traces[-_STABILITY_SPAN:]
     stable_nonempty = (
-        len(traces) >= stability_span
+        len(traces) >= _STABILITY_SPAN
         and all(t == tail[0] for t in tail)
         and bool(tail[0])
     )
@@ -593,12 +520,16 @@ def exhaustiveness_evidence(
     )
 
 
-def limit_separator_prefix(seq: SeparationSequence, *, lookback: int = 2) -> frozenset[str]:
+# Trailing items whose separators the window limit separator intersects.
+_LOOKBACK = 2
+
+
+def limit_separator_prefix(seq: SeparationSequence) -> frozenset[str]:
     """Window rendering of the limit separator: vertices staying in the
-    separator through the last `lookback` items (membership in A and B is
+    separator through the last `_LOOKBACK` items (membership in A and B is
     monotone along the sequence, so the limit separator is exactly the set
     of vertices eventually always in the separators)."""
-    items = seq.items[-lookback:]
+    items = seq.items[-_LOOKBACK:]
     prefix = items[0].separator
     for item in items[1:]:
         prefix = prefix & item.separator
@@ -631,12 +562,7 @@ class GrowthTable:
         }
 
 
-def limit_separator_growth(
-    p,
-    chains: dict,
-    *,
-    lookback: int = 2,
-) -> GrowthTable:
+def limit_separator_growth(p, chains: dict) -> GrowthTable:
     """Per-horizon size of the window limit separator for a non-exhaustive
     chain; flags unbounded-evidence when strictly increasing across the last
     three horizons."""
@@ -648,9 +574,9 @@ def limit_separator_growth(
     rows = []
     prefixes = {}
     for m in sorted(chains):
-        if len(chains[m]) < lookback:
+        if len(chains[m]) < _LOOKBACK:
             continue  # window too short for the liminf proxy
-        prefix = limit_separator_prefix(chains[m], lookback=lookback)
+        prefix = limit_separator_prefix(chains[m])
         prefixes[m] = prefix
         rows.append((m, len(prefix)))
     sizes = [s for _, s in rows]

@@ -442,6 +442,17 @@ class PushingReport:
     in_strict_side: frozenset[str]
 
 
+def _stable_from(items, predicate) -> int | None:
+    """Least I such that predicate holds for every index >= I, or None."""
+    idx = None
+    for i in range(len(items) - 1, -1, -1):
+        if predicate(items[i]):
+            idx = i
+        else:
+            break
+    return idx
+
+
 def pushing_index(seq: SeparationSequence, x: Iterable[str]) -> PushingReport:
     """Least I with x & (A & B) and x & (A - B) stable from I on.
 
@@ -457,13 +468,10 @@ def pushing_index(seq: SeparationSequence, x: Iterable[str]) -> PushingReport:
         )
     want_sep = x & sup.separator
     want_strict = x & (sup.side_a - sup.side_b)
-    index = None
-    for i in range(len(seq) - 1, -1, -1):
-        it = seq[i]
-        if x & it.separator == want_sep and x & (it.side_a - it.side_b) == want_strict:
-            index = i
-        else:
-            break
+    index = _stable_from(
+        seq.items,
+        lambda it: x & it.separator == want_sep and x & (it.side_a - it.side_b) == want_strict,
+    )
     if index is None:
         raise SequenceOrderError("window exhausted: no stable index in this window")
     return PushingReport(index, want_sep, want_strict)

@@ -154,17 +154,11 @@ class TreeOfTanglesReport:
     crossing_witness: tuple | None
 
     @property
-    def window_limited(self) -> list:
-        out = [m for m, status in self.relevance.items() if status == "window_limited"]
-        out += [p for p, status in self.efficiency.items() if status == "window_limited"]
-        return out
-
-    @property
     def ok(self) -> bool:
         return (
             self.nested_ok
-            and all(s in ("relevant", "window_limited") for s in self.relevance.values())
-            and all(s in ("efficient", "window_limited") for s in self.efficiency.values())
+            and all(s == "relevant" for s in self.relevance.values())
+            and all(s == "efficient" for s in self.efficiency.values())
         )
 
 
@@ -225,28 +219,20 @@ def verify_tree_of_tangles(
     n: NestedSet,
     tangles: list[Orienter],
     *,
-    boundary: frozenset[str] = frozenset(),
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> TreeOfTanglesReport:
     """Nestedness, relevance of every member, efficiency for every pair.
 
-    With a non-empty `boundary`, clique-witness deficits attributable to the
-    window edge are reported as "window_limited" instead of failing; the
-    infinite-object claim they stand in for is not finitely checkable. A
-    member is relevant when it distinguishes some pair efficiently, and
-    window-limited when it distinguishes a window-limited pair.
+    A member is "relevant" when it distinguishes some pair efficiently and
+    "irrelevant" otherwise; each distinguishable pair is "efficient" or
+    "missed" as `classify_pairs` finds it without a window boundary.
     """
     ms = list(n)
-    verdicts = classify_pairs(g, ms, tangles, boundary=boundary, budget=budget)
+    verdicts = classify_pairs(g, ms, tangles, budget=budget)
     relevance: dict = {}
     for m in ms:
-        hit = [v for v in verdicts if m in v.hits]
-        if any(m.order == v.order for v in hit):
-            relevance[m] = "relevant"
-        elif any(v.status == "window_limited" for v in hit):
-            relevance[m] = "window_limited"
-        else:
-            relevance[m] = "irrelevant"
+        hit = any(m in v.hits and m.order == v.order for v in verdicts)
+        relevance[m] = "relevant" if hit else "irrelevant"
     crossing = first_crossing(ms)
     return TreeOfTanglesReport(
         nested_ok=crossing is None,

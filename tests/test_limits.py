@@ -24,7 +24,7 @@ from tangletree.separations import (
     relation,
     supremum,
 )
-from tangletree.tangles import clique_witness
+from tangletree.tangles import PreTangle, clique_witness
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +198,21 @@ def test_strong_relevance_without_middle_tangle(chain_setup):
         g, chain.items[0], chain.items[1], [pool[0], pool[3]]
     )
     assert not report.witnessed
+
+
+def test_pool_members_orienting_nothing_are_skipped(chain_setup):
+    """A pre-tangle with no choices sorts first in the pool and orients no
+    item; the witnesses are those of the pool without it."""
+    g, chain, nested, pool = chain_setup
+    blank = PreTangle(g, 6, {})
+    assert sorted([*pool, blank], key=lambda x: x.sort_key)[0] is blank
+    with_blank = check_strongly_relevant(g, chain[0], chain[1], [blank, *pool])
+    alone = check_strongly_relevant(g, chain[0], chain[1], pool)
+    assert alone.witnessed
+    assert with_blank.witnessed and all(a is b for a, b in zip(with_blank.witness, alone.witness))
+    seq = SeparationSequence.strictly_increasing(chain.items[:3])
+    pair = construct_interlaced(g, nested, seq, [blank, *pool])
+    assert pair.to_json() == construct_interlaced(g, nested, seq, pool).to_json()
 
 
 def test_strong_relevance_requires_strict_order():

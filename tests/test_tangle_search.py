@@ -266,6 +266,22 @@ def test_flipped_clique_chain_tangle_witnesses():
     assert report.pretangle.witness_pair == consistency_witness_reference(p.oriented_members())
 
 
+def test_maximal_pair_check_reads_both_sides():
+    """On the star with centre v0 and leaves v1, v2, v3, the members
+    ({v0,v2,v3}, {v0,v1}) and ({v0,v1,v2}, {v0,v3}) are inconsistent and
+    both <=-maximal, though (V, {v1,v3}) holds both sides A. A domination
+    test on sides A alone would hide the pair behind that member."""
+    g = Graph.from_data(["v0", "v1", "v2", "v3"], [("v0", "v1"), ("v0", "v2"), ("v0", "v3")])
+    x = Separation(g, frozenset({"v0", "v2", "v3"}), frozenset({"v0", "v1"}))
+    y = Separation(g, frozenset({"v0", "v1", "v2"}), frozenset({"v0", "v3"}))
+    top = Separation(g, g.vertices, frozenset({"v1", "v3"}))
+    p = PreTangle(g, 3, {s.canonical(): "b" if s.canonical() is s else "a" for s in (x, y, top)})
+    assert tangles._maximal_pair_inconsistent(p.oriented_members())
+    report = check_pretangle(g, p)
+    assert not report.consistent
+    assert report.witness_pair == (x, y) == consistency_witness_reference(p.oriented_members())
+
+
 @pytest.mark.parametrize(
     "g",
     [

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and every private
+module-level name is read somewhere in the package and defined only once."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 
 import tangletree
 
-MODULES = sorted(p for p in Path(tangletree.__file__).parent.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(Path(tangletree.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _annotation_names(node: ast.AST):
@@ -44,3 +46,78 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _private_definitions(node: ast.stmt) -> list[str]:
+    """The private (single-underscore) names a module-level statement binds
+    by def, class or assignment."""
+    if isinstance(node, ast.FunctionDef | ast.ClassDef):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _dead_helpers(modules: dict[str, ast.Module]) -> list[str]:
+    """`module.name` for each private module-level name that nothing else in
+    the package reads. A name counts as read when another statement of its
+    module reads it and the module does not also import that name (the
+    import would then be what those reads mean), or when another module
+    imports it from there."""
+    imported: set[tuple[str, str]] = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                imported.update((node.module, a.name) for a in node.names)
+    dead = []
+    for module, tree in modules.items():
+        own_imports = {
+            a.asname or a.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for a in node.names
+        }
+        reads = [
+            {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {name for n in ast.walk(stmt) if isinstance(n, ast.arg) for name in _annotation_names(n.annotation)}
+            for stmt in tree.body
+        ]
+        for i, stmt in enumerate(tree.body):
+            for name in _private_definitions(stmt):
+                read_here = name not in own_imports and any(name in r for j, r in enumerate(reads) if j != i)
+                if not read_here and (module, name) not in imported:
+                    dead.append(f"{module}.{name}")
+    return sorted(dead)
+
+
+def _copied_helpers(modules: dict[str, ast.Module]) -> list[str]:
+    """Private module-level names defined in more than one module."""
+    seen: dict[str, list[str]] = {}
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            for name in _private_definitions(stmt):
+                seen.setdefault(name, []).append(module)
+    return sorted(name for name, where in seen.items() if len(set(where)) > 1)
+
+
+def test_checker_finds_dead_and_copied_helpers():
+    modules = {
+        "a": ast.parse(
+            "def _used(): pass\ndef _dead(): pass\ndef _rec(): return _rec()\n"
+            "def _lent(): pass\n_K = 1\ndef f():\n    return _used() + _K\n"
+        ),
+        "b": ast.parse("from .a import _lent\ndef _stable(): pass\ndef g():\n    return _lent(_stable)\n"),
+        "c": ast.parse("from .b import _stable\ndef _stable(): pass\ndef h():\n    return _stable()\n"),
+    }
+    assert _dead_helpers(modules) == ["a._dead", "a._rec", "c._stable"]
+    assert _copied_helpers(modules) == ["_stable"]
+
+
+def test_package_has_no_dead_or_copied_helper():
+    modules = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
+    assert _dead_helpers(modules) == []
+    assert _copied_helpers(modules) == []
