@@ -509,7 +509,7 @@ def thin_end_bound(
                 oriented = sep.orient("b")
             else:
                 continue
-            if len(components(g.induced(oriented.side_b))) != 1:
+            if len(components(g, g.vertices - oriented.side_b)) != 1:
                 continue
             candidates.append(oriented)
         finals = [c for c in candidates if c.side_b <= fringe]

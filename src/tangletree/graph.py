@@ -13,7 +13,10 @@ both `disjoint_paths` and `minimum_separator`. It works on integer node ids
 whose order is the sorted order of the split vertices, so its breadth-first
 scans, and with them the emitted paths and the leftmost cut, follow from
 that order alone; tests pin it to a tuple-keyed reference network. Each
-graph memoizes the (paths, cut) of every terminal pair it has solved.
+graph memoizes the (paths, cut) of every terminal pair it has solved. In
+the same order, vertex sets are int bitmasks (`Graph.mask`); one flood fill,
+`_flood`, finds the components of G - S as masks for `components`,
+`Graph.is_connected` and separation enumeration.
 """
 
 from __future__ import annotations
@@ -22,13 +25,10 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable
 
-from .errors import (
-    CrossingEdgeError,
-    GraphFormatError,
-    UnknownVertexError,
-)
+from .errors import GraphFormatError, UnknownVertexError
 
 Vertex = str
 Edge = tuple[str, str]
@@ -92,14 +92,15 @@ class Graph:
         return {v: frozenset(ns) for v, ns in adj.items()}
 
     @cached_property
-    def _vertex_index(self) -> tuple[list[str], dict[str, int], list[list[int]]]:
+    def _vertex_index(self) -> tuple[list[str], dict[str, int], list[list[int]], list[int]]:
         """Sorted vertex names, their indices, and each vertex's closed
-        neighbourhood as sorted indices: the one vertex order that `_solve`
-        and the bitmask sides of separations share."""
+        neighbourhood as sorted indices and as a mask: the one vertex order
+        that `_solve`, `_flood` and the bitmask sides of separations share."""
         names = sorted(self.vertices)
         index = {v: i for i, v in enumerate(names)}
         closed = [sorted([i] + [index[u] for u in self.adjacency[v]]) for i, v in enumerate(names)]
-        return names, index, closed
+        bits = [1 << i for i in range(len(names))]
+        return names, index, closed, [sum(map(bits.__getitem__, c)) for c in closed]
 
     @cached_property
     def _flow_memo(self) -> dict:
@@ -107,11 +108,15 @@ class Graph:
         return {}
 
     def mask(self, vs: Iterable[str]) -> int:
-        """vs as an int with bit i set for the i-th vertex in sorted order."""
+        """vs as an int with bit i set for the i-th vertex in sorted order.
+        A vertex not in the graph raises UnknownVertexError."""
         index = self._vertex_index[1]
         mask = 0
-        for v in vs:
-            mask |= 1 << index[v]
+        try:
+            for v in vs:
+                mask |= 1 << index[v]
+        except KeyError as exc:
+            raise UnknownVertexError(min({exc.args[0], *vs}.difference(index))) from None
         return mask
 
     def neighbors(self, v: str) -> frozenset[str]:
@@ -144,10 +149,7 @@ class Graph:
         return frozenset(e for e in self.edges if e[0] in vs and e[1] in vs)
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        comps = components(self)
-        return len(comps) == 1
+        return len(_flood(self, 0)) == 1
 
     # -- document format: {"vertices": [...], "edges": [[a, b], ...]} --
 
@@ -211,36 +213,46 @@ def load_graph(text: str) -> Graph:
     return Graph(frozenset(vset), frozenset(edges))
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _select(items: list, mask: int):
+    """The items at the set bits of mask, lowest first: the binary digits of
+    mask, reversed, select them."""
+    return compress(items, bin(mask)[:1:-1].encode().translate(_BIT_FLAGS))
+
+
+def _flood(g: Graph, removed: int) -> list[int]:
+    """Components of g - removed as masks, lowest bit (minimal vertex) first.
+    Each round grows a component by the neighbourhoods of its newest vertices."""
+    closed = g._vertex_index[3]
+    todo = ((1 << len(closed)) - 1) & ~removed
+    comps = []
+    while todo:
+        comp = frontier = todo & -todo
+        todo ^= comp
+        while frontier:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= closed[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & todo
+            todo ^= frontier
+            comp |= frontier
+        comps.append(comp)
+    return comps
+
+
 def components(g: Graph, removed: Iterable[str] = ()) -> list[frozenset[str]]:
     """Connected components of g - removed, sorted by minimal vertex."""
-    removed = frozenset(removed)
-    unknown = removed - g.vertices
-    if unknown:
-        raise UnknownVertexError(min(unknown))
-    todo = set(g.vertices) - removed
-    adj = g.adjacency
-    comps: list[frozenset[str]] = []
-    while todo:
-        seed = min(todo)
-        comp = {seed}
-        frontier = {seed}
-        while frontier:
-            grown: set[str] = set()
-            for v in frontier:
-                grown |= adj[v]
-            frontier = grown - comp - removed
-            comp |= frontier
-        comps.append(frozenset(comp))
-        todo -= comp
-    return comps
+    names = g._vertex_index[0]
+    return [frozenset(_select(names, c)) for c in _flood(g, g.mask(removed))]
 
 
 def tight_components(g: Graph, x: Iterable[str]) -> list[frozenset[str]]:
     """Components K of g - x with N_G(K) exactly equal to x."""
     x = frozenset(x)
-    unknown = x - g.vertices
-    if unknown:
-        raise UnknownVertexError(min(unknown))
     return [k for k in components(g, x) if g.neighbourhood(k) == x]
 
 
@@ -280,7 +292,7 @@ def _solve(g: Graph, s: frozenset[str], t: frozenset[str]):
     hit = memo.get((s, t))
     if hit is not None:
         return hit
-    names, index, closed = g._vertex_index
+    names, index, closed, _ = g._vertex_index
     n = len(names)
     snk = 2 * n
     src = snk + 1
@@ -387,9 +399,3 @@ def crossing_edge(g: Graph, side_a: frozenset[str], side_b: frozenset[str]) -> E
         if hit:
             return _edge(v, min(hit))
     return None
-
-
-def check_no_crossing(g: Graph, side_a: frozenset[str], side_b: frozenset[str]) -> None:
-    e = crossing_edge(g, side_a, side_b)
-    if e is not None:
-        raise CrossingEdgeError(e)

@@ -12,9 +12,10 @@ separation {A, B} is its canonical orientation, the one of (A, B) and
 (B, A) with the smaller `sort_key`. The public constructor validates the
 sides once; `reverse()` builds (B, A) on first call without checking it
 again, since it is a separation exactly when (A, B) is, and links the two.
-Each object caches its sort key and its sides as int bitmasks, on which
-`leq`, the corner test and `relation` run. Sides are frozensets of vertex
-names in the API and JSON.
+Enumeration builds each separation from its two masks, checked once on
+them, with its caches filled. Each object caches its sort key and its
+sides as int bitmasks, on which `leq`, the corner test and `relation` run.
+Sides are frozensets of vertex names in the API and JSON.
 
 Sequences ordered by <= have a supremum (union of the left sides,
 intersection of the right sides), which is again a separation; domination
@@ -36,6 +37,7 @@ from .errors import (
     AmbientMismatchError,
     BudgetExceededError,
     CoverError,
+    CrossingEdgeError,
     DisconnectedGraphError,
     EmptyGraphError,
     GraphFormatError,
@@ -44,7 +46,7 @@ from .errors import (
     SequenceOrderError,
     UnknownVertexError,
 )
-from .graph import Graph, check_no_crossing, components, tight_components
+from .graph import Graph, _flood, _select, crossing_edge, tight_components
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
@@ -69,7 +71,9 @@ class Separation:
             if extra:
                 raise UnknownVertexError(min(extra))
             raise CoverError(f"sides do not cover V(G); missing {sorted(missing)[:5]}")
-        check_no_crossing(g, self.side_a, self.side_b)
+        edge = crossing_edge(g, self.side_a, self.side_b)
+        if edge is not None:
+            raise CrossingEdgeError(edge)
         object.__setattr__(self, "_hash", hash((self.side_a, self.side_b)))
 
     def __eq__(self, other):
@@ -121,19 +125,12 @@ class Separation:
             back = d.get("_back")
             r = back and back()
             if r is None:
-                r = object.__new__(Separation)
-                r.__dict__.update(
-                    graph=self.graph,
-                    side_a=self.side_b,
-                    side_b=self.side_a,
-                    _hash=hash((self.side_b, self.side_a)),
-                    _back=ref(self),
-                )
+                d["_reverse"] = r = _built(self.graph, self.side_b, self.side_a, _back=ref(self))
                 for name in ("sort_key", "masks"):
                     if name in d:
-                        x, y = d[name]
-                        r.__dict__[name] = (y, x)
-                d["_reverse"] = r
+                        r.__dict__[name] = d[name][::-1]
+                if "separator" in d:
+                    r.__dict__["separator"] = d["separator"]
         return r
 
     def canonical(self) -> "Separation":
@@ -175,6 +172,32 @@ class Separation:
 def make_separation(g: Graph, a: Iterable[str], b: Iterable[str]) -> Separation:
     """Validated construction of the separation (a, b) of g."""
     return Separation(g, frozenset(a), frozenset(b))
+
+
+def _built(g: Graph, side_a: frozenset[str], side_b: frozenset[str], **cached) -> Separation:
+    """The separation (A, B) of g, built unchecked, with the given caches."""
+    s = object.__new__(Separation)
+    s.__dict__.update(graph=g, side_a=side_a, side_b=side_b, _hash=hash((side_a, side_b)), **cached)
+    return s
+
+
+def _check_masks(g: Graph, a: int, b: int) -> None:
+    """The masks (A, B) cover V(g) and no vertex of A - B has a neighbour in
+    B - A; anything else is a bug, so it raises InternalCheckError."""
+    closed = g._vertex_index[3]
+    strict_b = b & ~a
+    if a | b != (1 << len(closed)) - 1 or any(map(strict_b.__and__, _select(closed, a & ~b))):
+        raise InternalCheckError(f"masks {a:#x} | {b:#x} are not a separation of {g!r}")
+
+
+def _separation(g: Graph, a: int, b: int, separator: frozenset[str]) -> Separation:
+    """The separation (A, B) of g from its masks and its separator's names,
+    checked on the masks and built, as `reverse()` builds, with its caches."""
+    _check_masks(g, a, b)
+    names = g._vertex_index[0]
+    # via lists: tuples grown from iterators skip, then fill, the tuple free lists
+    key = (tuple(list(_select(names, a))), tuple(list(_select(names, b))))
+    return _built(g, frozenset(key[0]), frozenset(key[1]), sort_key=key, masks=(a, b), separator=separator)
 
 
 def _graph_of(s) -> Graph:
@@ -320,30 +343,30 @@ def enumerate_separations(
         raise DisconnectedGraphError("enumerate_separations requires a connected graph")
     if max_order > len(g.vertices):
         raise PreconditionError("max_order exceeds |V(g)|")
-    verts = sorted(g.vertices)
+    names = g._vertex_index[0]
+    bits = [1 << i for i in range(len(names))]
+    full = sum(bits)
     out: list[Separation] = []
     examined = 0
     for size in range(max_order + 1):
-        for sep_tuple in combinations(verts, size):
+        block = len(out)
+        for cut, separator in zip(combinations(bits, size), combinations(names, size)):
             examined += 1
             if examined > budget:
                 raise BudgetExceededError("separator candidates", budget)
-            separator = frozenset(sep_tuple)
-            comps = components(g, separator)
-            if not comps:
-                out.append(Separation(g, separator, separator))  # A == B: canonical
-                continue
-            rest = comps[1:]
-            # first component pinned to the left side; this halves the
+            s = sum(cut)
+            separator = frozenset(separator)
+            # with no component left, A == B == V; otherwise the first
+            # component is pinned to the left side, which halves the
             # bipartitions and enumerates each unordered pair exactly once
-            for mask in range(1 << len(rest)):
-                left = set(comps[0])
-                right: set[str] = set()
+            first, *rest = _flood(g, s) or [0]
+            for pick in range(1 << len(rest)):
+                left = first
                 for i, comp in enumerate(rest):
-                    (left if mask >> i & 1 else right).update(comp)
-                sep = Separation(g, frozenset(left) | separator, frozenset(right) | separator)
-                out.append(sep.canonical())
-    out.sort(key=lambda s: (s.order, s.sort_key))
+                    if pick >> i & 1:
+                        left |= comp
+                out.append(_separation(g, left | s, full ^ left, separator).canonical())
+        out[block:] = sorted(out[block:], key=attrgetter("sort_key"))  # all of order `size`
     _last_enumeration = (g, max_order, out)  # one rebinding: readers see old or new
     return out[:]
 

@@ -35,11 +35,12 @@ from .errors import (
     OrientationUndecidableError,
     PreconditionError,
 )
-from .graph import Graph, components, disjoint_paths, minimum_separator
+from .graph import Graph, _flood, disjoint_paths, minimum_separator
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     Separation,
     _leq,
+    _separation,
     enumerate_separations,
 )
 
@@ -763,15 +764,10 @@ def _splits(sep: Separation, p: Orienter, q: Orienter) -> bool:
 
 def _separation_from_cut(g: Graph, cut: frozenset[str], core: frozenset[str]) -> Separation:
     """Separation with separator `cut`, core-side components on side b."""
-    comps = components(g, cut)
-    b_side = set(cut)
-    a_side = set(cut)
-    for comp in comps:
-        if comp & core:
-            b_side |= comp
-        else:
-            a_side |= comp
-    return Separation(g, frozenset(a_side), frozenset(b_side)).canonical()
+    s, c = g.mask(cut), g.mask(core)
+    comps = _flood(g, s)
+    core_side = sum(k for k in comps if k & c)
+    return _separation(g, s | sum(comps) - core_side, s | core_side, cut).canonical()
 
 
 def efficient_distinguisher(

@@ -15,16 +15,20 @@ loop, which tests every ordered orientation pair both ways, is the reference
 for `relation`'s four facts, witness objects included. The list scans for
 the maximal sides A, the first covering triple and the first inconsistent
 pair are the references for the column index that `tangles` switches to on
-wide antichains.
+wide antichains. The breadth-first search over frozensets is the reference
+for the mask flood fill behind `components`, and the frozenset candidate
+loop, which builds every separation through the public constructor, is the
+reference for the mask enumeration.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from tangletree.graph import Graph, components
-from tangletree.errors import InternalCheckError
+from tangletree.graph import Graph
+from tangletree.errors import BudgetExceededError, InternalCheckError, UnknownVertexError
 from tangletree.separations import (
+    DEFAULT_ENUMERATION_BUDGET,
     Relation,
     Separation,
     _ambient,
@@ -50,6 +54,65 @@ def all_separations_brute(g: Graph, max_order: int) -> set[Separation]:
         except Exception:
             continue
         out.add(sep.canonical())
+    return out
+
+
+def components_reference(g: Graph, removed=()) -> list[frozenset[str]]:
+    """Connected components of g - removed, sorted by minimal vertex, by a
+    breadth-first search over frozensets."""
+    removed = frozenset(removed)
+    unknown = removed - g.vertices
+    if unknown:
+        raise UnknownVertexError(min(unknown))
+    todo = set(g.vertices) - removed
+    adj = g.adjacency
+    comps: list[frozenset[str]] = []
+    while todo:
+        seed = min(todo)
+        comp = {seed}
+        frontier = {seed}
+        while frontier:
+            grown: set[str] = set()
+            for v in frontier:
+                grown |= adj[v]
+            frontier = grown - comp - removed
+            comp |= frontier
+        comps.append(frozenset(comp))
+        todo -= comp
+    return comps
+
+
+def enumerate_separations_reference(
+    g: Graph, max_order: int, *, budget: int = DEFAULT_ENUMERATION_BUDGET
+) -> list[Separation]:
+    """The separations of order <= max_order of a connected g, canonical,
+    sorted by (order, sort key): every bipartition of the components of
+    g - S, for each candidate S in `combinations` order, built and validated
+    by the public constructor. No slot; the budget counts candidates."""
+    verts = sorted(g.vertices)
+    out: list[Separation] = []
+    examined = 0
+    for size in range(max_order + 1):
+        for sep_tuple in combinations(verts, size):
+            examined += 1
+            if examined > budget:
+                raise BudgetExceededError("separator candidates", budget)
+            separator = frozenset(sep_tuple)
+            comps = components_reference(g, separator)
+            if not comps:
+                out.append(Separation(g, separator, separator))  # A == B: canonical
+                continue
+            rest = comps[1:]
+            # first component pinned to the left side; this halves the
+            # bipartitions and enumerates each unordered pair exactly once
+            for mask in range(1 << len(rest)):
+                left = set(comps[0])
+                right: set[str] = set()
+                for i, comp in enumerate(rest):
+                    (left if mask >> i & 1 else right).update(comp)
+                sep = Separation(g, frozenset(left) | separator, frozenset(right) | separator)
+                out.append(sep.canonical())
+    out.sort(key=lambda s: (s.order, s.sort_key))
     return out
 
 
@@ -255,7 +318,7 @@ def min_distinguishing_order_brute(g: Graph, p: PreTangle, q: PreTangle) -> int 
     for size in range(bound):
         for cand in combinations(verts, size):
             separator = frozenset(cand)
-            comps = components(g, separator)
+            comps = components_reference(g, separator)
             if not comps:
                 continue
             rest = comps[1:]

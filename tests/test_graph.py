@@ -1,6 +1,8 @@
 """Graph primitives: documents, components, tightness, disjoint paths."""
 
 import json
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from tangletree.graph import (
     tight_components,
 )
 from .conftest import cycle_graph, grid_graph, path_graph, random_connected_graph, star_graph
-from .oracles import min_cut_brute
+from .oracles import components_reference, min_cut_brute
 
 
 def test_load_smallest_nonempty():
@@ -82,6 +84,52 @@ def test_components_grid_middle_column():
 def test_components_unknown_vertex():
     with pytest.raises(UnknownVertexError):
         components(path_graph(3), {"zz"})
+
+
+def test_mask_unknown_vertex():
+    g = Graph.from_data(["a", "b"], [("a", "b")])
+    assert g.mask(["b", "a"]) == 0b11
+    with pytest.raises(UnknownVertexError, match="^zz$"):
+        g.mask(["zz"])
+    with pytest.raises(UnknownVertexError, match="^y$"):  # the least unknown vertex
+        g.mask(["a", "zz", "y"])
+
+
+def _random_graph(rng: random.Random, n: int) -> Graph:
+    """Random graph on n vertices, connected or not."""
+    vs = [f"v{i}" for i in range(n)]
+    density = rng.random()
+    return Graph.from_data(vs, [e for e in combinations(vs, 2) if rng.random() < density])
+
+
+def _check_components(g: Graph, removed) -> None:
+    assert components(g, removed) == components_reference(g, removed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_components_match_the_set_search(data):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    g = _random_graph(rng, data.draw(st.integers(0, 9)))
+    verts = sorted(g.vertices)
+    for removed in ((), rng.sample(verts, rng.randrange(len(verts) + 1)), verts):
+        _check_components(g, frozenset(removed))
+    assert components(g, verts) == []
+    assert g.is_connected() == (len(components_reference(g)) == 1)
+    with pytest.raises(UnknownVertexError):
+        components(g, [*verts[:1], "zz"])
+
+
+def test_components_match_the_set_search_on_the_chain_window(scaled_chain):
+    g = scaled_chain.graph_at(5)
+    assert len(g.vertices) == 194 and g.is_connected()
+    rng = random.Random(5)
+    verts = sorted(g.vertices)
+    for size in range(25):
+        _check_components(g, frozenset(rng.sample(verts, 2 * size)))
+    for kind in "prv":  # keeping one kind of vertex leaves up to six components
+        _check_components(g, frozenset(v for v in verts if not v.startswith(kind)))
+    assert components(g, verts) == []
 
 
 def test_tight_components_path():

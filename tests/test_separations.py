@@ -34,8 +34,13 @@ from tangletree.separations import (
     relation,
     supremum,
 )
-from .conftest import cycle_graph, grid_graph, path_graph, random_connected_graph
-from .oracles import all_separations_brute, relation_eight_way, relation_reference
+from .conftest import cycle_graph, grid_graph, path_graph, random_connected_graph, star_graph
+from .oracles import (
+    all_separations_brute,
+    enumerate_separations_reference,
+    relation_eight_way,
+    relation_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -268,11 +273,12 @@ def test_orientations_are_built_once(p3):
 
 
 def test_sides_are_validated_once(monkeypatch):
-    """Enumeration checks each separation's sides once; the orientations it
-    hands out are that object and its reverse, which are not checked again."""
+    """Enumeration checks each separation's sides once, on their masks; the
+    orientations it hands out are that object and its reverse, which are not
+    checked again."""
     calls = []
-    check = separations.check_no_crossing
-    monkeypatch.setattr(separations, "check_no_crossing", lambda *a: calls.append(1) or check(*a))
+    check = separations._check_masks
+    monkeypatch.setattr(separations, "_check_masks", lambda *a: calls.append(1) or check(*a))
     seps = enumerate_separations(grid_graph(3, 6), 4)
     for s in seps:
         assert s.orient("b") is s and s.orient("a") is s.reverse()
@@ -280,6 +286,63 @@ def test_sides_are_validated_once(monkeypatch):
         assert s.canonical() is s and s.reverse().canonical() is s
     assert len(seps) == 5280
     assert len(calls) == len(seps)
+
+
+def test_mask_check_rejects_forged_pairs():
+    g = path_graph(4)
+    check = separations._check_masks
+    check(g, g.mask({"p00", "p01"}), g.mask({"p01", "p02", "p03"}))
+    forged = [
+        ({"p00", "p01"}, {"p02", "p03"}),  # p01-p02 crosses: the last strict vertex of A
+        ({"p02", "p03"}, {"p00", "p01"}),  # p02-p01 crosses: the first strict vertex of A
+        ({"p00", "p01"}, {"p01", "p02"}),  # p03 is on neither side
+    ]
+    for a, b in forged:
+        with pytest.raises(InternalCheckError):
+            check(g, g.mask(a), g.mask(b))
+        with pytest.raises(InternalCheckError):
+            separations._separation(g, g.mask(a), g.mask(b), frozenset(a & b))
+
+
+def _tree(rng: random.Random, n: int) -> Graph:
+    vs = [f"t{i}" for i in range(n)]
+    return Graph.from_data(vs, [(vs[rng.randrange(i)], vs[i]) for i in range(1, n)])
+
+
+def _budget_exceeded(enumerate_, g, max_order, budget) -> bool:
+    try:
+        enumerate_(g, max_order, budget=budget)
+    except BudgetExceededError:
+        return True
+    return False
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_enumeration_matches_the_frozenset_loop(data):
+    """Same list in the same order, each object built with the caches that
+    fresh computation from its sides gives, and the same budget failures, on
+    random connected graphs, trees and stars, at every order."""
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(1, 9))
+    g = data.draw(st.sampled_from([random_connected_graph, _tree]))(rng, n)
+    if data.draw(st.booleans()):
+        g = star_graph(n - 1)
+    budget = data.draw(st.integers(0, 2**n))
+    for max_order in range(n + 1):  # ascending, so each call on g misses the slot
+        got = enumerate_separations(g, max_order)
+        expected = enumerate_separations_reference(g, max_order)
+        assert [(s.side_a, s.side_b) for s in got] == [(s.side_a, s.side_b) for s in expected]
+        for s in got:
+            for o in (s, s.reverse()):
+                assert vars(o)["masks"] == (g.mask(o.side_a), g.mask(o.side_b))
+                assert vars(o)["sort_key"] == (tuple(sorted(o.side_a)), tuple(sorted(o.side_b)))
+                assert vars(o)["separator"] == o.side_a & o.side_b
+                assert hash(o) == hash(make_separation(g, o.side_a, o.side_b))
+        exceeded = _budget_exceeded(enumerate_separations_reference, g, max_order, budget)
+        twin = Graph(g.vertices, g.edges)  # a miss, then a hit on g's slot
+        assert _budget_exceeded(enumerate_separations, twin, max_order, budget) == exceeded
+        assert _budget_exceeded(enumerate_separations, g, max_order, budget) == exceeded
 
 
 @settings(max_examples=60, deadline=None)
