@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FamilyParameterError, PreconditionError
-from .graph import Graph, components, disjoint_paths
+from .graph import Graph, _solve, components, disjoint_paths
 from .limits import exhaustiveness_evidence, limit_separator_growth, limit_separator_prefix
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -85,32 +85,16 @@ class CombWitness:
 def _teeth_paths(g: Graph, spine: tuple[str, ...], targets: frozenset[str]) -> list[tuple[str, ...]]:
     """Disjoint spine-to-target paths meeting the spine only at their start.
 
-    Spine vertices become ports adjacent to their off-spine neighbours, so
-    no path can traverse a second spine vertex; spine vertices inside the
-    target set contribute their trivial path directly.
+    Spine vertices inside the target set contribute their trivial path; the
+    others come from one flow in g from the whole spine to the remaining
+    targets. No edge needs deleting for that: each search of the flow enters
+    every source's in-node from the source first, so no path enters a
+    second spine vertex and an edge between two spine vertices carries no
+    flow.
     """
     spine_set = frozenset(spine)
     trivial = [(v,) for v in spine if v in targets]
-    off_targets = targets - spine_set
-    rest = g.vertices - spine_set
-    # longer than every vertex name, so no port can collide with a vertex
-    prefix = "@" * (1 + max(map(len, g.vertices), default=0))
-    vertices = set(rest)
-    edges = [e for e in g.edges if e[0] in rest and e[1] in rest]
-    ports = []
-    for s in spine:
-        port = prefix + s
-        vertices.add(port)
-        ports.append(port)
-        for x in sorted(g.adjacency[s] & rest):
-            edges.append((min(port, x), max(port, x)))
-    aux = Graph.from_data(vertices, edges)
-    found = disjoint_paths(aux, frozenset(ports), off_targets)
-    out = list(trivial)
-    for path in found:
-        real = [path[0][len(prefix):]] + path[1:]
-        out.append(tuple(real))
-    return out
+    return trivial + list(_solve(g, spine_set, targets - spine_set)[0])
 
 
 def find_comb(
@@ -195,6 +179,8 @@ def directions_in_closure(
     min_teeth: int = _JOINING_PATHS,
 ) -> DirectionsReport:
     """Equivalence classes whose rays admit combs with `min_teeth` teeth in u."""
+    if min_teeth < 1:
+        raise PreconditionError("at least one tooth is required")
     g = p.graph_at(m)
     u = frozenset(u) & g.vertices
     all_classes = ray_equivalence_classes(p, m)
@@ -264,21 +250,17 @@ def ray_packing(p, m: int, direction: Direction, base) -> RayPacking:
     territory = _direction_territory(p, m, direction, base)
     if not territory:
         raise PreconditionError("empty territory for this direction at this horizon")
-    paths = _paths_from_base(g, base, territory, p.boundary(m))
-    return RayPacking(base=base, paths=tuple(tuple(path) for path in paths))
+    return RayPacking(base=base, paths=_paths_from_base(g, base, territory, p.boundary(m)))
 
 
-def _paths_from_base(g: Graph, base: frozenset[str], region: frozenset[str], targets) -> list:
+def _paths_from_base(g: Graph, base: frozenset[str], region: frozenset[str], targets) -> tuple:
     """Maximum disjoint paths from base to targets in G[base | region] less
-    the edges inside base."""
+    the edges inside base, as one flow in g restricted to base | region.
+    The edges inside base need no deleting: every search of the flow enters
+    each base vertex from the source first, so no such edge carries flow.
+    """
     vertices = region | base
-    edges = [
-        e
-        for e in g.edges
-        if e[0] in vertices and e[1] in vertices
-        and not (e[0] in base and e[1] in base)
-    ]
-    return disjoint_paths(Graph.from_data(vertices, edges), base, targets & vertices)
+    return _solve(g, base, targets & vertices, g.mask(vertices))[0]
 
 
 @dataclass(frozen=True)

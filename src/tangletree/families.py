@@ -208,13 +208,11 @@ def _finish(family, params, raw_layers, rays, cliques=()) -> LayeredPresentation
     layers = raw_layers[:-1]
     boundaries = []
     for m, g in enumerate(layers):
-        nxt = raw_layers[m + 1]
-        new_vertices = nxt.vertices - g.vertices
-        bd = {
-            u
-            for u in g.vertices
-            if nxt.adjacency[u] & new_vertices
-        }
+        old = g.vertices
+        bd = set()
+        for u, v in raw_layers[m + 1].edges:
+            if (u in old) != (v in old):
+                bd.add(u if u in old else v)
         boundaries.append(frozenset(bd))
     return LayeredPresentation(
         family=family,

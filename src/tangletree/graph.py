@@ -9,14 +9,17 @@ Disjoint path computation uses unit-vertex-capacity max-flow on the
 split-vertex digraph, so its cardinality equals the minimum vertex cut
 between the two terminal sets (Menger duality); tests check this against
 brute-force cut enumeration on small graphs. One solver, `_solve`, serves
-both `disjoint_paths` and `minimum_separator`. It works on integer node ids
-whose order is the sorted order of the split vertices, so its breadth-first
-scans, and with them the emitted paths and the leftmost cut, follow from
-that order alone; tests pin it to a tuple-keyed reference network. Each
-graph memoizes the (paths, cut) of every terminal pair it has solved. In
-the same order, vertex sets are int bitmasks (`Graph.mask`); one flood fill,
-`_flood`, finds the components of G - S as masks for `components`,
-`Graph.is_connected` and separation enumeration.
+`disjoint_paths`, `minimum_separator` and the flows of the end evidence.
+It works on integer node ids whose order is the sorted order of the split
+vertices, so its breadth-first scans, and with them the emitted paths and
+the leftmost cut, follow from that order alone; tests pin it to a
+tuple-keyed reference network. A vertex mask restricts a solve to an
+induced subgraph without building one: vertices outside it are never
+entered and never cut. Each graph memoizes the (paths, cut) of every
+(s, t, mask) it has solved. In the same order, vertex sets are int bitmasks
+(`Graph.mask`); one flood fill, `_flood`, finds the components of G - S as
+masks for `components`, `tight_components`, `Graph.is_connected` and
+separation enumeration.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress
+from operator import or_
 from typing import Iterable
 
 from .errors import GraphFormatError, UnknownVertexError
@@ -104,7 +108,8 @@ class Graph:
 
     @cached_property
     def _flow_memo(self) -> dict:
-        """(paths, cut) by (s, t), filled by `_solve`; lives as long as the graph."""
+        """(paths, cut) by (s, t, within), filled by `_solve`; lives as long
+        as the graph."""
         return {}
 
     def mask(self, vs: Iterable[str]) -> int:
@@ -251,9 +256,16 @@ def components(g: Graph, removed: Iterable[str] = ()) -> list[frozenset[str]]:
 
 
 def tight_components(g: Graph, x: Iterable[str]) -> list[frozenset[str]]:
-    """Components K of g - x with N_G(K) exactly equal to x."""
-    x = frozenset(x)
-    return [k for k in components(g, x) if g.neighbourhood(k) == x]
+    """Components K of g - x with N_G(K) exactly equal to x, decided on
+    masks: the closed neighbourhoods of K's vertices, less K, make up x."""
+    names = g._vertex_index[0]
+    return [frozenset(_select(names, k)) for k in _tight(g, g.mask(x))]
+
+
+def _tight(g: Graph, x: int) -> list[int]:
+    """The masks of the components K of g - x with N(K) = x."""
+    closed = g._vertex_index[3]
+    return [k for k in _flood(g, x) if reduce(or_, _select(closed, k), 0) ^ k == x]
 
 
 def _terminals(g: Graph, s: Iterable[str], t: Iterable[str]) -> tuple[frozenset[str], frozenset[str]]:
@@ -266,15 +278,20 @@ def _terminals(g: Graph, s: Iterable[str], t: Iterable[str]) -> tuple[frozenset[
     return s, t
 
 
-def _solve(g: Graph, s: frozenset[str], t: frozenset[str]):
-    """(paths, cut) of the unit-vertex-capacity max flow from s to t.
+def _solve(g: Graph, s: frozenset[str], t: frozenset[str], within: int | None = None):
+    """(paths, cut) of the unit-vertex-capacity max flow from s to t in the
+    subgraph of g induced by the mask `within` (all of g when None); s and
+    t must lie inside it.
 
     The split-vertex network gives vertex i (in sorted order) the in-node i
     and the out-node n+i, joined by an arc of capacity one; edges join
     out-nodes to in-nodes both ways, uncapped; the source 2n+1 feeds the
     in-nodes of s and the out-nodes of t feed the sink 2n. Breadth-first
     search scans each node's residual arcs in increasing id order and
-    augments along one shortest path at a time.
+    augments along one shortest path at a time. Both nodes of a vertex
+    outside `within` start every search as seen, so no path enters it and
+    the cut leaves it out; the scan order inside is g's sorted order
+    restricted to the mask, which is the induced subgraph's own.
 
     Since every vertex carries at most one unit, the flow is held as
     `into[v]`: the node whose flow enters in-node v (a vertex, the source,
@@ -286,23 +303,31 @@ def _solve(g: Graph, s: frozenset[str], t: frozenset[str]):
     the sink. The search that finds no augmenting path has reached exactly
     the source side of the leftmost minimum cut.
 
-    Results are memoized on g by (s, t); the memo holds no flow state.
+    Results are memoized on g by (s, t, within), with an unrestricted call
+    keyed by the full mask; the memo holds no flow state.
     """
-    memo = g._flow_memo
-    hit = memo.get((s, t))
-    if hit is not None:
-        return hit
     names, index, closed, _ = g._vertex_index
     n = len(names)
+    full = (1 << n) - 1
+    if within is None:
+        within = full
+    key = (s, t, within)
+    memo = g._flow_memo
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     snk = 2 * n
     src = snk + 1
+    fresh = [-1] * (snk + 2)  # prev at the start of each search
+    for v in _select(range(n), full & ~within):
+        fresh[v] = fresh[n + v] = src
     starts = sorted(index[v] for v in s)
     in_t = [False] * n
     for v in t:
         in_t[index[v]] = True
     into = [-1] * n
     while True:
-        prev = [-1] * (snk + 2)
+        prev = fresh.copy()
         queue = deque(starts)
         for v in starts:
             prev[v] = src
@@ -359,7 +384,7 @@ def _solve(g: Graph, s: frozenset[str], t: frozenset[str]):
             path.append(names[v])
         paths.append(tuple(path))
     cut = frozenset(names[v] for v in range(n) if prev[v] >= 0 and prev[n + v] < 0)
-    memo[(s, t)] = hit = (tuple(paths), cut)
+    memo[key] = hit = (tuple(paths), cut)
     return hit
 
 

@@ -46,7 +46,7 @@ from .errors import (
     SequenceOrderError,
     UnknownVertexError,
 )
-from .graph import Graph, _flood, _select, crossing_edge, tight_components
+from .graph import Graph, _flood, _select, _tight, crossing_edge
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
@@ -301,12 +301,14 @@ def is_proper(g: Graph, s: Separation) -> bool:
 def is_tight(g: Graph, s: Separation) -> bool:
     """Both strict sides contain a tight component of g - (A & B)."""
     _ambient(g, s)
-    strict_a = s.side_a - s.side_b
-    strict_b = s.side_b - s.side_a
+    a, b = s.masks
+    strict_a = a & ~b
+    strict_b = b & ~a
     if not strict_a or not strict_b:
         return False
-    tight = tight_components(g, s.separator)
-    return any(k <= strict_a for k in tight) and any(k <= strict_b for k in tight)
+    # a component of G - (A & B) lies inside A - B or inside B - A
+    tight = _tight(g, a & b)
+    return any(k & strict_a for k in tight) and any(k & strict_b for k in tight)
 
 
 _last_enumeration: tuple = (None, -1, [])  # (graph, max_order, list) of the last one finished

@@ -18,7 +18,11 @@ pair are the references for the column index that `tangles` switches to on
 wide antichains. The breadth-first search over frozensets is the reference
 for the mask flood fill behind `components`, and the frozenset candidate
 loop, which builds every separation through the public constructor, is the
-reference for the mask enumeration.
+reference for the mask enumeration. The port graph for comb teeth and the
+induced graph less the edges inside the base for ray packings, each solved
+by the reference network, are the references for the flows that `ends`
+runs on the host graph under a vertex mask, and the frozenset loop over
+components is the reference for `tight_components` on masks.
 """
 
 from __future__ import annotations
@@ -525,6 +529,49 @@ def flow_reference(g: Graph, s: frozenset[str], t: frozenset[str]):
     net = _FlowNetwork(g, frozenset(s), frozenset(t))
     net.max_flow()
     return net.paths(), net.min_cut_vertices()
+
+
+def _reference_paths(g: Graph, s: frozenset[str], t: frozenset[str]) -> tuple:
+    """The paths of `flow_reference` as tuples; none when a side is empty."""
+    if not s or not t:
+        return ()
+    return tuple(tuple(path) for path in flow_reference(g, s, t)[0])
+
+
+def teeth_paths_reference(g: Graph, spine: tuple[str, ...], targets: frozenset[str]) -> list:
+    """Comb teeth through a port graph: the spine is replaced by one port
+    per spine vertex, adjacent to that vertex's off-spine neighbours only,
+    so no path can pass a second spine vertex; spine vertices in the target
+    set are their own trivial paths, listed first in spine order."""
+    spine_set = frozenset(spine)
+    rest = g.vertices - spine_set
+    # longer than every vertex name, so no port can collide with a vertex
+    prefix = "@" * (1 + max(map(len, g.vertices), default=0))
+    vertices = set(rest)
+    edges = [e for e in g.edges if e[0] in rest and e[1] in rest]
+    for v in spine:
+        vertices.add(prefix + v)
+        edges += [(prefix + v, x) for x in sorted(g.adjacency[v] & rest)]
+    aux = Graph.from_data(vertices, edges)
+    ports = frozenset(prefix + v for v in spine)
+    found = _reference_paths(aux, ports, frozenset(targets) - spine_set)
+    trivial = [(v,) for v in spine if v in targets]
+    return trivial + [(path[0][len(prefix):],) + path[1:] for path in found]
+
+
+def paths_from_base_reference(g: Graph, base, region, targets) -> tuple:
+    """Disjoint base-to-target paths in the graph induced by base | region,
+    less the edges inside base, built as a graph of its own."""
+    base = frozenset(base)
+    vertices = frozenset(region) | base
+    edges = [e for e in g.edges_within(vertices) if not (e[0] in base and e[1] in base)]
+    return _reference_paths(Graph.from_data(vertices, edges), base, frozenset(targets) & vertices)
+
+
+def tight_components_reference(g: Graph, x) -> list[frozenset[str]]:
+    """Components K of g - x with N_G(K) == x, by a loop over frozensets."""
+    x = frozenset(x)
+    return [k for k in components_reference(g, x) if g.neighbourhood(k) == x]
 
 
 def _leq_sets(s: Separation, t: Separation) -> bool:

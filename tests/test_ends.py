@@ -3,6 +3,7 @@
 import pytest
 
 from tangletree.errors import PreconditionError
+from tangletree.families import generate_family
 from tangletree.ends import (
     CombWitness,
     Direction,
@@ -83,6 +84,12 @@ def test_double_ray_two_directions(double_ray_presentation):
     report = directions_in_closure(double_ray_presentation, 4, g.vertices, min_teeth=2)
     assert len(report.classes) == 2
     assert not report.unique
+
+
+@pytest.mark.parametrize("min_teeth", [0, -2])
+def test_directions_need_at_least_one_tooth(scaled_chain, min_teeth):
+    with pytest.raises(PreconditionError, match="tooth"):
+        directions_in_closure(scaled_chain, 5, {"r:0:0"}, min_teeth=min_teeth)
 
 
 def test_ray_single_direction(ray_presentation):
@@ -174,6 +181,25 @@ def test_pipeline_clique_chain_all_stages(scaled_chain):
     for path in beyond.details["paths"]:
         assert path[0] in sup.separator
         assert set(path[1:]) <= strict_b
+
+
+def test_pipeline_builds_no_graph_after_set_up(monkeypatch):
+    # a fresh window, so no flow or index is cached from another test
+    p = generate_family("clique_chain", {"horizon": 5, "sizes": [8, 12, 20, 36]})
+    chains = p.canonical_layer_chains()
+    g = p.graph_at(5)
+    nested = NestedSet.of(g, [it.canonical() for it in chains[5]])
+    pool = [clique_witness(g, p.clique(i), len(p.clique(i))) for i in range(6)]
+    built = []
+    check = Graph.__post_init__
+
+    def counted(graph):
+        built.append(graph)
+        check(graph)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted)
+    assert thick_end_pipeline(p, nested, chains, pool).ok
+    assert built == []
 
 
 def test_pipeline_ray_rejected_as_exhaustive(ray_presentation):

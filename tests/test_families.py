@@ -127,6 +127,15 @@ def test_boundary_is_exactly_vertices_gaining_neighbours(scaled_chain):
         assert scaled_chain.boundary(m) == expected
 
 
+@pytest.mark.parametrize("name", ["ray", "double_ray", "grid", "binary_tree"])
+def test_boundary_is_exactly_vertices_gaining_neighbours_in_every_family(name):
+    p = generate_family(name, {"horizon": 4})
+    for m in range(p.horizon):
+        g, nxt = p.graph_at(m), p.graph_at(m + 1)
+        new = nxt.vertices - g.vertices
+        assert p.boundary(m) == {v for v in g.vertices if nxt.adjacency[v] & new}
+
+
 def test_degrees_stabilize_one_layer_after_entry():
     for name, params in (
         ("clique_chain", {"horizon": 4, "sizes": [8, 12, 20, 36]}),

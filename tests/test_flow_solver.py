@@ -1,5 +1,6 @@
-"""The max-flow solver behind disjoint_paths and minimum_separator, pinned
-against the tuple-keyed reference network in the oracles."""
+"""The max-flow solver behind disjoint_paths, minimum_separator and the
+comb and packing flows of `ends`, pinned against the tuple-keyed reference
+network in the oracles, on whole graphs and under a vertex mask."""
 
 import random
 from itertools import combinations
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tangletree import ends
 from tangletree.errors import UnknownVertexError
 from tangletree.families import generate_family
-from tangletree.graph import Graph, disjoint_paths, minimum_separator
-from .conftest import path_graph, random_connected_graph
-from .oracles import flow_reference
+from tangletree.graph import Graph, _solve, disjoint_paths, minimum_separator
+from .conftest import cycle_graph, path_graph, random_connected_graph
+from .oracles import flow_reference, paths_from_base_reference, teeth_paths_reference
 
 
 def _solved(g, s, t):
@@ -77,3 +79,61 @@ def test_unknown_vertices_and_empty_sides(query):
         query(g, [], {"zz"})
     with pytest.raises(UnknownVertexError, match="^a$"):
         query(g, {"a", "p00"}, {"b"})
+
+
+def _masked(g, s, t, within):
+    paths, cut = _solve(g, s, t, g.mask(within))
+    return [list(path) for path in paths], cut
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_masked_solver_and_ends_flows_match_their_references(data):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    g = random_connected_graph(rng, data.draw(st.integers(1, 12)))
+    if data.draw(st.booleans()):
+        g = Graph.from_data(g.vertices, [e for e in sorted(g.edges) if rng.random() < 0.5])
+    verts = sorted(g.vertices)
+    within = frozenset(rng.sample(verts, rng.randint(1, len(verts))))
+    inside = sorted(within)
+    s = frozenset(rng.sample(inside, rng.randint(1, min(4, len(inside)))))
+    t = frozenset(rng.sample(inside, rng.randint(1, min(4, len(inside)))))
+    # the unrestricted solve first: a memo keyed without the mask would
+    # hand its answer to the restricted one
+    assert _masked(g, s, t, verts) == flow_reference(g, s, t)
+    assert _masked(g, s, t, within) == flow_reference(g.induced(within), s, t)
+    spine = tuple(rng.sample(verts, rng.randint(0, min(4, len(verts)))))
+    targets = frozenset(rng.sample(verts, rng.randint(0, len(verts))))
+    assert ends._teeth_paths(g, spine, targets) == teeth_paths_reference(g, spine, targets)
+    base = frozenset(rng.sample(verts, rng.randint(0, min(4, len(verts)))))
+    region = frozenset(rng.sample(verts, rng.randint(0, len(verts))))
+    assert ends._paths_from_base(g, base, region, targets) == paths_from_base_reference(
+        g, base, region, targets
+    )
+
+
+def test_restriction_is_part_of_the_memo_key():
+    g = cycle_graph(4)
+    s, t = frozenset({"c00"}), frozenset({"c02"})
+    assert _solve(g, s, t) == ((("c00", "c01", "c02"),), frozenset({"c00"}))
+    assert _solve(g, s, t, g.mask(g.vertices - {"c01"})) == (
+        (("c00", "c03", "c02"),),
+        frozenset({"c00"}),
+    )
+    assert _solve(g, s, t, g.mask(s | t)) == ((), frozenset())
+    # the full mask is the unrestricted call's key
+    assert _solve(g, s, t, g.mask(g.vertices)) is _solve(g, s, t)
+
+
+def test_ends_flows_match_their_references_on_the_chain_window(scaled_chain):
+    g = scaled_chain.graph_at(5)
+    boundary = scaled_chain.boundary(5)
+    targets = frozenset(scaled_chain.attachment_vertex(i) for i in range(5))
+    for label in ("R0", "R4"):
+        spine = scaled_chain.ray_prefix(label, 5)
+        assert ends._teeth_paths(g, spine, targets) == teeth_paths_reference(g, spine, targets)
+    for item in scaled_chain.canonical_chain(5):
+        base, strict_b = item.separator, item.side_b - item.side_a
+        assert ends._paths_from_base(g, base, strict_b, boundary) == paths_from_base_reference(
+            g, base, strict_b, boundary
+        )

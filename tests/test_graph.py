@@ -18,7 +18,7 @@ from tangletree.graph import (
     tight_components,
 )
 from .conftest import cycle_graph, grid_graph, path_graph, random_connected_graph, star_graph
-from .oracles import components_reference, min_cut_brute
+from .oracles import components_reference, min_cut_brute, tight_components_reference
 
 
 def test_load_smallest_nonempty():
@@ -170,6 +170,40 @@ def test_tight_components_are_components_with_exact_neighbourhood(corpus_small):
             for k in tight:
                 assert k in comps
                 assert g.neighbourhood(k) == x
+
+
+def _check_tight(g: Graph, x) -> None:
+    assert tight_components(g, x) == tight_components_reference(g, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_tight_components_match_the_set_loop(data):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    g = _random_graph(rng, data.draw(st.integers(0, 9)))
+    verts = sorted(g.vertices)
+    for removed in ((), rng.sample(verts, rng.randrange(len(verts) + 1)), verts):
+        _check_tight(g, frozenset(removed))
+    for v in verts:
+        _check_tight(g, g.neighbourhood({v}))
+    for tight in (tight_components, tight_components_reference):
+        with pytest.raises(UnknownVertexError, match="^zy$"):
+            tight(g, [*verts[:1], "zz", "zy"])
+
+
+def test_tight_components_match_the_set_loop_on_the_chain_window(scaled_chain):
+    g = scaled_chain.graph_at(5)
+    rng = random.Random(7)
+    verts = sorted(g.vertices)
+    for size in range(12):
+        _check_tight(g, frozenset(rng.sample(verts, 3 * size)))
+    for item in scaled_chain.canonical_chain(5):
+        _check_tight(g, item.separator)
+        assert tight_components(g, item.separator)  # every chain item is tight
+    _check_tight(g, scaled_chain.boundary(5))
+    for tight in (tight_components, tight_components_reference):
+        with pytest.raises(UnknownVertexError, match="^zz$"):
+            tight(g, ["r:0:0", "zz"])
 
 
 def test_disjoint_paths_path_graph():
