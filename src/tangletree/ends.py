@@ -159,12 +159,13 @@ def ray_equivalence_classes(p, m: int) -> tuple[Direction, ...]:
 
     for i, a in enumerate(labels):
         for b in labels[i + 1 :]:
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                continue  # already joined: a flow would not change the classes
             va = frozenset(p.ray_prefix(a, m))
             vb = frozenset(p.ray_prefix(b, m))
             if len(disjoint_paths(g, va, vb)) >= _JOINING_PATHS:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
+                parent[max(ra, rb)] = min(ra, rb)
     groups: dict[str, list[str]] = {}
     for lab in labels:
         groups.setdefault(find(lab), []).append(lab)

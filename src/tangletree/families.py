@@ -6,6 +6,13 @@ neighbour in the next layer. Generators also declare the family's rays (as
 vertex paths) and, for the clique chain, the cliques themselves, so that
 tests and pipelines can reference designated vertices by name.
 
+Each generator declares its graph once, up to level h + 1: every vertex
+with the level at which it enters, and every edge, which enters with its
+later end. One builder, `_tower`, derives the rest: layer m is the
+subgraph induced on the vertices of level <= m, and boundary(m) is the set
+of layer-m ends of the edges of level m + 1. Level h + 1 serves boundary(h)
+only and gets no layer.
+
 Vertex identifier conventions:
     clique_chain   u:0:1 (the single level-0 entry vertex),
                    v:n:i (designated vertex i of level n; equals the i-th
@@ -29,7 +36,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import FamilyParameterError, GraphFormatError
 from .graph import Graph, _edge
@@ -174,6 +181,11 @@ class LayeredPresentation:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LayeredPresentation":
+        horizon, top = doc["horizon"], len(doc["layers"]) - 1
+        if type(horizon) is not int:  # not bool
+            raise GraphFormatError(f"horizon must be an integer, got {horizon!r}")
+        if horizon != top:
+            raise GraphFormatError(f"horizon must be the layer count less one, {top}, got {horizon}")
         layers = tuple(
             Graph.from_data(layer["vertices"], [tuple(e) for e in layer["edges"]])
             for layer in doc["layers"]
@@ -183,7 +195,7 @@ class LayeredPresentation:
         return cls(
             family=doc["family"],
             params=doc["params"],
-            horizon=doc["horizon"],
+            horizon=horizon,
             layers=layers,
             boundaries=boundaries,
             rays=rays,
@@ -198,31 +210,30 @@ def truncate(p: LayeredPresentation, m: int) -> tuple[Graph, frozenset[str]]:
 
 def _require_horizon(params: dict) -> int:
     h = params.get("horizon")
-    if not isinstance(h, int) or h < 0:
+    if type(h) is not int or h < 0:  # not bool, which from_json rejects
         raise FamilyParameterError("params must carry a non-negative integer 'horizon'")
     return h
 
 
-def _finish(family, params, raw_layers, rays, cliques=()) -> LayeredPresentation:
-    """Drop the shadow layer, computing each boundary from its successor."""
-    layers = raw_layers[:-1]
-    boundaries = []
-    for m, g in enumerate(layers):
-        old = g.vertices
-        bd = set()
-        for u, v in raw_layers[m + 1].edges:
-            if (u in old) != (v in old):
-                bd.add(u if u in old else v)
-        boundaries.append(frozenset(bd))
-    return LayeredPresentation(
-        family=family,
-        params=params,
-        horizon=len(layers) - 1,
-        layers=tuple(layers),
-        boundaries=tuple(boundaries),
-        rays=rays,
-        cliques=cliques,
-    )
+def _tower(family, params, h, levels, edges, rays, cliques=()) -> LayeredPresentation:
+    """The presentation of horizon h whose vertices enter at levels[v] and
+    whose edges up to level h + 1 are edges (see the module docstring).
+
+    The layers grow one vertex set and one edge set, so each edge is
+    normalized once."""
+    new_vertices = [[] for _ in range(h + 2)]
+    for v, n in levels.items():
+        new_vertices[n].append(v)
+    new_edges = [[] for _ in range(h + 2)]
+    for u, v in edges:
+        new_edges[max(levels[u], levels[v])].append(_edge(u, v))
+    vs, es, layers, boundaries = set(), set(), [], []
+    for m in range(h + 1):
+        vs.update(new_vertices[m])
+        es.update(new_edges[m])
+        layers.append(Graph(frozenset(vs), frozenset(es)))
+        boundaries.append(frozenset(w for e in new_edges[m + 1] for w in e if levels[w] <= m))
+    return LayeredPresentation(family, params, h, tuple(layers), tuple(boundaries), rays, cliques)
 
 
 def _clique_chain_size(n: int, sizes: list[int] | None) -> int:
@@ -247,64 +258,50 @@ def _generate_clique_chain(params: dict) -> LayeredPresentation:
         not isinstance(sizes, list) or not all(isinstance(c, int) for c in sizes)
     ):
         raise FamilyParameterError("'sizes' must be a list of integers")
-    top = h + 1  # shadow level used to compute boundary(h)
-
-    def clique_members(n: int) -> list[str]:
-        c_n = _clique_chain_size(n, sizes)
+    levels = {"u:0:1": 0}
+    edges = []
+    cliques = []
+    for n in range(h + 2):
         entries = ["u:0:1"] if n == 0 else [f"v:{n-1}:{i}" for i in range(1, 2**n + 1)]
         exits = [f"v:{n}:{i}" for i in range(1, 2 ** (n + 1) + 1)]
-        privates = [f"p:{n}:{j}" for j in range(1, c_n - len(entries) - len(exits) + 1)]
-        return entries + exits + privates
+        count = _clique_chain_size(n, sizes) - len(entries) - len(exits)
+        entering = exits + [f"p:{n}:{j}" for j in range(1, count + 1)]
+        levels.update(dict.fromkeys(entering, n))
+        if n <= h:
+            cliques.append(frozenset(entries + entering))
+            edges += combinations(entries + entering, 2)
+        else:  # only the edges at the entries reach layer h
+            edges += product(entries, entering)
+    for n in range(h + 2):
+        for j in range(h + 2):
+            levels[f"r:{n}:{j}"] = max(n, j)
+            if j > 0:
+                edges.append((f"r:{n}:{j-1}", f"r:{n}:{j}"))
+            if j >= n:
+                edges.append((f"r:{n}:{j}", f"v:{j}:1"))
+    rays = tuple((f"R{n}", _path(f"r:{n}:", h)) for n in range(h + 1))
+    return _tower("clique_chain", params, h, levels, edges, rays, tuple(cliques))
 
-    cliques = [frozenset(clique_members(n)) for n in range(top + 1)]
-    raw_layers = []
-    for m in range(top + 1):
-        vertices: set[str] = set()
-        edges: set[tuple[str, str]] = set()
-        for n in range(m + 1):
-            members = sorted(cliques[n])
-            vertices.update(members)
-            for u, v in combinations(members, 2):
-                edges.add(_edge(u, v))
-        for n in range(m + 1):
-            for j in range(m + 1):
-                vertices.add(f"r:{n}:{j}")
-                if j > 0:
-                    edges.add(_edge(f"r:{n}:{j-1}", f"r:{n}:{j}"))
-                if j >= n:
-                    edges.add(_edge(f"r:{n}:{j}", f"v:{j}:1"))
-        raw_layers.append(Graph.from_data(vertices, edges))
-    rays = tuple(
-        (f"R{n}", tuple(f"r:{n}:{j}" for j in range(h + 1))) for n in range(h + 1)
-    )
-    return _finish("clique_chain", params, raw_layers, rays, tuple(cliques[: h + 1]))
+
+def _path(prefix: str, last: int) -> tuple[str, ...]:
+    """The vertices prefix + j for j = 0..last, vertex j at level j."""
+    return tuple(f"{prefix}{j}" for j in range(last + 1))
 
 
 def _generate_ray(params: dict) -> LayeredPresentation:
     h = _require_horizon(params)
-    raw_layers = []
-    for m in range(h + 2):
-        vs = [f"r:0:{j}" for j in range(m + 1)]
-        es = [(f"r:0:{j}", f"r:0:{j+1}") for j in range(m)]
-        raw_layers.append(Graph.from_data(vs, es))
-    rays = (("R0", tuple(f"r:0:{j}" for j in range(h + 1))),)
-    return _finish("ray", params, raw_layers, rays)
+    r = _path("r:0:", h + 1)
+    levels = {v: j for j, v in enumerate(r)}
+    return _tower("ray", params, h, levels, zip(r, r[1:]), (("R0", r[:-1]),))
 
 
 def _generate_double_ray(params: dict) -> LayeredPresentation:
     h = _require_horizon(params)
-    raw_layers = []
-    for m in range(h + 2):
-        vs = [f"r:0:{j}" for j in range(m + 1)] + [f"l:0:{j}" for j in range(m + 1)]
-        es = [(f"r:0:{j}", f"r:0:{j+1}") for j in range(m)]
-        es += [(f"l:0:{j}", f"l:0:{j+1}") for j in range(m)]
-        es.append(("l:0:0", "r:0:0"))
-        raw_layers.append(Graph.from_data(vs, es))
-    rays = (
-        ("L0", tuple(f"l:0:{j}" for j in range(h + 1))),
-        ("R0", tuple(f"r:0:{j}" for j in range(h + 1))),
-    )
-    return _finish("double_ray", params, raw_layers, rays)
+    left, right = _path("l:0:", h + 1), _path("r:0:", h + 1)
+    levels = {v: j for path in (left, right) for j, v in enumerate(path)}
+    edges = [*zip(left, left[1:]), *zip(right, right[1:]), ("l:0:0", "r:0:0")]
+    rays = (("L0", left[:-1]), ("R0", right[:-1]))
+    return _tower("double_ray", params, h, levels, edges, rays)
 
 
 def _generate_grid(params: dict) -> LayeredPresentation:
@@ -312,44 +309,24 @@ def _generate_grid(params: dict) -> LayeredPresentation:
     width = params.get("width", 3)
     if not isinstance(width, int) or width < 1:
         raise FamilyParameterError("'width' must be a positive integer")
-    raw_layers = []
-    for m in range(h + 2):
-        vs = [f"g:{x}:{y}" for x in range(m + 1) for y in range(width)]
-        es = []
-        for x in range(m + 1):
-            for y in range(width):
-                if x < m:
-                    es.append((f"g:{x}:{y}", f"g:{x+1}:{y}"))
-                if y < width - 1:
-                    es.append((f"g:{x}:{y}", f"g:{x}:{y+1}"))
-        raw_layers.append(Graph.from_data(vs, es))
+    levels = {f"g:{x}:{y}": x for x in range(h + 2) for y in range(width)}
+    edges = [(f"g:{x}:{y}", f"g:{x+1}:{y}") for x in range(h + 1) for y in range(width)]
+    edges += [(f"g:{x}:{y}", f"g:{x}:{y+1}") for x in range(h + 2) for y in range(width - 1)]
     rays = tuple(
         (f"row{y}", tuple(f"g:{x}:{y}" for x in range(h + 1))) for y in range(width)
     )
-    return _finish("grid", params, raw_layers, rays)
+    return _tower("grid", params, h, levels, edges, rays)
 
 
 def _generate_binary_tree(params: dict) -> LayeredPresentation:
     h = _require_horizon(params)
-    raw_layers = []
-    for m in range(h + 2):
-        vs = ["b:r" + "".join(bits) for d in range(m + 1) for bits in _bit_strings(d)]
-        es = []
-        for v in vs:
-            if len(v) > 3:  # not the root "b:r"
-                es.append((v[:-1], v))
-        raw_layers.append(Graph.from_data(vs, es))
+    levels = {"b:r" + "".join(bits): d for d in range(h + 2) for bits in product("01", repeat=d)}
+    edges = [(v[:-1], v) for v in levels if v != "b:r"]
     rays = (
         ("L", tuple("b:r" + "0" * d for d in range(h + 1))),
         ("R", tuple("b:r" + "1" * d for d in range(h + 1))),
     )
-    return _finish("binary_tree", params, raw_layers, rays)
-
-
-def _bit_strings(d: int) -> list[list[str]]:
-    if d == 0:
-        return [[]]
-    return [bits + [b] for bits in _bit_strings(d - 1) for b in ("0", "1")]
+    return _tower("binary_tree", params, h, levels, edges, rays)
 
 
 _GENERATORS = {

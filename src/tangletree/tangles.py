@@ -400,8 +400,11 @@ def _pretangle_report(g: Graph, p: PreTangle, budget: int, scan: bool) -> PreTan
     have = set(p.choices)
     missing = tuple(sorted(domain - have, key=lambda s: s.sort_key))
     extra = tuple(sorted(have - domain, key=lambda s: s.sort_key))
-    members = p.oriented_members()
-    witness = _consistency_witness(members) if scan and _maximal_pair_inconsistent(members) else None
+    witness = None
+    if scan:
+        members = p.oriented_members()
+        if _maximal_pair_inconsistent(members):
+            witness = _consistency_witness(members)
     return PreTangleReport(
         complete=not missing and not extra,
         consistent=witness is None,
@@ -636,10 +639,13 @@ def check_tangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION_BU
     The axiom decides consistency when it holds: an inconsistent pair x, y
     makes x, y, y a covering triple (see `enumerate_tangles`). So the
     consistency scan of `check_pretangle` runs only when a triple is found,
-    and the pre-tangle report is `check_pretangle`'s either way."""
+    and the pre-tangle report is `check_pretangle`'s either way. Each
+    member's sides are read as masks off its choice, so only a witness
+    triple is built as oriented `Separation`s."""
     encode = _mask_encoder(g)
-    ordered = sorted(p.oriented_members(), key=lambda o: -len(o.side_a))
-    antichains, chain = _maximal(g, [encode(*o.masks, x) for x, o in enumerate(ordered)])
+    chosen = [(s.masks if t == "b" else s.masks[::-1], s, t) for s, t in p._items]
+    chosen.sort(key=lambda c: -c[0][0].bit_count())  # stable: by decreasing |A|
+    antichains, chain = _maximal(g, [encode(*ab, x) for x, (ab, _, _) in enumerate(chosen)])
     by_size = antichains.members(chain)
     witness = None
     for i, x in enumerate(by_size):
@@ -650,7 +656,7 @@ def check_tangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION_BU
                 break
             z = antichains.cover(chain, x, y)
             if z is not None:
-                witness = (ordered[x[4]], ordered[y[4]], ordered[z[4]])
+                witness = tuple(chosen[w[4]][1].orient(chosen[w[4]][2]) for w in (x, y, z))
                 break
         if witness:
             break

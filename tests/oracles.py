@@ -22,13 +22,17 @@ reference for the mask enumeration. The port graph for comb teeth and the
 induced graph less the edges inside the base for ray packings, each solved
 by the reference network, are the references for the flows that `ends`
 runs on the host graph under a vertex mask, and the frozenset loop over
-components is the reference for `tight_components` on masks.
+components is the reference for `tight_components` on masks. The per-layer
+family generators, which build every layer and a shadow layer h + 1 from
+scratch, are the reference for the tower that `families` grows level by
+level.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
+from tangletree.families import LayeredPresentation
 from tangletree.graph import Graph
 from tangletree.errors import BudgetExceededError, InternalCheckError, UnknownVertexError
 from tangletree.separations import (
@@ -633,3 +637,138 @@ def relation_eight_way(s: Separation, t: Separation) -> Relation:
             if witness is None and (below or above):
                 witness = (so, to) if below else (to, so)
     return Relation(witness is not None, witness)
+
+
+def _finish_reference(family, params, raw_layers, rays, cliques=()) -> LayeredPresentation:
+    """Drop the shadow layer h + 1, computing each boundary from its successor."""
+    layers = raw_layers[:-1]
+    boundaries = []
+    for m, g in enumerate(layers):
+        old = g.vertices
+        bd = set()
+        for u, v in raw_layers[m + 1].edges:
+            if (u in old) != (v in old):
+                bd.add(u if u in old else v)
+        boundaries.append(frozenset(bd))
+    return LayeredPresentation(
+        family, params, len(layers) - 1, tuple(layers), tuple(boundaries), rays, cliques
+    )
+
+
+def _clique_chain_reference(params: dict) -> LayeredPresentation:
+    h, sizes = params["horizon"], params.get("sizes")
+    top = h + 1  # shadow level used to compute boundary(h)
+
+    def clique_members(n: int) -> list[str]:
+        if sizes is None:
+            c_n = 2 ** (n + 4)
+        else:
+            c_n = sizes[n] if n < len(sizes) else 3 * 2**n
+        entries = ["u:0:1"] if n == 0 else [f"v:{n-1}:{i}" for i in range(1, 2**n + 1)]
+        exits = [f"v:{n}:{i}" for i in range(1, 2 ** (n + 1) + 1)]
+        privates = [f"p:{n}:{j}" for j in range(1, c_n - len(entries) - len(exits) + 1)]
+        return entries + exits + privates
+
+    cliques = [frozenset(clique_members(n)) for n in range(top + 1)]
+    raw_layers = []
+    for m in range(top + 1):
+        vertices: set[str] = set()
+        edges: set[tuple[str, str]] = set()
+        for n in range(m + 1):
+            members = sorted(cliques[n])
+            vertices.update(members)
+            edges.update(combinations(members, 2))
+        for n in range(m + 1):
+            for j in range(m + 1):
+                vertices.add(f"r:{n}:{j}")
+                if j > 0:
+                    edges.add((f"r:{n}:{j-1}", f"r:{n}:{j}"))
+                if j >= n:
+                    edges.add((f"r:{n}:{j}", f"v:{j}:1"))
+        raw_layers.append(Graph.from_data(vertices, edges))
+    rays = tuple(
+        (f"R{n}", tuple(f"r:{n}:{j}" for j in range(h + 1))) for n in range(h + 1)
+    )
+    return _finish_reference("clique_chain", params, raw_layers, rays, tuple(cliques[: h + 1]))
+
+
+def _ray_reference(params: dict) -> LayeredPresentation:
+    h = params["horizon"]
+    raw_layers = []
+    for m in range(h + 2):
+        vs = [f"r:0:{j}" for j in range(m + 1)]
+        es = [(f"r:0:{j}", f"r:0:{j+1}") for j in range(m)]
+        raw_layers.append(Graph.from_data(vs, es))
+    rays = (("R0", tuple(f"r:0:{j}" for j in range(h + 1))),)
+    return _finish_reference("ray", params, raw_layers, rays)
+
+
+def _double_ray_reference(params: dict) -> LayeredPresentation:
+    h = params["horizon"]
+    raw_layers = []
+    for m in range(h + 2):
+        vs = [f"r:0:{j}" for j in range(m + 1)] + [f"l:0:{j}" for j in range(m + 1)]
+        es = [(f"r:0:{j}", f"r:0:{j+1}") for j in range(m)]
+        es += [(f"l:0:{j}", f"l:0:{j+1}") for j in range(m)]
+        es.append(("l:0:0", "r:0:0"))
+        raw_layers.append(Graph.from_data(vs, es))
+    rays = (
+        ("L0", tuple(f"l:0:{j}" for j in range(h + 1))),
+        ("R0", tuple(f"r:0:{j}" for j in range(h + 1))),
+    )
+    return _finish_reference("double_ray", params, raw_layers, rays)
+
+
+def _grid_reference(params: dict) -> LayeredPresentation:
+    h, width = params["horizon"], params.get("width", 3)
+    raw_layers = []
+    for m in range(h + 2):
+        vs = [f"g:{x}:{y}" for x in range(m + 1) for y in range(width)]
+        es = []
+        for x in range(m + 1):
+            for y in range(width):
+                if x < m:
+                    es.append((f"g:{x}:{y}", f"g:{x+1}:{y}"))
+                if y < width - 1:
+                    es.append((f"g:{x}:{y}", f"g:{x}:{y+1}"))
+        raw_layers.append(Graph.from_data(vs, es))
+    rays = tuple(
+        (f"row{y}", tuple(f"g:{x}:{y}" for x in range(h + 1))) for y in range(width)
+    )
+    return _finish_reference("grid", params, raw_layers, rays)
+
+
+def _binary_tree_reference(params: dict) -> LayeredPresentation:
+    h = params["horizon"]
+    raw_layers = []
+    for m in range(h + 2):
+        vs = ["b:r" + "".join(bits) for d in range(m + 1) for bits in _bit_strings(d)]
+        es = [(v[:-1], v) for v in vs if len(v) > 3]  # every vertex but the root "b:r"
+        raw_layers.append(Graph.from_data(vs, es))
+    rays = (
+        ("L", tuple("b:r" + "0" * d for d in range(h + 1))),
+        ("R", tuple("b:r" + "1" * d for d in range(h + 1))),
+    )
+    return _finish_reference("binary_tree", params, raw_layers, rays)
+
+
+def _bit_strings(d: int) -> list[list[str]]:
+    if d == 0:
+        return [[]]
+    return [bits + [b] for bits in _bit_strings(d - 1) for b in ("0", "1")]
+
+
+_FAMILY_REFERENCES = {
+    "clique_chain": _clique_chain_reference,
+    "ray": _ray_reference,
+    "double_ray": _double_ray_reference,
+    "grid": _grid_reference,
+    "binary_tree": _binary_tree_reference,
+}
+
+
+def family_reference(name: str, params: dict) -> LayeredPresentation:
+    """`generate_family` on valid parameters, building every layer and a
+    shadow layer h + 1 from scratch and reading each boundary off the
+    successor layer's edges."""
+    return _FAMILY_REFERENCES[name](dict(params))

@@ -179,6 +179,22 @@ def test_ends_command_grid_rejected(tmp_path):
     assert doc["rejected"] is True
 
 
+@pytest.mark.parametrize("command", ["limits", "ends"])
+@pytest.mark.parametrize("horizon", [5, "3", True], ids=["beyond the layers", "string", "bool"])
+def test_presentation_horizon_must_count_its_layers(tmp_path, capsys, command, horizon):
+    """A presentation document whose horizon is no integer, or not the layer
+    count less one, is a GraphFormatError, not a traceback."""
+    pres = tmp_path / "pres.json"
+    assert run(["generate", "--family", "ray", "--horizon", "3", "--output", str(pres)]) == 0
+    doc = json.loads(pres.read_text())
+    pres.write_text(json.dumps({**doc, "horizon": horizon}))
+    capsys.readouterr()
+    assert run([command, "--input", str(pres)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["kind"] == "error" and report["error"] == "GraphFormatError"
+    assert "horizon" in report["message"]
+
+
 def test_interlace_family_mode(tmp_path):
     out = tmp_path / "pair.json"
     code = run(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from tangletree import ends
 from tangletree.errors import PreconditionError
 from tangletree.families import generate_family
 from tangletree.ends import (
@@ -14,7 +15,7 @@ from tangletree.ends import (
     thick_end_pipeline,
     thin_end_bound,
 )
-from tangletree.graph import Graph
+from tangletree.graph import Graph, disjoint_paths
 from tangletree.limits import limit_separator_prefix
 from tangletree.separations import NestedSet, supremum
 from tangletree.tangles import clique_witness
@@ -110,6 +111,21 @@ def test_clique_chain_unique_direction_each_horizon(scaled_chain):
 def test_clique_chain_equivalence_classes_at_top(scaled_chain):
     classes = ray_equivalence_classes(scaled_chain, 5)
     assert [c.rays for c in classes] == [("R0", "R1", "R2", "R3"), ("R4",), ("R5",)]
+
+
+def test_equivalence_classes_run_no_flow_for_joined_pairs(scaled_chain, monkeypatch):
+    """Of the 15 pairs of six rays, (R1, R2), (R1, R3) and (R2, R3) are
+    already joined through R0 when they come up, so 12 flows run."""
+    pairs = []
+
+    def counting(g, s, t, *args, **kwargs):
+        pairs.append((s, t))
+        return disjoint_paths(g, s, t, *args, **kwargs)
+
+    monkeypatch.setattr(ends, "disjoint_paths", counting)
+    classes = ray_equivalence_classes(scaled_chain, 5)
+    assert [c.rays for c in classes] == [("R0", "R1", "R2", "R3"), ("R4",), ("R5",)]
+    assert len(pairs) == 12
 
 
 def test_ray_packing_ray_family(ray_presentation):

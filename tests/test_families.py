@@ -1,6 +1,7 @@
 """Generator families: structure, monotone towers, boundaries, round trips."""
 
 import json
+from unittest import mock
 
 import pytest
 
@@ -11,14 +12,33 @@ from tangletree.families import (
     load_presentation_spec,
     truncate,
 )
-from tangletree.graph import load_graph
+from tangletree.graph import Graph, load_graph
 from tangletree.limits import check_chain_coherence
 from tangletree.separations import is_tight
+from .oracles import family_reference
+
+_FAMILY_CASES = {  # by test id: the family and its parameters but the horizon
+    "clique_chain-default": ("clique_chain", {}),
+    "clique_chain-scaled": ("clique_chain", {"sizes": [8, 12, 20, 36]}),
+    "ray": ("ray", {}),
+    "double_ray": ("double_ray", {}),
+    "grid-width1": ("grid", {"width": 1}),
+    "grid-default-width3": ("grid", {}),
+    "grid-width5": ("grid", {"width": 5}),
+    "binary_tree": ("binary_tree", {}),
+}
 
 
 def test_unknown_family_rejected():
     with pytest.raises(FamilyParameterError):
         generate_family("moebius", {"horizon": 2})
+
+
+@pytest.mark.parametrize("horizon", [-1, True, 2.0, None])
+def test_horizon_must_be_a_non_negative_integer(horizon):
+    """A bool horizon would be written as `true`, which `from_json` rejects."""
+    with pytest.raises(FamilyParameterError):
+        generate_family("ray", {"horizon": horizon})
 
 
 def test_clique_chain_default_level_zero_size_is_sixteen():
@@ -207,3 +227,22 @@ def test_ray_prefixes(scaled_chain):
     assert scaled_chain.ray_prefix("R2", 1) == ()
     assert scaled_chain.ray_prefix("R2", 3) == ("r:2:0", "r:2:1", "r:2:2", "r:2:3")
     assert scaled_chain.ray_tail_vertex("R0", 2) == "r:0:2"
+
+
+@pytest.mark.parametrize("horizon", range(6))
+@pytest.mark.parametrize("name, params", list(_FAMILY_CASES.values()), ids=list(_FAMILY_CASES))
+def test_generated_presentation_matches_per_layer_reference(name, params, horizon):
+    """The tower, grown level by level, is byte for byte the presentation
+    built layer by layer from scratch with a shadow layer h + 1."""
+    params = {**params, "horizon": horizon}
+    doc = json.dumps(generate_family(name, params).to_json(), sort_keys=True)
+    assert doc == json.dumps(family_reference(name, params).to_json(), sort_keys=True)
+
+
+@pytest.mark.parametrize("name, params", list(_FAMILY_CASES.values()), ids=list(_FAMILY_CASES))
+def test_generation_builds_one_graph_per_layer(name, params):
+    """No graph is built for level h + 1: boundary(h) comes from its edges."""
+    post_init = Graph.__post_init__
+    with mock.patch.object(Graph, "__post_init__", autospec=True, side_effect=post_init) as built:
+        generate_family(name, {**params, "horizon": 3})
+    assert built.call_count == 4

@@ -301,6 +301,20 @@ def test_order_one_tangle_is_the_empty_small_side(g):
     assert check_tangle(g, t).ok
 
 
+@pytest.mark.parametrize(
+    "g, k", [(grid_graph(4, 4), 3), (clique_chain_graph(3, 5), 3)], ids=["4x4 grid", "three-K5 chain"]
+)
+def test_passing_check_tangle_orients_no_member(g, k):
+    """`check_tangle` reads each member's sides as masks off its choice, so a
+    passing check on a fresh tangle builds no reverse `Separation`, although
+    members point toward side a."""
+    tangle = enumerate_tangles(g, k)[0]
+    assert "a" in tangle.choices.values()
+    with mock.patch.object(Separation, "reverse", autospec=True, side_effect=Separation.reverse) as reverse:
+        assert check_tangle(g, tangle).ok
+    assert reverse.call_count == 0
+
+
 def test_check_pretangle_on_flipped_co_small_member():
     """K2's order-2 tangle with {∅, V} flipped to the co-small (V, ∅). A
     co-small member is inconsistent with itself, which the <=-maximal filter
