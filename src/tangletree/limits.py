@@ -185,7 +185,10 @@ def _holds(t: Orienter, item: Separation) -> bool:
     item's separation as item. Pool members that cannot orient it do not
     hold it."""
     sep = item.canonical()
-    return t.order_bound > item.order and t.orients(sep) and t.orient(sep) == item
+    if t.order_bound <= item.order:
+        return False
+    toward = t.toward(sep)
+    return toward is not None and sep.orient(toward) == item
 
 
 def _efficiently_distinguishes(g, sep, p, q, *, budget) -> bool:
@@ -274,11 +277,7 @@ def construct_interlaced(
         inserted = None
         t_star = min_distinguishing_order(g, p_cur, p_nxt, budget=budget)
         for member in n:
-            if member.order != t_star:
-                continue
-            if member.order >= min(p_cur.order_bound, p_nxt.order_bound):
-                continue
-            if not distinguishes(member, p_cur, p_nxt):
+            if member.order != t_star or not _splits(member, p_cur, p_nxt):
                 continue
             oriented = p_nxt.orient(member)
             if lt(cur, oriented) and lt(oriented, nxt):

@@ -7,10 +7,12 @@ orientations (repetition allowed) from covering the graph as subgraphs:
 G[A1] | G[A2] | G[A3] = G, on vertices and edges.
 
 Two representations share one orientation-query contract (`order_bound`,
-`orient`, `graph`): the materialized PreTangle mapping, and the lazy
-TangleWitness whose orientation is computed per query. Witnesses keep the
-large generated graphs workable, where materializing every low-order
-separation is out of reach.
+`toward`, `graph`): the materialized PreTangle mapping, and the lazy
+TangleWitness whose orientation is computed per query. `toward(sep)` names
+the side of sep that the orienter points to, or None where it orients
+nothing; `orient`, the split predicate and `materialize` all read it.
+Witnesses keep the large generated graphs workable, where materializing
+every low-order separation is out of reach.
 
 Efficient distinguishers between two clique witnesses reduce to a minimum
 vertex cut between the cliques (any separation splitting the cliques must
@@ -39,7 +41,7 @@ from .graph import Graph, _flood, disjoint_paths, minimum_separator
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     Separation,
-    _leq,
+    _ambient,
     _separation,
     enumerate_separations,
 )
@@ -74,11 +76,12 @@ class PreTangle:
     def sort_key(self) -> tuple:
         return (self.order_bound, self._key)
 
-    def orients(self, sep: Separation) -> bool:
-        return sep in self.choices
+    def toward(self, sep: Separation) -> str | None:
+        """The chosen side of the canonical separation sep, else None."""
+        return self.choices.get(sep)
 
     def orient(self, sep: Separation) -> Separation:
-        toward = self.choices.get(sep)
+        toward = self.toward(sep)
         if toward is None:
             raise OrientationUndecidableError(
                 f"separation of order {sep.order} outside this order-{self.order_bound} domain"
@@ -123,11 +126,12 @@ class TangleWitness:
     """Lazy orientation anchored to a cohesive substructure.
 
     kind == "clique": orients every separation of order < order_bound toward
-    the side containing the clique; a clique is never split strictly, so for
-    order < |clique| that side exists and is unique. The orientation is a
-    genuine tangle when |clique| >= 3 * order_bound - 2 (see
-    `tangle_guaranteed`); for larger bounds up to |clique| it is still a
-    consistent pre-tangle, which is what the sequence machinery needs.
+    the side holding the clique less the separator. Those vertices are
+    pairwise adjacent, so they lie in one component of G - S, and for order
+    < |clique| they exist. The orientation is a genuine tangle when |clique|
+    >= 3 * order_bound - 2 (see `tangle_guaranteed`); for larger bounds up
+    to |clique| it is still a consistent pre-tangle, which is what the
+    sequence machinery needs.
 
     kind == "end_region": orients toward the component holding the last
     window vertex of the declared spine ray; undecidable when the spine tail
@@ -152,6 +156,10 @@ class TangleWitness:
                 raise FamilyParameterError(
                     "clique witness bound may not exceed the clique size"
                 )
+            closed = self.graph._vertex_index[3]
+            c = self._anchor  # raises UnknownVertexError for a vertex outside the graph
+            if any(c & ~closed[v] for v in _bits(c)):
+                raise FamilyParameterError("clique witness vertices must be pairwise adjacent")
         else:
             if self.presentation is None or not self.spine:
                 raise FamilyParameterError(
@@ -183,39 +191,37 @@ class TangleWitness:
         return self.kind == "clique" and len(self.clique) >= 3 * self.order_bound - 2
 
     @cached_property
-    def _tail_vertex(self) -> str:
-        return self.presentation.ray_tail_vertex(self.spine, self.window)
+    def _anchor(self) -> int:
+        """The mask of the clique, or of the spine tail's one vertex."""
+        if self.kind == "clique":
+            return self.graph.mask(self.clique)
+        return self.graph.mask([self.presentation.ray_tail_vertex(self.spine, self.window)])
 
-    def orients(self, sep: Separation) -> bool:
+    def toward(self, sep: Separation) -> str | None:
+        """The side of sep holding the anchor less the separator, else None:
+        at order >= order_bound, or when the spine tail lies in it. The
+        masks of sep must index this graph's vertices, so sep must be a
+        separation of it."""
+        _ambient(self.graph, sep)
         if sep.order >= self.order_bound:
-            return False
-        if self.kind == "end_region" and self._tail_vertex in sep.separator:
-            return False
-        return True
+            return None
+        a, b = sep.masks
+        rest = self._anchor & ~(a & b)
+        if not rest:
+            return None
+        return "a" if rest & a else "b"
 
     def orient(self, sep: Separation) -> Separation:
-        if sep.order >= self.order_bound:
-            raise OrientationUndecidableError(
-                f"separation of order {sep.order} outside this order-{self.order_bound} domain"
-            )
-        if self.kind == "clique":
-            rest = self.clique - sep.separator
-            anchor = min(rest)
-        else:
-            anchor = self._tail_vertex
-            if anchor in sep.separator:
+        toward = self.toward(sep)
+        if toward is None:
+            if sep.order >= self.order_bound:
                 raise OrientationUndecidableError(
-                    "spine tail meets the separator; end_region undecidable in this window"
+                    f"separation of order {sep.order} outside this order-{self.order_bound} domain"
                 )
-        if anchor in sep.side_a:
-            oriented = sep.orient("a")
-        else:
-            oriented = sep.orient("b")
-        if self.kind == "clique" and not self.clique <= oriented.side_b:
             raise OrientationUndecidableError(
-                "separation splits the witness clique strictly"
+                "spine tail meets the separator; end_region undecidable in this window"
             )
-        return oriented
+        return sep.orient(toward)
 
     def to_json(self) -> dict:
         doc = {"kind": self.kind, "order_bound": self.order_bound}
@@ -249,10 +255,10 @@ def end_region_witness(presentation, spine: str, window: int, order_bound: int) 
 def materialize(w: TangleWitness, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> PreTangle:
     """Expand a witness into the explicit orientation mapping (small graphs)."""
     seps = enumerate_separations(w.graph, w.order_bound - 1, budget=budget)
-    choices = {}
-    for sep in seps:
-        oriented = w.orient(sep)
-        choices[sep] = "b" if oriented.side_b == sep.side_b else "a"
+    choices = {sep: w.toward(sep) for sep in seps}
+    for sep, toward in choices.items():
+        if toward is None:
+            w.orient(sep)  # raises why the witness leaves sep open
     return PreTangle(w.graph, w.order_bound, choices)
 
 
@@ -352,45 +358,11 @@ def _consistency_witness(members: Sequence[Separation]):
     return None
 
 
-def _maximal_pair_inconsistent(members: Sequence[Separation]) -> bool:
-    """True iff two distinct members are inconsistent, decided on the
-    <=-maximal ones.
-
-    reverse(x) <= y is symmetric in x and y and upward-closed: it gives
-    reverse(x) <= y' for y <= y'. So an inconsistent pair lifts to maximal
-    members m >= x and m' >= y with reverse(m) <= m'. If m is not m', the
-    maximal pair shows it. Otherwise m is co-small, (V, B), and one of x, y,
-    say z, is not m; by symmetry reverse(z) <= m. One pass over the members
-    looks for such a z for each co-small maximal m.
-
-    The maximal members are a set of positions in the sorted list, and the
-    tests against them read column indexes of the sides A and B (see
-    `_Sides`): (A, B) <= (C, D) iff C holds A and D lies inside B.
-    """
-    ordered = sorted(members, key=lambda o: (-len(o.side_a), len(o.side_b)))
-    if not ordered:
-        return False
-    n = len(ordered[0].graph.vertices)
-    masks = [o.masks for o in ordered]
-    sides_a = _Sides([a for a, _ in masks], n)
-    sides_b = _Sides([b for _, b in masks], n)
-    kept = 0  # anything above a member came earlier, so kept is the antichain
-    co_small: list[Separation] = []
-    for x, (a, b) in enumerate(masks):
-        if not sides_b.inside(sides_a.holding(kept, a), b):
-            if sides_b.inside(sides_a.holding(kept, b), a):
-                return True
-            kept |= 1 << x
-            if _leq(b, a, a, b):
-                co_small.append(ordered[x])
-    return any(z is not m and _leq(*z.masks[::-1], *m.masks) for m in co_small for z in members)
-
-
 def check_pretangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> PreTangleReport:
     """Completeness and consistency report with witnesses on failure.
 
-    Consistency is decided on the <=-maximal members; the first-pair scan
-    over all members runs only when they flag a pair, to name the witness."""
+    Consistency is decided by one scan, `_consistency_witness`, which names
+    the first inconsistent pair of members."""
     return _pretangle_report(g, p, budget, scan=True)
 
 
@@ -400,11 +372,7 @@ def _pretangle_report(g: Graph, p: PreTangle, budget: int, scan: bool) -> PreTan
     have = set(p.choices)
     missing = tuple(sorted(domain - have, key=lambda s: s.sort_key))
     extra = tuple(sorted(have - domain, key=lambda s: s.sort_key))
-    witness = None
-    if scan:
-        members = p.oriented_members()
-        if _maximal_pair_inconsistent(members):
-            witness = _consistency_witness(members)
+    witness = _consistency_witness(p.oriented_members()) if scan else None
     return PreTangleReport(
         complete=not missing and not extra,
         consistent=witness is None,
@@ -759,13 +727,12 @@ def _clique_cores(p: Orienter, q: Orienter):
 
 def _splits(sep: Separation, p: Orienter, q: Orienter) -> bool:
     """True iff sep lies below both order bounds and p and q both orient it,
-    in opposite directions."""
-    return (
-        sep.order < min(p.order_bound, q.order_bound)
-        and p.orients(sep)
-        and q.orients(sep)
-        and p.orient(sep) != q.orient(sep)
-    )
+    in opposite directions. The two orientations of (V, V) are one
+    separation, so it splits nothing."""
+    if sep.order >= min(p.order_bound, q.order_bound):
+        return False
+    x, y = p.toward(sep), q.toward(sep)
+    return x is not None and y is not None and x != y and sep.side_a != sep.side_b
 
 
 def _separation_from_cut(g: Graph, cut: frozenset[str], core: frozenset[str]) -> Separation:

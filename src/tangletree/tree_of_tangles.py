@@ -33,11 +33,12 @@ from .errors import (
     SeparationError,
     UnknownVertexError,
 )
-from .graph import Graph, components, minimum_separator
+from .graph import Graph, _flood, components, minimum_separator
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     NestedSet,
     Separation,
+    _separation,
     enumerate_separations,
     first_crossing,
     leq,
@@ -50,7 +51,6 @@ from .tangles import (
     _splits,
     check_tangle,
     distinguishable_pairs,
-    distinguishes,
 )
 
 
@@ -66,45 +66,42 @@ def _min_order_distinguishers(
 
     Clique-witness pairs constrain the search: any separator splitting the
     cliques contains their intersection, so only its supersets of the target
-    size are enumerated.
+    size are tried. Each is flooded once; the two cliques, less the
+    separator, lie in one component each, and every bipartition of the other
+    components puts p's on side a and q's on side b.
     """
-    found: list[Separation] = []
-    if _clique_cores(p, q) is not None:
-        core = p.clique & q.clique
-        free = sorted(g.vertices - core)
-        extra = target_order - len(core)
-        if extra < 0:
-            return []
-        examined = 0
-        for extra_sep in combinations(free, extra):
-            examined += 1
-            if examined > budget:
-                raise BudgetExceededError("clique-pair separator candidates", budget)
-            separator = core | frozenset(extra_sep)
-            comps = components(g, separator)
-            p_comps = [c for c in comps if c & p.clique]
-            q_comps = [c for c in comps if c & q.clique]
-            if any(c & q.clique for c in p_comps):
-                continue
-            neutral = [c for c in comps if not (c & p.clique) and not (c & q.clique)]
-            if len(neutral) > 12:
-                raise BudgetExceededError("neutral component assignments", 2**12)
-            for mask in range(1 << len(neutral)):
-                a_side = set(separator)
-                b_side = set(separator)
-                for c in p_comps:
-                    a_side |= c
-                for c in q_comps:
-                    b_side |= c
-                for i, c in enumerate(neutral):
-                    (a_side if mask >> i & 1 else b_side).update(c)
-                sep = Separation(g, frozenset(a_side), frozenset(b_side)).canonical()
-                if distinguishes(sep, p, q):
-                    found.append(sep)
-    else:
+    if _clique_cores(p, q) is None:
         seps = enumerate_separations(g, target_order, budget=budget)
-        found = [sep for sep in seps if sep.order == target_order and _splits(sep, p, q)]
-    return sorted(set(found), key=lambda s: s.sort_key)
+        return [sep for sep in seps if sep.order == target_order and _splits(sep, p, q)]
+    core = p.clique & q.clique
+    extra = target_order - len(core)
+    if extra < 0:
+        return []
+    names = g._vertex_index[0]
+    free = [(1 << i, v) for i, v in enumerate(names) if v not in core]
+    core_mask, p_mask, q_mask = g.mask(core), g.mask(p.clique), g.mask(q.clique)
+    full = (1 << len(names)) - 1
+    found: list[Separation] = []
+    for examined, picked in enumerate(combinations(free, extra), 1):
+        if examined > budget:
+            raise BudgetExceededError("clique-pair separator candidates", budget)
+        s = core_mask | sum(bit for bit, _ in picked)
+        comps = _flood(g, s)
+        cp = next(c for c in comps if c & p_mask)
+        cq = next(c for c in comps if c & q_mask)
+        if cp == cq:
+            continue
+        neutral = [c for c in comps if c != cp and c != cq]
+        if len(neutral) > 12:
+            raise BudgetExceededError("neutral component assignments", 2**12)
+        separator = core | frozenset(v for _, v in picked)
+        for pick in range(1 << len(neutral)):
+            a = s | cp
+            for i, c in enumerate(neutral):
+                if pick >> i & 1:
+                    a |= c
+            found.append(_separation(g, a, (full ^ a) | s, separator).canonical())
+    return sorted(found, key=lambda sep: sep.sort_key)
 
 
 def build_tree_of_tangles(
@@ -127,9 +124,7 @@ def build_tree_of_tangles(
     members: list[Separation] = []
     for (i, j), target_order in pairs:
         p, q = tangles[i], tangles[j]
-        if any(
-            m.order == target_order and distinguishes(m, p, q) for m in members
-        ):
+        if any(m.order == target_order and _splits(m, p, q) for m in members):
             continue
         options = _min_order_distinguishers(g, p, q, target_order, budget=budget)
         admitted = None
@@ -202,8 +197,7 @@ def classify_pairs(
     out = []
     for (i, j), order in sorted(distinguishable_pairs(g, tangles, budget=budget)):
         p, q = tangles[i], tangles[j]
-        bound = min(p.order_bound, q.order_bound)
-        hits = tuple(m for m in members if m.order < bound and distinguishes(m, p, q))
+        hits = tuple(m for m in members if _splits(m, p, q))
         if any(m.order == order for m in hits):
             status = "efficient"
         elif hits and _window_limited(g, p, q, boundary):

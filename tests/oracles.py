@@ -25,7 +25,9 @@ runs on the host graph under a vertex mask, and the frozenset loop over
 components is the reference for `tight_components` on masks. The per-layer
 family generators, which build every layer and a shadow layer h + 1 from
 scratch, are the reference for the tower that `families` grows level by
-level.
+level. The name-lookup orientation query, which anchors a witness at one
+vertex and looks it up in the sides, is the reference for `toward`, which
+tests the witness's mask against the separation's.
 """
 
 from __future__ import annotations
@@ -34,7 +36,12 @@ from itertools import combinations, product
 
 from tangletree.families import LayeredPresentation
 from tangletree.graph import Graph
-from tangletree.errors import BudgetExceededError, InternalCheckError, UnknownVertexError
+from tangletree.errors import (
+    BudgetExceededError,
+    InternalCheckError,
+    OrientationUndecidableError,
+    UnknownVertexError,
+)
 from tangletree.separations import (
     DEFAULT_ENUMERATION_BUDGET,
     Relation,
@@ -316,6 +323,67 @@ def consistency_witness_reference(members) -> tuple[Separation, Separation] | No
             if x.side_b <= y.side_a and y.side_b <= x.side_a:
                 return (x, y)
     return None
+
+
+def _tail_vertex(w) -> str:
+    return w.presentation.ray_tail_vertex(w.spine, w.window)
+
+
+def orients_reference(t, sep: Separation) -> bool:
+    """True where t orients sep, by name lookups. A pre-tangle orients the
+    separations it has a choice for. A witness orients those below its order
+    bound, less, for an end region, those whose separator holds the spine
+    tail."""
+    if isinstance(t, PreTangle):
+        return sep in t.choices
+    if sep.order >= t.order_bound:
+        return False
+    return t.kind == "clique" or _tail_vertex(t) not in sep.separator
+
+
+def orient_reference(t, sep: Separation) -> Separation:
+    """The orientation of sep in t, by name lookups, else the
+    OrientationUndecidableError of `orient`. A witness names an anchor
+    vertex, the least clique vertex outside the separator or the spine
+    tail, and points to the side holding it; a clique witness raises if
+    that side does not hold the whole clique."""
+    domain = f"separation of order {sep.order} outside this order-{t.order_bound} domain"
+    if isinstance(t, PreTangle):
+        if sep not in t.choices:
+            raise OrientationUndecidableError(domain)
+        return sep.orient(t.choices[sep])
+    if sep.order >= t.order_bound:
+        raise OrientationUndecidableError(domain)
+    if t.kind == "clique":
+        anchor = min(t.clique - sep.separator)
+    else:
+        anchor = _tail_vertex(t)
+        if anchor in sep.separator:
+            raise OrientationUndecidableError(
+                "spine tail meets the separator; end_region undecidable in this window"
+            )
+    oriented = sep.orient("a" if anchor in sep.side_a else "b")
+    if t.kind == "clique" and not t.clique <= oriented.side_b:
+        raise OrientationUndecidableError("separation splits the witness clique strictly")
+    return oriented
+
+
+def splits_reference(sep: Separation, p, q) -> bool:
+    """sep lies below both order bounds, and p and q both orient it, to
+    opposite orientations."""
+    return (
+        sep.order < min(p.order_bound, q.order_bound)
+        and orients_reference(p, sep)
+        and orients_reference(q, sep)
+        and orient_reference(p, sep) != orient_reference(q, sep)
+    )
+
+
+def distinguishes_reference(sep: Separation, p, q) -> bool:
+    """p and q orient sep oppositely; raises outside the common domain."""
+    if sep.order >= min(p.order_bound, q.order_bound):
+        raise OrientationUndecidableError(f"order {sep.order} outside the common domain")
+    return orient_reference(p, sep) != orient_reference(q, sep)
 
 
 def min_distinguishing_order_brute(g: Graph, p: PreTangle, q: PreTangle) -> int | None:

@@ -7,13 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tangletree.errors import (
+    AmbientMismatchError,
     FamilyParameterError,
     OrientationUndecidableError,
+    TangletreeError,
+    UnknownVertexError,
 )
+from tangletree.families import generate_family
 from tangletree.graph import Graph
 from tangletree.separations import enumerate_separations, make_separation
 from tangletree.tangles import (
     PreTangle,
+    _splits,
     Tangle,
     check_pretangle,
     check_tangle,
@@ -32,7 +37,14 @@ from .conftest import (
     random_connected_graph,
     two_k4_bridge,
 )
-from .oracles import all_tangles_brute, min_distinguishing_order_brute
+from .oracles import (
+    all_tangles_brute,
+    distinguishes_reference,
+    min_distinguishing_order_brute,
+    orient_reference,
+    orients_reference,
+    splits_reference,
+)
 
 
 def k4() -> Graph:
@@ -182,6 +194,123 @@ def test_clique_witness_requires_bound_within_clique():
     g = k4()
     with pytest.raises(FamilyParameterError):
         clique_witness(g, g.vertices, 5)
+
+
+def test_clique_witness_rejects_non_cliques():
+    """A witness clique must be a clique of the graph: on the path a-b-c-d,
+    {a, d} is not one, and zz is no vertex."""
+    g = Graph.from_data(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    with pytest.raises(FamilyParameterError):
+        clique_witness(g, ["a", "d"], 2)
+    with pytest.raises(UnknownVertexError):
+        clique_witness(g, ["a", "zz"], 1)
+    bridge = make_separation(g, {"a", "b"}, {"b", "c", "d"})
+    assert clique_witness(g, ["b", "c"], 2).orient(bridge).side_b == {"b", "c", "d"}
+
+
+def test_witness_rejects_a_separation_of_another_graph(scaled_chain):
+    """A witness reads a separation's sides as masks over its own graph's
+    vertices, so a separation of another window is refused, not misread."""
+    small, big = scaled_chain.graph_at(1), scaled_chain.graph_at(2)
+    sep = scaled_chain.chain_item(0, 1).canonical()
+    for w in (clique_witness(big, scaled_chain.clique(1), 3), end_region_witness(scaled_chain, "R0", 2, 3)):
+        with pytest.raises(AmbientMismatchError):
+            w.toward(sep)
+        with pytest.raises(AmbientMismatchError):
+            w.orient(sep)
+    assert sep.graph is small
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the TangletreeError it raised."""
+    try:
+        return f(*args)
+    except TangletreeError as exc:
+        return (type(exc), str(exc))
+
+
+def _assert_queries_agree(g: Graph, orienters: list, max_order: int) -> None:
+    """toward, orient, _splits and distinguishes against the name-lookup
+    references, on both orientations of every separation of order <= each
+    orienter's bound, and for every pair below both bounds."""
+    seps = [x for sep in enumerate_separations(g, max_order) for x in sep.orientations()]
+    for t in orienters:
+        for sep in seps:
+            if sep.order > t.order_bound:
+                continue
+            toward = t.toward(sep)
+            if orients_reference(t, sep):
+                assert sep.orient(toward) == orient_reference(t, sep)
+            else:
+                assert toward is None
+            assert _outcome(t.orient, sep) == _outcome(orient_reference, t, sep)
+    for i, p in enumerate(orienters):
+        for q in orienters[i + 1 :]:
+            for sep in seps:
+                if sep.order <= min(p.order_bound, q.order_bound):
+                    assert _splits(sep, p, q) == splits_reference(sep, p, q)
+                    assert _outcome(distinguishes, sep, p, q) == _outcome(distinguishes_reference, sep, p, q)
+
+
+def _random_clique(g: Graph, rng: random.Random) -> list[str]:
+    """A clique grown from a random vertex by random common neighbours."""
+    clique = [rng.choice(sorted(g.vertices))]
+    for v in rng.sample(sorted(g.vertices), len(g.vertices)):
+        if all(v in g.adjacency[u] for u in clique):
+            clique.append(v)
+    return clique
+
+
+def _random_pretangle(g: Graph, k: int, rng: random.Random) -> PreTangle:
+    """Random choices for the separations of order < k, a few left out."""
+    seps = enumerate_separations(g, k - 1)
+    return PreTangle(g, k, {sep: rng.choice("ab") for sep in seps if rng.random() > 0.05})
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_orientation_queries_match_the_reference_on_random_graphs(data):
+    """Tangles, random pre-tangles and clique witnesses. One pre-tangle has
+    order |V| + 1 and a copy that differs from it only on (V, V), whose two
+    orientations are one separation: that pair splits nothing."""
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    n = data.draw(st.integers(1, 8))
+    g = random_connected_graph(rng, n)
+    orienters = list(enumerate_tangles(g, data.draw(st.integers(1, min(3, n)))))
+    top = _random_pretangle(g, n + 1, rng)
+    whole = make_separation(g, g.vertices, g.vertices)
+    flipped = {**top.choices, whole: "a" if top.choices.get(whole) == "b" else "b"}
+    orienters += [top, PreTangle(g, n + 1, flipped), _random_pretangle(g, data.draw(st.integers(1, n + 1)), rng)]
+    for _ in range(2):
+        clique = _random_clique(g, rng)
+        orienters.append(clique_witness(g, clique, rng.randint(1, len(clique))))
+    _assert_queries_agree(g, orienters, n)
+
+
+_WINDOWS = [
+    ("clique_chain", {"sizes": [3, 6], "horizon": 1}),
+    ("ray", {"horizon": 4}),
+    ("double_ray", {"horizon": 3}),
+    ("grid", {"horizon": 2, "width": 2}),
+    ("binary_tree", {"horizon": 2}),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_orientation_queries_match_the_reference_on_family_windows(data):
+    """End-region witnesses on every ray of a family window, with a clique
+    witness of the window beside them."""
+    family, params = data.draw(st.sampled_from(_WINDOWS))
+    p = generate_family(family, params)
+    m = data.draw(st.integers(0, p.horizon))
+    g = p.graph_at(m)
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    max_order = min(3, len(g.vertices))
+    orienters = [end_region_witness(p, ray, m, rng.randint(1, max_order)) for ray in p.rays_in_layer(m)]
+    clique = _random_clique(g, rng)
+    orienters.append(clique_witness(g, clique, rng.randint(1, min(len(clique), max_order))))
+    _assert_queries_agree(g, orienters, max_order)
 
 
 def test_clique_witness_soundness_exhaustive():
