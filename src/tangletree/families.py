@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import FamilyParameterError, GraphFormatError
-from .graph import Graph, _edge
+from .graph import Graph, _as_list, _edge
 from .separations import Separation, SeparationSequence
 
 FAMILIES = ("clique_chain", "ray", "double_ray", "grid", "binary_tree")
@@ -181,25 +181,29 @@ class LayeredPresentation:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LayeredPresentation":
-        horizon, top = doc["horizon"], len(doc["layers"]) - 1
+        horizon, layers = doc["horizon"], _as_list(doc["layers"], "layers")
+        top = len(layers) - 1
         if type(horizon) is not int:  # not bool
             raise GraphFormatError(f"horizon must be an integer, got {horizon!r}")
         if horizon != top:
             raise GraphFormatError(f"horizon must be the layer count less one, {top}, got {horizon}")
-        layers = tuple(
-            Graph.from_data(layer["vertices"], [tuple(e) for e in layer["edges"]])
-            for layer in doc["layers"]
+        graphs = tuple(
+            Graph.from_data(
+                _as_list(layer["vertices"], "layer vertices"),
+                [tuple(_as_list(e, "an edge")) for e in _as_list(layer["edges"], "layer edges")],
+            )
+            for layer in layers
         )
-        boundaries = tuple(frozenset(layer["boundary"]) for layer in doc["layers"])
-        rays = tuple(sorted((lab, tuple(p)) for lab, p in doc["rays"].items()))
+        boundaries = tuple(frozenset(_as_list(layer["boundary"], "a boundary")) for layer in layers)
+        rays = tuple(sorted((lab, tuple(_as_list(p, "a ray path"))) for lab, p in doc["rays"].items()))
         return cls(
             family=doc["family"],
             params=doc["params"],
             horizon=horizon,
-            layers=layers,
+            layers=graphs,
             boundaries=boundaries,
             rays=rays,
-            cliques=tuple(frozenset(c) for c in doc.get("cliques", [])),
+            cliques=tuple(frozenset(_as_list(c, "a clique")) for c in _as_list(doc.get("cliques", []), "cliques")),
         )
 
 
@@ -307,7 +311,7 @@ def _generate_double_ray(params: dict) -> LayeredPresentation:
 def _generate_grid(params: dict) -> LayeredPresentation:
     h = _require_horizon(params)
     width = params.get("width", 3)
-    if not isinstance(width, int) or width < 1:
+    if type(width) is not int or width < 1:  # not bool
         raise FamilyParameterError("'width' must be a positive integer")
     levels = {f"g:{x}:{y}": x for x in range(h + 2) for y in range(width)}
     edges = [(f"g:{x}:{y}", f"g:{x+1}:{y}") for x in range(h + 1) for y in range(width)]

@@ -218,6 +218,14 @@ def load_graph(text: str) -> Graph:
     return Graph(frozenset(vset), frozenset(edges))
 
 
+def _as_list(value, what: str) -> list:
+    """value, which a document must give as a list: read as one, a string
+    would stand for its characters."""
+    if not isinstance(value, list):
+        raise GraphFormatError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -411,16 +419,3 @@ def minimum_separator(g: Graph, s: Iterable[str], t: Iterable[str]) -> frozenset
         return frozenset()
     return _solve(g, s, t)[1]
 
-
-def crossing_edge(g: Graph, side_a: frozenset[str], side_b: frozenset[str]) -> Edge | None:
-    """First edge joining side_a - side_b to side_b - side_a, if any."""
-    strict_a = side_a - side_b
-    strict_b = side_b - side_a
-    if not strict_a or not strict_b:
-        return None
-    small, other = (strict_a, strict_b) if len(strict_a) <= len(strict_b) else (strict_b, strict_a)
-    for v in sorted(small):
-        hit = g.adjacency[v] & other
-        if hit:
-            return _edge(v, min(hit))
-    return None

@@ -253,6 +253,8 @@ def construct_interlaced(
     the later induced tangle) is inserted; it lands strictly between the two
     by nestedness and consistency, and a failure to do so aborts loudly.
     """
+    if not seq:
+        raise PreconditionError("the sequence is empty")
     members = set(n.members)
     for item in seq:
         if item.canonical() not in members:
@@ -471,6 +473,9 @@ def exhaustiveness_evidence(p, chains: dict) -> ExhaustivenessVerdict:
     """
     if not chains:
         raise PreconditionError("no chain layers supplied")
+    for m in sorted(chains):
+        if not chains[m]:
+            raise PreconditionError(f"the chain of layer {m} is empty")
     check_chain_coherence(p, chains)
     layers = sorted(chains)
     ref = layers[0]
@@ -529,6 +534,8 @@ def limit_separator_prefix(seq: SeparationSequence) -> frozenset[str]:
     monotone along the sequence, so the limit separator is exactly the set
     of vertices eventually always in the separators)."""
     items = seq.items[-_LOOKBACK:]
+    if not items:
+        raise PreconditionError("an empty sequence has no limit separator")
     prefix = items[0].separator
     for item in items[1:]:
         prefix = prefix & item.separator

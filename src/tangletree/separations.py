@@ -9,13 +9,12 @@ decides this twice, via the definition and via the corner test on
 
 One class, `Separation`, is the oriented pair (A, B). The unoriented
 separation {A, B} is its canonical orientation, the one of (A, B) and
-(B, A) with the smaller `sort_key`. The public constructor validates the
-sides once; `reverse()` builds (B, A) on first call without checking it
-again, since it is a separation exactly when (A, B) is, and links the two.
-Enumeration builds each separation from its two masks, checked once on
-them, with its caches filled. Each object caches its sort key and its
-sides as int bitmasks, on which `leq`, the corner test and `relation` run.
-Sides are frozensets of vertex names in the API and JSON.
+(B, A) with the smaller `sort_key`. One check on the sides as int
+bitmasks, `_fault`, decides whether (A, B) is a separation, and `_built`
+fills in every object whole: sort key, masks (on which `leq`, the corner
+test and `relation` run) and separator. `reverse()` builds (B, A) on first
+call without a check, since it is a separation exactly when (A, B) is, and
+links the two. Sides are frozensets of vertex names in the API and JSON.
 
 Sequences ordered by <= have a supremum (union of the left sides,
 intersection of the right sides), which is again a separation; domination
@@ -43,10 +42,11 @@ from .errors import (
     GraphFormatError,
     InternalCheckError,
     PreconditionError,
+    SeparationError,
     SequenceOrderError,
     UnknownVertexError,
 )
-from .graph import Graph, _flood, _select, _tight, crossing_edge
+from .graph import Graph, _edge, _flood, _select, _tight
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
@@ -55,8 +55,10 @@ DEFAULT_ENUMERATION_BUDGET = 2_000_000
 class Separation:
     """The oriented separation (A, B) of `graph`, validated when built.
 
-    The unoriented separation {A, B} is `canonical()`: this object or its
-    reverse, whichever has the smaller `sort_key`.
+    Built whole: `sort_key` is (sorted A, sorted B), which the canonical
+    order compares; `masks` is (A, B) as `Graph.mask` bitmasks; `separator`
+    is A & B. The unoriented separation {A, B} is `canonical()`: this object
+    or its reverse, whichever has the smaller `sort_key`.
     """
 
     graph: Graph
@@ -64,17 +66,15 @@ class Separation:
     side_b: frozenset[str]
 
     def __post_init__(self):
-        g = self.graph
-        if self.side_a | self.side_b != g.vertices:
-            missing = g.vertices - (self.side_a | self.side_b)
-            extra = (self.side_a | self.side_b) - g.vertices
-            if extra:
-                raise UnknownVertexError(min(extra))
-            raise CoverError(f"sides do not cover V(G); missing {sorted(missing)[:5]}")
-        edge = crossing_edge(g, self.side_a, self.side_b)
-        if edge is not None:
-            raise CrossingEdgeError(edge)
-        object.__setattr__(self, "_hash", hash((self.side_a, self.side_b)))
+        g, side_a, side_b = self.graph, self.side_a, self.side_b
+        try:
+            masks = g.mask(side_a), g.mask(side_b)
+        except UnknownVertexError:
+            raise UnknownVertexError(min((side_a | side_b) - g.vertices)) from None
+        fault = _fault(g, *masks)
+        if fault:
+            raise fault
+        _built(self, g, side_a, side_b, (tuple(sorted(side_a)), tuple(sorted(side_b))), masks, side_a & side_b)
 
     def __eq__(self, other):
         if self is other:
@@ -93,31 +93,17 @@ class Separation:
     def __repr__(self):
         return f"({sorted(self.side_a)} | {sorted(self.side_b)})"
 
-    @cached_property
-    def separator(self) -> frozenset[str]:
-        return self.side_a & self.side_b
-
     @property
     def order(self) -> int:
         return len(self.separator)
-
-    @cached_property
-    def sort_key(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """(sorted A, sorted B): the canonical order compares these."""
-        return (tuple(sorted(self.side_a)), tuple(sorted(self.side_b)))
-
-    @cached_property
-    def masks(self) -> tuple[int, int]:
-        """(A, B) as `Graph.mask` bitmasks, computed on first use."""
-        return self.graph.mask(self.side_a), self.graph.mask(self.side_b)
 
     def reverse(self) -> "Separation":
         """(B, A): `s.reverse() is s.reverse()` and `s.reverse().reverse() is s`.
 
         Built on first call without a check, since it is a separation exactly
-        when (A, B) is, from the swapped halves of what this object has
-        cached. The builder holds it and it links back by weak reference: a
-        cycle would keep each pair alive until a full garbage collection.
+        when (A, B) is, from the swapped halves of this object. The builder
+        holds it and it links back by weak reference: a cycle would keep
+        each pair alive until a full garbage collection.
         """
         d = self.__dict__
         r = d.get("_reverse")
@@ -125,12 +111,8 @@ class Separation:
             back = d.get("_back")
             r = back and back()
             if r is None:
-                d["_reverse"] = r = _built(self.graph, self.side_b, self.side_a, _back=ref(self))
-                for name in ("sort_key", "masks"):
-                    if name in d:
-                        r.__dict__[name] = d[name][::-1]
-                if "separator" in d:
-                    r.__dict__["separator"] = d["separator"]
+                d["_reverse"] = r = _built(object.__new__(Separation), self.graph, self.side_b, self.side_a,
+                                           self.sort_key[::-1], self.masks[::-1], self.separator, _back=ref(self))
         return r
 
     def canonical(self) -> "Separation":
@@ -174,30 +156,44 @@ def make_separation(g: Graph, a: Iterable[str], b: Iterable[str]) -> Separation:
     return Separation(g, frozenset(a), frozenset(b))
 
 
-def _built(g: Graph, side_a: frozenset[str], side_b: frozenset[str], **cached) -> Separation:
-    """The separation (A, B) of g, built unchecked, with the given caches."""
-    s = object.__new__(Separation)
-    s.__dict__.update(graph=g, side_a=side_a, side_b=side_b, _hash=hash((side_a, side_b)), **cached)
+def _built(s: Separation, g: Graph, side_a, side_b, key, masks, separator, **links) -> Separation:
+    """s with every field, cache and link set: the one way a Separation is filled in."""
+    s.__dict__.update(graph=g, side_a=side_a, side_b=side_b, sort_key=key, masks=masks,
+                      separator=separator, _hash=hash((side_a, side_b)), **links)
     return s
 
 
-def _check_masks(g: Graph, a: int, b: int) -> None:
-    """The masks (A, B) cover V(g) and no vertex of A - B has a neighbour in
-    B - A; anything else is a bug, so it raises InternalCheckError."""
-    closed = g._vertex_index[3]
-    strict_b = b & ~a
-    if a | b != (1 << len(closed)) - 1 or any(map(strict_b.__and__, _select(closed, a & ~b))):
-        raise InternalCheckError(f"masks {a:#x} | {b:#x} are not a separation of {g!r}")
+def _fault(g: Graph, a: int, b: int) -> SeparationError | None:
+    """Why the masks (A, B) are not a separation of g, or None: a CoverError
+    lists up to five vertices on neither side; a CrossingEdgeError joins the
+    first vertex of the smaller strict side (A - B on a tie) with a neighbour
+    in the other to its least such neighbour."""
+    names, _, _, closed = g._vertex_index
+    full = (1 << len(names)) - 1
+    if a | b != full:
+        return CoverError(f"sides do not cover V(G); missing {list(_select(names, full & ~(a | b)))[:5]}")
+    strict_a, strict_b = a & ~b, b & ~a
+    if not any(map(strict_b.__and__, _select(closed, strict_a))):
+        return None
+    if strict_b.bit_count() < strict_a.bit_count():
+        strict_a, strict_b = strict_b, strict_a
+    for v, near in zip(_select(names, strict_a), _select(closed, strict_a)):
+        hit = near & strict_b
+        if hit:
+            return CrossingEdgeError(_edge(v, names[(hit & -hit).bit_length() - 1]))
 
 
 def _separation(g: Graph, a: int, b: int, separator: frozenset[str]) -> Separation:
-    """The separation (A, B) of g from its masks and its separator's names,
-    checked on the masks and built, as `reverse()` builds, with its caches."""
-    _check_masks(g, a, b)
+    """The separation (A, B) of g from its masks and its separator's names.
+    Masks that `_fault` rejects can only come from a bug, so they raise
+    InternalCheckError."""
+    fault = _fault(g, a, b)
+    if fault:
+        raise InternalCheckError(f"masks {a:#x} | {b:#x} are not a separation of {g!r}: {fault}")
     names = g._vertex_index[0]
     # via lists: tuples grown from iterators skip, then fill, the tuple free lists
     key = (tuple(list(_select(names, a))), tuple(list(_select(names, b))))
-    return _built(g, frozenset(key[0]), frozenset(key[1]), sort_key=key, masks=(a, b), separator=separator)
+    return _built(object.__new__(Separation), g, frozenset(key[0]), frozenset(key[1]), key, (a, b), separator)
 
 
 def _graph_of(s) -> Graph:

@@ -637,7 +637,6 @@ def enumerate_tangles(
     k: int,
     *,
     budget: int = DEFAULT_TANGLE_BUDGET,
-    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> list[Tangle]:
     """Exactly all tangles of order k, by depth-first orientation search.
 
@@ -666,7 +665,7 @@ def enumerate_tangles(
         raise DisconnectedGraphError("enumerate_tangles requires a connected graph")
     if k < 1:
         raise PreconditionError(f"tangle order must be at least 1, got {k}")
-    seps = enumerate_separations(g, k - 1, budget=enumeration_budget)
+    seps = enumerate_separations(g, k - 1)
     encode = _mask_encoder(g)
     family = []
     for i, (a, b) in enumerate(s.orient("b").masks for s in seps):

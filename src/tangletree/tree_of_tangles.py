@@ -33,7 +33,7 @@ from .errors import (
     SeparationError,
     UnknownVertexError,
 )
-from .graph import Graph, _flood, components, minimum_separator
+from .graph import Graph, _as_list, _flood, components, minimum_separator
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     NestedSet,
@@ -271,12 +271,13 @@ class TreeDecomposition:
 
     @classmethod
     def from_json(cls, doc: dict) -> "TreeDecomposition":
-        """Parse a document whose names are strings, whose edges join
-        declared nodes and whose nodes all have bags."""
+        """Parse a document whose nodes, edges and bags are lists, whose
+        names are strings, whose edges join declared nodes and whose nodes
+        all have bags."""
         td = cls(
-            nodes=tuple(doc["nodes"]),
-            edges=tuple(tuple(e) for e in doc["edges"]),
-            bags={node: frozenset(bag) for node, bag in doc["bags"].items()},
+            nodes=tuple(_as_list(doc["nodes"], "nodes")),
+            edges=tuple(tuple(_as_list(e, "an edge")) for e in _as_list(doc["edges"], "edges")),
+            bags={node: frozenset(_as_list(bag, "a bag")) for node, bag in doc["bags"].items()},
         )
         names = [*td.nodes, *td.bags, *(v for bag in td.bags.values() for v in bag)]
         if not all(isinstance(x, str) for x in names):

@@ -27,7 +27,9 @@ family generators, which build every layer and a shadow layer h + 1 from
 scratch, are the reference for the tower that `families` grows level by
 level. The name-lookup orientation query, which anchors a witness at one
 vertex and looks it up in the sides, is the reference for `toward`, which
-tests the witness's mask against the separation's.
+tests the witness's mask against the separation's. The frozenset cover test
+and edge scan are the reference for the mask check behind every
+`Separation`, error types and messages included.
 """
 
 from __future__ import annotations
@@ -38,8 +40,11 @@ from tangletree.families import LayeredPresentation
 from tangletree.graph import Graph
 from tangletree.errors import (
     BudgetExceededError,
+    CoverError,
+    CrossingEdgeError,
     InternalCheckError,
     OrientationUndecidableError,
+    TangletreeError,
     UnknownVertexError,
 )
 from tangletree.separations import (
@@ -70,6 +75,27 @@ def all_separations_brute(g: Graph, max_order: int) -> set[Separation]:
             continue
         out.add(sep.canonical())
     return out
+
+
+def separation_fault_reference(g: Graph, side_a: frozenset[str], side_b: frozenset[str]) -> TangletreeError | None:
+    """The error that makes (side_a, side_b) no separation of g, or None, on
+    frozensets: the least unknown vertex, else up to five uncovered vertices,
+    else the first edge between the strict sides, scanned from the smaller
+    one (side_a - side_b on a tie) in sorted order to its least neighbour."""
+    if side_a | side_b != g.vertices:
+        extra = (side_a | side_b) - g.vertices
+        if extra:
+            return UnknownVertexError(min(extra))
+        missing = g.vertices - (side_a | side_b)
+        return CoverError(f"sides do not cover V(G); missing {sorted(missing)[:5]}")
+    strict_a = side_a - side_b
+    strict_b = side_b - side_a
+    small, other = (strict_a, strict_b) if len(strict_a) <= len(strict_b) else (strict_b, strict_a)
+    for v in sorted(small):
+        hit = g.adjacency[v] & other
+        if hit:
+            return CrossingEdgeError(tuple(sorted((v, min(hit)))))
+    return None
 
 
 def components_reference(g: Graph, removed=()) -> list[frozenset[str]]:

@@ -195,6 +195,33 @@ def test_presentation_horizon_must_count_its_layers(tmp_path, capsys, command, h
     assert "horizon" in report["message"]
 
 
+def test_presentation_with_string_vertices_is_a_json_error(tmp_path, capsys):
+    """Layer vertices written as the string "r:0:0" are not read as the
+    vertices r, : and 0."""
+    pres = tmp_path / "pres.json"
+    assert run(["generate", "--family", "ray", "--horizon", "3", "--output", str(pres)]) == 0
+    doc = json.loads(pres.read_text())
+    doc["layers"][0]["vertices"] = "r:0:0"
+    pres.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["limits", "--input", str(pres)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "GraphFormatError" and "must be a list" in report["message"]
+
+
+def test_interlace_with_an_empty_sequence_is_a_json_error(tmp_path, capsys):
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        docs = _valid_documents(tmp_dir)
+    paths = []
+    for index, doc in ((0, docs[0]), (2, docs[2]), (4, {"items": []}), (1, docs[1])):
+        paths += ["--input", str(tmp_path / f"in{index}.json")]
+        (tmp_path / f"in{index}.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["interlace", *paths]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "PreconditionError" and "empty" in report["message"]
+
+
 def test_interlace_family_mode(tmp_path):
     out = tmp_path / "pair.json"
     code = run(
@@ -243,6 +270,20 @@ def _path_abc(tmp_path):
     path = tmp_path / "abc.json"
     path.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}))
     return str(path)
+
+
+def test_verify_rejects_string_lists_in_a_tree_decomposition(tmp_path, capsys):
+    """On the path a-b-c-d, nodes "xy", edge "xy" and bags "ab" and "bcd"
+    are not the lists of their characters."""
+    graph = tmp_path / "abcd.json"
+    graph.write_text(json.dumps({"vertices": list("abcd"), "edges": [list("ab"), list("bc"), list("cd")]}))
+    td = tmp_path / "td.json"
+    td.write_text(
+        json.dumps({"kind": "tree_decomposition", "nodes": "xy", "edges": ["xy"], "bags": {"x": "ab", "y": "bcd"}})
+    )
+    assert run(["verify", "--input", str(graph), "--input", str(td)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == "error" and doc["error"] == "GraphFormatError"
 
 
 def test_verify_rejects_string_sides(tmp_path, capsys):
@@ -459,6 +500,8 @@ _JSON = st.recursive(
 
 
 def _valid_documents(tmp_dir) -> list:
+    """The graph, its tangle list, nested set and tree decomposition, a
+    sequence of one nested-set member, and a clique-chain presentation."""
     gpath = os.path.join(tmp_dir, "g.json")
     with open(gpath, "w") as fh:
         json.dump(_TRIANGLES, fh)
@@ -469,6 +512,13 @@ def _valid_documents(tmp_dir) -> list:
             assert main([command, "--input", gpath, "--order", "2", "--output", out] + extra) == 0
         with open(out) as fh:
             docs.append(json.load(fh))
+    docs.append({"items": docs[2]["members"][:1]})
+    out = gpath + ".generate"
+    with contextlib.redirect_stdout(io.StringIO()):
+        args = ["generate", "--family", "clique_chain", "--horizon", "2", "--sizes", "3,6,12", "--output", out]
+        assert main(args) == 0
+    with open(out) as fh:
+        docs.append(json.load(fh))
     return docs
 
 
@@ -502,7 +552,17 @@ def _broken(draw, doc):
 @given(data=st.data())
 def test_malformed_documents_give_json_reports(data):
     command, inputs = data.draw(
-        st.sampled_from([("tangles", [0]), ("tot", [0]), ("decompose", [0, 2]), ("verify", [0, 1, 2, 3])])
+        st.sampled_from(
+            [
+                ("tangles", [0]),
+                ("tot", [0]),
+                ("decompose", [0, 2]),
+                ("verify", [0, 1, 2, 3]),
+                ("interlace", [0, 2, 4, 1]),
+                ("limits", [5]),
+                ("ends", [5]),
+            ]
+        )
     )
     with tempfile.TemporaryDirectory() as tmp_dir:
         docs = _valid_documents(tmp_dir)

@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from tangletree.errors import FamilyParameterError
+from tangletree.errors import FamilyParameterError, GraphFormatError
 from tangletree.families import (
     LayeredPresentation,
     generate_family,
@@ -39,6 +39,13 @@ def test_horizon_must_be_a_non_negative_integer(horizon):
     """A bool horizon would be written as `true`, which `from_json` rejects."""
     with pytest.raises(FamilyParameterError):
         generate_family("ray", {"horizon": horizon})
+
+
+@pytest.mark.parametrize("width", [0, True, 2.0, "3"])
+def test_grid_width_must_be_a_positive_integer(width):
+    """A bool width would build a width-1 grid and be written as `true`."""
+    with pytest.raises(FamilyParameterError):
+        generate_family("grid", {"horizon": 3, "width": width})
 
 
 def test_clique_chain_default_level_zero_size_is_sixteen():
@@ -184,6 +191,33 @@ def test_presentation_round_trip(scaled_chain):
         assert back.boundary(m) == scaled_chain.boundary(m)
     assert back.rays == scaled_chain.rays
     assert back.cliques == scaled_chain.cliques
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("layers",),
+        ("layers", 0, "vertices"),
+        ("layers", 1, "edges"),
+        ("layers", 1, "edges", 0),
+        ("layers", 0, "boundary"),
+        ("rays", "R0"),
+        ("cliques",),
+        ("cliques", 0),
+    ],
+    ids=lambda path: ".".join(map(str, path)),
+)
+def test_presentation_lists_must_be_lists(path):
+    """A string where a list belongs is a GraphFormatError: read as a list,
+    it would stand for its characters."""
+    doc = generate_family("clique_chain", {"horizon": 2, "sizes": [3, 6, 12]}).to_json()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    value = parent[path[-1]]
+    parent[path[-1]] = "".join(value) if all(isinstance(x, str) for x in value) else "ab"
+    with pytest.raises(GraphFormatError, match="must be a list"):
+        LayeredPresentation.from_json(doc)
 
 
 def test_generator_graph_document_round_trip(scaled_chain):

@@ -12,6 +12,7 @@ from tangletree.limits import (
     check_strongly_relevant,
     classify_vs_limit,
     construct_interlaced,
+    exhaustiveness_evidence,
     limit_separator_growth,
     limit_separator_prefix,
     pseudo_tight_check,
@@ -331,3 +332,21 @@ def test_limit_separator_prefix_matches_attachments(scaled_chain):
     chain = scaled_chain.canonical_chain(5)
     prefix = limit_separator_prefix(chain)
     assert prefix == {scaled_chain.attachment_vertex(i) for i in range(4)}
+
+
+_EMPTY = SeparationSequence.strictly_increasing([])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, setup: construct_interlaced(setup[0], setup[2], _EMPTY, setup[3]),
+        lambda p, setup: limit_separator_prefix(_EMPTY),
+        lambda p, setup: exhaustiveness_evidence(p, {4: _EMPTY}),
+        lambda p, setup: exhaustiveness_evidence(p, {**p.canonical_layer_chains(), 5: _EMPTY}),
+    ],
+    ids=["construct_interlaced", "limit_separator_prefix", "exhaustiveness_evidence", "a later empty layer"],
+)
+def test_empty_sequences_are_precondition_errors(scaled_chain, chain_setup, call):
+    with pytest.raises(PreconditionError, match="empty"):
+        call(scaled_chain, chain_setup)

@@ -1,6 +1,7 @@
 """Separation algebra: construction, order, nestedness, sequences, limits."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from tangletree.errors import (
     EmptyGraphError,
     InternalCheckError,
     SequenceOrderError,
+    TangletreeError,
     UnknownVertexError,
 )
 from tangletree.graph import Graph
@@ -40,6 +42,7 @@ from .oracles import (
     enumerate_separations_reference,
     relation_eight_way,
     relation_reference,
+    separation_fault_reference,
 )
 
 
@@ -277,8 +280,8 @@ def test_sides_are_validated_once(monkeypatch):
     orientations it hands out are that object and its reverse, which are not
     checked again."""
     calls = []
-    check = separations._check_masks
-    monkeypatch.setattr(separations, "_check_masks", lambda *a: calls.append(1) or check(*a))
+    check = separations._fault
+    monkeypatch.setattr(separations, "_fault", lambda *a: calls.append(1) or check(*a))
     seps = enumerate_separations(grid_graph(3, 6), 4)
     for s in seps:
         assert s.orient("b") is s and s.orient("a") is s.reverse()
@@ -290,18 +293,60 @@ def test_sides_are_validated_once(monkeypatch):
 
 def test_mask_check_rejects_forged_pairs():
     g = path_graph(4)
-    check = separations._check_masks
-    check(g, g.mask({"p00", "p01"}), g.mask({"p01", "p02", "p03"}))
+    check = separations._fault
+    assert check(g, g.mask({"p00", "p01"}), g.mask({"p01", "p02", "p03"})) is None
     forged = [
         ({"p00", "p01"}, {"p02", "p03"}),  # p01-p02 crosses: the last strict vertex of A
         ({"p02", "p03"}, {"p00", "p01"}),  # p02-p01 crosses: the first strict vertex of A
         ({"p00", "p01"}, {"p01", "p02"}),  # p03 is on neither side
     ]
     for a, b in forged:
-        with pytest.raises(InternalCheckError):
-            check(g, g.mask(a), g.mask(b))
+        assert check(g, g.mask(a), g.mask(b)) is not None
         with pytest.raises(InternalCheckError):
             separations._separation(g, g.mask(a), g.mask(b), frozenset(a & b))
+
+
+# Vertex names whose sorted order is not their order here; those a graph
+# does not take stand for unknown vertices.
+_NAMES = ("x2", "b", "zz", "a", "x10", "m", "b0", "q", "x1", "z", "c", "y")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_public_constructor_matches_the_frozenset_check(data):
+    """The mask check gives the frozenset check's error type, message and
+    edge, and on valid sides the masks, sort key and separator computed from
+    the sides, on random graphs of at most 9 vertices and sides that may
+    name unknown vertices."""
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    names = rng.sample(_NAMES, rng.randint(1, 9))
+    density, stray = rng.random(), rng.random() / 4
+    g = Graph.from_data(names, [e for e in combinations(names, 2) if rng.random() < density])
+    where = {v: rng.choice("aaaaabbbbb22222-") if v in g.vertices else rng.choice("ab2") if rng.random() < stray else "-"
+             for v in _NAMES}
+    a = frozenset(v for v, w in where.items() if w in "a2")
+    b = frozenset(v for v, w in where.items() if w in "b2")
+    want = separation_fault_reference(g, a, b)
+    try:
+        got = make_separation(g, a, b)
+    except TangletreeError as exc:
+        assert (type(exc), str(exc), getattr(exc, "edge", None)) == (type(want), str(want), getattr(want, "edge", None))
+    else:
+        assert want is None
+        assert got.masks == (g.mask(a), g.mask(b))
+        assert got.sort_key == (tuple(sorted(a)), tuple(sorted(b)))
+        assert got.separator == a & b
+
+
+def test_every_separation_is_built_whole():
+    """Sort key, masks and separator are set when a separation is built, by
+    the public constructor, enumeration, `reverse()` or `supremum`."""
+    g = path_graph(4)
+    public = sep(g, {"p00", "p01"}, {"p01", "p02", "p03"})
+    later = sep(g, {"p00", "p01", "p02"}, {"p02", "p03"})
+    enumerated = enumerate_separations(g, 1)[-1]
+    for s in (public, enumerated, public.reverse(), enumerated.reverse(), supremum([public, later])):
+        assert {"masks", "sort_key", "separator"} <= vars(s).keys()
 
 
 def _tree(rng: random.Random, n: int) -> Graph:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tangletree import separations
-from tangletree.errors import IncoherentChainError, PreconditionError
+from tangletree.errors import GraphFormatError, IncoherentChainError, PreconditionError
 from tangletree.graph import Graph
 from tangletree.separations import (
     NestedSet,
@@ -293,6 +293,17 @@ def test_dot_export_mentions_bags():
     assert dot.startswith("graph")
     assert "p00,p01" in dot and "p01,p02" in dot
     assert TreeDecomposition.from_json(td.to_json()).bags == td.bags
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("nodes", "xy"), ("edges", "xy"), ("edges", ["xy"]), ("bags", {"x": "ab", "y": ["b", "c", "d"]})],
+)
+def test_tree_decomposition_lists_must_be_lists(field, value):
+    """A string where a list belongs is a GraphFormatError, not its characters."""
+    doc = {"nodes": ["x", "y"], "edges": [["x", "y"]], "bags": {"x": ["a", "b"], "y": ["b", "c", "d"]}}
+    with pytest.raises(GraphFormatError, match="must be a list"):
+        TreeDecomposition.from_json({**doc, field: value})
 
 
 @st.composite
