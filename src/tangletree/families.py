@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import FamilyParameterError, GraphFormatError
-from .graph import Graph, _as_list, _edge
+from .graph import Graph, _as_json, _edge
 from .separations import Separation, SeparationSequence
 
 FAMILIES = ("clique_chain", "ray", "double_ray", "grid", "binary_tree")
@@ -181,7 +181,8 @@ class LayeredPresentation:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LayeredPresentation":
-        horizon, layers = doc["horizon"], _as_list(doc["layers"], "layers")
+        horizon = _as_json(doc, "a presentation", dict)["horizon"]
+        layers = [_as_json(layer, "a layer", dict) for layer in _as_json(doc["layers"], "layers")]
         top = len(layers) - 1
         if type(horizon) is not int:  # not bool
             raise GraphFormatError(f"horizon must be an integer, got {horizon!r}")
@@ -189,21 +190,22 @@ class LayeredPresentation:
             raise GraphFormatError(f"horizon must be the layer count less one, {top}, got {horizon}")
         graphs = tuple(
             Graph.from_data(
-                _as_list(layer["vertices"], "layer vertices"),
-                [tuple(_as_list(e, "an edge")) for e in _as_list(layer["edges"], "layer edges")],
+                _as_json(layer["vertices"], "layer vertices"),
+                [tuple(_as_json(e, "an edge")) for e in _as_json(layer["edges"], "layer edges")],
             )
             for layer in layers
         )
-        boundaries = tuple(frozenset(_as_list(layer["boundary"], "a boundary")) for layer in layers)
-        rays = tuple(sorted((lab, tuple(_as_list(p, "a ray path"))) for lab, p in doc["rays"].items()))
+        boundaries = tuple(frozenset(_as_json(layer["boundary"], "a boundary")) for layer in layers)
+        rays = _as_json(doc["rays"], "rays", dict).items()
+        rays = tuple(sorted((lab, tuple(_as_json(p, "a ray path"))) for lab, p in rays))
         return cls(
             family=doc["family"],
-            params=doc["params"],
+            params=_as_json(doc["params"], "params", dict),
             horizon=horizon,
             layers=graphs,
             boundaries=boundaries,
             rays=rays,
-            cliques=tuple(frozenset(_as_list(c, "a clique")) for c in _as_list(doc.get("cliques", []), "cliques")),
+            cliques=tuple(frozenset(_as_json(c, "a clique")) for c in _as_json(doc.get("cliques", []), "cliques")),
         )
 
 
@@ -344,7 +346,7 @@ _GENERATORS = {
 
 def generate_family(name: str, params: dict) -> LayeredPresentation:
     """Build the named family at the requested horizon."""
-    if name not in _GENERATORS:
+    if name not in FAMILIES:  # a tuple, so an unhashable name is unknown, not a TypeError
         raise FamilyParameterError(
             f"unknown family {name!r}; expected one of {', '.join(FAMILIES)}"
         )
@@ -361,4 +363,4 @@ def load_presentation_spec(text: str) -> LayeredPresentation:
         ) from exc
     if not isinstance(doc, dict) or "family" not in doc:
         raise GraphFormatError("presentation spec needs a 'family' field")
-    return generate_family(doc["family"], doc.get("params", {}))
+    return generate_family(doc["family"], _as_json(doc.get("params", {}), "params", dict))

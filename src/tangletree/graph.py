@@ -218,11 +218,12 @@ def load_graph(text: str) -> Graph:
     return Graph(frozenset(vset), frozenset(edges))
 
 
-def _as_list(value, what: str) -> list:
-    """value, which a document must give as a list: read as one, a string
-    would stand for its characters."""
-    if not isinstance(value, list):
-        raise GraphFormatError(f"{what} must be a list, got {type(value).__name__}")
+def _as_json(value, what: str, kind: type = list):
+    """value, which a document must give as a JSON list (or, for kind dict,
+    an object): read as a list, a string would stand for its characters."""
+    if not isinstance(value, kind):
+        shape = "a list" if kind is list else "an object"
+        raise GraphFormatError(f"{what} must be {shape}, got {type(value).__name__}")
     return value
 
 

@@ -46,7 +46,7 @@ from .errors import (
     SequenceOrderError,
     UnknownVertexError,
 )
-from .graph import Graph, _edge, _flood, _select, _tight
+from .graph import Graph, _as_json, _edge, _flood, _select, _tight
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
@@ -145,6 +145,7 @@ class Separation:
     def from_json(cls, g: Graph, doc: dict) -> "Separation":
         """The separation (a, b) of a document; each side must be a list of
         vertex names."""
+        doc = _as_json(doc, "a separation", dict)
         sides = (doc["a"], doc["b"])
         if not all(isinstance(side, list) and all(isinstance(v, str) for v in side) for side in sides):
             raise GraphFormatError("separation sides must be lists of vertex names")
@@ -322,36 +323,34 @@ def enumerate_separations(
     of the components of g - S into two sides yields the separation
     (S | left, S | right); the separator of the result is exactly S, so no
     deduplication across candidates is needed. Improper separations are
-    included (query `Separation.is_proper`). The budget bounds the number of
-    separator candidates examined.
+    included (query `Separation.is_proper`). The call raises before any
+    search when the candidate count, sum(C(|V|, s) for s <= max_order),
+    exceeds the budget.
 
     The last finished enumeration stays in one slot. A call on that same
-    graph object (`is`) at its order or lower gets a copy, cut to max_order,
-    and still raises if sum(C(|V|, s) for s <= max_order) exceeds the budget.
+    graph object (`is`) at its order or lower gets a copy, cut to max_order.
     """
     global _last_enumeration
     last_graph, last_order, last_out = _last_enumeration
-    if g is last_graph and max_order <= last_order:
-        if sum(comb(len(g.vertices), s) for s in range(max_order + 1)) > budget:
-            raise BudgetExceededError("separator candidates", budget)
+    hit = g is last_graph and max_order <= last_order
+    if not hit:
+        if not g.vertices:
+            raise EmptyGraphError("enumerate_separations requires a non-empty graph")
+        if not g.is_connected():
+            raise DisconnectedGraphError("enumerate_separations requires a connected graph")
+        if max_order > len(g.vertices):
+            raise PreconditionError("max_order exceeds |V(g)|")
+    if sum(comb(len(g.vertices), s) for s in range(max_order + 1)) > budget:
+        raise BudgetExceededError("separator candidates", budget)
+    if hit:
         return last_out[: bisect_right(last_out, max_order, key=attrgetter("order"))]
-    if not g.vertices:
-        raise EmptyGraphError("enumerate_separations requires a non-empty graph")
-    if not g.is_connected():
-        raise DisconnectedGraphError("enumerate_separations requires a connected graph")
-    if max_order > len(g.vertices):
-        raise PreconditionError("max_order exceeds |V(g)|")
     names = g._vertex_index[0]
     bits = [1 << i for i in range(len(names))]
     full = sum(bits)
     out: list[Separation] = []
-    examined = 0
     for size in range(max_order + 1):
         block = len(out)
         for cut, separator in zip(combinations(bits, size), combinations(names, size)):
-            examined += 1
-            if examined > budget:
-                raise BudgetExceededError("separator candidates", budget)
             s = sum(cut)
             separator = frozenset(separator)
             # with no component left, A == B == V; otherwise the first
@@ -418,9 +417,9 @@ class SeparationSequence:
         return {"items": [it.to_json() for it in self.items]}
 
     @classmethod
-    def from_json(cls, g: Graph, doc: dict, *, strict: bool = True) -> "SeparationSequence":
-        items = tuple(Separation.from_json(g, d) for d in doc["items"])
-        return cls(items, strict=strict)
+    def from_json(cls, g: Graph, doc: dict) -> "SeparationSequence":
+        items = _as_json(_as_json(doc, "a sequence", dict)["items"], "items")
+        return cls(tuple(Separation.from_json(g, d) for d in items))
 
 
 def supremum(seq: SeparationSequence | Sequence[Separation]) -> Separation:
@@ -535,4 +534,5 @@ class NestedSet:
 
     @classmethod
     def from_json(cls, g: Graph, doc: dict) -> "NestedSet":
-        return cls.of(g, (Separation.from_json(g, d).canonical() for d in doc["members"]))
+        members = _as_json(_as_json(doc, "a nested set", dict)["members"], "members")
+        return cls.of(g, (Separation.from_json(g, d).canonical() for d in members))

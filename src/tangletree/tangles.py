@@ -37,7 +37,7 @@ from .errors import (
     OrientationUndecidableError,
     PreconditionError,
 )
-from .graph import Graph, _flood, disjoint_paths, minimum_separator
+from .graph import Graph, _as_json, _flood, disjoint_paths, minimum_separator
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     Separation,
@@ -104,11 +104,12 @@ class PreTangle:
 
     @classmethod
     def from_json(cls, g: Graph, doc: dict) -> "PreTangle":
-        order_bound = doc["order_bound"]
+        order_bound = _as_json(doc, "a tangle", dict)["order_bound"]
         if type(order_bound) is not int or not 1 <= order_bound <= len(g.vertices) + 1:  # not bool
             raise GraphFormatError(f"order_bound must be an integer in 1..|V| + 1, got {order_bound!r}")
         choices = {}
-        for entry in doc["orientation"]:
+        for entry in _as_json(doc["orientation"], "orientation"):
+            entry = _as_json(entry, "an orientation entry", dict)
             sep, toward = Separation.from_json(g, entry["sep"]), entry["toward"]
             if toward not in ("a", "b"):
                 raise GraphFormatError("toward must be 'a' or 'b'")

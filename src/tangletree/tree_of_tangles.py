@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import product
+from math import prod
 from typing import Iterable
 
 from .errors import (
@@ -33,7 +34,7 @@ from .errors import (
     SeparationError,
     UnknownVertexError,
 )
-from .graph import Graph, _as_list, _flood, components, minimum_separator
+from .graph import Graph, _as_json, _flood, _solve, components, minimum_separator
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     NestedSet,
@@ -64,28 +65,23 @@ def _min_order_distinguishers(
 ) -> list[Separation]:
     """All distinguishers of exactly the minimum order, canonically sorted.
 
-    Clique-witness pairs constrain the search: any separator splitting the
-    cliques contains their intersection, so only its supersets of the target
-    size are tried. Each is flooded once; the two cliques, less the
-    separator, lie in one component each, and every bipartition of the other
+    For clique witnesses that order is the number of disjoint paths between
+    the cliques, so each separator holds one vertex of each path (Menger; a
+    common vertex is a path of its own). Each pick is flooded once, and
+    when it parts the two cliques, every bipartition of the other
     components puts p's on side a and q's on side b.
     """
     if _clique_cores(p, q) is None:
         seps = enumerate_separations(g, target_order, budget=budget)
         return [sep for sep in seps if sep.order == target_order and _splits(sep, p, q)]
-    core = p.clique & q.clique
-    extra = target_order - len(core)
-    if extra < 0:
-        return []
-    names = g._vertex_index[0]
-    free = [(1 << i, v) for i, v in enumerate(names) if v not in core]
-    core_mask, p_mask, q_mask = g.mask(core), g.mask(p.clique), g.mask(q.clique)
-    full = (1 << len(names)) - 1
+    paths = _solve(g, p.clique, q.clique)[0]
+    if prod(map(len, paths)) > budget:
+        raise BudgetExceededError("clique-pair separator candidates", budget)
+    p_mask, q_mask = g.mask(p.clique), g.mask(q.clique)
+    full = (1 << len(g.vertices)) - 1
     found: list[Separation] = []
-    for examined, picked in enumerate(combinations(free, extra), 1):
-        if examined > budget:
-            raise BudgetExceededError("clique-pair separator candidates", budget)
-        s = core_mask | sum(bit for bit, _ in picked)
+    for picked in product(*paths):
+        s = g.mask(picked)
         comps = _flood(g, s)
         cp = next(c for c in comps if c & p_mask)
         cq = next(c for c in comps if c & q_mask)
@@ -94,13 +90,12 @@ def _min_order_distinguishers(
         neutral = [c for c in comps if c != cp and c != cq]
         if len(neutral) > 12:
             raise BudgetExceededError("neutral component assignments", 2**12)
-        separator = core | frozenset(v for _, v in picked)
         for pick in range(1 << len(neutral)):
             a = s | cp
             for i, c in enumerate(neutral):
                 if pick >> i & 1:
                     a |= c
-            found.append(_separation(g, a, (full ^ a) | s, separator).canonical())
+            found.append(_separation(g, a, (full ^ a) | s, frozenset(picked)).canonical())
     return sorted(found, key=lambda sep: sep.sort_key)
 
 
@@ -272,16 +267,19 @@ class TreeDecomposition:
     @classmethod
     def from_json(cls, doc: dict) -> "TreeDecomposition":
         """Parse a document whose nodes, edges and bags are lists, whose
-        names are strings, whose edges join declared nodes and whose nodes
-        all have bags."""
+        names are strings, whose edges are pairs of declared nodes and whose
+        nodes all have bags."""
+        doc = _as_json(doc, "a tree decomposition", dict)
         td = cls(
-            nodes=tuple(_as_list(doc["nodes"], "nodes")),
-            edges=tuple(tuple(_as_list(e, "an edge")) for e in _as_list(doc["edges"], "edges")),
-            bags={node: frozenset(_as_list(bag, "a bag")) for node, bag in doc["bags"].items()},
+            nodes=tuple(_as_json(doc["nodes"], "nodes")),
+            edges=tuple(tuple(_as_json(e, "an edge")) for e in _as_json(doc["edges"], "edges")),
+            bags={node: frozenset(_as_json(bag, "a bag")) for node, bag in _as_json(doc["bags"], "bags", dict).items()},
         )
-        names = [*td.nodes, *td.bags, *(v for bag in td.bags.values() for v in bag)]
+        names = [*td.nodes, *td.bags, *(v for bag in td.bags.values() for v in bag), *(x for e in td.edges for x in e)]
         if not all(isinstance(x, str) for x in names):
-            raise GraphFormatError("node names and bag vertices must be strings")
+            raise GraphFormatError("node names, edge ends and bag vertices must be strings")
+        if any(len(e) != 2 for e in td.edges):
+            raise GraphFormatError("each edge must be a pair of nodes")
         if not set(td.nodes) <= td.bags.keys():
             raise GraphFormatError("every node needs a bag")
         td.tree  # validates the edges

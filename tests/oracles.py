@@ -29,7 +29,9 @@ level. The name-lookup orientation query, which anchors a witness at one
 vertex and looks it up in the sides, is the reference for `toward`, which
 tests the witness's mask against the separation's. The frozenset cover test
 and edge scan are the reference for the mask check behind every
-`Separation`, error types and messages included.
+`Separation`, error types and messages included. The scan of every superset
+of the cliques' common vertices is the reference for the clique-pair
+distinguishers, which try one vertex of each disjoint path between them.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from tangletree.families import LayeredPresentation
-from tangletree.graph import Graph
+from tangletree.graph import Graph, _flood
 from tangletree.errors import (
     BudgetExceededError,
     CoverError,
@@ -54,6 +56,7 @@ from tangletree.separations import (
     _ambient,
     _leq,
     _leq_corner,
+    _separation,
     enumerate_separations,
     leq,
 )
@@ -464,6 +467,44 @@ def min_order_distinguishers_brute(g, p, q, seps) -> list[Separation]:
         return []
     best = hits[0].order
     return [s for s in hits if s.order == best]
+
+
+def clique_pair_distinguishers_reference(g: Graph, p, q, target_order: int, *, budget: int) -> list[Separation]:
+    """The minimum-order distinguishers of two clique witnesses, from every
+    superset of the cliques' common vertices of the target size: any
+    separator splitting the cliques contains their intersection. Each
+    candidate is flooded once; when the cliques, less it, lie in different
+    components, every bipartition of the other components puts p's on side
+    a and q's on side b."""
+    core = p.clique & q.clique
+    extra = target_order - len(core)
+    if extra < 0:
+        return []
+    names = g._vertex_index[0]
+    free = [(1 << i, v) for i, v in enumerate(names) if v not in core]
+    core_mask, p_mask, q_mask = g.mask(core), g.mask(p.clique), g.mask(q.clique)
+    full = (1 << len(names)) - 1
+    found: list[Separation] = []
+    for examined, picked in enumerate(combinations(free, extra), 1):
+        if examined > budget:
+            raise BudgetExceededError("clique-pair separator candidates", budget)
+        s = core_mask | sum(bit for bit, _ in picked)
+        comps = _flood(g, s)
+        cp = next(c for c in comps if c & p_mask)
+        cq = next(c for c in comps if c & q_mask)
+        if cp == cq:
+            continue
+        neutral = [c for c in comps if c != cp and c != cq]
+        if len(neutral) > 12:
+            raise BudgetExceededError("neutral component assignments", 2**12)
+        separator = core | frozenset(v for _, v in picked)
+        for pick in range(1 << len(neutral)):
+            a = s | cp
+            for i, c in enumerate(neutral):
+                if pick >> i & 1:
+                    a |= c
+            found.append(_separation(g, a, (full ^ a) | s, separator).canonical())
+    return sorted(found, key=lambda sep: sep.sort_key)
 
 
 def consistent_orientations_brute(g: Graph, members: list[Separation]):

@@ -491,7 +491,12 @@ _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 9) | st.sampled_from(["", "a", "a1", "b", "n0", "kind"]),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(
-        st.sampled_from(["kind", "members", "tangles", "nodes", "edges", "bags", "vertices", "a", "b"]),
+        st.sampled_from(
+            [
+                "kind", "members", "tangles", "nodes", "edges", "bags", "vertices", "a", "b",
+                "items", "orientation", "sep", "toward", "order_bound", "rays", "layers", "horizon", "params",
+            ]
+        ),
         inner,
         max_size=3,
     ),

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tangletree.errors import GraphFormatError, UnknownVertexError
+from tangletree.errors import FamilyParameterError, GraphFormatError, UnknownVertexError
+from tangletree.families import LayeredPresentation, generate_family, load_presentation_spec
 from tangletree.graph import (
     Graph,
     components,
@@ -17,6 +18,9 @@ from tangletree.graph import (
     minimum_separator,
     tight_components,
 )
+from tangletree.separations import NestedSet, Separation, SeparationSequence
+from tangletree.tangles import PreTangle
+from tangletree.tree_of_tangles import TreeDecomposition
 from .conftest import cycle_graph, grid_graph, path_graph, random_connected_graph, star_graph
 from .oracles import components_reference, min_cut_brute, tight_components_reference
 
@@ -55,6 +59,65 @@ def test_empty_graph_is_legal_document():
     g = load_graph('{"vertices":[],"edges":[]}')
     assert not g.vertices
     assert not g.is_connected()
+
+
+_P3 = Graph.from_data(["a", "b", "c"], [("a", "b"), ("b", "c")])
+_RAY = generate_family("ray", {"horizon": 2}).to_json()
+_TD = {"nodes": ["x"], "edges": [], "bags": {"x": ["a", "b", "c"]}}
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [
+        lambda: LayeredPresentation.from_json({**_RAY, "rays": []}),
+        lambda: LayeredPresentation.from_json({**_RAY, "layers": [*_RAY["layers"][:2], "ab"]}),
+        lambda: LayeredPresentation.from_json({**_RAY, "params": [1]}),
+        lambda: LayeredPresentation.from_json([]),
+        lambda: TreeDecomposition.from_json({**_TD, "bags": []}),
+        lambda: TreeDecomposition.from_json("ab"),
+        lambda: TreeDecomposition.from_json({**_TD, "nodes": ["x", "y"], "edges": [["x", "x", "y"]]}),
+        lambda: TreeDecomposition.from_json({**_TD, "edges": [[[], []]]}),
+        lambda: Separation.from_json(_P3, []),
+        lambda: SeparationSequence.from_json(_P3, {"items": "ab"}),
+        lambda: SeparationSequence.from_json(_P3, []),
+        lambda: NestedSet.from_json(_P3, {"members": "ab"}),
+        lambda: PreTangle.from_json(_P3, {"order_bound": 1, "orientation": "ab"}),
+        lambda: PreTangle.from_json(_P3, {"order_bound": 1, "orientation": [[1]]}),
+        lambda: PreTangle.from_json(_P3, [1]),
+        lambda: load_presentation_spec('{"family": "ray", "params": [1]}'),
+        lambda: load_presentation_spec('{"family": "ray", "params": "ab"}'),
+    ],
+    ids=[
+        "presentation-rays",
+        "presentation-layer",
+        "presentation-params",
+        "presentation",
+        "decomposition-bags",
+        "decomposition",
+        "decomposition-edge-triple",
+        "decomposition-edge-lists",
+        "separation",
+        "sequence-items",
+        "sequence",
+        "nested-members",
+        "tangle-orientation",
+        "tangle-entry",
+        "tangle",
+        "spec-params-list",
+        "spec-params-string",
+    ],
+)
+def test_documents_of_the_wrong_shape_are_format_errors(parse):
+    """A list where an object belongs, a string where a list belongs, or an
+    edge that is no pair of names is a GraphFormatError from every library
+    parser, not a raw Python error."""
+    with pytest.raises(GraphFormatError, match="must be"):
+        parse()
+
+
+def test_a_family_name_that_is_no_string_is_unknown():
+    with pytest.raises(FamilyParameterError, match="unknown family"):
+        load_presentation_spec('{"family": [1]}')
 
 
 def test_dump_load_round_trip_is_identity():

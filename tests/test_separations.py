@@ -396,7 +396,7 @@ def test_cached_sort_key_matches_the_sides(data):
     seed = data.draw(st.integers(0, 10**6))
     g = random_connected_graph(random.Random(seed), data.draw(st.integers(1, 7)))
     for s in enumerate_separations(g, min(2, len(g.vertices))):
-        fresh = make_separation(g, s.side_b, s.side_a)  # nothing cached yet
+        fresh = make_separation(g, s.side_b, s.side_a)  # built by the public constructor
         for o in (s, s.reverse(), fresh.reverse(), fresh):
             assert o.sort_key == (tuple(sorted(o.side_a)), tuple(sorted(o.side_b)))
         assert s.sort_key <= s.reverse().sort_key
@@ -528,6 +528,17 @@ def test_enumeration_slot_keeps_nothing_from_a_failed_miss():
     with pytest.raises(BudgetExceededError):
         enumerate_separations(g, 2, budget=28)
     assert separations._last_enumeration is before
+
+
+def test_a_miss_over_budget_floods_nothing(monkeypatch):
+    """The candidate count, 1 + 7 + 21 = 29 separators, is known before the
+    loop, so a miss with budget 28 raises before its first flood."""
+    floods = []
+    real = separations._flood
+    monkeypatch.setattr(separations, "_flood", lambda *a: floods.append(1) or real(*a))
+    with pytest.raises(BudgetExceededError, match="separator candidates"):
+        enumerate_separations(cycle_graph(7), 2, budget=28)
+    assert floods == []
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,12 +1,14 @@
 """Tree-of-tangles building, induced decompositions, exhaustiveness verdicts."""
 
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tangletree import separations
+from tangletree import separations, tree_of_tangles
 from tangletree.errors import GraphFormatError, IncoherentChainError, PreconditionError
-from tangletree.graph import Graph
+from tangletree.graph import Graph, disjoint_paths
 from tangletree.separations import (
     NestedSet,
     SeparationSequence,
@@ -14,17 +16,25 @@ from tangletree.separations import (
     make_separation,
     relation,
 )
+from tangletree.families import generate_family
 from tangletree.limits import check_chain_coherence, exhaustiveness_evidence
-from tangletree.tangles import clique_witness, enumerate_tangles
+from tangletree.tangles import clique_witness, enumerate_tangles, min_distinguishing_order
 from tangletree.tree_of_tangles import (
     TreeDecomposition,
+    _min_order_distinguishers,
     build_tree_of_tangles,
     induce_tree_decomposition,
     verify_tree_decomposition,
     verify_tree_of_tangles,
 )
 from .conftest import clique_chain_graph, path_graph, two_k4_bridge
-from .oracles import consistent_orientations_brute, nested_efficient_subsets_exist
+from .oracles import (
+    all_separations_brute,
+    clique_pair_distinguishers_reference,
+    consistent_orientations_brute,
+    min_order_distinguishers_brute,
+    nested_efficient_subsets_exist,
+)
 
 
 def test_single_tangle_gives_empty_nested_set():
@@ -58,6 +68,74 @@ def test_clique_chain_witness_tree_of_tangles(scaled_chain):
     # the admitted members carry the canonical separator sizes of the chain
     seps = sorted(nested, key=lambda s: s.order)
     assert seps[0].separator == scaled_chain.chain_separator(0)
+
+
+@st.composite
+def clique_pairs(draw):
+    """A connected graph on at most 8 vertices, with a clique planted among
+    its first half and one among its second (the two may share the middle
+    vertices), and their clique witnesses at order bounds above the number
+    of disjoint paths between the cliques, so that they are distinguishable.
+    Each vertex joins one of its three predecessors, which leaves room for
+    small cuts; at most two more edges are drawn anywhere."""
+    n = draw(st.integers(4, 8))
+    verts = [f"v{i}" for i in range(n)]
+    half = n // 2
+    cliques = [
+        draw(st.sets(st.sampled_from(verts[: half + 1]), min_size=2)),
+        draw(st.sets(st.sampled_from(verts[half - 1 :]), min_size=2)),
+    ]
+    edges = {(verts[draw(st.integers(max(0, i - 3), i - 1))], verts[i]) for i in range(1, n)}
+    edges |= {pair for c in cliques for pair in combinations(sorted(c), 2)}
+    edges |= set(draw(st.lists(st.sampled_from(list(combinations(verts, 2))), max_size=2)))
+    g = Graph.from_data(verts, {(min(a, b), max(a, b)) for a, b in edges})
+    paths = len(disjoint_paths(g, *cliques))
+    assume(paths < min(map(len, cliques)))
+    p, q = (clique_witness(g, c, draw(st.integers(paths + 1, len(c)))) for c in cliques)
+    return g, p, q, paths
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=clique_pairs())
+def test_clique_pair_distinguishers_match_the_superset_scan_and_brute_force(case):
+    """One vertex per disjoint path finds exactly the minimum-order
+    distinguishers that the scan of every superset of the common vertices
+    and the 3^|V| side assignments find, in the same order."""
+    g, p, q, order = case
+    assert min_distinguishing_order(g, p, q) == order
+    found = _min_order_distinguishers(g, p, q, order, budget=10**6)
+    assert found == clique_pair_distinguishers_reference(g, p, q, order, budget=10**6)
+    assert found == min_order_distinguishers_brute(g, p, q, all_separations_brute(g, order))
+    assert found and all(sep.order == order for sep in found)
+
+
+def _scaled_pool(h: int):
+    p = generate_family("clique_chain", {"horizon": h, "sizes": [8, 12, 20, 36]})
+    g = p.graph_at(h)
+    return g, [clique_witness(g, p.clique(i), len(p.clique(i))) for i in range(h + 1)]
+
+
+def test_clique_pool_build_tries_one_vertex_per_path(monkeypatch):
+    """At horizon 5 (194 vertices) one vertex per path makes 105 candidate
+    separators; every superset of the cliques' common vertices would make
+    33,311."""
+    g, pool = _scaled_pool(5)
+    floods = []
+    real = tree_of_tangles._flood
+    monkeypatch.setattr(tree_of_tangles, "_flood", lambda *a: floods.append(1) or real(*a))
+    nested = build_tree_of_tangles(g, pool)
+    assert len(floods) <= 200
+    assert sorted((m.order for m in nested), reverse=True) == [33, 18, 10, 5, 2]
+
+
+def test_clique_pool_builds_at_horizon_six():
+    """335 vertices: one vertex per path makes 834 candidates, while the
+    supersets of the common vertices would exceed a 20,000-candidate
+    budget."""
+    g, pool = _scaled_pool(6)
+    nested = build_tree_of_tangles(g, pool, budget=20_000)
+    assert sorted((m.order for m in nested), reverse=True) == [65, 34, 19, 10, 5, 2]
+    assert verify_tree_of_tangles(g, nested, pool).ok
 
 
 @pytest.mark.parametrize("count, size", [(4, 4), (5, 6)])
