@@ -114,6 +114,10 @@ def _load(path: str, parse):
         raise GraphFormatError(f"invalid JSON: {exc}", context=path) from exc
     try:
         return parse(doc)
+    except GraphFormatError as exc:  # a library parser's names no path
+        if exc.context is not None:
+            raise
+        raise GraphFormatError(str(exc), context=path) from exc
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"malformed document: {exc!r}", context=path) from exc
 

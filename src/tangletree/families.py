@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import FamilyParameterError, GraphFormatError
-from .graph import Graph, _as_json, _edge
+from .graph import Graph, _as_json, _edge, _field
 from .separations import Separation, SeparationSequence
 
 FAMILIES = ("clique_chain", "ray", "double_ray", "grid", "binary_tree")
@@ -181,8 +181,8 @@ class LayeredPresentation:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LayeredPresentation":
-        horizon = _as_json(doc, "a presentation", dict)["horizon"]
-        layers = [_as_json(layer, "a layer", dict) for layer in _as_json(doc["layers"], "layers")]
+        horizon = _field(_as_json(doc, "a presentation", dict), "horizon")
+        layers = [_as_json(layer, "a layer", dict) for layer in _as_json(_field(doc, "layers"), "layers")]
         top = len(layers) - 1
         if type(horizon) is not int:  # not bool
             raise GraphFormatError(f"horizon must be an integer, got {horizon!r}")
@@ -190,17 +190,17 @@ class LayeredPresentation:
             raise GraphFormatError(f"horizon must be the layer count less one, {top}, got {horizon}")
         graphs = tuple(
             Graph.from_data(
-                _as_json(layer["vertices"], "layer vertices"),
-                [tuple(_as_json(e, "an edge")) for e in _as_json(layer["edges"], "layer edges")],
+                _as_json(_field(layer, "vertices"), "layer vertices"),
+                [tuple(_as_json(e, "an edge")) for e in _as_json(_field(layer, "edges"), "layer edges")],
             )
             for layer in layers
         )
-        boundaries = tuple(frozenset(_as_json(layer["boundary"], "a boundary")) for layer in layers)
-        rays = _as_json(doc["rays"], "rays", dict).items()
+        boundaries = tuple(frozenset(_as_json(_field(layer, "boundary"), "a boundary")) for layer in layers)
+        rays = _as_json(_field(doc, "rays"), "rays", dict).items()
         rays = tuple(sorted((lab, tuple(_as_json(p, "a ray path"))) for lab, p in rays))
         return cls(
-            family=doc["family"],
-            params=_as_json(doc["params"], "params", dict),
+            family=_field(doc, "family"),
+            params=_as_json(_field(doc, "params"), "params", dict),
             horizon=horizon,
             layers=graphs,
             boundaries=boundaries,

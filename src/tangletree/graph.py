@@ -227,6 +227,13 @@ def _as_json(value, what: str, kind: type = list):
     return value
 
 
+def _field(doc: dict, key: str):
+    """doc[key], where a document that lacks it is a format error."""
+    if key not in doc:
+        raise GraphFormatError(f"missing {key!r} field")
+    return doc[key]
+
+
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 

@@ -46,7 +46,7 @@ from .errors import (
     SequenceOrderError,
     UnknownVertexError,
 )
-from .graph import Graph, _as_json, _edge, _flood, _select, _tight
+from .graph import Graph, _as_json, _edge, _field, _flood, _select, _tight
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
@@ -146,7 +146,7 @@ class Separation:
         """The separation (a, b) of a document; each side must be a list of
         vertex names."""
         doc = _as_json(doc, "a separation", dict)
-        sides = (doc["a"], doc["b"])
+        sides = (_field(doc, "a"), _field(doc, "b"))
         if not all(isinstance(side, list) and all(isinstance(v, str) for v in side) for side in sides):
             raise GraphFormatError("separation sides must be lists of vertex names")
         return make_separation(g, *sides)
@@ -418,7 +418,7 @@ class SeparationSequence:
 
     @classmethod
     def from_json(cls, g: Graph, doc: dict) -> "SeparationSequence":
-        items = _as_json(_as_json(doc, "a sequence", dict)["items"], "items")
+        items = _as_json(_field(_as_json(doc, "a sequence", dict), "items"), "items")
         return cls(tuple(Separation.from_json(g, d) for d in items))
 
 
@@ -534,5 +534,5 @@ class NestedSet:
 
     @classmethod
     def from_json(cls, g: Graph, doc: dict) -> "NestedSet":
-        members = _as_json(_as_json(doc, "a nested set", dict)["members"], "members")
+        members = _as_json(_field(_as_json(doc, "a nested set", dict), "members"), "members")
         return cls.of(g, (Separation.from_json(g, d).canonical() for d in members))

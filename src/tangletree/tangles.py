@@ -29,6 +29,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
+    AmbientMismatchError,
     BudgetExceededError,
     DisconnectedGraphError,
     EmptyGraphError,
@@ -37,11 +38,12 @@ from .errors import (
     OrientationUndecidableError,
     PreconditionError,
 )
-from .graph import Graph, _as_json, _flood, disjoint_paths, minimum_separator
+from .graph import Graph, _as_json, _field, _flood, disjoint_paths, minimum_separator
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     Separation,
     _ambient,
+    _graph_of,
     _separation,
     enumerate_separations,
 )
@@ -104,13 +106,13 @@ class PreTangle:
 
     @classmethod
     def from_json(cls, g: Graph, doc: dict) -> "PreTangle":
-        order_bound = _as_json(doc, "a tangle", dict)["order_bound"]
+        order_bound = _field(_as_json(doc, "a tangle", dict), "order_bound")
         if type(order_bound) is not int or not 1 <= order_bound <= len(g.vertices) + 1:  # not bool
             raise GraphFormatError(f"order_bound must be an integer in 1..|V| + 1, got {order_bound!r}")
         choices = {}
-        for entry in _as_json(doc["orientation"], "orientation"):
+        for entry in _as_json(_field(doc, "orientation"), "orientation"):
             entry = _as_json(entry, "an orientation entry", dict)
-            sep, toward = Separation.from_json(g, entry["sep"]), entry["toward"]
+            sep, toward = Separation.from_json(g, _field(entry, "sep")), _field(entry, "toward")
             if toward not in ("a", "b"):
                 raise GraphFormatError("toward must be 'a' or 'b'")
             canonical = sep.canonical()  # toward names a side as written
@@ -150,6 +152,8 @@ class TangleWitness:
     def __post_init__(self):
         if self.kind not in ("clique", "end_region"):
             raise FamilyParameterError(f"unknown witness kind {self.kind!r}")
+        if type(self.order_bound) is not int or self.order_bound < 1:  # not bool, as in `PreTangle.from_json`
+            raise FamilyParameterError(f"witness order_bound must be an integer >= 1, got {self.order_bound!r}")
         if self.kind == "clique":
             if not self.clique:
                 raise FamilyParameterError("clique witness needs a non-empty clique")
@@ -235,6 +239,18 @@ class TangleWitness:
 
 
 Orienter = PreTangle | TangleWitness
+
+
+def _orienting(g: Graph, *orienters, kind: type = Orienter) -> None:
+    """Raise AmbientMismatchError unless each orienter is a `kind` over g,
+    as `_ambient` does for a separation: the masks of another graph's
+    separations would be read with g's vertex tables."""
+    for p in orienters:
+        if not isinstance(p, kind):
+            what = "a pre-tangle" if kind is PreTangle else "an orienter"
+            raise AmbientMismatchError(f"expected {what}, got {type(p).__name__}")
+        if not (p.graph is g or p.graph == g):
+            raise AmbientMismatchError("orienter does not live over this graph")
 
 
 def clique_witness(g: Graph, clique: Iterable[str], order_bound: int) -> TangleWitness:
@@ -364,6 +380,7 @@ def check_pretangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION
 
     Consistency is decided by one scan, `_consistency_witness`, which names
     the first inconsistent pair of members."""
+    _orienting(g, p, kind=PreTangle)
     return _pretangle_report(g, p, budget, scan=True)
 
 
@@ -483,7 +500,9 @@ class _Antichains:
 
     Once wide, a member whose side A lies inside a later member's stays in
     live. No answer changes by it: each test asks for a member whose side
-    holds some set, and the later member's does whenever its does.
+    holds some set, and the later member's does whenever its does. Inserted
+    by decreasing |A|, as `check_tangle` does, no member is ever held by a
+    later one, so the two forms then keep the same members.
     """
 
     def __init__(self, g: Graph, family: list[tuple]):
@@ -534,7 +553,8 @@ class _Antichains:
 
     def members(self, chain) -> list[tuple]:
         """The members of chain: by decreasing |A|, stable, while narrow, and
-        in family order once wide. The two agree in `_maximal`."""
+        in family order once wide. The two agree when the family is sorted
+        by decreasing |A|."""
         if type(chain) is list:
             return chain
         return [self.family[x] for x in _bits(chain[0])]
@@ -551,15 +571,6 @@ class _Antichains:
             edges = self._all_edges & ~(x[2] | y[2])
             live = self._index.holding(live, _union(self._ends, edges) & ~rest)
         return live
-
-    def cover(self, chain, x: tuple, y: tuple):
-        """The first member z of chain, in `members` order, with
-        G[x.A] | G[y.A] | G[z.A] = G, else None. Wide, the order must be
-        the family's, as in `_maximal`."""
-        if type(chain) is list:
-            return _cover(chain, self._all_vertices, self._all_edges, x, y)
-        z = self._holding_rest(chain[0], x, y)
-        return self.family[(z & -z).bit_length() - 1] if z else None
 
     def closes(self, chain, x: int) -> bool:
         """True iff member x of chain and two members, repetition allowed,
@@ -586,24 +597,18 @@ class _Antichains:
         return any(self._holding_rest(live, new, self.family[y]) for y in _bits(ys))
 
 
-def _maximal(g: Graph, family: list[tuple]) -> tuple[_Antichains, list | tuple]:
-    """The members with inclusion-maximal side A, one per side, as an
-    antichain over family, which must be sorted by decreasing |A|.
-
-    If A <= C then G[A] <= G[C], so a covering triple exists among members
-    iff one exists among these: replace each part of a triple by a kept
-    member whose side A contains it.
-    """
-    antichains = _Antichains(g, family)
-    chain = []
-    for x in range(len(family)):
-        chain = antichains.insert(chain, x)
-    return antichains, chain
-
-
 def check_tangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> TangleReport:
-    """Pre-tangle checks plus the covering-triple axiom, scanned over the
-    members with maximal side A (see `_maximal`).
+    """Pre-tangle checks plus the covering-triple axiom, by the search's own
+    test: the members go into one antichain by decreasing |A|, stable, and
+    each that no kept side A holds is tested with `closes`.
+
+    If A <= C then G[A] <= G[C], so a covering triple exists among the
+    members iff one exists among those with inclusion-maximal side A:
+    replace each part of a triple by a kept member whose side A contains
+    it. Each triple of kept members is tested when its last one goes in.
+    The witness triple is (x, y, z): x the first member that closes a
+    triple, then y and z the first pair in `members` order that covers G
+    with it.
 
     The axiom decides consistency when it holds: an inconsistent pair x, y
     makes x, y, y a covering triple (see `enumerate_tangles`). So the
@@ -611,24 +616,25 @@ def check_tangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION_BU
     and the pre-tangle report is `check_pretangle`'s either way. Each
     member's sides are read as masks off its choice, so only a witness
     triple is built as oriented `Separation`s."""
+    _orienting(g, p, kind=PreTangle)
     encode = _mask_encoder(g)
     chosen = [(s.masks if t == "b" else s.masks[::-1], s, t) for s, t in p._items]
     chosen.sort(key=lambda c: -c[0][0].bit_count())  # stable: by decreasing |A|
-    antichains, chain = _maximal(g, [encode(*ab, x) for x, (ab, _, _) in enumerate(chosen)])
-    by_size = antichains.members(chain)
+    family = [encode(*ab, x) for x, (ab, _, _) in enumerate(chosen)]
+    antichains = _Antichains(g, family)
+    all_vertices, all_edges = (1 << len(g.vertices)) - 1, (1 << len(g.edges)) - 1
+    chain = []
     witness = None
-    for i, x in enumerate(by_size):
-        if 2 * x[3] + by_size[0][3] < len(g.vertices):
-            break  # no y from x on leaves out little enough, as y[3] <= x[3]
-        for y in by_size[i:]:
-            if x[3] + y[3] + by_size[0][3] < len(g.vertices):
-                break
-            z = antichains.cover(chain, x, y)
-            if z is not None:
-                witness = tuple(chosen[w[4]][1].orient(chosen[w[4]][2]) for w in (x, y, z))
-                break
-        if witness:
+    for x in range(len(family)):
+        grown = antichains.insert(chain, x)
+        if grown is chain:
+            continue  # a covering triple through x gives one through the member holding it
+        if antichains.closes(grown, x):
+            kept = antichains.members(grown)
+            y, z = next((y, z) for y in kept if (z := _cover(kept, all_vertices, all_edges, family[x], y)))
+            witness = tuple(chosen[w[4]][1].orient(chosen[w[4]][2]) for w in (family[x], y, z))
             break
+        chain = grown
     pre = _pretangle_report(g, p, budget, scan=witness is not None)
     return TangleReport(pretangle=pre, axiom_ok=witness is None, witness_triple=witness)
 
@@ -651,8 +657,8 @@ def enumerate_tangles(
     cached `Separation.masks`, as `_mask_encoder` tuples; orientation 2i
     points separation i toward "b" and 2i + 1 toward "a". The chosen ones
     with maximal side A form an antichain (see `_Antichains`), and the
-    covering test runs against those only (see `_maximal`). It stops once
-    |A| sizes show that no third member can cover what two leave out.
+    covering test runs against those only (see `check_tangle`). It stops
+    once |A| sizes show that no third member can cover what two leave out.
 
     No consistency test runs, as the covering test rejects every
     inconsistent orientation. Each vertex and each edge of G lies inside A
@@ -669,7 +675,7 @@ def enumerate_tangles(
     seps = enumerate_separations(g, k - 1)
     encode = _mask_encoder(g)
     family = []
-    for i, (a, b) in enumerate(s.orient("b").masks for s in seps):
+    for i, (a, b) in enumerate(s.masks for s in seps):
         family += (encode(a, b, 2 * i), encode(b, a, 2 * i + 1))
     antichains = _Antichains(g, family)
     insert, closes = antichains.insert, antichains.closes
@@ -706,6 +712,7 @@ def enumerate_tangles(
 
 def distinguishes(s: Separation, p: Orienter, q: Orienter) -> bool:
     """True iff p and q contain opposite orientations of s."""
+    _orienting(_graph_of(s), p, q)
     if s.order >= min(p.order_bound, q.order_bound):
         raise OrientationUndecidableError(
             f"order {s.order} outside the common domain"
@@ -759,6 +766,7 @@ def efficient_distinguisher(
     the lexicographically least one of minimum order. Calls on one graph
     share its enumeration through the `enumerate_separations` slot.
     """
+    _orienting(g, p, q)
     cores = _clique_cores(p, q)
     if cores is not None:
         if min_distinguishing_order(g, p, q, budget=budget) is None:
@@ -781,6 +789,7 @@ def min_distinguishing_order(
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> int | None:
+    _orienting(g, p, q)
     cores = _clique_cores(p, q)
     if cores is not None:
         value = len(disjoint_paths(g, *cores))

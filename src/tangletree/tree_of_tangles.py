@@ -34,7 +34,7 @@ from .errors import (
     SeparationError,
     UnknownVertexError,
 )
-from .graph import Graph, _as_json, _flood, _solve, components, minimum_separator
+from .graph import Graph, _as_json, _field, _flood, _solve, components, minimum_separator
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     NestedSet,
@@ -271,9 +271,9 @@ class TreeDecomposition:
         nodes all have bags."""
         doc = _as_json(doc, "a tree decomposition", dict)
         td = cls(
-            nodes=tuple(_as_json(doc["nodes"], "nodes")),
-            edges=tuple(tuple(_as_json(e, "an edge")) for e in _as_json(doc["edges"], "edges")),
-            bags={node: frozenset(_as_json(bag, "a bag")) for node, bag in _as_json(doc["bags"], "bags", dict).items()},
+            nodes=tuple(_as_json(_field(doc, "nodes"), "nodes")),
+            edges=tuple(tuple(_as_json(e, "an edge")) for e in _as_json(_field(doc, "edges"), "edges")),
+            bags={node: frozenset(_as_json(bag, "a bag")) for node, bag in _as_json(_field(doc, "bags"), "bags", dict).items()},
         )
         names = [*td.nodes, *td.bags, *(v for bag in td.bags.values() for v in bag), *(x for e in td.edges for x in e)]
         if not all(isinstance(x, str) for x in names):

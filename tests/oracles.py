@@ -328,16 +328,17 @@ def maximal_sides_reference(members: list[tuple]) -> list[tuple]:
 
 
 def witness_triple_reference(g: Graph, p: PreTangle):
-    """`check_tangle`'s witness triple by list scans on frozensets: over the
-    members with inclusion-maximal side A, by decreasing |A| (stable), the
-    first (x, y, z) in that order, y not before x, that covers G, with no
-    size cutoff."""
+    """`check_tangle`'s witness triple by list scans on frozensets: the
+    members by decreasing |A| (stable), each kept unless a kept side A
+    holds it; the first kept x that covers G with two members kept so far
+    (x included), and the first such y, then z, in kept order, with no size
+    cutoff."""
     kept: list[Separation] = []
-    for o in sorted(p.oriented_members(), key=lambda o: -len(o.side_a)):
-        if not any(o.side_a <= m.side_a for m in kept):
-            kept.append(o)
-    for i, x in enumerate(kept):
-        for y in kept[i:]:
+    for x in sorted(p.oriented_members(), key=lambda o: -len(o.side_a)):
+        if any(x.side_a <= m.side_a for m in kept):
+            continue
+        kept.append(x)
+        for y in kept:
             for z in kept:
                 if _covers_brute(g, (x, y, z)):
                     return (x, y, z)

@@ -393,6 +393,8 @@ def _fault_case(tmp_path, two_k4_file, case):
     broken.write_text('{"vertices": ["a"], "edges": [')
     bare = tmp_path / "bare.json"
     bare.write_text('{"kind": "nested_set"}')
+    sepless = tmp_path / "sepless.json"
+    sepless.write_text('{"kind": "tangle_list", "tangles": [{"order_bound": 1, "orientation": [{"toward": "b"}]}]}')
     return {
         "nonexistent input": (["tangles", "--input", missing], missing),
         "invalid JSON": (["tot", "--input", str(broken)], str(broken)),
@@ -400,6 +402,7 @@ def _fault_case(tmp_path, two_k4_file, case):
             ["decompose", "--input", two_k4_file, "--input", str(bare)], str(bare)
         ),
         "verify without members": (["verify", "--input", two_k4_file, "--input", str(bare)], str(bare)),
+        "verify a tangle entry without sep": (["verify", "--input", two_k4_file, "--input", str(sepless)], str(sepless)),
         "tangles without input": (["tangles"], "--input"),
         "tot without input": (["tot"], "--input"),
         "decompose with one input": (["decompose", "--input", two_k4_file], "--input"),
@@ -414,6 +417,7 @@ def _fault_case(tmp_path, two_k4_file, case):
         "invalid JSON",
         "decompose without members",
         "verify without members",
+        "verify a tangle entry without sep",
         "tangles without input",
         "tot without input",
         "decompose with one input",

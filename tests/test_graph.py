@@ -115,6 +115,55 @@ def test_documents_of_the_wrong_shape_are_format_errors(parse):
         parse()
 
 
+def _without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+_EMPTY_SIDE = {"a": [], "b": ["a", "b", "c"]}
+
+
+@pytest.mark.parametrize(
+    "parse, field",
+    [
+        (lambda: Separation.from_json(_P3, {}), "a"),
+        (lambda: Separation.from_json(_P3, {"a": []}), "b"),
+        (lambda: SeparationSequence.from_json(_P3, {}), "items"),
+        (lambda: NestedSet.from_json(_P3, {}), "members"),
+        (lambda: PreTangle.from_json(_P3, {}), "order_bound"),
+        (lambda: PreTangle.from_json(_P3, {"order_bound": 1}), "orientation"),
+        (lambda: PreTangle.from_json(_P3, {"order_bound": 1, "orientation": [{"toward": "b"}]}), "sep"),
+        (lambda: PreTangle.from_json(_P3, {"order_bound": 1, "orientation": [{"sep": _EMPTY_SIDE}]}), "toward"),
+        (lambda: TreeDecomposition.from_json({}), "nodes"),
+        (lambda: TreeDecomposition.from_json({"nodes": []}), "edges"),
+        (lambda: TreeDecomposition.from_json(_without(_TD, "bags")), "bags"),
+        *[(lambda key=key: LayeredPresentation.from_json(_without(_RAY, key)), key)
+          for key in ("horizon", "layers", "rays", "family", "params")],
+        *[(lambda key=key: LayeredPresentation.from_json({**_RAY, "layers": [_without(_RAY["layers"][0], key), *_RAY["layers"][1:]]}), key)
+          for key in ("vertices", "edges", "boundary")],
+    ],
+    ids=[
+        "separation-a",
+        "separation-b",
+        "sequence",
+        "nested",
+        "tangle-order-bound",
+        "tangle-orientation",
+        "tangle-entry-sep",
+        "tangle-entry-toward",
+        "decomposition-nodes",
+        "decomposition-edges",
+        "decomposition-bags",
+        *(f"presentation-{key}" for key in ("horizon", "layers", "rays", "family", "params")),
+        *(f"presentation-layer-{key}" for key in ("vertices", "edges", "boundary")),
+    ],
+)
+def test_documents_that_lack_a_field_are_format_errors(parse, field):
+    """Every library parser names a missing field in a GraphFormatError,
+    as `load_graph` does, rather than raising a raw KeyError."""
+    with pytest.raises(GraphFormatError, match=f"missing '{field}' field"):
+        parse()
+
+
 def test_a_family_name_that_is_no_string_is_unknown():
     with pytest.raises(FamilyParameterError, match="unknown family"):
         load_presentation_spec('{"family": [1]}')

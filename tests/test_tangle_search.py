@@ -22,7 +22,6 @@ from tangletree.tangles import (
     _Antichains,
     _consistency_witness,
     _mask_encoder,
-    _maximal,
     check_pretangle,
     check_tangle,
     enumerate_tangles,
@@ -203,22 +202,19 @@ def _orientation_sets(g: Graph, k: int, kind: str, draw) -> dict:
     data=st.data(),
 )
 def test_maximal_on_the_index_matches_linear_scan(g, k, kind, wide, data):
-    """`_maximal` keeps the same members in the same order as the linear
-    scan of its kept list, at width rule 0 (the index from the first
-    member) and 4, and `cover` names the first member, in that order, that
-    covers what each pair leaves out."""
+    """Inserting a family sorted by decreasing |A| keeps the same members
+    in the same order as the linear scan of its kept list, at width rule 0
+    (the index from the first member) and 4."""
     k = min(k, len(g.vertices) + 1)
     choices = _orientation_sets(g, k, kind, data.draw)
     ordered = sorted((s.orient(t) for s, t in choices.items()), key=lambda o: -len(o.side_a))
     encode = _mask_encoder(g)
     family = [encode(*o.masks, x) for x, o in enumerate(ordered)]
     with mock.patch.object(tangles, "_WIDE", wide):
-        antichains, chain = _maximal(g, family)
-    kept = antichains.members(chain)
-    assert kept == maximal_sides_reference(family)
-    for x, y in combinations_with_replacement(kept, 2):
-        first = next((z for z in kept if _covers_brute(g, (ordered[x[4]], ordered[y[4]], ordered[z[4]]))), None)
-        assert antichains.cover(chain, x, y) == first
+        antichains, chain = _Antichains(g, family), []
+        for x in range(len(family)):
+            chain = antichains.insert(chain, x)
+    assert antichains.members(chain) == maximal_sides_reference(family)
 
 
 @settings(max_examples=80)
@@ -232,7 +228,8 @@ def test_maximal_on_the_index_matches_linear_scan(g, k, kind, wide, data):
 def test_witnesses_match_list_scans(g, k, kind, wide, data):
     """The witness triple and pair of `check_tangle`, and the pair of
     `check_pretangle`, are those of the list scans, with the index from
-    the first member or at the default width."""
+    the first member or at the default width: y and z are the first pair
+    among the members kept so far that covers G with x."""
     k, _ = _order_and_domain(g, k)
     p = PreTangle(g, k, _orientation_sets(g, k, kind, data.draw))
     with mock.patch.object(tangles, "_WIDE", wide):

@@ -208,6 +208,18 @@ def test_clique_witness_rejects_non_cliques():
     assert clique_witness(g, ["b", "c"], 2).orient(bridge).side_b == {"b", "c", "d"}
 
 
+@pytest.mark.parametrize("bound", [0, -1, True, 2.0, "2"])
+def test_witness_order_bound_is_an_integer_of_at_least_one(bound, scaled_chain):
+    """A witness order bound is an int (not a bool) of at least 1, as a
+    tangle document's is, for clique and end-region witnesses alike."""
+    g = Graph.from_data(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+    with pytest.raises(FamilyParameterError, match="order_bound"):
+        clique_witness(g, ["a", "b", "c"], bound)
+    with pytest.raises(FamilyParameterError, match="order_bound"):
+        end_region_witness(scaled_chain, "R0", 2, bound)
+    assert clique_witness(g, ["a", "b", "c"], 1).order_bound == 1
+
+
 def test_witness_rejects_a_separation_of_another_graph(scaled_chain):
     """A witness reads a separation's sides as masks over its own graph's
     vertices, so a separation of another window is refused, not misread."""
@@ -219,6 +231,43 @@ def test_witness_rejects_a_separation_of_another_graph(scaled_chain):
         with pytest.raises(AmbientMismatchError):
             w.orient(sep)
     assert sep.graph is small
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda h, ts, ws: check_tangle(h, ts[0]),
+        lambda h, ts, ws: check_pretangle(h, ts[0]),
+        lambda h, ts, ws: distinguishable_pairs(h, ts),
+        lambda h, ts, ws: efficient_distinguisher(h, ts[0], ts[-1]),
+        lambda h, ts, ws: min_distinguishing_order(h, *ws),
+        lambda h, ts, ws: distinguishes(None, ts[0], ts[-1]),
+        lambda h, ts, ws: distinguishes(enumerate_separations(h, 1)[3], *ws),
+        lambda h, ts, ws: check_tangle(h, ws[0]),
+    ],
+    ids=[
+        "check_tangle",
+        "check_pretangle",
+        "distinguishable_pairs",
+        "efficient_distinguisher",
+        "min_distinguishing_order",
+        "distinguishes-no-separation",
+        "distinguishes-witnesses",
+        "check_tangle-witness",
+    ],
+)
+def test_orienters_of_another_graph_are_refused(call):
+    """The checks and distinguisher queries read an orienter's separations
+    as masks over the graph they are given. Handed tangles or clique
+    witnesses of the path on 4 vertices with the path on 6, or something
+    that is no separation or no pre-tangle, they raise rather than report
+    the tangles incomplete, indistinguishable or cut by a flow on h."""
+    g, h = path_graph(4), path_graph(6)
+    ts = enumerate_tangles(g, 2)
+    ws = (clique_witness(g, ["p00", "p01"], 2), clique_witness(g, ["p02", "p03"], 2))
+    assert distinguishable_pairs(g, ts) == [((0, 1), 1), ((0, 2), 1), ((1, 2), 1)]
+    with pytest.raises(AmbientMismatchError):
+        call(h, ts, ws)
 
 
 def _outcome(f, *args):

@@ -1,5 +1,7 @@
-"""Every module of the package uses each name it imports, and every private
-module-level name is read somewhere in the package and defined only once."""
+"""Every module of the package uses each name it imports, every private
+module-level name is read somewhere in the package and defined only once,
+and every method of a private class, and every private method, is read as
+an attribute somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -121,3 +123,45 @@ def test_package_has_no_dead_or_copied_helper():
     modules = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
     assert _dead_helpers(modules) == []
     assert _copied_helpers(modules) == []
+
+
+def _dead_methods(modules: dict[str, ast.Module]) -> list[str]:
+    """`module.Class.name` for each method of a private module-level class,
+    and each private method of any such class, that no attribute read in
+    the package names. Special methods are called by the language, so
+    they are left out."""
+    read = {
+        n.attr
+        for tree in modules.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    dead = []
+    for module, tree in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for f in cls.body:
+                if not isinstance(f, ast.FunctionDef) or f.name.startswith("__"):
+                    continue
+                if (cls.name.startswith("_") or f.name.startswith("_")) and f.name not in read:
+                    dead.append(f"{module}.{cls.name}.{f.name}")
+    return sorted(dead)
+
+
+def test_checker_finds_dead_methods():
+    modules = {
+        "a": ast.parse(
+            "class _P:\n    def __init__(self): pass\n    def used(self): pass\n    def dead(self): pass\n"
+            "class Q:\n    def public(self): pass\n    def _hidden(self): pass\n    def _called(self): pass\n"
+            "def f(x):\n    x.dead = 1\n    return x.used() + x._called()\n"
+        ),
+        "b": ast.parse("class _R:\n    def lent(self): pass\n"),
+        "c": ast.parse("from .b import _R\ndef g(r):\n    return r.lent\n"),
+    }
+    assert _dead_methods(modules) == ["a.Q._hidden", "a._P.dead"]
+
+
+def test_package_has_no_dead_method():
+    modules = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
+    assert _dead_methods(modules) == []
