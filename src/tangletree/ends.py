@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FamilyParameterError, PreconditionError
-from .graph import Graph, _solve, components, disjoint_paths
+from .graph import Graph, _solve, components
 from .limits import exhaustiveness_evidence, limit_separator_growth, limit_separator_prefix
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -164,7 +164,7 @@ def ray_equivalence_classes(p, m: int) -> tuple[Direction, ...]:
                 continue  # already joined: a flow would not change the classes
             va = frozenset(p.ray_prefix(a, m))
             vb = frozenset(p.ray_prefix(b, m))
-            if len(disjoint_paths(g, va, vb)) >= _JOINING_PATHS:
+            if len(_solve(g, va, vb, cap=_JOINING_PATHS)[0]) == _JOINING_PATHS:
                 parent[max(ra, rb)] = min(ra, rb)
     groups: dict[str, list[str]] = {}
     for lab in labels:

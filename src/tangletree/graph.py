@@ -15,11 +15,13 @@ vertices, so its breadth-first scans, and with them the emitted paths and
 the leftmost cut, follow from that order alone; tests pin it to a
 tuple-keyed reference network. A vertex mask restricts a solve to an
 induced subgraph without building one: vertices outside it are never
-entered and never cut. Each graph memoizes the (paths, cut) of every
-(s, t, mask) it has solved. In the same order, vertex sets are int bitmasks
-(`Graph.mask`); one flood fill, `_flood`, finds the components of G - S as
-masks for `components`, `tight_components`, `Graph.is_connected` and
-separation enumeration.
+entered and never cut. A cap stops a solve after that many paths, for
+callers that only ask whether there are so many. Each graph memoizes the
+(paths, cut) of every (s, t, mask, cap) it has solved. In the same order,
+vertex sets are int bitmasks (`Graph.mask`); one flood fill, `_flood`,
+finds the components of G - S as masks for `components`,
+`tight_components`, `Graph.is_connected` (once per graph) and separation
+enumeration, which keeps them for the tangle search.
 """
 
 from __future__ import annotations
@@ -108,8 +110,8 @@ class Graph:
 
     @cached_property
     def _flow_memo(self) -> dict:
-        """(paths, cut) by (s, t, within), filled by `_solve`; lives as long
-        as the graph."""
+        """(paths, cut) by (s, t, within, cap), filled by `_solve`; lives as
+        long as the graph."""
         return {}
 
     def mask(self, vs: Iterable[str]) -> int:
@@ -154,6 +156,10 @@ class Graph:
         return frozenset(e for e in self.edges if e[0] in vs and e[1] in vs)
 
     def is_connected(self) -> bool:
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
         return len(_flood(self, 0)) == 1
 
     # -- document format: {"vertices": [...], "edges": [[a, b], ...]} --
@@ -294,10 +300,12 @@ def _terminals(g: Graph, s: Iterable[str], t: Iterable[str]) -> tuple[frozenset[
     return s, t
 
 
-def _solve(g: Graph, s: frozenset[str], t: frozenset[str], within: int | None = None):
+def _solve(g: Graph, s: frozenset[str], t: frozenset[str], within: int | None = None, cap: int | None = None):
     """(paths, cut) of the unit-vertex-capacity max flow from s to t in the
     subgraph of g induced by the mask `within` (all of g when None); s and
-    t must lie inside it.
+    t must lie inside it. With a cap, the flow stops after `cap` augmenting
+    paths, so it finds min(cap, max flow) paths; the cut is then None if it
+    stopped there.
 
     The split-vertex network gives vertex i (in sorted order) the in-node i
     and the out-node n+i, joined by an arc of capacity one; edges join
@@ -319,15 +327,16 @@ def _solve(g: Graph, s: frozenset[str], t: frozenset[str], within: int | None = 
     the sink. The search that finds no augmenting path has reached exactly
     the source side of the leftmost minimum cut.
 
-    Results are memoized on g by (s, t, within), with an unrestricted call
-    keyed by the full mask; the memo holds no flow state.
+    Results are memoized on g by (s, t, within, cap), with an unrestricted
+    call keyed by the full mask, so a capped solve is never served to an
+    uncapped caller; the memo holds no flow state.
     """
     names, index, closed, _ = g._vertex_index
     n = len(names)
     full = (1 << n) - 1
     if within is None:
         within = full
-    key = (s, t, within)
+    key = (s, t, within, cap)
     memo = g._flow_memo
     hit = memo.get(key)
     if hit is not None:
@@ -342,7 +351,8 @@ def _solve(g: Graph, s: frozenset[str], t: frozenset[str], within: int | None = 
     for v in t:
         in_t[index[v]] = True
     into = [-1] * n
-    while True:
+    flow = 0
+    while flow != cap:
         prev = fresh.copy()
         queue = deque(starts)
         for v in starts:
@@ -386,6 +396,7 @@ def _solve(g: Graph, s: frozenset[str], t: frozenset[str], within: int | None = 
             elif back != node - n:
                 into[back] = -1
             node = back
+        flow += 1
     onward = [-1] * n
     for v, u in enumerate(into):
         if 0 <= u < n:
@@ -399,7 +410,7 @@ def _solve(g: Graph, s: frozenset[str], t: frozenset[str], within: int | None = 
             v = onward[v]
             path.append(names[v])
         paths.append(tuple(path))
-    cut = frozenset(names[v] for v in range(n) if prev[v] >= 0 and prev[n + v] < 0)
+    cut = None if flow == cap else frozenset(names[v] for v in range(n) if prev[v] >= 0 and prev[n + v] < 0)
     memo[key] = hit = (tuple(paths), cut)
     return hit
 

@@ -16,6 +16,10 @@ test and `relation` run) and separator. `reverse()` builds (B, A) on first
 call without a check, since it is a separation exactly when (A, B) is, and
 links the two. Sides are frozensets of vertex names in the API and JSON.
 
+`enumerate_separations` keeps its last result in one slot, together with
+the components of G - S, as masks, of every candidate separator S it
+flooded; the tangle search reads both from there.
+
 Sequences ordered by <= have a supremum (union of the left sides,
 intersection of the right sides), which is again a separation; domination
 and interlacing compare sequences through that order.
@@ -168,16 +172,19 @@ def _fault(g: Graph, a: int, b: int) -> SeparationError | None:
     """Why the masks (A, B) are not a separation of g, or None: a CoverError
     lists up to five vertices on neither side; a CrossingEdgeError joins the
     first vertex of the smaller strict side (A - B on a tie) with a neighbour
-    in the other to its least such neighbour."""
+    in the other to its least such neighbour. Only that side's closed
+    neighbourhoods are scanned, and none when a strict side is empty."""
     names, _, _, closed = g._vertex_index
     full = (1 << len(names)) - 1
     if a | b != full:
         return CoverError(f"sides do not cover V(G); missing {list(_select(names, full & ~(a | b)))[:5]}")
     strict_a, strict_b = a & ~b, b & ~a
-    if not any(map(strict_b.__and__, _select(closed, strict_a))):
+    if not strict_a or not strict_b:
         return None
     if strict_b.bit_count() < strict_a.bit_count():
         strict_a, strict_b = strict_b, strict_a
+    if not any(map(strict_b.__and__, _select(closed, strict_a))):
+        return None
     for v, near in zip(_select(names, strict_a), _select(closed, strict_a)):
         hit = near & strict_b
         if hit:
@@ -308,7 +315,10 @@ def is_tight(g: Graph, s: Separation) -> bool:
     return any(k & strict_a for k in tight) and any(k & strict_b for k in tight)
 
 
-_last_enumeration: tuple = (None, -1, [])  # (graph, max_order, list) of the last one finished
+# (graph, max_order, separations, floods) of the last enumeration finished;
+# floods lists each candidate separator S as (S, the components of g - S),
+# as masks, by |S| and then in `combinations` order
+_last_enumeration: tuple = (None, -1, [], [])
 
 
 def enumerate_separations(
@@ -330,8 +340,15 @@ def enumerate_separations(
     The last finished enumeration stays in one slot. A call on that same
     graph object (`is`) at its order or lower gets a copy, cut to max_order.
     """
+    return _enumeration(g, max_order, budget)[0][:]
+
+
+def _enumeration(g: Graph, max_order: int, budget: int) -> tuple[list[Separation], list[tuple[int, list[int]]]]:
+    """The separations of `enumerate_separations` and the floods they were
+    built from (see `_last_enumeration`), cut from the slot on a hit. On a
+    miss the lists are the slot's own, so callers must not change them."""
     global _last_enumeration
-    last_graph, last_order, last_out = _last_enumeration
+    last_graph, last_order, last_out, last_floods = _last_enumeration
     hit = g is last_graph and max_order <= last_order
     if not hit:
         if not g.vertices:
@@ -340,23 +357,27 @@ def enumerate_separations(
             raise DisconnectedGraphError("enumerate_separations requires a connected graph")
         if max_order > len(g.vertices):
             raise PreconditionError("max_order exceeds |V(g)|")
-    if sum(comb(len(g.vertices), s) for s in range(max_order + 1)) > budget:
+    candidates = sum(comb(len(g.vertices), s) for s in range(max_order + 1))
+    if candidates > budget:
         raise BudgetExceededError("separator candidates", budget)
     if hit:
-        return last_out[: bisect_right(last_out, max_order, key=attrgetter("order"))]
+        return last_out[: bisect_right(last_out, max_order, key=attrgetter("order"))], last_floods[:candidates]
     names = g._vertex_index[0]
     bits = [1 << i for i in range(len(names))]
     full = sum(bits)
     out: list[Separation] = []
+    floods = []
     for size in range(max_order + 1):
         block = len(out)
         for cut, separator in zip(combinations(bits, size), combinations(names, size)):
             s = sum(cut)
             separator = frozenset(separator)
+            comps = _flood(g, s)
+            floods.append((s, comps))
             # with no component left, A == B == V; otherwise the first
             # component is pinned to the left side, which halves the
             # bipartitions and enumerates each unordered pair exactly once
-            first, *rest = _flood(g, s) or [0]
+            first, *rest = comps or [0]
             for pick in range(1 << len(rest)):
                 left = first
                 for i, comp in enumerate(rest):
@@ -364,8 +385,8 @@ def enumerate_separations(
                         left |= comp
                 out.append(_separation(g, left | s, full ^ left, separator).canonical())
         out[block:] = sorted(out[block:], key=attrgetter("sort_key"))  # all of order `size`
-    _last_enumeration = (g, max_order, out)  # one rebinding: readers see old or new
-    return out[:]
+    _last_enumeration = (g, max_order, out, floods)  # one rebinding: readers see old or new
+    return out, floods
 
 
 @dataclass(frozen=True, eq=False)

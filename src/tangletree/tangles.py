@@ -43,6 +43,7 @@ from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     Separation,
     _ambient,
+    _enumeration,
     _graph_of,
     _separation,
     enumerate_separations,
@@ -645,26 +646,30 @@ def enumerate_tangles(
     *,
     budget: int = DEFAULT_TANGLE_BUDGET,
 ) -> list[Tangle]:
-    """Exactly all tangles of order k, by depth-first orientation search.
+    """Exactly all tangles of order k, by depth-first search over havens.
 
-    Separations are fixed in (order, canonical) order; each partial
-    orientation is pruned on the first covering triple among the chosen
-    orientations, which leaves precisely the tangles as completed branches.
-    The search keeps its own stack, so its depth is not bounded by the
-    interpreter's recursion limit.
+    A tangle of order k picks, for each separator S with |S| < k, exactly
+    one component β(S) of G - S whose complement V - β(S) is a small side
+    (see the README on havens), and it orients a separation (A, B) with
+    separator S toward "b" iff β(S) lies in B - A. A choice of β is a
+    tangle iff no three of the sides (V - β(S), S | β(S)), repetition
+    allowed, cover G: every small side lies inside its separator's.
 
-    Both orientations of each separation are encoded once, from their
-    cached `Separation.masks`, as `_mask_encoder` tuples; orientation 2i
-    points separation i toward "b" and 2i + 1 toward "a". The chosen ones
-    with maximal side A form an antichain (see `_Antichains`), and the
-    covering test runs against those only (see `check_tangle`). It stops
-    once |A| sizes show that no third member can cover what two leave out.
+    The separators and their components are those `enumerate_separations`
+    flooded, read off its slot. Each (S, component) pair is encoded once as
+    a `_mask_encoder` tuple. A separator with one component C is forced,
+    with side V - C = S; those sides go into the antichain (see
+    `_Antichains` and `check_tangle`) once, at the root, largest first, and
+    a covering triple among them leaves no tangle. The search then branches
+    over the separators with two or more components, in enumeration order,
+    trying each component in turn; a node is one such try, and `budget`
+    counts nodes. A choice is pruned on the first covering triple that its
+    side closes. The search keeps its own stack, so its depth is not
+    bounded by the interpreter's recursion limit.
 
-    No consistency test runs, as the covering test rejects every
-    inconsistent orientation. Each vertex and each edge of G lies inside A
-    or inside B, since (A, B) is a separation. If a new (A, B) and a chosen
-    (C, D) have (B, A) <= (C, D), then B <= C puts each of them inside A or
-    inside C, so (A, B), (C, D), (C, D) is a covering triple.
+    The tangles are sorted at the end into the order of a search over
+    orientations: lexicographic in the choice vector over the (order,
+    `sort_key`) separation order, "b" first.
     """
     if not g.vertices:
         raise EmptyGraphError("enumerate_tangles requires a non-empty graph")
@@ -672,30 +677,48 @@ def enumerate_tangles(
         raise DisconnectedGraphError("enumerate_tangles requires a connected graph")
     if k < 1:
         raise PreconditionError(f"tangle order must be at least 1, got {k}")
-    seps = enumerate_separations(g, k - 1)
+    seps, floods = _enumeration(g, k - 1, DEFAULT_ENUMERATION_BUDGET)
+    if not floods[-1][1]:
+        return []  # the separator V leaves no component: every side of (V, V) covers G
     encode = _mask_encoder(g)
+    full = (1 << len(g.vertices)) - 1
+    # the members of the branching separators come first, so that a wide
+    # antichain's covering scan, which reads members in index order, meets
+    # their large sides before the forced ones
     family = []
-    for i, (a, b) in enumerate(s.masks for s in seps):
-        family += (encode(a, b, 2 * i), encode(b, a, 2 * i + 1))
+    branching = []  # (first member, its number of components) per branching separator
+    for s, comps in floods:
+        if len(comps) > 1:
+            branching.append((len(family), len(comps)))
+            for c in comps:
+                family.append(encode(full ^ c, s | c, len(family)))
+    first_forced = len(family)
+    for s, comps in floods:
+        if len(comps) == 1:
+            family.append(encode(s, full, len(family)))
     antichains = _Antichains(g, family)
     insert, closes = antichains.insert, antichains.closes
-    chain = []  # the chosen orientations with maximal side A
-    undo = []  # chain before each chosen entry
-    results: list[Tangle] = []
+    chain = []  # the chosen sides that are maximal
+    for x in range(len(family) - 1, first_forced - 1, -1):  # by decreasing |S|
+        grown = insert(chain, x)
+        if grown is not chain:
+            if closes(grown, x):
+                return []
+            chain = grown
+    undo = []  # chain before each chosen component
+    picks = []  # the chosen members of each tangle, one per branching separator
     nodes = 0
-    # stack[i] is the next orientation to try at depth i: 0 toward "b", 1 toward "a"
+    # stack[i] is the next component to try at branching separator i
     stack = [0]
     while stack:
         i = len(stack) - 1
-        if i == len(seps):
-            # stack[j] - 1 is the orientation picked at depth j
-            choices = {sep: "ba"[picked - 1] for sep, picked in zip(seps, stack)}
-            results.append(Tangle(g, k, choices))
-        elif stack[i] < 2:
+        if i == len(branching):
+            picks.append([first + j - 1 for (first, _), j in zip(branching, stack)])
+        elif stack[i] < branching[i][1]:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError("tangle search nodes", budget)
-            x = 2 * i + stack[i]
+            x = branching[i][0] + stack[i]
             stack[i] += 1
             grown = insert(chain, x)
             # a member's side A holding x's means every triple through x was tested
@@ -707,7 +730,24 @@ def enumerate_tangles(
         stack.pop()
         if i:
             chain = undo.pop()
-    return results
+    return _tangles_of(g, k, seps, floods, family, picks)
+
+
+def _tangles_of(g: Graph, k: int, seps: list[Separation], floods, family: list[tuple], picks: list) -> list[Tangle]:
+    """The tangles of the picks, each the chosen member of every branching
+    separator, in the order of `enumerate_tangles`. A separation (A, B) with
+    separator S points toward "b" iff β(S) meets B; a member (V - β, S | β)
+    gives β as its B - A."""
+    beta = {s: comps[0] for s, comps in floods if len(comps) == 1}
+    sides = [(a & b, b) for a, b in (sep.masks for sep in seps)]
+    vectors = []
+    for pick in picks:
+        for x in pick:
+            a, b = family[x][:2]
+            beta[a & b] = b & ~a
+        vectors.append([not beta[s] & b for s, b in sides])  # True: toward "a"
+    vectors.sort()  # False first: "b" first
+    return [Tangle(g, k, dict(zip(seps, ["ba"[t] for t in v]))) for v in vectors]
 
 
 def distinguishes(s: Separation, p: Orienter, q: Orienter) -> bool:

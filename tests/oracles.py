@@ -4,12 +4,12 @@ These deliberately avoid the library's search structures: separations come
 from ternary side assignments, cuts and distinguishers from raw subset
 enumeration, tangles from a naive backtracking that re-scans every
 consistency pair and covering triple from scratch. They stay the slow,
-trustworthy side of every dual-route check. The list-scan tangle search,
-which tests consistency against every chosen orientation and scans covering
-triples without a size cutoff, is the reference for the library's search,
-which does neither, in the same visit order. The tuple-keyed flow network,
-a dict of dicts scanned in sorted key order, is the reference for the
-library's integer-indexed max-flow solver, and the frozenset form of
+trustworthy side of every dual-route check. The search over orientations,
+which tries both orientations of every separation, is the reference for
+the library's search over one component per separator; the two share the
+covering test, which the brute-force oracle checks. The tuple-keyed flow
+network, a dict of dicts scanned in sorted key order, is the reference for
+the library's integer-indexed max-flow solver, and the frozenset form of
 `relation` is the reference for the bitmask one. The eight-comparison mask
 loop, which tests every ordered orientation pair both ways, is the reference
 for `relation`'s four facts, witness objects included. The list scans for
@@ -60,7 +60,7 @@ from tangletree.separations import (
     enumerate_separations,
     leq,
 )
-from tangletree.tangles import PreTangle, Tangle
+from tangletree.tangles import PreTangle, Tangle, _Antichains, _mask_encoder
 
 
 def all_separations_brute(g: Graph, max_order: int) -> set[Separation]:
@@ -245,74 +245,43 @@ def all_tangles_brute(g: Graph, k: int, seps: list[Separation]) -> list[Tangle]:
 
 
 def tangle_search_reference(g: Graph, k: int) -> tuple[list[Tangle], int]:
-    """(tangles of order k, search nodes) by the list-scan search.
+    """(tangles of order k, search nodes) by the search over orientations.
 
-    It visits orientations in the library's order, one node per orientation
-    tried, and keeps the chosen orientations with inclusion-maximal side A.
-    Each new orientation is tested for consistency against every chosen one
-    and, unless a kept side A contains its own, for a covering triple against
-    every pair of it and a kept member, with no size cutoff; it enters the
-    kept list by a linear insertion scan.
+    Separations are fixed in (order, canonical) order and each is oriented
+    toward "b", then toward "a": one node per orientation tried. The chosen
+    orientations with maximal side A are kept in an `_Antichains`, and each
+    new one is pruned on the first covering triple it closes, so the
+    completed branches are the tangles, in the order that
+    `enumerate_tangles` sorts its haven search into.
     """
     seps = enumerate_separations(g, k - 1)
-    edges = sorted(g.edges)
-    all_vertices = g.mask(g.vertices)
-    all_edges = (1 << len(edges)) - 1
-
-    def encode(a: frozenset[str], b: frozenset[str]) -> tuple[int, int, int, int]:
-        inside = sum(1 << j for j, (u, v) in enumerate(edges) if u in a and v in a)
-        return (g.mask(a), g.mask(b), inside, len(a))
-
-    def covered(pool: list[tuple], x: tuple) -> bool:
-        return any(
-            x[0] | y[0] | z[0] == all_vertices and x[2] | y[2] | z[2] == all_edges
-            for y in pool
-            for z in pool
-        )
-
-    encoded = [(encode(s.side_a, s.side_b), encode(s.side_b, s.side_a)) for s in seps]
+    encode = _mask_encoder(g)
+    family = []
+    for i, (a, b) in enumerate(s.masks for s in seps):
+        family += (encode(a, b, 2 * i), encode(b, a, 2 * i + 1))
+    antichains = _Antichains(g, family)
+    chain = []
+    undo = []
     results: list[Tangle] = []
-    chosen: list[tuple] = []
-    maximal: list[tuple] = []
-    undo: list[list[tuple]] = []
     nodes = 0
-
-    def admit(new: tuple) -> list[tuple] | None:
-        a, b, _, size = new
-        for c, d, _, _ in chosen:
-            if not (b & ~c or d & ~a):
-                return None
-        for m in maximal:
-            if not a & ~m[0]:
-                return maximal
-        pool = [m for m in maximal if m[0] & ~a]
-        pos = 0
-        while pos < len(pool) and pool[pos][3] >= size:
-            pos += 1
-        pool.insert(pos, new)
-        return None if covered(pool, new) else pool
-
-    stack = [0]
+    stack = [0]  # stack[i] is the next orientation to try at depth i: 0 toward "b", 1 toward "a"
     while stack:
         i = len(stack) - 1
         if i == len(seps):
-            choices = {sep: "ba"[picked - 1] for sep, picked in zip(seps, stack)}
-            results.append(Tangle(g, k, choices))
+            results.append(Tangle(g, k, {sep: "ba"[picked - 1] for sep, picked in zip(seps, stack)}))
         elif stack[i] < 2:
             nodes += 1
-            new = encoded[i][stack[i]]
+            x = 2 * i + stack[i]
             stack[i] += 1
-            grown = admit(new)
-            if grown is not None:
-                chosen.append(new)
-                undo.append(maximal)
-                maximal = grown
+            grown = antichains.insert(chain, x)
+            if grown is chain or not antichains.closes(grown, x):
+                undo.append(chain)
+                chain = grown
                 stack.append(0)
             continue
         stack.pop()
         if i:
-            chosen.pop()
-            maximal = undo.pop()
+            chain = undo.pop()
     return results, nodes
 
 

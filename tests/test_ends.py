@@ -6,6 +6,7 @@ from tangletree import ends
 from tangletree.errors import PreconditionError
 from tangletree.families import generate_family
 from tangletree.ends import (
+    _JOINING_PATHS,
     CombWitness,
     Direction,
     directions_in_closure,
@@ -15,7 +16,7 @@ from tangletree.ends import (
     thick_end_pipeline,
     thin_end_bound,
 )
-from tangletree.graph import Graph, disjoint_paths
+from tangletree.graph import Graph, _solve, disjoint_paths
 from tangletree.limits import limit_separator_prefix
 from tangletree.separations import NestedSet, supremum
 from tangletree.tangles import clique_witness
@@ -115,17 +116,22 @@ def test_clique_chain_equivalence_classes_at_top(scaled_chain):
 
 def test_equivalence_classes_run_no_flow_for_joined_pairs(scaled_chain, monkeypatch):
     """Of the 15 pairs of six rays, (R1, R2), (R1, R3) and (R2, R3) are
-    already joined through R0 when they come up, so 12 flows run."""
-    pairs = []
+    already joined through R0 when they come up, so 12 flows run. Each
+    stops at `_JOINING_PATHS` paths: uncapped, the first two find 5 and 4,
+    and every flow finds what the full one finds up to the cap."""
+    flows = []
 
-    def counting(g, s, t, *args, **kwargs):
-        pairs.append((s, t))
-        return disjoint_paths(g, s, t, *args, **kwargs)
+    def capped(g, s, t, *args, **kwargs):
+        found = _solve(g, s, t, *args, **kwargs)[0]
+        flows.append((len(found), len(disjoint_paths(g, s, t)), kwargs))
+        return found, None
 
-    monkeypatch.setattr(ends, "disjoint_paths", counting)
+    monkeypatch.setattr(ends, "_solve", capped)
     classes = ray_equivalence_classes(scaled_chain, 5)
     assert [c.rays for c in classes] == [("R0", "R1", "R2", "R3"), ("R4",), ("R5",)]
-    assert len(pairs) == 12
+    assert [full for _, full, _ in flows] == [5, 4, 3, 2, 1, 2, 1, 2, 1, 2, 1, 1]
+    assert [found for found, _, _ in flows] == [3, 3, 3, 2, 1, 2, 1, 2, 1, 2, 1, 1]
+    assert all(kwargs == {"cap": _JOINING_PATHS} for _, _, kwargs in flows)
 
 
 def test_ray_packing_ray_family(ray_presentation):

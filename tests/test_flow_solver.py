@@ -13,7 +13,7 @@ from tangletree import ends
 from tangletree.errors import UnknownVertexError
 from tangletree.families import generate_family
 from tangletree.graph import Graph, _solve, disjoint_paths, minimum_separator
-from .conftest import cycle_graph, path_graph, random_connected_graph
+from .conftest import cycle_graph, grid_graph, path_graph, random_connected_graph
 from .oracles import flow_reference, paths_from_base_reference, teeth_paths_reference
 
 
@@ -48,6 +48,21 @@ def test_solver_matches_reference_on_clique_chain():
             paths, cut = flow_reference(g, a, b)
             assert _solved(g, a, b) == (paths, cut)
             assert len(paths) == len(cut) > 0
+
+
+def test_a_capped_solve_is_memoized_apart():
+    """Four disjoint paths join the first and last columns of the 4x4 grid.
+    A solve capped at two stops after two augmenting paths and reports no
+    cut; the memo keeps it apart from the full solve."""
+    g = grid_graph(4, 4)
+    left, right = frozenset(f"g{r}0" for r in range(4)), frozenset(f"g{r}3" for r in range(4))
+    capped = _solve(g, left, right, cap=2)
+    assert len(capped[0]) == 2 and capped[1] is None
+    assert _solved(g, left, right) == flow_reference(g, left, right)
+    assert len(disjoint_paths(g, left, right)) == 4
+    assert _solve(g, left, right, cap=2) is capped
+    paths, cut = _solve(g, left, right, cap=5)  # a cap above the flow changes nothing
+    assert ([list(p) for p in paths], cut) == _solved(g, left, right)
 
 
 def test_returned_paths_do_not_alias_the_memo():

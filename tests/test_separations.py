@@ -1,7 +1,7 @@
 """Separation algebra: construction, order, nestedness, sequences, limits."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -336,6 +336,27 @@ def test_public_constructor_matches_the_frozenset_check(data):
         assert got.masks == (g.mask(a), g.mask(b))
         assert got.sort_key == (tuple(sorted(a)), tuple(sorted(b)))
         assert got.separator == a & b
+
+
+def _k4_and_pendant() -> Graph:
+    return Graph.from_data("abcdp", [*combinations("abcd", 2), ("d", "p")])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [path_graph(6), star_graph(5), cycle_graph(6), _k4_and_pendant()],
+    ids=["path", "star", "cycle", "K4 and a pendant vertex"],
+)
+def test_mask_check_matches_the_frozenset_check_on_every_assignment(g):
+    """Every vertex on side A only, B only, both or neither: the mask check
+    gives the frozenset check's error type, message and edge, or None as
+    it does, also where a strict side is empty."""
+    names = sorted(g.vertices)
+    for where in product("ab2-", repeat=len(names)):
+        a = frozenset(v for v, w in zip(names, where) if w in "a2")
+        b = frozenset(v for v, w in zip(names, where) if w in "b2")
+        got, want = separations._fault(g, g.mask(a), g.mask(b)), separation_fault_reference(g, a, b)
+        assert (type(got), str(got), getattr(got, "edge", None)) == (type(want), str(want), getattr(want, "edge", None))
 
 
 def test_every_separation_is_built_whole():

@@ -16,7 +16,7 @@ from tangletree.cli import main
 from tangletree.errors import BudgetExceededError
 from tangletree.graph import Graph
 from tangletree.separations import Separation, enumerate_separations, leq
-from tangletree import tangles
+from tangletree import graph, separations, tangles
 from tangletree.tangles import (
     PreTangle,
     _Antichains,
@@ -83,37 +83,35 @@ def _assert_search_visits(g: Graph, k: int, nodes: int) -> list:
 
 @settings(max_examples=80)
 @given(g=connected_graphs(max_vertices=8), k=st.integers(1, 4))
-def test_search_matches_list_scan_search(g, k):
-    """Without a consistency test, with the size cutoff of the covering scan
-    and with the pool kept by `_Antichains`, the search must decide as the
-    list-scan search does at every node: the same tangles in the same
-    order, in the same node count."""
+def test_search_matches_the_orientation_search_and_brute_force(g, k):
+    """The haven search finds the tangles of the search over orientations,
+    in the same order, within that search's node count; and at the largest
+    order whose domain fits the brute-force oracle, the oracle's tangles."""
     k = min(k, len(g.vertices) + 1)
     reference, nodes = tangle_search_reference(g, k)
-    found = _assert_search_visits(g, k, nodes)
+    found = enumerate_tangles(g, k, budget=nodes)
     assert [t._key for t in found] == [t._key for t in reference]
+    k, seps = _order_and_domain(g, k)
+    assert [t._key for t in enumerate_tangles(g, k)] == [t._key for t in all_tangles_brute(g, k, seps)]
 
 
 @settings(max_examples=80)
 @given(g=connected_graphs(max_vertices=8), k=st.integers(1, 4), wide=st.sampled_from((0, 1)))
-def test_search_on_the_index_from_the_first_node_matches_list_scan_search(g, k, wide):
+def test_search_on_the_index_from_the_first_node_matches_the_orientation_search(g, k, wide):
     """With the width rule at 0, every antichain of the search is wide from
     the first insert on, so each domination and covering test reads the
     column index; at 1, lists of |V| members turn into the index part way
-    down. The search must still decide as the list-scan search does at
-    every node."""
+    through the forced sides. The search must still find the tangles of the
+    search over orientations, in the same order, within its node count."""
     k = min(k, len(g.vertices) + 1)
     reference, nodes = tangle_search_reference(g, k)
     with mock.patch.object(tangles, "_WIDE", wide):
-        found = _assert_search_visits(g, k, nodes)
+        found = enumerate_tangles(g, k, budget=nodes)
     assert [t._key for t in found] == [t._key for t in reference]
 
 
-def test_grid_search_switches_to_the_index_and_back(monkeypatch):
-    """At the default rule the 3x6 grid search at order 4 turns its
-    antichain into the index part way down, and backtracks above that depth
-    to the list again, more than once; it still takes exactly 2,486 nodes
-    and finds no tangle."""
+def _insert_kinds(monkeypatch) -> list:
+    """The form of the antichain before each insert, recorded from now on."""
     kinds = []
     insert = _Antichains.insert
 
@@ -122,10 +120,37 @@ def test_grid_search_switches_to_the_index_and_back(monkeypatch):
         return insert(self, chain, x)
 
     monkeypatch.setattr(_Antichains, "insert", recording)
-    assert _assert_search_visits(grid_graph(3, 6), 4, 2486) == []
-    switches = [i for i in range(1, len(kinds)) if kinds[i - 1] is list and kinds[i] is tuple]
-    returns = [i for i in range(1, len(kinds)) if kinds[i - 1] is tuple and kinds[i] is list]
-    assert kinds[0] is list and len(switches) > 1 and len(returns) > 1
+    return kinds
+
+
+def _switches(kinds: list, old: type, new: type) -> list:
+    return [i for i in range(1, len(kinds)) if kinds[i - 1] is old and kinds[i] is new]
+
+
+def test_grid_search_switches_to_the_index_and_back(monkeypatch):
+    """At the default rule the search over orientations on the 3x6 grid at
+    order 4 turns its antichain into the index part way down, and
+    backtracks above that depth to the list again, in exactly 2,486 nodes.
+    The haven search's antichain is widest at the root, where the 710
+    maximal forced sides go in: it turns into the index among them, once,
+    and its branching sides never take it back. With the rule at 40 (720
+    members) it stays a list. Both forms find no tangle in 123 nodes."""
+    g = grid_graph(3, 6)
+    kinds = _insert_kinds(monkeypatch)
+    found, nodes = tangle_search_reference(g, 4)
+    assert (found, nodes) == ([], 2486)
+    (switch,), (back,) = _switches(kinds, list, tuple), _switches(kinds, tuple, list)
+    assert kinds[0] is list and switch < back
+    assert _assert_search_visits(g, 4, 123) == []
+    kinds.clear()
+    assert enumerate_tangles(g, 4) == []
+    forced = 878  # the inserts at the root
+    (switch,) = _switches(kinds, list, tuple)
+    assert switch < forced and not _switches(kinds, tuple, list)
+    kinds.clear()
+    with mock.patch.object(tangles, "_WIDE", 40):
+        assert _assert_search_visits(g, 4, 123) == []
+    assert set(kinds) == {list}
 
 
 @settings(max_examples=150)
@@ -347,13 +372,25 @@ def test_inconsistent_pair_is_a_covering_triple(g, data):
             assert _covers_brute(g, (x, y, y))
 
 
+def _assert_pinned(g: Graph, k: int, reference_nodes: int, nodes: int) -> list:
+    """The haven search's tangles, which must be those of the search over
+    orientations; both searches' node counts are pinned."""
+    reference, visited = tangle_search_reference(g, k)
+    assert visited == reference_nodes
+    found = _assert_search_visits(g, k, nodes)
+    assert [t._key for t in found] == [t._key for t in reference]
+    return found
+
+
 def test_clique_chain_order_three_search_visits_33448_nodes():
-    tangles = _assert_search_visits(clique_chain_graph(8, 6), 3, 33448)
+    """The search over orientations takes 33,448 nodes; the haven search
+    branches only at the 581 separators with two or more components."""
+    tangles = _assert_pinned(clique_chain_graph(8, 6), 3, 33448, 15414)
     assert len(tangles) == 8
 
 
 def test_grid_four_by_six_order_four_search_visits_5458_nodes():
-    tangles = _assert_search_visits(grid_graph(4, 6), 4, 5458)
+    tangles = _assert_pinned(grid_graph(4, 6), 4, 5458, 226)
     assert len(tangles) == 1
 
 
@@ -459,11 +496,11 @@ def test_fast_consistency_check_matches_full_scan(g, k, kind, data):
     assert check_tangle(g, p).pretangle == report
 
 
-def test_co_small_maximal_member_alone_runs_no_scan():
+def test_flipped_grid_member_is_co_small_consistent_and_fails_the_axiom():
     """The order-4 tangle of the 4x6 grid with its middle member, in sort
     order, flipped: that member becomes the co-small (V, S) with
     S = {g05, g11, g25}, which no other member's reverse lies below. The
-    set stays consistent."""
+    set stays consistent, and V alone covers G."""
     g = grid_graph(4, 6)
     (tangle,) = enumerate_tangles(g, 4)
     choices = dict(tangle.choices)
@@ -492,6 +529,44 @@ def test_co_small_maximal_member_with_a_partner_is_inconsistent():
     assert (y.side_a, y.side_b) == (frozenset({"p00"}), g.vertices)
 
 
+def _count_floods(monkeypatch) -> list:
+    """The removed masks of every flood from now on, through any module."""
+    floods = []
+    real = graph._flood
+
+    def counting(g, removed):
+        floods.append(removed)
+        return real(g, removed)
+
+    for module in (graph, separations, tangles):
+        monkeypatch.setattr(module, "_flood", counting)
+    return floods
+
+
+@pytest.mark.parametrize(
+    "g, k, count",
+    [(grid_graph(3, 6), 3, 1), (clique_chain_graph(3, 5), 3, 3), (path_graph(4), 5, 0)],
+    ids=["3x6 grid", "three-K5 chain", "path of 4 at |V| + 1"],
+)
+def test_search_reads_the_enumeration_floods(monkeypatch, g, k, count):
+    """On a cold slot the search floods each candidate separator exactly
+    once, and G once more for its connectivity; after
+    `enumerate_separations(g, k - 1)` on the same graph object it floods
+    nothing. At k > |V| the separator V leaves no component, so there is
+    no tangle."""
+    floods = _count_floods(monkeypatch)
+    cold = Graph(g.vertices, g.edges)  # a graph object that no slot holds
+    found = enumerate_tangles(cold, k)
+    assert len(found) == count
+    separators = [sum(c) for size in range(k) for c in combinations([1 << i for i in range(len(g.vertices))], size)]
+    assert sorted(floods) == sorted([0, *separators])
+    hot = Graph(g.vertices, g.edges)
+    enumerate_separations(hot, k - 1)
+    floods.clear()
+    assert [t._key for t in enumerate_tangles(hot, k)] == [t._key for t in found]
+    assert floods == []
+
+
 def test_grid_order_four_finishes_without_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
@@ -507,12 +582,10 @@ def test_grid_order_four_budget_is_a_budget_error():
 
 
 def test_grid_order_four_search_visits_2486_nodes():
-    """The search's node count, pinned: one node short of it is a budget
-    error, and with it the search completes and finds no tangle."""
-    g = grid_graph(3, 6)
-    with pytest.raises(BudgetExceededError):
-        enumerate_tangles(g, 4, budget=2485)
-    assert enumerate_tangles(g, 4, budget=2486) == []
+    """The node counts, pinned: 2,486 for the search over orientations and
+    123 for the haven search. One node short of 123 is a budget error, and
+    with 123 the search completes and finds no tangle."""
+    assert _assert_pinned(grid_graph(3, 6), 4, 2486, 123) == []
 
 
 def test_edge_decides_covering_triple():
