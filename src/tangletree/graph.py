@@ -10,10 +10,11 @@ split-vertex digraph, so its cardinality equals the minimum vertex cut
 between the two terminal sets (Menger duality); tests check this against
 brute-force cut enumeration on small graphs. One solver, `_solve`, serves
 `disjoint_paths`, `minimum_separator` and the flows of the end evidence.
-It works on integer node ids whose order is the sorted order of the split
-vertices, so its breadth-first scans, and with them the emitted paths and
-the leftmost cut, follow from that order alone; tests pin it to a
-tuple-keyed reference network. A vertex mask restricts a solve to an
+Its breadth-first search pops an in-node and expands the out-node it leads
+to in one step, and finds the new in-nodes with one mask operation on the
+closed neighbourhoods, lowest bit first; so the emitted paths and the
+leftmost cut follow from the sorted vertex order alone, and tests pin them
+to a tuple-keyed reference network. A vertex mask restricts a solve to an
 induced subgraph without building one: vertices outside it are never
 entered and never cut. A cap stops a solve after that many paths, for
 callers that only ask whether there are so many. Each graph memoizes the
@@ -27,14 +28,13 @@ enumeration, which keeps them for the tangle search.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from operator import or_
 from typing import Iterable
 
-from .errors import GraphFormatError, UnknownVertexError
+from .errors import GraphFormatError, PreconditionError, UnknownVertexError
 
 Vertex = str
 Edge = tuple[str, str]
@@ -98,15 +98,17 @@ class Graph:
         return {v: frozenset(ns) for v, ns in adj.items()}
 
     @cached_property
-    def _vertex_index(self) -> tuple[list[str], dict[str, int], list[list[int]], list[int]]:
+    def _vertex_index(self) -> tuple[list[str], dict[str, int], list[int]]:
         """Sorted vertex names, their indices, and each vertex's closed
-        neighbourhood as sorted indices and as a mask: the one vertex order
-        that `_solve`, `_flood` and the bitmask sides of separations share."""
+        neighbourhood as a mask: the one vertex order that `_solve`'s mask
+        frontier, `_flood` and the bitmask sides of separations share."""
         names = sorted(self.vertices)
         index = {v: i for i, v in enumerate(names)}
-        closed = [sorted([i] + [index[u] for u in self.adjacency[v]]) for i, v in enumerate(names)]
-        bits = [1 << i for i in range(len(names))]
-        return names, index, closed, [sum(map(bits.__getitem__, c)) for c in closed]
+        closed = [1 << i for i in range(len(names))]
+        for u, v in self.edges:
+            closed[index[u]] |= 1 << index[v]
+            closed[index[v]] |= 1 << index[u]
+        return names, index, closed
 
     @cached_property
     def _flow_memo(self) -> dict:
@@ -123,7 +125,7 @@ class Graph:
             for v in vs:
                 mask |= 1 << index[v]
         except KeyError as exc:
-            raise UnknownVertexError(min({exc.args[0], *vs}.difference(index))) from None
+            raise UnknownVertexError(_least({exc.args[0], *vs}.difference(index))) from None
         return mask
 
     def neighbors(self, v: str) -> frozenset[str]:
@@ -132,14 +134,11 @@ class Graph:
         return self.adjacency[v]
 
     def neighbourhood(self, vs: Iterable[str]) -> frozenset[str]:
-        """N_G(vs): neighbors of the set, excluding the set itself."""
-        vs = frozenset(vs)
-        out: set[str] = set()
-        for v in vs:
-            if v not in self.vertices:
-                raise UnknownVertexError(v)
-            out |= self.adjacency[v]
-        return frozenset(out - vs)
+        """N_G(vs): neighbors of the set, excluding the set itself, read off
+        the closed neighbourhood masks."""
+        names, _, closed = self._vertex_index
+        vs = self.mask(vs)
+        return frozenset(_select(names, reduce(or_, _select(closed, vs), 0) & ~vs))
 
     def has_edge(self, u: str, v: str) -> bool:
         return _edge(u, v) in self.edges
@@ -252,7 +251,7 @@ def _select(items: list, mask: int):
 def _flood(g: Graph, removed: int) -> list[int]:
     """Components of g - removed as masks, lowest bit (minimal vertex) first.
     Each round grows a component by the neighbourhoods of its newest vertices."""
-    closed = g._vertex_index[3]
+    closed = g._vertex_index[2]
     todo = ((1 << len(closed)) - 1) & ~removed
     comps = []
     while todo:
@@ -286,18 +285,35 @@ def tight_components(g: Graph, x: Iterable[str]) -> list[frozenset[str]]:
 
 def _tight(g: Graph, x: int) -> list[int]:
     """The masks of the components K of g - x with N(K) = x."""
-    closed = g._vertex_index[3]
+    closed = g._vertex_index[2]
     return [k for k in _flood(g, x) if reduce(or_, _select(closed, k), 0) ^ k == x]
 
 
+def _least(names):
+    """The least of a set of names; one whose names cannot be compared
+    (such as str and int mixed) by repr."""
+    try:
+        return min(names)
+    except TypeError:
+        return min(names, key=repr)
+
+
+def _vertex_set(g: Graph, vs: Iterable[str], what: str) -> frozenset[str]:
+    """vs as a set of g's vertices. A vs that is None, is not iterable or
+    holds an unhashable item raises PreconditionError; a name g lacks,
+    UnknownVertexError (the least such name)."""
+    try:
+        vs = frozenset(vs)
+    except TypeError as exc:
+        raise PreconditionError(f"{what} must be an iterable of vertex names: {exc}") from None
+    unknown = vs - g.vertices
+    if unknown:
+        raise UnknownVertexError(_least(unknown))
+    return vs
+
+
 def _terminals(g: Graph, s: Iterable[str], t: Iterable[str]) -> tuple[frozenset[str], frozenset[str]]:
-    s = frozenset(s)
-    t = frozenset(t)
-    for side in (s, t):
-        unknown = side - g.vertices
-        if unknown:
-            raise UnknownVertexError(min(unknown))
-    return s, t
+    return _vertex_set(g, s, "s"), _vertex_set(g, t, "t")
 
 
 def _solve(g: Graph, s: frozenset[str], t: frozenset[str], within: int | None = None, cap: int | None = None):
@@ -307,31 +323,39 @@ def _solve(g: Graph, s: frozenset[str], t: frozenset[str], within: int | None = 
     paths, so it finds min(cap, max flow) paths; the cut is then None if it
     stopped there.
 
-    The split-vertex network gives vertex i (in sorted order) the in-node i
-    and the out-node n+i, joined by an arc of capacity one; edges join
-    out-nodes to in-nodes both ways, uncapped; the source 2n+1 feeds the
-    in-nodes of s and the out-nodes of t feed the sink 2n. Breadth-first
-    search scans each node's residual arcs in increasing id order and
-    augments along one shortest path at a time. Both nodes of a vertex
-    outside `within` start every search as seen, so no path enters it and
-    the cut leaves it out; the scan order inside is g's sorted order
-    restricted to the mask, which is the induced subgraph's own.
+    The split-vertex network gives each vertex an in-node and an out-node,
+    joined by an arc of capacity one; edges join out-nodes to in-nodes both
+    ways, uncapped; the source feeds the in-nodes of s and the out-nodes of
+    t feed the sink. Breadth-first search augments along one shortest path
+    at a time.
 
     Since every vertex carries at most one unit, the flow is held as
-    `into[v]`: the node whose flow enters in-node v (a vertex, the source,
-    or -1 when v carries none). That fixes every residual arc. An in-node
-    leads on to its own out-node while v is unused, and otherwise back
-    along its one incoming unit; an out-node leads to the in-nodes of its
-    closed neighbourhood (its own in-node only while v is used, and an
-    unused v's in-node is always seen before its out-node) and, in t, to
-    the sink. The search that finds no augmenting path has reached exactly
-    the source side of the leftmost minimum cut.
+    `into[v]`: the vertex whose out-node sends v its unit, `src` when the
+    source does, or -1 when v carries none. That fixes every residual arc.
+    An in-node has exactly one arc out: to its own out-node while v is
+    unused, and otherwise back to the out-node its unit came from (back to
+    the source leads nowhere). That out-node has the in-node as its only
+    predecessor, so the search pops an in-node and expands the out-node in
+    the same step. An out-node leads to the in-nodes of its closed
+    neighbourhood (its own in-node only while v is used, and an unused v's
+    in-node is always seen before its out-node) and, in t, to the sink.
+
+    The frontier is a mask: `seen` holds the in-nodes reached so far,
+    starting from the starts and every vertex outside `within` (so no path
+    enters those and the cut leaves them out), and expanding an out-node
+    queues the new in-nodes `closed[v] & ~seen`, lowest bit first. That is
+    the order of a scan of the residual arcs by increasing vertex, so the
+    paths and the cut follow from g's sorted vertex order alone, which
+    inside a mask is the induced subgraph's own. The search that finds no
+    augmenting path has reached exactly the source side of the leftmost
+    minimum cut: the cut is the vertices whose in-node it reached and whose
+    out-node it did not.
 
     Results are memoized on g by (s, t, within, cap), with an unrestricted
     call keyed by the full mask, so a capped solve is never served to an
     uncapped caller; the memo holds no flow state.
     """
-    names, index, closed, _ = g._vertex_index
+    names, index, closed = g._vertex_index
     n = len(names)
     full = (1 << n) - 1
     if within is None:
@@ -341,61 +365,59 @@ def _solve(g: Graph, s: frozenset[str], t: frozenset[str], within: int | None = 
     hit = memo.get(key)
     if hit is not None:
         return hit
-    snk = 2 * n
-    src = snk + 1
-    fresh = [-1] * (snk + 2)  # prev at the start of each search
-    for v in _select(range(n), full & ~within):
-        fresh[v] = fresh[n + v] = src
+    src = n
     starts = sorted(index[v] for v in s)
+    blocked = full & ~within | g.mask(s)
     in_t = [False] * n
     for v in t:
         in_t[index[v]] = True
     into = [-1] * n
+    # the out-node vertex that reached each in-node (`src` for the starts),
+    # and the in-node vertex that reached each out-node, in the latest
+    # search: only the nodes on the path it finds are read back, so they
+    # need no reset
+    via_out = [src] * n
+    via_in = [-1] * n
     flow = 0
     while flow != cap:
-        prev = fresh.copy()
-        queue = deque(starts)
-        for v in starts:
-            prev[v] = src
-        while queue:
-            x = queue.popleft()
-            if x < n:
-                u = into[x]
-                if u < 0:
-                    y = n + x
-                elif u == src:
-                    continue
-                else:
-                    y = n + u
-                if prev[y] < 0:
-                    prev[y] = x
-                    queue.append(y)
+        seen = blocked
+        queue = starts.copy()
+        last = -1
+        for x in queue:  # the loop reads what it appends: first in, first out
+            v = into[x]
+            if v < 0:
+                v = x
+            elif v == src:
                 continue
-            v = x - n
-            for w in closed[v]:
-                if prev[w] < 0:
-                    prev[w] = x
-                    queue.append(w)
+            via_in[v] = x
             if in_t[v]:
-                prev[snk] = x
+                last = v
                 break
-        if prev[snk] < 0:
+            new = closed[v] & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                w = low.bit_length() - 1
+                via_out[w] = v
+                queue.append(w)
+                new ^= low
+        if last < 0:
             break
         # walk back from the sink: an arc from the source or another vertex's
-        # out-node into in-node v now carries v's unit, and an arc from v's
+        # out-node into in-node w now carries w's unit, and an arc from w's
         # in-node back to another out-node takes the old unit off; the arcs
         # between a vertex's own two nodes leave `into` as the rest set it
-        node = prev[snk]
-        while node != src:
-            back = prev[node]
-            if node < n:
-                if back == src:
-                    into[node] = src
-                elif back - n != node:
-                    into[node] = back - n
-            elif back != node - n:
-                into[back] = -1
-            node = back
+        v = last
+        while True:
+            w = via_in[v]
+            if w != v:
+                into[w] = -1
+            v = via_out[w]
+            if v == src:
+                into[w] = src
+                break
+            if v != w:
+                into[w] = v
         flow += 1
     onward = [-1] * n
     for v, u in enumerate(into):
@@ -410,7 +432,16 @@ def _solve(g: Graph, s: frozenset[str], t: frozenset[str], within: int | None = 
             v = onward[v]
             path.append(names[v])
         paths.append(tuple(path))
-    cut = None if flow == cap else frozenset(names[v] for v in range(n) if prev[v] >= 0 and prev[n + v] < 0)
+    cut = None
+    if flow != cap:
+        # the last search reached the out-node of each unused vertex whose
+        # in-node it reached, and of a used vertex only through the in-node
+        # its unit goes on to
+        cut = frozenset(
+            names[v]
+            for v in _select(range(n), seen & within)
+            if into[v] != -1 and not (onward[v] >= 0 and seen >> onward[v] & 1)
+        )
     memo[key] = hit = (tuple(paths), cut)
     return hit
 

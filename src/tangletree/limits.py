@@ -24,7 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
+from typing import Iterable
 
 from .errors import (
     IncoherentChainError,
@@ -32,7 +35,7 @@ from .errors import (
     OrientationUndecidableError,
     PreconditionError,
 )
-from .graph import Graph, tight_components
+from .graph import Graph, _select, _tight, _vertex_set
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     NestedSet,
@@ -370,41 +373,49 @@ def pseudo_tight_check(
     g_window: Graph,
     seq: SeparationSequence,
     *,
-    boundary: frozenset[str] = frozenset(),
+    boundary: Iterable[str] = frozenset(),
 ) -> PseudoTightReport:
     """Window rendering of the pseudo-tight limit property.
 
     Every interior vertex of the supremum's separator must have a neighbour
     in B - A that lies, for at least half the window indices (rounded up,
     the report's `threshold`), in a tight component on the B side. Vertices
-    too close to the window boundary are reported as interference, not
-    failures.
+    too close to the window boundary (in it or next to it) are reported as
+    interference, not failures. The witness is the first neighbour, in
+    sorted order, with the largest count; the counts are read from one
+    table, built once per call from each item's tight B-side components.
     """
     g = g_window
     for item in seq:
         if not is_tight(g, item):
             raise PreconditionError(f"sequence item {item!r} is not tight")
     sup = supremum(seq)
-    strict_b = sup.side_b - sup.side_a
+    sup_a, sup_b = sup.masks
+    strict_b = sup_b & ~sup_a
     if not strict_b:
         raise PreconditionError("supremum has empty strict B side in this window")
     threshold = math.ceil(len(seq) / 2)
-    tight_b_side: list[list[frozenset[str]]] = []
+    names, _, closed = g._vertex_index
+    vertices = range(len(names))
+    # counts[w]: in how many items w lies in a tight component on the B side
+    counts = [0] * len(names)
     for item in seq:
-        strict = item.side_b - item.side_a
-        tight_b_side.append(
-            [k for k in tight_components(g, item.separator) if k <= strict]
-        )
-    fringe = boundary | (g.neighbourhood(boundary) if boundary else frozenset())
+        a, b = item.masks
+        strict = b & ~a
+        held = reduce(or_, (k for k in _tight(g, a & b) if not k & ~strict), 0)
+        for w in _select(vertices, held):
+            counts[w] += 1
+    boundary = _vertex_set(g, boundary, "boundary")
+    fringe = boundary | g.neighbourhood(boundary)
     witnesses: dict = {}
     interference: list[str] = []
     failures: list[str] = []
-    for v in sorted(sup.separator):
+    for i in _select(vertices, sup_a & sup_b):
+        v = names[i]
         best = None
-        for w in sorted(g.adjacency[v] & strict_b):
-            count = sum(1 for comps in tight_b_side if any(w in k for k in comps))
-            if best is None or count > best[1]:
-                best = (w, count)
+        for w in _select(vertices, closed[i] & strict_b):
+            if best is None or counts[w] > best[1]:
+                best = (names[w], counts[w])
         if best is not None and best[1] >= threshold:
             witnesses[v] = best
         elif v in fringe:

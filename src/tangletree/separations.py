@@ -174,7 +174,7 @@ def _fault(g: Graph, a: int, b: int) -> SeparationError | None:
     first vertex of the smaller strict side (A - B on a tie) with a neighbour
     in the other to its least such neighbour. Only that side's closed
     neighbourhoods are scanned, and none when a strict side is empty."""
-    names, _, _, closed = g._vertex_index
+    names, _, closed = g._vertex_index
     full = (1 << len(names)) - 1
     if a | b != full:
         return CoverError(f"sides do not cover V(G); missing {list(_select(names, full & ~(a | b)))[:5]}")

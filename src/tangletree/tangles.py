@@ -162,7 +162,7 @@ class TangleWitness:
                 raise FamilyParameterError(
                     "clique witness bound may not exceed the clique size"
                 )
-            closed = self.graph._vertex_index[3]
+            closed = self.graph._vertex_index[2]
             c = self._anchor  # raises UnknownVertexError for a vertex outside the graph
             if any(c & ~closed[v] for v in _bits(c)):
                 raise FamilyParameterError("clique witness vertices must be pairwise adjacent")

@@ -22,20 +22,23 @@ reference for the mask enumeration. The port graph for comb teeth and the
 induced graph less the edges inside the base for ray packings, each solved
 by the reference network, are the references for the flows that `ends`
 runs on the host graph under a vertex mask, and the frozenset loop over
-components is the reference for `tight_components` on masks. The per-layer
-family generators, which build every layer and a shadow layer h + 1 from
-scratch, are the reference for the tower that `families` grows level by
-level. The name-lookup orientation query, which anchors a witness at one
-vertex and looks it up in the sides, is the reference for `toward`, which
-tests the witness's mask against the separation's. The frozenset cover test
-and edge scan are the reference for the mask check behind every
-`Separation`, error types and messages included. The scan of every superset
-of the cliques' common vertices is the reference for the clique-pair
-distinguishers, which try one vertex of each disjoint path between them.
+components is the reference for `tight_components` on masks. The frozenset
+scan that counts every (v, w) pair afresh is the reference for the count
+table of `pseudo_tight_check`. The per-layer family generators, which build
+every layer and a shadow layer h + 1 from scratch, are the reference for the
+tower that `families` grows level by level. The name-lookup orientation
+query, which anchors a witness at one vertex and looks it up in the sides,
+is the reference for `toward`, which tests the witness's mask against the
+separation's. The frozenset cover test and edge scan are the reference for
+the mask check behind every `Separation`, error types and messages included.
+The scan of every superset of the cliques' common vertices is the reference
+for the clique-pair distinguishers, which try one vertex of each disjoint
+path between them.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, product
 
 from tangletree.families import LayeredPresentation
@@ -46,9 +49,11 @@ from tangletree.errors import (
     CrossingEdgeError,
     InternalCheckError,
     OrientationUndecidableError,
+    PreconditionError,
     TangletreeError,
     UnknownVertexError,
 )
+from tangletree.limits import PseudoTightReport
 from tangletree.separations import (
     DEFAULT_ENUMERATION_BUDGET,
     Relation,
@@ -58,7 +63,9 @@ from tangletree.separations import (
     _leq_corner,
     _separation,
     enumerate_separations,
+    is_tight,
     leq,
+    supremum,
 )
 from tangletree.tangles import PreTangle, Tangle, _Antichains, _mask_encoder
 
@@ -677,10 +684,56 @@ def paths_from_base_reference(g: Graph, base, region, targets) -> tuple:
     return _reference_paths(Graph.from_data(vertices, edges), base, frozenset(targets) & vertices)
 
 
+def _neighbourhood_reference(g: Graph, vs: frozenset[str]) -> frozenset[str]:
+    """N_G(vs) from the adjacency sets."""
+    return frozenset().union(*(g.adjacency[v] for v in vs)) - vs
+
+
 def tight_components_reference(g: Graph, x) -> list[frozenset[str]]:
     """Components K of g - x with N_G(K) == x, by a loop over frozensets."""
     x = frozenset(x)
-    return [k for k in components_reference(g, x) if g.neighbourhood(k) == x]
+    return [k for k in components_reference(g, x) if _neighbourhood_reference(g, k) == x]
+
+
+def pseudo_tight_reference(g: Graph, seq, *, boundary=frozenset()) -> PseudoTightReport:
+    """`pseudo_tight_check` by a frozenset scan: for every (v, w) pair, count
+    afresh the items with w in one of their tight B-side components."""
+    for item in seq:
+        if not is_tight(g, item):
+            raise PreconditionError(f"sequence item {item!r} is not tight")
+    sup = supremum(seq)
+    strict_b = sup.side_b - sup.side_a
+    if not strict_b:
+        raise PreconditionError("supremum has empty strict B side in this window")
+    threshold = math.ceil(len(seq) / 2)
+    tight_b_side = []
+    for item in seq:
+        strict = item.side_b - item.side_a
+        tight_b_side.append([k for k in tight_components_reference(g, item.separator) if k <= strict])
+    boundary = frozenset(boundary)
+    fringe = boundary | _neighbourhood_reference(g, boundary)
+    witnesses = {}
+    interference = []
+    failures = []
+    for v in sorted(sup.separator):
+        best = None
+        for w in sorted(g.adjacency[v] & strict_b):
+            count = sum(1 for comps in tight_b_side if any(w in k for k in comps))
+            if best is None or count > best[1]:
+                best = (w, count)
+        if best is not None and best[1] >= threshold:
+            witnesses[v] = best
+        elif v in fringe:
+            interference.append(v)
+        else:
+            failures.append(v)
+    return PseudoTightReport(
+        ok=not failures,
+        threshold=threshold,
+        witnesses=witnesses,
+        boundary_interference=tuple(interference),
+        failures=tuple(failures),
+    )
 
 
 def _leq_sets(s: Separation, t: Separation) -> bool:

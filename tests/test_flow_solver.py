@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tangletree import ends
-from tangletree.errors import UnknownVertexError
+from tangletree.errors import PreconditionError, UnknownVertexError
 from tangletree.families import generate_family
 from tangletree.graph import Graph, _solve, disjoint_paths, minimum_separator
 from .conftest import cycle_graph, grid_graph, path_graph, random_connected_graph
@@ -19,6 +19,26 @@ from .oracles import flow_reference, paths_from_base_reference, teeth_paths_refe
 
 def _solved(g, s, t):
     return disjoint_paths(g, s, t), minimum_separator(g, s, t)
+
+
+def _check_capped(g, s, t, within, cap, reference):
+    """A solve capped at `cap` inside the vertex set `within`: the
+    reference's (paths, cut) when the cap exceeds the max flow; its paths
+    and no cut when the cap equals it, since the solve stops at its cap
+    before a last search could prove the flow maximum; and otherwise
+    exactly `cap` vertex-disjoint s-t paths inside `within`, with no cut."""
+    paths, cut = _solve(g, s, t, g.mask(within), cap)
+    flow = len(reference[0])
+    if cap >= flow:
+        assert [list(path) for path in paths] == reference[0]
+        assert cut == (reference[1] if cap > flow else None)
+        return
+    assert len(paths) == cap and cut is None
+    used = [v for path in paths for v in path]
+    assert len(used) == len(set(used)) and set(used) <= within
+    for path in paths:
+        assert path[0] in s and path[-1] in t
+        assert all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
 
 
 @settings(max_examples=200)
@@ -34,9 +54,11 @@ def test_solver_matches_reference_network(data):
     t = data.draw(
         st.just(s) | st.sets(st.sampled_from(verts), min_size=1, max_size=5).map(frozenset)
     )
-    assert _solved(g, s, t) == flow_reference(g, s, t)
+    reference = flow_reference(g, s, t)
+    assert _solved(g, s, t) == reference
     # the memoized repeat gives the same answer
-    assert _solved(g, s, t) == flow_reference(g, s, t)
+    assert _solved(g, s, t) == reference
+    _check_capped(g, s, t, g.vertices, data.draw(st.integers(0, 6)), reference)
 
 
 def test_solver_matches_reference_on_clique_chain():
@@ -96,6 +118,25 @@ def test_unknown_vertices_and_empty_sides(query):
         query(g, {"a", "p00"}, {"b"})
 
 
+@pytest.mark.parametrize("query", [disjoint_paths, minimum_separator])
+@pytest.mark.parametrize(
+    "s, t, error, message",
+    [
+        (None, {"p00"}, PreconditionError, "s must be an iterable of vertex names"),
+        (3, {"p00"}, PreconditionError, "s must be an iterable of vertex names"),
+        ([["p00"]], {"p02"}, PreconditionError, "s must be an iterable of vertex names"),
+        ({"p00"}, None, PreconditionError, "t must be an iterable of vertex names"),
+        ({"p00"}, [{"p02"}], PreconditionError, "t must be an iterable of vertex names"),
+        # unknown names of mixed types cannot be compared; the least by repr is named
+        ({"zz", 3}, {"p00"}, UnknownVertexError, "zz"),
+        ({"p00"}, ["p02", 7, ("p01",)], UnknownVertexError, r"\('p01',\)"),
+    ],
+)
+def test_malformed_terminals_raise_library_errors(query, s, t, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        query(path_graph(3), s, t)
+
+
 def _masked(g, s, t, within):
     paths, cut = _solve(g, s, t, g.mask(within))
     return [list(path) for path in paths], cut
@@ -116,7 +157,9 @@ def test_masked_solver_and_ends_flows_match_their_references(data):
     # the unrestricted solve first: a memo keyed without the mask would
     # hand its answer to the restricted one
     assert _masked(g, s, t, verts) == flow_reference(g, s, t)
-    assert _masked(g, s, t, within) == flow_reference(g.induced(within), s, t)
+    reference = flow_reference(g.induced(within), s, t)
+    assert _masked(g, s, t, within) == reference
+    _check_capped(g, s, t, within, data.draw(st.integers(0, 5)), reference)
     spine = tuple(rng.sample(verts, rng.randint(0, min(4, len(verts)))))
     targets = frozenset(rng.sample(verts, rng.randint(0, len(verts))))
     assert ends._teeth_paths(g, spine, targets) == teeth_paths_reference(g, spine, targets)

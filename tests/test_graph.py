@@ -284,6 +284,17 @@ def test_tight_components_are_components_with_exact_neighbourhood(corpus_small):
                 assert g.neighbourhood(k) == x
 
 
+def test_neighbourhood_on_masks_matches_the_adjacency_sets(corpus_small):
+    rng = random.Random(5)
+    for g in corpus_small:
+        verts = sorted(g.vertices)
+        for vs in ((), verts, *(rng.sample(verts, rng.randrange(len(verts) + 1)) for _ in range(4))):
+            vs = frozenset(vs)
+            assert g.neighbourhood(vs) == frozenset().union(*(g.adjacency[v] for v in vs)) - vs
+        with pytest.raises(UnknownVertexError, match="^zy$"):
+            g.neighbourhood([verts[0], "zz", "zy"])
+
+
 def _check_tight(g: Graph, x) -> None:
     assert tight_components(g, x) == tight_components_reference(g, x)
 

@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from tangletree.errors import PreconditionError, SequenceOrderError
+from tangletree.errors import PreconditionError, SequenceOrderError, UnknownVertexError
+from tangletree.families import FAMILIES, generate_family
 from tangletree.graph import Graph, load_graph
 from tangletree.limits import (
     InterlacedPair,
@@ -26,6 +27,7 @@ from tangletree.separations import (
     supremum,
 )
 from tangletree.tangles import PreTangle, clique_witness
+from .oracles import pseudo_tight_reference
 
 
 @pytest.fixture(scope="module")
@@ -304,6 +306,62 @@ def test_pseudo_tight_rejects_non_tight_items(scaled_chain):
     seq = SeparationSequence.weakly_increasing([improper])
     with pytest.raises(PreconditionError):
         pseudo_tight_check(g, seq)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_pseudo_tight_check_matches_the_frozenset_scan(name):
+    """Equal reports (witnesses with their tie-break, interference, failures
+    and threshold) on the canonical chain of every window, with and without
+    the window's boundary."""
+    params = {"horizon": 5}
+    if name == "clique_chain":
+        params["sizes"] = [8, 12, 20, 36]
+    p = generate_family(name, params)
+    for m, chain in p.canonical_layer_chains().items():
+        g = p.graph_at(m)
+        for boundary in (frozenset(), p.boundary(m)):
+            report = pseudo_tight_check(g, chain, boundary=boundary)
+            assert report == pseudo_tight_reference(g, chain, boundary=boundary)
+
+
+def _failing_pseudo_tight_chain():
+    """Three tight separations of an 8-vertex graph: no neighbour of the
+    supremum's separator {v0, v3} lies in a tight B-side component of two
+    of the three items, the threshold."""
+    g = Graph.from_data(
+        [f"v{i}" for i in range(8)],
+        [("v0", "v1"), ("v0", "v4"), ("v0", "v5"), ("v0", "v6"), ("v0", "v7"), ("v1", "v2"), ("v1", "v3"),
+         ("v1", "v4"), ("v2", "v3"), ("v2", "v5"), ("v3", "v4"), ("v3", "v6"), ("v3", "v7"), ("v5", "v7")],
+    )
+    sides = [("v0 v1 v2 v3 v4", "v0 v2 v3 v5 v6 v7"), ("v0 v1 v2 v3 v4 v5", "v0 v3 v5 v6 v7"),
+             ("v0 v1 v2 v3 v4 v5 v7", "v0 v3 v6")]
+    items = [make_separation(g, a.split(), b.split()) for a, b in sides]
+    return g, SeparationSequence.strictly_increasing(items)
+
+
+def test_pseudo_tight_failures_and_interference_match_the_frozenset_scan():
+    g, seq = _failing_pseudo_tight_chain()
+    for boundary, interference, failures in (
+        (frozenset(), (), ("v0", "v3")),
+        (frozenset({"v6"}), ("v0", "v3"), ()),  # next to the boundary
+        (frozenset({"v3"}), ("v3",), ("v0",)),  # in it
+    ):
+        report = pseudo_tight_check(g, seq, boundary=boundary)
+        assert (report.boundary_interference, report.failures) == (interference, failures)
+        assert report.threshold == 2 and not report.witnesses
+        assert report == pseudo_tight_reference(g, seq, boundary=boundary)
+
+
+def test_pseudo_tight_boundary_takes_any_iterable_of_names():
+    g, seq = _failing_pseudo_tight_chain()
+    expected = pseudo_tight_check(g, seq, boundary=frozenset({"v6"}))
+    for boundary in (["v6"], ("v6", "v6"), {"v6"}, iter(["v6"]), {"v6": 1}):
+        assert pseudo_tight_check(g, seq, boundary=boundary) == expected
+    with pytest.raises(UnknownVertexError, match="^zz$"):
+        pseudo_tight_check(g, seq, boundary=["v6", "zz"])
+    for bad in (None, 3, [["v6"]]):
+        with pytest.raises(PreconditionError, match="^boundary must be an iterable of vertex names"):
+            pseudo_tight_check(g, seq, boundary=bad)
 
 
 def test_growth_table_clique_chain(scaled_chain):
