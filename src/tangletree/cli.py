@@ -32,10 +32,10 @@ from .errors import (
 from .families import LayeredPresentation, generate_family
 from .graph import Graph, load_graph
 from .limits import (
+    _growth_table,
     check_interlaced_pair,
     construct_interlaced,
     exhaustiveness_evidence,
-    limit_separator_growth,
     thin_out,
 )
 from .separations import (
@@ -262,7 +262,7 @@ def cmd_limits(args) -> int:
     verdict = exhaustiveness_evidence(p, chains)
     doc = verdict.to_json()
     if verdict.verdict == "non-exhaustive-witness":
-        table = limit_separator_growth(p, chains)
+        table = _growth_table(chains)
         if args.format == "csv":
             _emit(args, table.to_csv())
             return 0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import FamilyParameterError, PreconditionError
 from .graph import Graph, _solve, components
-from .limits import exhaustiveness_evidence, limit_separator_growth, limit_separator_prefix
+from .limits import _growth_table, exhaustiveness_evidence, limit_separator_prefix
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     NestedSet,
@@ -381,7 +381,7 @@ def thick_end_pipeline(
     )
 
     # stage 1: limit separator growth
-    table = limit_separator_growth(p, chains)
+    table = _growth_table(chains)
     stages.append(
         StageReport(
             "growth",

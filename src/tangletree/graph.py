@@ -118,14 +118,19 @@ class Graph:
 
     def mask(self, vs: Iterable[str]) -> int:
         """vs as an int with bit i set for the i-th vertex in sorted order.
-        A vertex not in the graph raises UnknownVertexError."""
+        A vertex not in the graph raises UnknownVertexError (the least such
+        name); a vs that is None, is not iterable or holds an unhashable item,
+        PreconditionError, as in `_vertex_set`."""
         index = self._vertex_index[1]
         mask = 0
         try:
-            for v in vs:
-                mask |= 1 << index[v]
-        except KeyError as exc:
-            raise UnknownVertexError(_least({exc.args[0], *vs}.difference(index))) from None
+            try:
+                for v in vs:
+                    mask |= 1 << index[v]
+            except KeyError as exc:
+                raise UnknownVertexError(_least({exc.args[0], *vs}.difference(index))) from None
+        except TypeError as exc:
+            raise PreconditionError(f"a vertex set must be an iterable of vertex names: {exc}") from None
         return mask
 
     def neighbors(self, v: str) -> frozenset[str]:

@@ -337,23 +337,23 @@ def thin_out(ip: InterlacedPair) -> ThinOutReport:
     seq = ip.sequence
     if not seq.items:
         return ThinOutReport((), ip)
-    orders = [item.order for item in seq]
-    selected: list[int] = []
-    pos = -1
-    while True:
-        remaining = [i for i in range(len(orders)) if i > pos]
-        if not remaining:
-            break
-        k = min(orders[i] for i in remaining)
-        j = max(i for i in range(len(orders)) if orders[i] == k)
-        if j <= pos:
-            raise InternalCheckError("thin-out selection moved backwards")
-        selected.append(j)
-        pos = j
+    selected = _last_minima([item.order for item in seq])
     items = tuple(seq[i] for i in selected)
     tangles = tuple(ip.tangles[i] for i in selected) + (ip.tangles[selected[-1] + 1],)
     new_pair = InterlacedPair(SeparationSequence.strictly_increasing(items), tangles)
     return ThinOutReport(tuple(selected), new_pair)
+
+
+def _last_minima(orders: list[int]) -> list[int]:
+    """The indices j of `thin_out`'s selection: those whose order is below
+    every later order, found by one scan from the end."""
+    selected = []
+    least = math.inf
+    for j in range(len(orders) - 1, -1, -1):
+        if orders[j] < least:
+            least = orders[j]
+            selected.append(j)
+    return selected[::-1]
 
 
 @dataclass(frozen=True)
@@ -588,6 +588,12 @@ def limit_separator_growth(p, chains: dict) -> GrowthTable:
         raise PreconditionError(
             f"growth table needs a non-exhaustive-witness chain, got {verdict.verdict}"
         )
+    return _growth_table(chains)
+
+
+def _growth_table(chains: dict) -> GrowthTable:
+    """The table of `limit_separator_growth`, for callers that already hold
+    a non-exhaustive-witness verdict on these chains."""
     rows = []
     prefixes = {}
     for m in sorted(chains):

@@ -16,9 +16,13 @@ test and `relation` run) and separator. `reverse()` builds (B, A) on first
 call without a check, since it is a separation exactly when (A, B) is, and
 links the two. Sides are frozensets of vertex names in the API and JSON.
 
-`enumerate_separations` keeps its last result in one slot, together with
-the components of G - S, as masks, of every candidate separator S it
-flooded; the tangle search reads both from there.
+Every separation built from a separator S and the components of G - S,
+(S | left, V - left) for a union `left` of components, comes from one
+builder, `_component_separations`: the enumeration, the clique-pair
+distinguishers of `tree_of_tangles` and the leftmost-cut distinguisher of
+`tangles` all call it. `enumerate_separations` keeps its last result in one
+slot, together with the components of G - S, as masks, of every candidate
+separator S it flooded; the tangle search reads both from there.
 
 Sequences ordered by <= have a supremum (union of the left sides,
 intersection of the right sides), which is again a separation; domination
@@ -204,6 +208,18 @@ def _separation(g: Graph, a: int, b: int, separator: frozenset[str]) -> Separati
     return _built(object.__new__(Separation), g, frozenset(key[0]), frozenset(key[1]), key, (a, b), separator)
 
 
+def _component_separations(g: Graph, s: int, separator: frozenset[str], pinned: int, free: list[int]) -> list[Separation]:
+    """The canonical separations (S | left, V - left) of g, for the separator
+    mask s with names `separator`: left is the component mask `pinned` joined
+    with each union of the components in `free`, the i-th of them taken where
+    bit i of a counter is set, in counter order."""
+    lefts = [pinned]
+    for comp in free:
+        lefts += [left | comp for left in lefts]
+    full = (1 << len(g._vertex_index[0])) - 1
+    return [_separation(g, s | left, full ^ left, separator).canonical() for left in lefts]
+
+
 def _graph_of(s) -> Graph:
     """The graph of s, checked to be a separation first."""
     if not isinstance(s, Separation):
@@ -315,10 +331,11 @@ def is_tight(g: Graph, s: Separation) -> bool:
     return any(k & strict_a for k in tight) and any(k & strict_b for k in tight)
 
 
-# (graph, max_order, separations, floods) of the last enumeration finished;
-# floods lists each candidate separator S as (S, the components of g - S),
-# as masks, by |S| and then in `combinations` order
-_last_enumeration: tuple = (None, -1, [], [])
+# (graph, max_order, separations, floods, widest) of the last enumeration
+# finished; floods lists each candidate separator S as (S, the components of
+# g - S), as masks, by |S| and then in `combinations` order; widest[k] is the
+# most bipartitions of the components of any S with |S| = k
+_last_enumeration: tuple = (None, -1, [], [], [])
 
 
 def enumerate_separations(
@@ -335,10 +352,13 @@ def enumerate_separations(
     deduplication across candidates is needed. Improper separations are
     included (query `Separation.is_proper`). The call raises before any
     search when the candidate count, sum(C(|V|, s) for s <= max_order),
-    exceeds the budget.
+    exceeds the budget, and before it builds any separation when some
+    candidate's bipartitions, 2^(c - 1) for c >= 1 components of g - S,
+    exceed it.
 
     The last finished enumeration stays in one slot. A call on that same
-    graph object (`is`) at its order or lower gets a copy, cut to max_order.
+    graph object (`is`) at its order or lower gets a copy, cut to max_order,
+    after the same two budget checks.
     """
     return _enumeration(g, max_order, budget)[0][:]
 
@@ -348,7 +368,7 @@ def _enumeration(g: Graph, max_order: int, budget: int) -> tuple[list[Separation
     built from (see `_last_enumeration`), cut from the slot on a hit. On a
     miss the lists are the slot's own, so callers must not change them."""
     global _last_enumeration
-    last_graph, last_order, last_out, last_floods = _last_enumeration
+    last_graph, last_order, last_out, last_floods, last_widest = _last_enumeration
     hit = g is last_graph and max_order <= last_order
     if not hit:
         if not g.vertices:
@@ -361,31 +381,30 @@ def _enumeration(g: Graph, max_order: int, budget: int) -> tuple[list[Separation
     if candidates > budget:
         raise BudgetExceededError("separator candidates", budget)
     if hit:
+        if max(last_widest[: max_order + 1]) > budget:
+            raise BudgetExceededError("separator bipartitions", budget)
         return last_out[: bisect_right(last_out, max_order, key=attrgetter("order"))], last_floods[:candidates]
     names = g._vertex_index[0]
     bits = [1 << i for i in range(len(names))]
-    full = sum(bits)
-    out: list[Separation] = []
     floods = []
+    widest = []
+    for size in range(max_order + 1):
+        block = [(s, _flood(g, s)) for s in map(sum, combinations(bits, size))]
+        # the first component is pinned to the left side, which halves the
+        # bipartitions and enumerates each unordered pair exactly once
+        widest.append(1 << max(1, *(len(comps) for _, comps in block)) - 1)
+        floods += block
+    if max(widest) > budget:
+        raise BudgetExceededError("separator bipartitions", budget)
+    out: list[Separation] = []
+    unbuilt = iter(floods)
     for size in range(max_order + 1):
         block = len(out)
-        for cut, separator in zip(combinations(bits, size), combinations(names, size)):
-            s = sum(cut)
-            separator = frozenset(separator)
-            comps = _flood(g, s)
-            floods.append((s, comps))
-            # with no component left, A == B == V; otherwise the first
-            # component is pinned to the left side, which halves the
-            # bipartitions and enumerates each unordered pair exactly once
-            first, *rest = comps or [0]
-            for pick in range(1 << len(rest)):
-                left = first
-                for i, comp in enumerate(rest):
-                    if pick >> i & 1:
-                        left |= comp
-                out.append(_separation(g, left | s, full ^ left, separator).canonical())
+        for separator, (s, comps) in zip(combinations(names, size), unbuilt):
+            first, *rest = comps or [0]  # with no component left, A == B == V
+            out += _component_separations(g, s, frozenset(separator), first, rest)
         out[block:] = sorted(out[block:], key=attrgetter("sort_key"))  # all of order `size`
-    _last_enumeration = (g, max_order, out, floods)  # one rebinding: readers see old or new
+    _last_enumeration = (g, max_order, out, floods, widest)  # one rebinding: readers see old or new
     return out, floods
 
 

@@ -43,9 +43,9 @@ from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     Separation,
     _ambient,
+    _component_separations,
     _enumeration,
     _graph_of,
-    _separation,
     enumerate_separations,
 )
 
@@ -782,14 +782,6 @@ def _splits(sep: Separation, p: Orienter, q: Orienter) -> bool:
     return x is not None and y is not None and x != y and sep.side_a != sep.side_b
 
 
-def _separation_from_cut(g: Graph, cut: frozenset[str], core: frozenset[str]) -> Separation:
-    """Separation with separator `cut`, core-side components on side b."""
-    s, c = g.mask(cut), g.mask(core)
-    comps = _flood(g, s)
-    core_side = sum(k for k in comps if k & c)
-    return _separation(g, s | sum(comps) - core_side, s | core_side, cut).canonical()
-
-
 def efficient_distinguisher(
     g: Graph,
     p: Orienter,
@@ -801,17 +793,22 @@ def efficient_distinguisher(
 
     For two clique witnesses the minimum order equals the minimum vertex cut
     between the cliques, and the leftmost minimum cut gives a deterministic
-    representative. Otherwise the separations below the common order bound
-    are scanned in (order, canonical) order, so the returned separation is
-    the lexicographically least one of minimum order. Calls on one graph
-    share its enumeration through the `enumerate_separations` slot.
+    representative: the components of G - cut that meet q's clique go to
+    side b, the others to side a. Otherwise the separations below the
+    common order bound are scanned in (order, canonical) order, so the
+    returned separation is the lexicographically least one of minimum
+    order. Calls on one graph share its enumeration through the
+    `enumerate_separations` slot.
     """
     _orienting(g, p, q)
     cores = _clique_cores(p, q)
     if cores is not None:
         if min_distinguishing_order(g, p, q, budget=budget) is None:
             return None
-        sep = _separation_from_cut(g, minimum_separator(g, *cores), cores[1])
+        cut = minimum_separator(g, *cores)
+        s, q_mask = g.mask(cut), g.mask(cores[1])
+        pinned = sum(c for c in _flood(g, s) if not c & q_mask)
+        sep = _component_separations(g, s, cut, pinned, [])[0]
         if not distinguishes(sep, p, q):
             raise OrientationUndecidableError(
                 "minimum cut failed to distinguish the clique witnesses"

@@ -39,7 +39,7 @@ from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     NestedSet,
     Separation,
-    _separation,
+    _component_separations,
     enumerate_separations,
     first_crossing,
     leq,
@@ -68,8 +68,9 @@ def _min_order_distinguishers(
     For clique witnesses that order is the number of disjoint paths between
     the cliques, so each separator holds one vertex of each path (Menger; a
     common vertex is a path of its own). Each pick is flooded once, and
-    when it parts the two cliques, every bipartition of the other
-    components puts p's on side a and q's on side b.
+    when it parts the two cliques, `_component_separations` builds every
+    bipartition of the other components with p's on side a and q's on
+    side b.
     """
     if _clique_cores(p, q) is None:
         seps = enumerate_separations(g, target_order, budget=budget)
@@ -78,7 +79,6 @@ def _min_order_distinguishers(
     if prod(map(len, paths)) > budget:
         raise BudgetExceededError("clique-pair separator candidates", budget)
     p_mask, q_mask = g.mask(p.clique), g.mask(q.clique)
-    full = (1 << len(g.vertices)) - 1
     found: list[Separation] = []
     for picked in product(*paths):
         s = g.mask(picked)
@@ -90,12 +90,7 @@ def _min_order_distinguishers(
         neutral = [c for c in comps if c != cp and c != cq]
         if len(neutral) > 12:
             raise BudgetExceededError("neutral component assignments", 2**12)
-        for pick in range(1 << len(neutral)):
-            a = s | cp
-            for i, c in enumerate(neutral):
-                if pick >> i & 1:
-                    a |= c
-            found.append(_separation(g, a, (full ^ a) | s, frozenset(picked)).canonical())
+        found += _component_separations(g, s, frozenset(picked), cp, neutral)
     return sorted(found, key=lambda sep: sep.sort_key)
 
 

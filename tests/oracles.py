@@ -33,7 +33,11 @@ separation's. The frozenset cover test and edge scan are the reference for
 the mask check behind every `Separation`, error types and messages included.
 The scan of every superset of the cliques' common vertices is the reference
 for the clique-pair distinguishers, which try one vertex of each disjoint
-path between them.
+path between them. The separation that the public constructor builds from
+the leftmost minimum cut and the components beside it is the reference for
+`efficient_distinguisher` on two clique witnesses. The loop that rescans
+the remaining orders for each pick is the reference for the single reverse
+scan of `thin_out`.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import math
 from itertools import combinations, product
 
 from tangletree.families import LayeredPresentation
-from tangletree.graph import Graph, _flood
+from tangletree.graph import Graph, _flood, components, minimum_separator
 from tangletree.errors import (
     BudgetExceededError,
     CoverError,
@@ -139,7 +143,9 @@ def enumerate_separations_reference(
     """The separations of order <= max_order of a connected g, canonical,
     sorted by (order, sort key): every bipartition of the components of
     g - S, for each candidate S in `combinations` order, built and validated
-    by the public constructor. No slot; the budget counts candidates."""
+    by the public constructor. No slot; the budget bounds the candidate
+    count and each candidate's bipartitions, 2^(c - 1) for c >= 1
+    components."""
     verts = sorted(g.vertices)
     out: list[Separation] = []
     examined = 0
@@ -154,6 +160,8 @@ def enumerate_separations_reference(
                 out.append(Separation(g, separator, separator))  # A == B: canonical
                 continue
             rest = comps[1:]
+            if 1 << len(rest) > budget:
+                raise BudgetExceededError("separator bipartitions", budget)
             # first component pinned to the left side; this halves the
             # bipartitions and enumerates each unordered pair exactly once
             for mask in range(1 << len(rest)):
@@ -482,6 +490,37 @@ def clique_pair_distinguishers_reference(g: Graph, p, q, target_order: int, *, b
                     a |= c
             found.append(_separation(g, a, (full ^ a) | s, separator).canonical())
     return sorted(found, key=lambda sep: sep.sort_key)
+
+
+def leftmost_cut_distinguisher_reference(g: Graph, p, q) -> Separation | None:
+    """The distinguisher of two clique witnesses from the leftmost minimum
+    cut between their cliques: None unless the cut is smaller than both
+    order bounds; otherwise the cut is the separator, the components of
+    g - cut that meet q's clique are side b less the cut and all others side
+    a less the cut."""
+    cut = minimum_separator(g, p.clique, q.clique)
+    if len(cut) >= min(p.order_bound, q.order_bound):
+        return None
+    b = cut.union(*(c for c in components(g, cut) if c & q.clique))
+    return Separation(g, cut | (g.vertices - b), b).canonical()
+
+
+def thin_out_reference(orders: list[int]) -> list[int]:
+    """The indices `thin_out` selects, by its rule: j(0) is the last index of
+    the least order, and j(i) the last index of the least order after
+    j(i - 1); each pick rescans every later index."""
+    selected: list[int] = []
+    pos = -1
+    while True:
+        remaining = [i for i in range(len(orders)) if i > pos]
+        if not remaining:
+            return selected
+        k = min(orders[i] for i in remaining)
+        j = max(i for i in range(len(orders)) if orders[i] == k)
+        if j <= pos:
+            raise InternalCheckError("thin-out selection moved backwards")
+        selected.append(j)
+        pos = j
 
 
 def consistent_orientations_brute(g: Graph, members: list[Separation]):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tangletree import ends
+from tangletree import cli, ends, limits
 from tangletree.errors import PreconditionError
 from tangletree.families import generate_family
 from tangletree.ends import (
@@ -203,6 +203,26 @@ def test_pipeline_clique_chain_all_stages(scaled_chain):
     for path in beyond.details["paths"]:
         assert path[0] in sup.separator
         assert set(path[1:]) <= strict_b
+
+
+def test_one_exhaustiveness_run_per_pipeline_and_limits_command(scaled_chain, monkeypatch, capsys):
+    """The pipeline and the `limits` command hold the verdict before they
+    build the growth table, so neither asks for it a second time."""
+    calls = []
+    real = limits.exhaustiveness_evidence
+    for module in (cli, ends, limits):
+        monkeypatch.setattr(module, "exhaustiveness_evidence", lambda *a: calls.append(1) or real(*a))
+    chains = scaled_chain.canonical_layer_chains()
+    g = scaled_chain.graph_at(5)
+    nested = NestedSet.of(g, [it.canonical() for it in chains[5]])
+    pool = [clique_witness(g, scaled_chain.clique(i), len(scaled_chain.clique(i))) for i in range(6)]
+    assert thick_end_pipeline(scaled_chain, nested, chains, pool).ok
+    assert len(calls) == 1
+    for fmt in ("json", "csv"):
+        calls.clear()
+        assert cli.main(["limits", "--family", "clique_chain", "--horizon", "5", "--format", fmt]) == 0
+        assert len(calls) == 1
+    capsys.readouterr()
 
 
 def test_pipeline_builds_no_graph_after_set_up(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tangletree.errors import FamilyParameterError, GraphFormatError, UnknownVertexError
+from tangletree.errors import FamilyParameterError, GraphFormatError, PreconditionError, UnknownVertexError
 from tangletree.families import LayeredPresentation, generate_family, load_presentation_spec
 from tangletree.graph import (
     Graph,
@@ -23,6 +23,34 @@ from tangletree.tangles import PreTangle
 from tangletree.tree_of_tangles import TreeDecomposition
 from .conftest import cycle_graph, grid_graph, path_graph, random_connected_graph, star_graph
 from .oracles import components_reference, min_cut_brute, tight_components_reference
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: components(g, None),
+        lambda g: components(g, [["p00"]]),
+        lambda g: components(g, ["zz", ["p00"]]),
+        lambda g: tight_components(g, 3),
+        lambda g: g.neighbourhood(None),
+        lambda g: g.mask([{"p00"}]),
+        lambda g: Separation(g, None, frozenset()),
+        lambda g: Separation(g, g.vertices, None),
+    ],
+    ids=["None", "unhashable", "unknown then unhashable", "int", "neighbourhood of None",
+         "mask of a set", "side a None", "side b None"],
+)
+def test_malformed_vertex_sets_raise_precondition_errors(call):
+    with pytest.raises(PreconditionError, match="^a vertex set must be an iterable of vertex names"):
+        call(path_graph(3))
+
+
+def test_unknown_vertex_names_still_raise_unknown_vertex_errors():
+    g = path_graph(3)
+    with pytest.raises(UnknownVertexError, match="^yy$"):
+        components(g, ["zz", "p00", "yy"])
+    with pytest.raises(UnknownVertexError, match="^zz$"):
+        g.mask(iter(["p00", "zz", "p01"]))
 
 
 def test_load_smallest_nonempty():

@@ -3,12 +3,15 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tangletree.errors import PreconditionError, SequenceOrderError, UnknownVertexError
 from tangletree.families import FAMILIES, generate_family
 from tangletree.graph import Graph, load_graph
 from tangletree.limits import (
     InterlacedPair,
+    _last_minima,
     check_interlaced_pair,
     check_strongly_relevant,
     classify_vs_limit,
@@ -27,7 +30,7 @@ from tangletree.separations import (
     supremum,
 )
 from tangletree.tangles import PreTangle, clique_witness
-from .oracles import pseudo_tight_reference
+from .oracles import pseudo_tight_reference, thin_out_reference
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +267,12 @@ def test_thin_out_selection_rule():
         selected.append(j)
         pos = j
     assert selected == [1, 3, 4]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=9))
+def test_thin_out_scan_matches_the_rescanning_loop(orders):
+    assert _last_minima(orders) == thin_out_reference(orders)
 
 
 def test_thin_out_after_insertion(insertion_setup):

@@ -562,6 +562,20 @@ def test_a_miss_over_budget_floods_nothing(monkeypatch):
     assert floods == []
 
 
+def test_a_star_over_budget_raises_alike_on_a_miss_and_a_hit():
+    """The centre of a 16-leaf star leaves 16 components, so 2^15 = 32,768
+    bipartitions: over a budget of 100, which the 18 candidates of order 1
+    fit. The separator of order 0 has one bipartition."""
+    g = star_graph(16)
+    with pytest.raises(BudgetExceededError, match="separator bipartitions"):
+        enumerate_separations(g, 1, budget=100)  # a miss
+    assert len(enumerate_separations(g, 1, budget=2**15)) == 1 + 2**15 + 16
+    for budget in (100, 2**15 - 1):  # hits
+        with pytest.raises(BudgetExceededError, match="separator bipartitions"):
+            enumerate_separations(g, 1, budget=budget)
+    assert len(enumerate_separations(g, 0, budget=100)) == 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_enumerate_matches_brute_force(data):

@@ -1,6 +1,7 @@
 """Pre-tangles, tangles, witnesses, enumeration, and distinguishers."""
 
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,7 @@ from .conftest import (
 from .oracles import (
     all_tangles_brute,
     distinguishes_reference,
+    leftmost_cut_distinguisher_reference,
     min_distinguishing_order_brute,
     orient_reference,
     orients_reference,
@@ -501,3 +503,25 @@ def test_chain_property_of_nested_distinguishers():
     for a in into_p:
         for b in into_p:
             assert leq(a.reverse(), b.reverse()) or leq(b.reverse(), a.reverse())
+
+
+@pytest.mark.parametrize(
+    "horizon, sizes",
+    [(5, [8, 12, 20, 36]), (3, [6, 12, 24]), (3, None), (5, None)],
+    ids=["h5 scaled", "h3 scaled", "h3 default", "h5 default"],
+)
+def test_clique_distinguisher_matches_the_leftmost_cut_reference(horizon, sizes):
+    """Every ordered pair of clique witnesses of a clique chain, with order
+    bounds 2, 3 and the clique's size."""
+    params = {"horizon": horizon} if sizes is None else {"horizon": horizon, "sizes": sizes}
+    p = generate_family("clique_chain", params)
+    g = p.graph_at(horizon)
+    cliques = [p.clique(i) for i in range(len(p.cliques))]
+    found = []
+    for bound in (2, 3, None):
+        pool = [clique_witness(g, c, bound or len(c)) for c in cliques]
+        for x, y in permutations(pool, 2):
+            sep = efficient_distinguisher(g, x, y)
+            assert sep == leftmost_cut_distinguisher_reference(g, x, y)
+            found.append(sep)
+    assert None in found and any(found)
