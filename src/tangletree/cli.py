@@ -30,7 +30,7 @@ from .errors import (
     UnknownVertexError,
 )
 from .families import LayeredPresentation, generate_family
-from .graph import Graph, load_graph
+from .graph import Graph, _graph_of_document
 from .limits import (
     _growth_table,
     check_interlaced_pair,
@@ -39,6 +39,7 @@ from .limits import (
     thin_out,
 )
 from .separations import (
+    DEFAULT_ENUMERATION_BUDGET,
     NestedSet,
     Separation,
     SeparationSequence,
@@ -132,10 +133,6 @@ def _inputs(args, count: int) -> list[str]:
     return args.input
 
 
-def _as_graph(doc: dict) -> Graph:
-    return load_graph(json.dumps(doc))
-
-
 def _as_presentation(doc: dict) -> LayeredPresentation:
     if doc.get("kind") == "presentation":
         return LayeredPresentation.from_json(doc)
@@ -185,7 +182,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_tangles(args) -> int:
-    g = _load(_inputs(args, 1)[0], _as_graph)
+    g = _load(_inputs(args, 1)[0], _graph_of_document)
     found = enumerate_tangles(g, args.order, budget=args.budget)
     doc = {
         "kind": "tangle_list",
@@ -197,7 +194,7 @@ def cmd_tangles(args) -> int:
 
 
 def cmd_tot(args) -> int:
-    g = _load(_inputs(args, 1)[0], _as_graph)
+    g = _load(_inputs(args, 1)[0], _graph_of_document)
     found = enumerate_tangles(g, args.order, budget=args.budget)
     nested = build_tree_of_tangles(g, list(found), budget=args.budget)
     report = verify_tree_of_tangles(g, nested, list(found), budget=args.budget)
@@ -224,7 +221,7 @@ def cmd_tot(args) -> int:
 
 def cmd_decompose(args) -> int:
     paths = _inputs(args, 2)
-    g = _load(paths[0], _as_graph)
+    g = _load(paths[0], _graph_of_document)
     members = _load(paths[1], lambda doc: [Separation.from_json(g, d).canonical() for d in doc["members"]])
     try:
         nested = NestedSet.of(g, members)
@@ -281,7 +278,7 @@ def cmd_interlace(args) -> int:
         seq = SeparationSequence.strictly_increasing(chains[top].items[:depth])
     else:
         paths = _inputs(args, 4)
-        g = _load(paths[0], _as_graph)
+        g = _load(paths[0], _graph_of_document)
         nested = _load(paths[1], lambda doc: NestedSet.from_json(g, doc))
         seq = _load(paths[2], lambda doc: SeparationSequence.from_json(g, doc))
         pool = _load(paths[3], lambda doc: [PreTangle.from_json(g, d) for d in doc["tangles"]])
@@ -329,7 +326,7 @@ def _kind_of(doc: dict) -> str:
 def _as_first_graph(doc: dict) -> Graph:
     if _kind_of(doc) != "graph":
         raise TangletreeError("first input must be a graph document")
-    return _as_graph(doc)
+    return _graph_of_document(doc)
 
 
 def _as_artifact(g: Graph, doc: dict):
@@ -411,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--horizon", type=int, default=3)
     parser.add_argument("--width", type=int, default=None, help="strip width for the grid family")
     parser.add_argument("--order", type=int, default=3)
-    parser.add_argument("--budget", type=int, default=2_000_000)
+    parser.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET)
     parser.add_argument("--format", choices=("json", "dot", "csv"), default="json")
     parser.add_argument("--output", default=None)
     return parser

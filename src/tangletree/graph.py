@@ -188,6 +188,12 @@ def load_graph(text: str) -> Graph:
         raise GraphFormatError(
             f"invalid JSON: {exc.msg}", context=f"line {exc.lineno}, column {exc.colno}"
         ) from exc
+    return _graph_of_document(doc)
+
+
+def _graph_of_document(doc) -> Graph:
+    """The graph of a decoded graph document, as `load_graph` gives it from
+    the text, reporting malformed input with the same context."""
     if not isinstance(doc, dict):
         raise GraphFormatError("document must be a JSON object", context="top level")
     for key in ("vertices", "edges"):

@@ -4,7 +4,8 @@ A pre-tangle of order k is a consistent orientation of every separation of
 order < k: no two chosen orientations (A, B), (C, D) of distinct separations
 satisfy (B, A) <= (C, D). A tangle additionally forbids any three chosen
 orientations (repetition allowed) from covering the graph as subgraphs:
-G[A1] | G[A2] | G[A3] = G, on vertices and edges.
+G[A1] | G[A2] | G[A3] = G, on vertices and edges. The search and
+`check_tangle` decide that on vertex masks alone (see `_rest`).
 
 Two representations share one orientation-query contract (`order_bound`,
 `toward`, `graph`): the materialized PreTangle mapping, and the lazy
@@ -117,6 +118,8 @@ class PreTangle:
             if toward not in ("a", "b"):
                 raise GraphFormatError("toward must be 'a' or 'b'")
             canonical = sep.canonical()  # toward names a side as written
+            if canonical in choices:
+                raise GraphFormatError(f"separation {canonical!r} is oriented twice")
             choices[canonical] = "b" if sep.orient(toward) is canonical else "a"
         return cls(g, order_bound, choices)
 
@@ -401,31 +404,17 @@ def _pretangle_report(g: Graph, p: PreTangle, budget: int, scan: bool) -> PreTan
     )
 
 
-def _mask_encoder(g: Graph):
+def _mask_encoder(g: Graph, closed: list[list[int]]):
     """encode(A, B, x), on the `Separation.masks` of an orientation, gives
-    the tuple (A, B, edges inside A, |A|, x) that the covering test runs
-    on; x numbers it in its `_Antichains` family. Edge bit j stands for the
-    j-th edge in sorted order.
-
-    The edges inside A are those no vertex outside A touches. encode reads
-    them off one table per 8 vertices, indexed by which of those lie
-    outside A, so it takes |V|/8 lookups rather than one per vertex.
-    """
-    touching = dict.fromkeys(g.vertices, 0)  # the edges at each vertex
-    for j, (u, v) in enumerate(sorted(g.edges)):
-        touching[u] |= 1 << j
-        touching[v] |= 1 << j
-    tables = _tables([touching[v] for v in sorted(g.vertices)])  # in `Graph.mask` bit order
+    the tuple (A, B, ∂A, |A|, x) that the covering test runs on; x numbers
+    it in its `_Antichains` family. ∂A is the set of vertices of A with a
+    neighbour outside A, read as A & N[V - A] off `closed`, the tables
+    `_tables(g._vertex_index[2])` of the closed neighbourhoods, so it takes
+    |V|/8 lookups rather than one per vertex."""
     all_vertices = (1 << len(g.vertices)) - 1
-    all_edges = (1 << len(g.edges)) - 1
 
     def encode(a: int, b: int, x: int) -> tuple[int, int, int, int, int]:
-        outside = all_vertices ^ a
-        cut = 0
-        for table in tables:
-            cut |= table[outside & 255]
-            outside >>= 8
-        return (a, b, all_edges & ~cut, a.bit_count(), x)
+        return (a, b, a & _union(closed, all_vertices ^ a), a.bit_count(), x)
 
     return encode
 
@@ -451,23 +440,35 @@ def _union(tables: list[list[int]], s: int) -> int:
     return out
 
 
-def _cover(pool: list[tuple], all_vertices: int, all_edges: int, x: tuple, y: tuple):
+def _cover(pool: list[tuple], all_vertices: int, closed: list[list[int]], x: tuple, y: tuple):
     """Some z in pool with G[x.A] | G[y.A] | G[z.A] = G, else None, on
-    `_mask_encoder` tuples. pool must be sorted by decreasing |A|, so the
-    size cutoff can stop the scan early."""
+    `_mask_encoder` tuples: the first whose side A holds `_rest` of x and
+    y. R is built once a z holds its cheap part, the vertices outside x.A
+    and y.A. pool must be sorted by decreasing |A|, so the size cutoff can
+    stop the scan early."""
     vmiss = all_vertices & ~(x[0] | y[0])
     need = vmiss.bit_count()
-    emiss = None
+    rest = None
     for z in pool:
         if z[3] < need:
             return None
         if vmiss & ~z[0]:
             continue
-        if emiss is None:
-            emiss = all_edges & ~(x[2] | y[2])
-        if not emiss & ~z[2]:
+        if rest is None:
+            rest = _rest(closed, vmiss, x, y)
+        if not rest & ~z[0]:
             return z
     return None
+
+
+def _rest(closed: list[list[int]], vmiss: int, x: tuple, y: tuple) -> int:
+    """R = N[V - (X | Y)] | (∂X - Y) | (∂Y - X), for vmiss = V - (X | Y)
+    and the sides X, Y of x and y: the vertices outside X | Y and the ends
+    of the edges inside neither, which a side Z must hold for G[X] | G[Y] |
+    G[Z] = G. An edge with an end outside X | Y has both in N[V - (X | Y)];
+    one inside X | Y but inside neither X nor Y has one end in ∂X - Y and
+    the other in ∂Y - X, and each vertex of those is such an end."""
+    return _union(closed, vmiss) | (x[2] & ~y[0]) | (y[2] & ~x[0])
 
 
 @dataclass(frozen=True)
@@ -506,16 +507,14 @@ class _Antichains:
     later one, so the two forms then keep the same members.
     """
 
-    def __init__(self, g: Graph, family: list[tuple]):
+    def __init__(self, g: Graph, family: list[tuple], closed: list[list[int]]):
         self.family = family
-        self._g = g
+        self._closed = closed  # the tables the family was encoded with
         self._n = len(g.vertices)
         self._all_vertices = (1 << self._n) - 1
-        self._all_edges = (1 << len(g.edges)) - 1
         self._wide = _WIDE * self._n
         self._index: _Sides | None = None  # built by `_widen`, with _at_least
         self._at_least: list[int] = []
-        self._ends: list[list[int]] | None = None
 
     def insert(self, chain, x: int):
         """chain with member x added, or chain itself when a member's side A
@@ -561,30 +560,30 @@ class _Antichains:
         return [self.family[x] for x in _bits(chain[0])]
 
     def _holding_rest(self, live: int, x: tuple, y: tuple) -> int:
-        """The members in live whose side A holds what x and y leave out:
-        each vertex outside x.A and y.A, and both ends of each edge inside
-        neither. Those are the z with G[x.A] | G[y.A] | G[z.A] = G."""
+        """The members in live whose side A holds `_rest` of x and y: those
+        are the z with G[x.A] | G[y.A] | G[z.A] = G. The vertices outside
+        x.A and y.A are asked first, and R less them only of the members
+        that hold them."""
         rest = self._all_vertices & ~(x[0] | y[0])
         live = self._index.holding(live, rest)
         if live:
-            if self._ends is None:  # the ends of a set of edges, in `_union`
-                self._ends = _tables([self._g.mask(e) for e in sorted(self._g.edges)])
-            edges = self._all_edges & ~(x[2] | y[2])
-            live = self._index.holding(live, _union(self._ends, edges) & ~rest)
+            live = self._index.holding(live, _rest(self._closed, rest, x, y) & ~rest)
         return live
 
     def closes(self, chain, x: int) -> bool:
-        """True iff member x of chain and two members, repetition allowed,
-        cover G. A pair x, y leaves out more than any z covers once
-        |x.A| + |y.A| + (the largest |A|) < |V|, so sizes decide first."""
+        """True iff member x of chain and two members y, z, repetition
+        allowed, cover G: z.A holds `_rest` of x and y. A pair x, y leaves
+        out more than any z covers once |x.A| + |y.A| + (the largest |A|)
+        < |V|, so sizes decide first, then the vertices outside x.A and
+        y.A, and R only for the z that hold those."""
         new = self.family[x]
         if type(chain) is list:
             least = self._n - new[3] - chain[0][3]  # |y.A| below this leaves out too much
-            all_vertices, all_edges = self._all_vertices, self._all_edges
+            all_vertices, closed = self._all_vertices, self._closed
             for y in chain:
                 if y[3] < least:
                     break
-                if _cover(chain, all_vertices, all_edges, new, y) is not None:
+                if _cover(chain, all_vertices, closed, new, y) is not None:
                     return True
             return False
         live, top = chain
@@ -618,12 +617,13 @@ def check_tangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION_BU
     member's sides are read as masks off its choice, so only a witness
     triple is built as oriented `Separation`s."""
     _orienting(g, p, kind=PreTangle)
-    encode = _mask_encoder(g)
+    closed = _tables(g._vertex_index[2])
+    encode = _mask_encoder(g, closed)
     chosen = [(s.masks if t == "b" else s.masks[::-1], s, t) for s, t in p._items]
     chosen.sort(key=lambda c: -c[0][0].bit_count())  # stable: by decreasing |A|
     family = [encode(*ab, x) for x, (ab, _, _) in enumerate(chosen)]
-    antichains = _Antichains(g, family)
-    all_vertices, all_edges = (1 << len(g.vertices)) - 1, (1 << len(g.edges)) - 1
+    antichains = _Antichains(g, family, closed)
+    all_vertices = (1 << len(g.vertices)) - 1
     chain = []
     witness = None
     for x in range(len(family)):
@@ -632,7 +632,7 @@ def check_tangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION_BU
             continue  # a covering triple through x gives one through the member holding it
         if antichains.closes(grown, x):
             kept = antichains.members(grown)
-            y, z = next((y, z) for y in kept if (z := _cover(kept, all_vertices, all_edges, family[x], y)))
+            y, z = next((y, z) for y in kept if (z := _cover(kept, all_vertices, closed, family[x], y)))
             witness = tuple(chosen[w[4]][1].orient(chosen[w[4]][2]) for w in (family[x], y, z))
             break
         chain = grown
@@ -663,9 +663,11 @@ def enumerate_tangles(
     a covering triple among them leaves no tangle. The search then branches
     over the separators with two or more components, in enumeration order,
     trying each component in turn; a node is one such try, and `budget`
-    counts nodes. A choice is pruned on the first covering triple that its
-    side closes. The search keeps its own stack, so its depth is not
-    bounded by the interpreter's recursion limit.
+    counts nodes only: the enumeration runs under
+    `DEFAULT_ENUMERATION_BUDGET`, whatever `budget` is. A choice is pruned
+    on the first covering triple that its side closes. The search keeps
+    its own stack, so its depth is not bounded by the interpreter's
+    recursion limit.
 
     The tangles are sorted at the end into the order of a search over
     orientations: lexicographic in the choice vector over the (order,
@@ -680,7 +682,8 @@ def enumerate_tangles(
     seps, floods = _enumeration(g, k - 1, DEFAULT_ENUMERATION_BUDGET)
     if not floods[-1][1]:
         return []  # the separator V leaves no component: every side of (V, V) covers G
-    encode = _mask_encoder(g)
+    closed = _tables(g._vertex_index[2])
+    encode = _mask_encoder(g, closed)
     full = (1 << len(g.vertices)) - 1
     # the members of the branching separators come first, so that a wide
     # antichain's covering scan, which reads members in index order, meets
@@ -696,7 +699,7 @@ def enumerate_tangles(
     for s, comps in floods:
         if len(comps) == 1:
             family.append(encode(s, full, len(family)))
-    antichains = _Antichains(g, family)
+    antichains = _Antichains(g, family, closed)
     insert, closes = antichains.insert, antichains.closes
     chain = []  # the chosen sides that are maximal
     for x in range(len(family) - 1, first_forced - 1, -1):  # by decreasing |S|

@@ -71,7 +71,7 @@ from tangletree.separations import (
     leq,
     supremum,
 )
-from tangletree.tangles import PreTangle, Tangle, _Antichains, _mask_encoder
+from tangletree.tangles import PreTangle, Tangle, _Antichains, _mask_encoder, _tables
 
 
 def all_separations_brute(g: Graph, max_order: int) -> set[Separation]:
@@ -270,11 +270,12 @@ def tangle_search_reference(g: Graph, k: int) -> tuple[list[Tangle], int]:
     `enumerate_tangles` sorts its haven search into.
     """
     seps = enumerate_separations(g, k - 1)
-    encode = _mask_encoder(g)
+    closed = _tables(g._vertex_index[2])
+    encode = _mask_encoder(g, closed)
     family = []
     for i, (a, b) in enumerate(s.masks for s in seps):
         family += (encode(a, b, 2 * i), encode(b, a, 2 * i + 1))
-    antichains = _Antichains(g, family)
+    antichains = _Antichains(g, family, closed)
     chain = []
     undo = []
     results: list[Tangle] = []

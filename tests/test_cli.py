@@ -6,6 +6,7 @@ import io
 import json
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from tangletree import cli
 from tangletree.cli import main
-from tangletree.graph import Graph
+from tangletree.errors import GraphFormatError
+from tangletree.graph import Graph, load_graph
 from tangletree.tangles import PreTangle, enumerate_tangles
 from .conftest import two_k4_bridge
 
@@ -323,6 +325,61 @@ def test_tangle_list_written_with_swapped_sides_reads_as_written(tmp_path, capsy
     assert run(["verify", "--input", _path_abc(tmp_path), "--input", str(path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["checks"] == [{"check": "tangles", "status": "pass", "failing": []}]
+
+
+MALFORMED_GRAPHS = [
+    ["a", "b"],
+    {"edges": []},
+    {"vertices": "ab", "edges": []},
+    {"vertices": ["a", ""], "edges": []},
+    {"vertices": ["a", "b", "a"], "edges": []},
+    {"vertices": ["a", "b"], "edges": [["a"]]},
+    {"vertices": ["a", "b"], "edges": [["a", 1]]},
+    {"vertices": ["a", "b"], "edges": [["a", "a"]]},
+    {"vertices": ["a", "b"], "edges": [["a", "z"]]},
+    {"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]},
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED_GRAPHS, ids=range(len(MALFORMED_GRAPHS)))
+def test_malformed_graph_documents_report_as_load_graph_does(tmp_path, capsys, doc):
+    """The CLI reads a graph document from its decoded JSON; each malformed
+    one is the GraphFormatError, with the same message and context, that
+    `load_graph` raises on its text."""
+    with pytest.raises(GraphFormatError) as err:
+        load_graph(json.dumps(doc))
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GraphFormatError) as read:
+        cli._load(str(path), cli._graph_of_document)
+    assert (str(read.value), read.value.context) == (str(err.value), err.value.context)
+    assert run(["tangles", "--input", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert (out["error"], out["message"]) == ("GraphFormatError", str(err.value))
+
+
+def test_graph_document_is_decoded_once(two_k4_file):
+    """A well-formed graph document is read from its decoded JSON, never
+    encoded again, and gives the graph `load_graph` gives on its text."""
+    with mock.patch.object(json, "dumps", side_effect=AssertionError("a graph document was encoded again")):
+        g = cli._load(two_k4_file, cli._graph_of_document)
+    assert g == load_graph(open(two_k4_file).read())
+
+
+def test_verify_rejects_a_tangle_orienting_a_separation_twice(tmp_path, capsys):
+    """On the path a-b-c, an order-2 tangle whose document repeats one
+    entry with the opposite `toward` is a malformed document: exit 1 with a
+    JSON error naming the separation, not a pass on the last entry's choice."""
+    g = Graph.from_data(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    doc = enumerate_tangles(g, 2)[0].to_json()
+    entry = doc["orientation"][0]
+    doc["orientation"].append({"sep": entry["sep"], "toward": "a" if entry["toward"] == "b" else "b"})
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps({"kind": "tangle_list", "tangles": [doc]}))
+    assert run(["verify", "--input", _path_abc(tmp_path), "--input", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["kind"] == "error" and out["error"] == "GraphFormatError"
+    assert "oriented twice" in out["message"]
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,7 @@ from tangletree.separations import (
 from .conftest import cycle_graph, grid_graph, path_graph, random_connected_graph, star_graph
 from .oracles import (
     all_separations_brute,
+    components_reference,
     enumerate_separations_reference,
     relation_eight_way,
     relation_reference,
@@ -388,14 +390,25 @@ def _budget_exceeded(enumerate_, g, max_order, budget) -> bool:
 def test_enumeration_matches_the_frozenset_loop(data):
     """Same list in the same order, each object built with the caches that
     fresh computation from its sides gives, and the same budget failures, on
-    random connected graphs, trees and stars, at every order."""
+    random connected graphs, trees and stars, at every order. In part of
+    the examples the budget is drawn, per order, from the candidate count
+    up to below the widest separator's bipartition count, where only the
+    bipartition rule raises."""
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     n = data.draw(st.integers(1, 9))
     g = data.draw(st.sampled_from([random_connected_graph, _tree]))(rng, n)
     if data.draw(st.booleans()):
         g = star_graph(n - 1)
     budget = data.draw(st.integers(0, 2**n))
+    near_bipartitions = data.draw(st.booleans())
+    candidates = widest = 0
     for max_order in range(n + 1):  # ascending, so each call on g misses the slot
+        if near_bipartitions:
+            candidates += comb(n, max_order)
+            for separator in combinations(sorted(g.vertices), max_order):
+                widest = max(widest, 1 << len(components_reference(g, separator)[1:]))
+            if candidates < widest:
+                budget = data.draw(st.integers(candidates, widest - 1))
         got = enumerate_separations(g, max_order)
         expected = enumerate_separations_reference(g, max_order)
         assert [(s.side_a, s.side_b) for s in got] == [(s.side_a, s.side_b) for s in expected]

@@ -21,7 +21,9 @@ from tangletree.tangles import (
     PreTangle,
     _Antichains,
     _consistency_witness,
+    _cover,
     _mask_encoder,
+    _tables,
     check_pretangle,
     check_tangle,
     enumerate_tangles,
@@ -162,7 +164,8 @@ def test_antichain_forms_agree(g, data):
     domination, and both say alike whether the new member and two others
     cover G. Small sides A are drawn more often, so that lists grow wide."""
     seps = enumerate_separations(g, min(2, len(g.vertices)))
-    encode = _mask_encoder(g)
+    closed = _tables(g._vertex_index[2])
+    encode = _mask_encoder(g, closed)
     family = []
     for i, (a, b) in enumerate(s.orient("b").masks for s in seps):
         family += (encode(a, b, 2 * i), encode(b, a, 2 * i + 1))
@@ -171,9 +174,9 @@ def test_antichain_forms_agree(g, data):
     picks = [small[x] ^ (r == 0) for x, r in data.draw(st.lists(draws, unique_by=lambda d: d[0] // 2))]
     wide = data.draw(st.sampled_from((0, 0.25, 1)))
     with mock.patch.object(tangles, "_WIDE", len(family) + 1):
-        narrow = _Antichains(g, family)
+        narrow = _Antichains(g, family, closed)
     with mock.patch.object(tangles, "_WIDE", wide):
-        indexed = _Antichains(g, family)
+        indexed = _Antichains(g, family, closed)
     chains = [[], []]
     for x in picks:
         grown = [narrow.insert(chains[0], x), indexed.insert(chains[1], x)]
@@ -193,12 +196,60 @@ def test_widened_antichain_keeps_its_largest_side():
     g = path_graph(7)
     big = Separation.from_json(g, {"a": [f"p0{i}" for i in range(6)], "b": ["p05", "p06"]})
     small = Separation.from_json(g, {"a": ["p05", "p06"], "b": sorted(g.vertices)})
-    encode = _mask_encoder(g)
+    closed = _tables(g._vertex_index[2])
+    encode = _mask_encoder(g, closed)
     with mock.patch.object(tangles, "_WIDE", 2 / 7):
-        antichains = _Antichains(g, [encode(*big.masks, 0), encode(*small.masks, 1)])
+        antichains = _Antichains(g, [encode(*big.masks, 0), encode(*small.masks, 1)], closed)
     chain = antichains.insert(antichains.insert([], 0), 1)
     assert type(chain) is tuple
     assert antichains.closes(chain, 1)
+
+
+def _covers_as_subgraphs(g: Graph, sides) -> bool:
+    """G[X] | G[Y] | G[Z] = G for the vertex sets in sides, on frozensets."""
+    edges = frozenset().union(*(g.edges_within(s) for s in sides))
+    return frozenset().union(*sides) == g.vertices and edges == g.edges
+
+
+@settings(max_examples=200)
+@given(
+    g=connected_graphs(max_vertices=8),
+    case=st.sampled_from(("any", "no vertex left out", "a shared vertex next to one left out")),
+    data=st.data(),
+)
+def test_covering_test_matches_brute_force(g, case, data):
+    """`_cover`, and `closes` on a list and on the index from the first
+    member (`_WIDE` at 0), against G[X] | G[Y] | G[Z] = G on frozensets,
+    for arbitrary vertex sets X, Y and a pool of sets Z, not only sides of
+    separations. In part of the examples X | Y = V, so that R is ∂X - Y
+    and ∂Y - X alone, or X & Y holds an end of an edge whose other end
+    lies outside X | Y."""
+    names = sorted(g.vertices)
+    full = (1 << len(names)) - 1
+    sets = st.integers(0, full)
+    x, y = data.draw(sets), data.draw(sets)
+    if case == "no vertex left out":
+        y |= full & ~x
+    elif case == "a shared vertex next to one left out" and g.edges:
+        u, v = (g.mask([w]) for w in data.draw(st.sampled_from(sorted(g.edges))))
+        x, y = (x | u) & ~v, (y | u) & ~v
+    pool = sorted(data.draw(st.lists(sets, max_size=6)), key=int.bit_count, reverse=True)
+    closed = _tables(g._vertex_index[2])
+    encode = _mask_encoder(g, closed)
+    family = [encode(m, full, i) for i, m in enumerate([x, y, *pool])]
+    as_set = [frozenset(names[i] for i in range(len(names)) if m[0] >> i & 1) for m in family]
+    expected = next((z for z in family[2:] if _covers_as_subgraphs(g, (as_set[0], as_set[1], as_set[z[4]]))), None)
+    assert _cover(family[2:], full, closed, family[0], family[1]) == expected
+    for wide in (0, len(family) + 1):
+        with mock.patch.object(tangles, "_WIDE", wide):
+            antichains = _Antichains(g, family, closed)
+        chain = []
+        for i in range(len(family)):
+            grown = antichains.insert(chain, i)
+            if grown is not chain:
+                pairs = combinations_with_replacement(as_set[: i + 1], 2)
+                assert antichains.closes(grown, i) == any(_covers_as_subgraphs(g, (as_set[i], *p)) for p in pairs)
+                chain = grown
 
 
 def _orientation_sets(g: Graph, k: int, kind: str, draw) -> dict:
@@ -233,10 +284,11 @@ def test_maximal_on_the_index_matches_linear_scan(g, k, kind, wide, data):
     k = min(k, len(g.vertices) + 1)
     choices = _orientation_sets(g, k, kind, data.draw)
     ordered = sorted((s.orient(t) for s, t in choices.items()), key=lambda o: -len(o.side_a))
-    encode = _mask_encoder(g)
+    closed = _tables(g._vertex_index[2])
+    encode = _mask_encoder(g, closed)
     family = [encode(*o.masks, x) for x, o in enumerate(ordered)]
     with mock.patch.object(tangles, "_WIDE", wide):
-        antichains, chain = _Antichains(g, family), []
+        antichains, chain = _Antichains(g, family, closed), []
         for x in range(len(family)):
             chain = antichains.insert(chain, x)
     assert antichains.members(chain) == maximal_sides_reference(family)
@@ -592,8 +644,9 @@ def test_edge_decides_covering_triple():
     """A pendant edge c-p on two triangles c,x,y and x,y,z. Its order-2
     tangle at the bridge holds (∅ | V), ({p} | V) and ({c, x, y, z} | {c, p}).
     Their sides A cover every vertex but miss the edge c-p, so they are no
-    covering triple, and only the edge masks tell the search and
-    `check_tangle` so."""
+    covering triple. The vertex test passes, and only R = {c, p}, the
+    vertices c of ∂{c, x, y, z} - {p} and p of ∂{p} - {c, x, y, z}, tells
+    the search and `check_tangle` so."""
     g = Graph.from_data("cpxyz", [("c", "p"), ("c", "x"), ("c", "y"), ("x", "y"), ("x", "z"), ("y", "z")])
     tangles = enumerate_tangles(g, 2)
     assert len(tangles) == 2  # one per block with an edge: the bridge and the rest

@@ -1,6 +1,7 @@
 """Pre-tangles, tangles, witnesses, enumeration, and distinguishers."""
 
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 from tangletree.errors import (
     AmbientMismatchError,
     FamilyParameterError,
+    GraphFormatError,
     OrientationUndecidableError,
     TangletreeError,
     UnknownVertexError,
 )
 from tangletree.families import generate_family
 from tangletree.graph import Graph
-from tangletree.separations import enumerate_separations, make_separation
+from tangletree.separations import Separation, enumerate_separations, make_separation
 from tangletree.tangles import (
     PreTangle,
     _splits,
@@ -427,6 +429,20 @@ def test_witness_and_tangle_json(scaled_chain):
     t = enumerate_tangles(path_graph(3), 2)[0]
     back = PreTangle.from_json(path_graph(3), t.to_json())
     assert back == t
+
+
+@pytest.mark.parametrize("toward", ["a", "b"])
+def test_tangle_document_orienting_a_separation_twice_is_rejected(toward):
+    """On the path p00-p01-p02, the order-2 tangle's document with one entry
+    repeated, toward either side, orients that separation twice: a
+    GraphFormatError naming it, not the last entry's choice."""
+    g = path_graph(3)
+    doc = enumerate_tangles(g, 2)[0].to_json()
+    entry = doc["orientation"][1]
+    doc["orientation"].append({"sep": entry["sep"], "toward": toward})
+    repeated = Separation.from_json(g, entry["sep"]).canonical()
+    with pytest.raises(GraphFormatError, match=re.escape(repr(repeated))):
+        PreTangle.from_json(g, doc)
 
 
 def test_distinguishable_pairs_ordering():

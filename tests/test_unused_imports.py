@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, every private
 module-level name is read somewhere in the package and defined only once,
-and every method of a private class, and every private method, is read as
-an attribute somewhere in the package."""
+every method of a private class, and every private method, is read as an
+attribute somewhere in the package, and so is every private attribute that
+a class stores on self."""
 
 import ast
 from pathlib import Path
@@ -165,3 +166,61 @@ def test_checker_finds_dead_methods():
 def test_package_has_no_dead_method():
     modules = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
     assert _dead_methods(modules) == []
+
+
+def _stored_private_attribute(node: ast.AST) -> str | None:
+    """The private attribute name that node stores on self, by assignment
+    or by `object.__setattr__(self, "_x", ...)`, else None."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+        target, name = node.value, node.attr
+    elif (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and len(node.args) == 3
+        and isinstance(node.args[1], ast.Constant)
+    ):
+        target, name = node.args[0], node.args[1].value
+    else:
+        return None
+    if isinstance(target, ast.Name) and target.id == "self" and name.startswith("_") and not name.startswith("__"):
+        return name
+    return None
+
+
+def _unread_attributes(modules: dict[str, ast.Module]) -> list[str]:
+    """`module.Class._x` for each private attribute that a module-level
+    class stores on self and that no attribute read in the package names."""
+    read = {
+        n.attr
+        for tree in modules.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    unread = set()
+    for module, tree in modules.items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for node in ast.walk(cls):
+                    name = _stored_private_attribute(node)
+                    if name is not None and name not in read:
+                        unread.add(f"{module}.{cls.name}.{name}")
+    return sorted(unread)
+
+
+def test_checker_finds_unread_attributes():
+    modules = {
+        "a": ast.parse(
+            "class _Antichains:\n    def __init__(self, g, family):\n        self.family = family\n"
+            "        self._g = g\n        self._n = len(g)\n        self._wide = 4 * self._n\n"
+            "class P:\n    def __post_init__(self):\n        object.__setattr__(self, '_key', 1)\n"
+            "        object.__setattr__(self, '_hash', 2)\n        other._loose = 3\n"
+        ),
+        "b": ast.parse("def f(p):\n    return hash(p._hash)\n"),
+    }
+    assert _unread_attributes(modules) == ["a.P._key", "a._Antichains._g", "a._Antichains._wide"]
+
+
+def test_package_has_no_unread_attribute():
+    modules = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
+    assert _unread_attributes(modules) == []
