@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FamilyParameterError, PreconditionError
-from .graph import Graph, _solve, components
+from .graph import Graph, _flood, _solve, components
 from .limits import _growth_table, exhaustiveness_evidence, limit_separator_prefix
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -479,23 +479,24 @@ def thin_end_bound(
             tails.add(prefix[-1])
     if not tails:
         raise PreconditionError("direction has no ray tails in this window")
+    tails, fringe = g.mask(tails), g.mask(fringe)
+    full = (1 << len(g.vertices)) - 1
     for bound in range(1, max_bound + 1):
         candidates = []
         for sep in enumerate_separations(g, bound, budget=budget):
             if not is_tight(g, sep):
                 continue
-            if tails & sep.separator:
-                continue
-            if tails <= sep.side_a - sep.side_b:
+            a, b = sep.masks
+            if not tails & ~(a & ~b):
                 oriented = sep.orient("a")
-            elif tails <= sep.side_b - sep.side_a:
+            elif not tails & ~(b & ~a):
                 oriented = sep.orient("b")
             else:
                 continue
-            if len(components(g, g.vertices - oriented.side_b)) != 1:
+            if len(_flood(g, full ^ oriented.masks[1])) != 1:
                 continue
             candidates.append(oriented)
-        finals = [c for c in candidates if c.side_b <= fringe]
+        finals = [c for c in candidates if not c.masks[1] & ~fringe]
         if not finals:
             continue
         finals.sort(key=lambda c: c.canonical().sort_key)

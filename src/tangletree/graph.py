@@ -300,13 +300,18 @@ def _tight(g: Graph, x: int) -> list[int]:
     return [k for k in _flood(g, x) if reduce(or_, _select(closed, k), 0) ^ k == x]
 
 
-def _least(names):
-    """The least of a set of names; one whose names cannot be compared
-    (such as str and int mixed) by repr."""
+def _ordered(names) -> list:
+    """Names sorted; names that cannot be compared (such as str and int
+    mixed) sorted by repr."""
     try:
-        return min(names)
+        return sorted(names)
     except TypeError:
-        return min(names, key=repr)
+        return sorted(names, key=repr)
+
+
+def _least(names):
+    """The least of a set of names, in `_ordered`'s order."""
+    return _ordered(names)[0]
 
 
 def _vertex_set(g: Graph, vs: Iterable[str], what: str) -> frozenset[str]:

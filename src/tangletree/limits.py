@@ -41,6 +41,7 @@ from .separations import (
     NestedSet,
     Separation,
     SeparationSequence,
+    _ambient,
     _stable_from,
     is_tight,
     leq,
@@ -71,6 +72,7 @@ def classify_vs_limit(seq: SeparationSequence, cd: Separation) -> LimitRelationR
     """Relation report of the finite-order separation cd against the window
     supremum of a strictly increasing sequence."""
     sup = supremum(seq)
+    _ambient(sup.graph, cd)
     rev = cd.reverse()
     tests = {
         "below": lambda it: leq(cd, it),

@@ -7,14 +7,20 @@ separations are nested when some orientations are comparable; `relation`
 decides this twice, via the definition and via the corner test on
 (A & D) - S with S = (A & B) & (C & D), and insists the two agree.
 
-One class, `Separation`, is the oriented pair (A, B). The unoriented
-separation {A, B} is its canonical orientation, the one of (A, B) and
-(B, A) with the smaller `sort_key`. One check on the sides as int
-bitmasks, `_fault`, decides whether (A, B) is a separation, and `_built`
-fills in every object whole: sort key, masks (on which `leq`, the corner
-test and `relation` run) and separator. `reverse()` builds (B, A) on first
-call without a check, since it is a separation exactly when (A, B) is, and
-links the two. Sides are frozensets of vertex names in the API and JSON.
+One class, `Separation`, is the oriented pair (A, B). It stores its sides
+once, as int bitmasks over the graph's sorted vertices, next to the
+`sort_key` (the sides as sorted name tuples) that the canonical order
+compares. The unoriented separation {A, B} is its canonical orientation,
+the one of (A, B) and (B, A) with the smaller `sort_key`. One check on
+the masks, `_fault`, decides whether (A, B) is a separation, and one
+builder, `_built`, stores the masks and the sort key. Equality, hashing,
+order, <=, the corner test, `relation` and `supremum` all run on the
+masks. `reverse()` builds (B, A) on first call without a check, since it
+is a separation exactly when (A, B) is, and links the two. Sides are
+frozensets of vertex names in the API and JSON: `side_a`, `side_b` and
+`separator` are views built on first read, which the library reads only
+to hand names out, to compare separations of different graphs, or to call
+a routine that takes names.
 
 Every separation built from a separator S and the components of G - S,
 (S | left, V - left) for a union `left` of components, comes from one
@@ -34,7 +40,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -54,56 +60,66 @@ from .errors import (
     SequenceOrderError,
     UnknownVertexError,
 )
-from .graph import Graph, _as_json, _edge, _field, _flood, _select, _tight
+from .graph import Graph, _as_json, _edge, _field, _flood, _least, _ordered, _select, _tight
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Separation:
     """The oriented separation (A, B) of `graph`, validated when built.
 
-    Built whole: `sort_key` is (sorted A, sorted B), which the canonical
-    order compares; `masks` is (A, B) as `Graph.mask` bitmasks; `separator`
-    is A & B. The unoriented separation {A, B} is `canonical()`: this object
-    or its reverse, whichever has the smaller `sort_key`.
+    It stores (A, B) once, as the `Graph.mask` bitmasks `masks`, on which
+    equality, hashing, `order`, `is_proper`, `leq`, the corner test and
+    `relation` run, next to `sort_key`, (sorted A, sorted B), which the
+    canonical order compares. Two separations are equal when their masks
+    are and their graphs are equal. `side_a`, `side_b` and `separator`
+    (A & B) are frozensets of vertex names, built on first read. The
+    unoriented separation {A, B} is `canonical()`: this object or its
+    reverse, whichever has the smaller `sort_key`. The sides may be given
+    as any iterables of vertex names; a value that is not iterable raises
+    PreconditionError, and unknown names UnknownVertexError naming the
+    least of them.
     """
 
     graph: Graph
-    side_a: frozenset[str]
-    side_b: frozenset[str]
+    masks: tuple[int, int]
+    sort_key: tuple[tuple[str, ...], tuple[str, ...]]
 
-    def __post_init__(self):
-        g, side_a, side_b = self.graph, self.side_a, self.side_b
-        try:
-            masks = g.mask(side_a), g.mask(side_b)
-        except UnknownVertexError:
-            raise UnknownVertexError(min((side_a | side_b) - g.vertices)) from None
-        fault = _fault(g, *masks)
+    def __init__(self, graph: Graph, side_a: Iterable[str], side_b: Iterable[str]):
+        masks, unknown = [], []
+        for side in (side_a, side_b):
+            try:
+                masks.append(graph.mask(side))  # each side read once: it may be an iterator
+            except UnknownVertexError as exc:
+                unknown += exc.args
+        if unknown:
+            raise UnknownVertexError(_least(unknown))
+        fault = _fault(graph, *masks)
         if fault:
             raise fault
-        _built(self, g, side_a, side_b, (tuple(sorted(side_a)), tuple(sorted(side_b))), masks, side_a & side_b)
+        _built(self, graph, tuple(masks))
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, Separation):
             return NotImplemented
-        return (
-            self.side_a == other.side_a
-            and self.side_b == other.side_b
-            and (self.graph is other.graph or self.graph == other.graph)
-        )
+        return self.masks == other.masks and (self.graph is other.graph or self.graph == other.graph)
 
     def __hash__(self):
-        return self._hash
+        return hash(self.masks)
 
     def __repr__(self):
-        return f"({sorted(self.side_a)} | {sorted(self.side_b)})"
+        return "({} | {})".format(*map(list, self.sort_key))
+
+    side_a = cached_property(lambda self: frozenset(self.sort_key[0]))
+    side_b = cached_property(lambda self: frozenset(self.sort_key[1]))
+    separator = cached_property(lambda self: frozenset(_select(self.graph._vertex_index[0], self.masks[0] & self.masks[1])))
 
     @property
     def order(self) -> int:
-        return len(self.separator)
+        return (self.masks[0] & self.masks[1]).bit_count()
 
     def reverse(self) -> "Separation":
         """(B, A): `s.reverse() is s.reverse()` and `s.reverse().reverse() is s`.
@@ -119,8 +135,8 @@ class Separation:
             back = d.get("_back")
             r = back and back()
             if r is None:
-                d["_reverse"] = r = _built(object.__new__(Separation), self.graph, self.side_b, self.side_a,
-                                           self.sort_key[::-1], self.masks[::-1], self.separator, _back=ref(self))
+                d["_reverse"] = r = _built(object.__new__(Separation), self.graph, self.masks[::-1],
+                                           self.sort_key[::-1], _back=ref(self))
         return r
 
     def canonical(self) -> "Separation":
@@ -142,8 +158,8 @@ class Separation:
         return (self, self.reverse())
 
     def is_proper(self) -> bool:
-        v = self.graph.vertices
-        return self.side_a != v and self.side_b != v
+        full = (1 << len(self.graph.vertices)) - 1
+        return full not in self.masks
 
     def to_json(self) -> dict:
         a, b = self.sort_key
@@ -162,13 +178,17 @@ class Separation:
 
 def make_separation(g: Graph, a: Iterable[str], b: Iterable[str]) -> Separation:
     """Validated construction of the separation (a, b) of g."""
-    return Separation(g, frozenset(a), frozenset(b))
+    return Separation(g, a, b)
 
 
-def _built(s: Separation, g: Graph, side_a, side_b, key, masks, separator, **links) -> Separation:
-    """s with every field, cache and link set: the one way a Separation is filled in."""
-    s.__dict__.update(graph=g, side_a=side_a, side_b=side_b, sort_key=key, masks=masks,
-                      separator=separator, _hash=hash((side_a, side_b)), **links)
+def _built(s: Separation, g: Graph, masks: tuple[int, int], key=None, **links) -> Separation:
+    """s with its graph, masks, sort key (read off the masks unless given)
+    and links set: the one way a Separation is filled in."""
+    if key is None:
+        names = g._vertex_index[0]
+        # via lists: tuples grown from iterators skip, then fill, the tuple free lists
+        key = tuple(list(_select(names, masks[0]))), tuple(list(_select(names, masks[1])))
+    s.__dict__.update(graph=g, masks=masks, sort_key=key, **links)
     return s
 
 
@@ -195,29 +215,25 @@ def _fault(g: Graph, a: int, b: int) -> SeparationError | None:
             return CrossingEdgeError(_edge(v, names[(hit & -hit).bit_length() - 1]))
 
 
-def _separation(g: Graph, a: int, b: int, separator: frozenset[str]) -> Separation:
-    """The separation (A, B) of g from its masks and its separator's names.
-    Masks that `_fault` rejects can only come from a bug, so they raise
-    InternalCheckError."""
+def _separation(g: Graph, a: int, b: int) -> Separation:
+    """The separation (A, B) of g from its masks. Masks that `_fault`
+    rejects can only come from a bug, so they raise InternalCheckError."""
     fault = _fault(g, a, b)
     if fault:
         raise InternalCheckError(f"masks {a:#x} | {b:#x} are not a separation of {g!r}: {fault}")
-    names = g._vertex_index[0]
-    # via lists: tuples grown from iterators skip, then fill, the tuple free lists
-    key = (tuple(list(_select(names, a))), tuple(list(_select(names, b))))
-    return _built(object.__new__(Separation), g, frozenset(key[0]), frozenset(key[1]), key, (a, b), separator)
+    return _built(object.__new__(Separation), g, (a, b))
 
 
-def _component_separations(g: Graph, s: int, separator: frozenset[str], pinned: int, free: list[int]) -> list[Separation]:
+def _component_separations(g: Graph, s: int, pinned: int, free: list[int]) -> list[Separation]:
     """The canonical separations (S | left, V - left) of g, for the separator
-    mask s with names `separator`: left is the component mask `pinned` joined
-    with each union of the components in `free`, the i-th of them taken where
-    bit i of a counter is set, in counter order."""
+    mask s: left is the component mask `pinned` joined with each union of
+    the components in `free`, the i-th of them taken where bit i of a
+    counter is set, in counter order."""
     lefts = [pinned]
     for comp in free:
         lefts += [left | comp for left in lefts]
     full = (1 << len(g._vertex_index[0])) - 1
-    return [_separation(g, s | left, full ^ left, separator).canonical() for left in lefts]
+    return [_separation(g, s | left, full ^ left).canonical() for left in lefts]
 
 
 def _graph_of(s) -> Graph:
@@ -225,6 +241,15 @@ def _graph_of(s) -> Graph:
     if not isinstance(s, Separation):
         raise AmbientMismatchError(f"expected a separation, got {type(s).__name__}")
     return s.graph
+
+
+def _listed(items, what: str) -> list:
+    """items as a list; a value that is not iterable raises PreconditionError,
+    as `Graph.mask` does for a vertex set."""
+    try:
+        return list(items)
+    except TypeError as exc:
+        raise PreconditionError(f"{what} must be an iterable of separations: {exc}") from None
 
 
 def _ambient(g: Graph, s) -> None:
@@ -249,7 +274,7 @@ def leq(s: Separation, t: Separation) -> bool:
 
 
 def lt(s: Separation, t: Separation) -> bool:
-    return leq(s, t) and not (s.side_a == t.side_a and s.side_b == t.side_b)
+    return leq(s, t) and s.masks != t.masks
 
 
 @dataclass(frozen=True)
@@ -307,7 +332,7 @@ def first_crossing(
     seps: Sequence[Separation],
 ) -> tuple[Separation, Separation] | None:
     """First crossing pair (s, t), s before t, in the given order, else None."""
-    for s, t in combinations(seps, 2):
+    for s, t in combinations(_listed(seps, "separations"), 2):
         if relation(s, t).cross:
             return (s, t)
     return None
@@ -384,8 +409,7 @@ def _enumeration(g: Graph, max_order: int, budget: int) -> tuple[list[Separation
         if max(last_widest[: max_order + 1]) > budget:
             raise BudgetExceededError("separator bipartitions", budget)
         return last_out[: bisect_right(last_out, max_order, key=attrgetter("order"))], last_floods[:candidates]
-    names = g._vertex_index[0]
-    bits = [1 << i for i in range(len(names))]
+    bits = [1 << i for i in range(len(g.vertices))]
     floods = []
     widest = []
     for size in range(max_order + 1):
@@ -400,9 +424,9 @@ def _enumeration(g: Graph, max_order: int, budget: int) -> tuple[list[Separation
     unbuilt = iter(floods)
     for size in range(max_order + 1):
         block = len(out)
-        for separator, (s, comps) in zip(combinations(names, size), unbuilt):
+        for s, comps in islice(unbuilt, comb(len(bits), size)):
             first, *rest = comps or [0]  # with no component left, A == B == V
-            out += _component_separations(g, s, frozenset(separator), first, rest)
+            out += _component_separations(g, s, first, rest)
         out[block:] = sorted(out[block:], key=attrgetter("sort_key"))  # all of order `size`
     _last_enumeration = (g, max_order, out, floods, widest)  # one rebinding: readers see old or new
     return out, floods
@@ -432,11 +456,11 @@ class SeparationSequence:
 
     @classmethod
     def strictly_increasing(cls, items: Sequence[Separation]) -> "SeparationSequence":
-        return cls(tuple(items), strict=True)
+        return cls(tuple(_listed(items, "a sequence")), strict=True)
 
     @classmethod
     def weakly_increasing(cls, items: Sequence[Separation]) -> "SeparationSequence":
-        return cls(tuple(items), strict=False)
+        return cls(tuple(_listed(items, "a sequence")), strict=False)
 
     @property
     def graph(self) -> Graph:
@@ -463,18 +487,19 @@ class SeparationSequence:
 
 
 def supremum(seq: SeparationSequence | Sequence[Separation]) -> Separation:
-    """(union of A_i, intersection of B_i); valid for any non-empty run."""
-    items = list(seq)
+    """(union of A_i, intersection of B_i), on masks; valid for any non-empty
+    run: a vertex on no A_i lies on every B_i, and an edge between the strict
+    sides of the result would join the strict sides of some item."""
+    items = _listed(seq, "a sequence")
     if not items:
         raise SequenceOrderError("supremum of an empty sequence")
     g = _graph_of(items[0])
-    a: set[str] = set()
-    b = set(items[0].side_b)
+    a, b = 0, (1 << len(g.vertices)) - 1
     for it in items:
         _ambient(g, it)
-        a |= it.side_a
-        b &= it.side_b
-    return Separation(g, frozenset(a), frozenset(b))
+        a |= it.masks[0]
+        b &= it.masks[1]
+    return _separation(g, a, b)
 
 
 def dominates(
@@ -482,8 +507,8 @@ def dominates(
     seq2: SeparationSequence | Sequence[Separation],
 ) -> bool:
     """Each item of seq2 lies below some item of seq1."""
-    items1 = list(seq1)
-    items2 = list(seq2)
+    items1 = _listed(seq1, "a sequence")
+    items2 = _listed(seq2, "a sequence")
     if items1 and items2:
         _ambient(_graph_of(items1[0]), items2[0])
     return all(any(leq(c, a) for a in items1) for c in items2)
@@ -519,22 +544,28 @@ def pushing_index(seq: SeparationSequence, x: Iterable[str]) -> PushingReport:
     Stability is against the window supremum; elements of x outside the
     supremum's A side are rejected.
     """
-    x = frozenset(x)
+    try:
+        x = frozenset(x)
+    except TypeError as exc:
+        raise PreconditionError(f"a pushing set must be an iterable of vertex names: {exc}") from None
     sup = supremum(seq)
     outside = x - sup.side_a
     if outside:
         raise UnknownVertexError(
-            f"pushing set leaves the supremum's A side: {sorted(outside)[:5]}"
+            f"pushing set leaves the supremum's A side: {_ordered(outside)[:5]}"
         )
-    want_sep = x & sup.separator
-    want_strict = x & (sup.side_a - sup.side_b)
-    index = _stable_from(
-        seq.items,
-        lambda it: x & it.separator == want_sep and x & (it.side_a - it.side_b) == want_strict,
-    )
+    g = sup.graph
+    xm = g.mask(x)
+
+    def parts(a: int, b: int) -> tuple[int, int]:
+        return xm & a & b, xm & a & ~b
+
+    want = parts(*sup.masks)
+    index = _stable_from(seq.items, lambda it: parts(*it.masks) == want)
     if index is None:
         raise SequenceOrderError("window exhausted: no stable index in this window")
-    return PushingReport(index, want_sep, want_strict)
+    names = g._vertex_index[0]
+    return PushingReport(index, *(frozenset(_select(names, m)) for m in want))
 
 
 @dataclass(frozen=True, eq=False)
@@ -558,7 +589,7 @@ class NestedSet:
 
     @classmethod
     def of(cls, g: Graph, members: Iterable[Separation]) -> "NestedSet":
-        return cls(g, frozenset(members))
+        return cls(g, frozenset(_listed(members, "members")))
 
     def __iter__(self):
         return iter(self._ordered)

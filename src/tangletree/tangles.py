@@ -782,7 +782,7 @@ def _splits(sep: Separation, p: Orienter, q: Orienter) -> bool:
     if sep.order >= min(p.order_bound, q.order_bound):
         return False
     x, y = p.toward(sep), q.toward(sep)
-    return x is not None and y is not None and x != y and sep.side_a != sep.side_b
+    return x is not None and y is not None and x != y and sep.masks[0] != sep.masks[1]
 
 
 def efficient_distinguisher(
@@ -808,10 +808,9 @@ def efficient_distinguisher(
     if cores is not None:
         if min_distinguishing_order(g, p, q, budget=budget) is None:
             return None
-        cut = minimum_separator(g, *cores)
-        s, q_mask = g.mask(cut), g.mask(cores[1])
+        s, q_mask = g.mask(minimum_separator(g, *cores)), g.mask(cores[1])
         pinned = sum(c for c in _flood(g, s) if not c & q_mask)
-        sep = _component_separations(g, s, cut, pinned, [])[0]
+        sep = _component_separations(g, s, pinned, [])[0]
         if not distinguishes(sep, p, q):
             raise OrientationUndecidableError(
                 "minimum cut failed to distinguish the clique witnesses"

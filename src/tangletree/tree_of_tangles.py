@@ -19,9 +19,10 @@ the verifier checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 from math import prod
+from operator import and_
 from typing import Iterable
 
 from .errors import (
@@ -34,7 +35,7 @@ from .errors import (
     SeparationError,
     UnknownVertexError,
 )
-from .graph import Graph, _as_json, _field, _flood, _solve, components, minimum_separator
+from .graph import Graph, _as_json, _field, _flood, _select, _solve, components, minimum_separator
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     NestedSet,
@@ -90,7 +91,7 @@ def _min_order_distinguishers(
         neutral = [c for c in comps if c != cp and c != cq]
         if len(neutral) > 12:
             raise BudgetExceededError("neutral component assignments", 2**12)
-        found += _component_separations(g, s, frozenset(picked), cp, neutral)
+        found += _component_separations(g, s, cp, neutral)
     return sorted(found, key=lambda sep: sep.sort_key)
 
 
@@ -327,9 +328,7 @@ def induce_tree_decomposition(g: Graph, n: NestedSet) -> TreeDecomposition:
         ends = []
         for top in m.orientations():
             oriented = tuple(_toward(t, top) for t in ms)
-            name = "n" + "".join(
-                "1" if o.side_b == t.side_b else "0" for o, t in zip(oriented, ms)
-            )
+            name = "n" + "".join("1" if o is t else "0" for o, t in zip(oriented, ms))
             nodes[name] = oriented
             ends.append(name)
         edges.append((min(ends), max(ends)))
@@ -337,8 +336,9 @@ def induce_tree_decomposition(g: Graph, n: NestedSet) -> TreeDecomposition:
         raise InternalCheckError(
             f"expected {len(ms) + 1} orientations, found {len(nodes)}"
         )
+    names, full = g._vertex_index[0], (1 << len(g.vertices)) - 1
     bags = {
-        name: g.vertices.intersection(*(o.side_b for o in oriented))
+        name: frozenset(_select(names, reduce(and_, (o.masks[1] for o in oriented), full)))
         for name, oriented in sorted(nodes.items())
     }
     return TreeDecomposition(nodes=tuple(bags), edges=tuple(sorted(edges)), bags=bags)
@@ -375,7 +375,7 @@ def _edge_induced_separation(g: Graph, td: TreeDecomposition, edge) -> Separatio
     side_v: set[str] = set()
     for node in td.nodes:
         (side_u if node in near else side_v).update(td.bags[node])
-    return Separation(g, frozenset(side_u), frozenset(side_v))
+    return Separation(g, side_u, side_v)
 
 
 def verify_tree_decomposition(

@@ -483,13 +483,12 @@ def clique_pair_distinguishers_reference(g: Graph, p, q, target_order: int, *, b
         neutral = [c for c in comps if c != cp and c != cq]
         if len(neutral) > 12:
             raise BudgetExceededError("neutral component assignments", 2**12)
-        separator = core | frozenset(v for _, v in picked)
         for pick in range(1 << len(neutral)):
             a = s | cp
             for i, c in enumerate(neutral):
                 if pick >> i & 1:
                     a |= c
-            found.append(_separation(g, a, (full ^ a) | s, separator).canonical())
+            found.append(_separation(g, a, (full ^ a) | s).canonical())
     return sorted(found, key=lambda sep: sep.sort_key)
 
 

@@ -5,6 +5,8 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from unittest import mock
 
@@ -17,7 +19,7 @@ from tangletree.cli import main
 from tangletree.errors import GraphFormatError
 from tangletree.graph import Graph, load_graph
 from tangletree.tangles import PreTangle, enumerate_tangles
-from .conftest import two_k4_bridge
+from .conftest import clique_chain_graph, grid_graph, two_k4_bridge
 
 
 @pytest.fixture()
@@ -710,3 +712,44 @@ def test_argument_values_give_json_reports(data):
             code = main(args)
     assert code in (0, 1, 2)
     json.loads(out.getvalue())
+
+
+_HASH_SEED_RUN = """
+import sys
+from tangletree.cli import main
+for name in ("two_k4", "grid", "chain"):
+    graph = name + ".json"
+    runs = [
+        ["tangles", "--input", graph, "--order", "3", "--output", name + "_tangles.json"],
+        ["tot", "--input", graph, "--order", "3", "--output", name + "_tot.json"],
+        ["decompose", "--input", graph, "--input", name + "_tot.json", "--output", name + "_td.json"],
+        ["decompose", "--input", graph, "--input", name + "_tot.json", "--format", "dot",
+         "--output", name + "_td.dot"],
+        ["verify", "--input", graph, "--input", name + "_tangles.json", "--input", name + "_tot.json",
+         "--input", name + "_td.json", "--output", name + "_verify.json"],
+    ]
+    for args in runs:
+        if main(args) != 0:
+            sys.exit(f"exit != 0: {args}")
+"""
+
+
+def test_artifacts_are_identical_across_hash_seeds(tmp_path):
+    """`tangles`, `tot`, `decompose` and `verify` write the same bytes in
+    two processes whose string hashes differ (PYTHONHASHSEED 0 and 1), on
+    the two-K4 graph, the 3x4 grid and a chain of three K4s."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    outputs = []
+    for seed in ("0", "1"):
+        work = tmp_path / seed
+        work.mkdir()
+        (work / "two_k4.json").write_text(two_k4_bridge().dumps())
+        (work / "grid.json").write_text(grid_graph(3, 4).dumps())
+        (work / "chain.json").write_text(clique_chain_graph(3, 4).dumps())
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.join(root, "src"))
+        done = subprocess.run([sys.executable, "-c", _HASH_SEED_RUN], cwd=work, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append({p.name: p.read_bytes() for p in sorted(work.iterdir())})
+    assert len(outputs[0]) == 18
+    assert outputs[0] == outputs[1]

@@ -17,16 +17,20 @@ from tangletree.errors import (
     DisconnectedGraphError,
     EmptyGraphError,
     InternalCheckError,
+    PreconditionError,
     SequenceOrderError,
     TangletreeError,
     UnknownVertexError,
 )
 from tangletree.graph import Graph
+from tangletree.limits import classify_vs_limit
 from tangletree.separations import (
     NestedSet,
+    Separation,
     SeparationSequence,
     dominates,
     enumerate_separations,
+    first_crossing,
     interlaced,
     is_proper,
     is_tight,
@@ -269,6 +273,54 @@ def test_non_separation_first_is_an_ambient_error(p3, call):
         call(p3, sep(p3, {"p00", "p01"}, {"p01", "p02"}))
 
 
+def _abc() -> Graph:
+    return Graph.from_data("abc", [("a", "b"), ("b", "c")])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda g, seq: make_separation(g, None, {"a"}), PreconditionError, None),
+        (lambda g, seq: supremum(None), PreconditionError, None),
+        (lambda g, seq: dominates(None, [seq[0]]), PreconditionError, None),
+        (lambda g, seq: dominates([seq[0]], 3), PreconditionError, None),
+        (lambda g, seq: NestedSet.of(g, None), PreconditionError, None),
+        (lambda g, seq: SeparationSequence.strictly_increasing(None), PreconditionError, None),
+        (lambda g, seq: SeparationSequence.weakly_increasing(3), PreconditionError, None),
+        (lambda g, seq: first_crossing(None), PreconditionError, None),
+        (lambda g, seq: pushing_index(seq, None), PreconditionError, None),
+        (lambda g, seq: Separation(g, {1}, {"zz"}), UnknownVertexError, "zz"),
+        (lambda g, seq: make_separation(g, iter(["q", "a"]), ["b", "c", "p"]), UnknownVertexError, "p"),
+        (lambda g, seq: pushing_index(seq, [1, "zz"]), UnknownVertexError,
+         "pushing set leaves the supremum's A side: ['zz', 1]"),
+        (lambda g, seq: classify_vs_limit(seq, None), AmbientMismatchError, "expected a separation, got NoneType"),
+    ],
+    ids=["make_separation None", "supremum None", "dominates None", "dominates 3", "NestedSet.of None",
+         "strictly_increasing None", "weakly_increasing 3", "first_crossing None",
+         "pushing_index None", "mixed names", "unknown names in an iterator", "pushing mixed names",
+         "classify_vs_limit None"],
+)
+def test_malformed_arguments_raise_library_errors(call, error, message):
+    """A value that is not iterable is a PreconditionError, an unknown name
+    an UnknownVertexError naming the least unknown name (by repr where
+    names cannot be compared), and an argument that is no separation an
+    AmbientMismatchError."""
+    g = _abc()
+    seq = SeparationSequence.strictly_increasing([sep(g, {"a"}, {"a", "b", "c"}), sep(g, {"a", "b"}, {"b", "c"})])
+    with pytest.raises(error) as caught:
+        call(g, seq)
+    if message is not None:
+        assert str(caught.value) == message
+
+
+def test_sides_may_be_any_iterables_of_names():
+    g = _abc()
+    want = make_separation(g, {"a", "b"}, {"b", "c"})
+    for a, b in (({"a", "b"}, ["b", "c"]), (("a", "b"), iter("bc")), ("ab", frozenset("bc"))):
+        got = Separation(g, a, b)
+        assert got == want and got.sort_key == want.sort_key and got.separator == {"b"}
+
+
 def test_orientations_are_built_once(p3):
     s = sep(p3, {"p00", "p01"}, {"p01", "p02"}).canonical()
     x, y = s.orientations()
@@ -305,7 +357,7 @@ def test_mask_check_rejects_forged_pairs():
     for a, b in forged:
         assert check(g, g.mask(a), g.mask(b)) is not None
         with pytest.raises(InternalCheckError):
-            separations._separation(g, g.mask(a), g.mask(b), frozenset(a & b))
+            separations._separation(g, g.mask(a), g.mask(b))
 
 
 # Vertex names whose sorted order is not their order here; those a graph
@@ -361,15 +413,51 @@ def test_mask_check_matches_the_frozenset_check_on_every_assignment(g):
         assert (type(got), str(got), getattr(got, "edge", None)) == (type(want), str(want), getattr(want, "edge", None))
 
 
-def test_every_separation_is_built_whole():
-    """Sort key, masks and separator are set when a separation is built, by
-    the public constructor, enumeration, `reverse()` or `supremum`."""
+def _stored_frozensets(s) -> list[str]:
+    return [name for name, value in vars(s).items() if isinstance(value, frozenset)]
+
+
+def test_every_separation_stores_masks_until_a_view_is_read():
+    """Every way of building a separation stores its masks and sort key and
+    no frozenset: the public constructor, `make_separation`, `from_json`,
+    enumeration, `reverse()`, `supremum` and `_component_separations`. Once
+    read, each view equals the names of its mask, and reading the views
+    changes neither equality, the hash nor the sort key."""
     g = path_graph(4)
-    public = sep(g, {"p00", "p01"}, {"p01", "p02", "p03"})
-    later = sep(g, {"p00", "p01", "p02"}, {"p02", "p03"})
+    names = sorted(g.vertices)
+    public = Separation(g, {"p00", "p01"}, {"p01", "p02", "p03"})
+    later = make_separation(g, ["p00", "p01", "p02"], ["p02", "p03"])
     enumerated = enumerate_separations(g, 1)[-1]
-    for s in (public, enumerated, public.reverse(), enumerated.reverse(), supremum([public, later])):
-        assert {"masks", "sort_key", "separator"} <= vars(s).keys()
+    built = {
+        "constructor": public,
+        "make_separation": later,
+        "from_json": Separation.from_json(g, {"a": ["p00"], "b": ["p00", "p01", "p02", "p03"]}),
+        "enumeration": enumerated,
+        "reverse": public.reverse(),
+        "reverse of enumerated": enumerated.reverse(),
+        "supremum": supremum([public, later]),
+        "_component_separations": separations._component_separations(g, g.mask({"p01"}), g.mask({"p00"}), [])[0],
+    }
+    for how, s in built.items():
+        assert {"masks", "sort_key"} <= vars(s).keys() and not _stored_frozensets(s), how
+        twin = separations._separation(g, *s.masks)
+        before = (s == twin, hash(s), s.sort_key)
+        a, b = s.masks
+        for view, mask in ((s.side_a, a), (s.side_b, b), (s.separator, a & b)):
+            assert view == frozenset(v for i, v in enumerate(names) if mask >> i & 1), how
+        assert sorted(_stored_frozensets(s)) == ["separator", "side_a", "side_b"], how
+        assert (s == twin, hash(s), s.sort_key) == before == (True, hash(twin), twin.sort_key), how
+
+
+@pytest.mark.parametrize("name", ["side_a", "side_b", "separator", "masks", "sort_key", "graph", "other"])
+def test_separation_is_immutable(p3, name):
+    s = sep(p3, {"p00", "p01"}, {"p01", "p02"})
+    s.separator  # a view that has been read is no more writable than one that has not
+    with pytest.raises(AttributeError):
+        setattr(s, name, frozenset())
+    with pytest.raises(AttributeError):
+        delattr(s, name)
+    assert s == sep(p3, {"p00", "p01"}, {"p01", "p02"})
 
 
 def _tree(rng: random.Random, n: int) -> Graph:
@@ -410,18 +498,51 @@ def test_enumeration_matches_the_frozenset_loop(data):
             if candidates < widest:
                 budget = data.draw(st.integers(candidates, widest - 1))
         got = enumerate_separations(g, max_order)
+        assert not any(_stored_frozensets(o) for s in got for o in (s, s.reverse()))
         expected = enumerate_separations_reference(g, max_order)
         assert [(s.side_a, s.side_b) for s in got] == [(s.side_a, s.side_b) for s in expected]
         for s in got:
             for o in (s, s.reverse()):
                 assert vars(o)["masks"] == (g.mask(o.side_a), g.mask(o.side_b))
                 assert vars(o)["sort_key"] == (tuple(sorted(o.side_a)), tuple(sorted(o.side_b)))
-                assert vars(o)["separator"] == o.side_a & o.side_b
+                assert o.separator == o.side_a & o.side_b
                 assert hash(o) == hash(make_separation(g, o.side_a, o.side_b))
         exceeded = _budget_exceeded(enumerate_separations_reference, g, max_order, budget)
         twin = Graph(g.vertices, g.edges)  # a miss, then a hit on g's slot
         assert _budget_exceeded(enumerate_separations, twin, max_order, budget) == exceeded
         assert _budget_exceeded(enumerate_separations, g, max_order, budget) == exceeded
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_equality_and_hash_follow_the_name_sets(data):
+    """Separations built by the constructor, by enumeration and by
+    `reverse()`, over two distinct but equal graphs, are equal exactly when
+    their sides are equal as name sets, and equal ones hash equal. None of
+    them equals the separation with the same masks over an unequal graph:
+    the graph with every name prefixed (the same vertex order), or with one
+    edge fewer."""
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    g = random_connected_graph(rng, data.draw(st.integers(1, 8)))
+    twin = Graph(g.vertices, g.edges)
+    built = []
+    for graph in (g, twin):
+        seps = enumerate_separations(graph, min(2, len(g.vertices)))
+        built += rng.sample(seps, min(4, len(seps)))
+        built += [s.reverse() for s in rng.sample(seps, min(4, len(seps)))]
+        for s in rng.sample(seps, min(4, len(seps))):
+            a, b = (s.side_a, s.side_b) if rng.random() < 0.5 else (s.side_b, s.side_a)
+            built.append(Separation(graph, sorted(a), iter(b)))
+    for s, t in product(built, repeat=2):
+        equal = s == t
+        assert equal == ((s.side_a, s.side_b) == (t.side_a, t.side_b))
+        assert not equal or hash(s) == hash(t)
+    renamed = Graph.from_data(("x" + v for v in g.vertices), (("x" + u, "x" + v) for u, v in g.edges))
+    fewer = [Graph(g.vertices, g.edges - {min(g.edges)})] if g.edges else []
+    for h in [renamed, *fewer]:
+        for s in built:
+            other = separations._separation(h, *s.masks)
+            assert s != other and other != s
 
 
 @settings(max_examples=60, deadline=None)
