@@ -11,14 +11,18 @@ between the two terminal sets (Menger duality); tests check this against
 brute-force cut enumeration on small graphs. One solver, `_solve`, serves
 `disjoint_paths`, `minimum_separator` and the flows of the end evidence.
 Its breadth-first search pops an in-node and expands the out-node it leads
-to in one step, and finds the new in-nodes with one mask operation on the
-closed neighbourhoods, lowest bit first; so the emitted paths and the
-leftmost cut follow from the sorted vertex order alone, and tests pin them
-to a tuple-keyed reference network. A vertex mask restricts a solve to an
-induced subgraph without building one: vertices outside it are never
-entered and never cut. A cap stops a solve after that many paths, for
-callers that only ask whether there are so many. Each graph memoizes the
-(paths, cut) of every (s, t, mask, cap) it has solved. In the same order,
+to in one step, finds the new in-nodes with one mask operation on the
+closed neighbourhoods, lowest bit first, and stops as soon as it discovers
+an unused vertex of t, which is the one it would pop first. It never
+expands a t vertex's out-node, so a used t vertex ends its path and keeps
+its unit, and one mask tracks the unused ones. So the emitted paths and
+the leftmost cut follow from the sorted vertex order alone, and tests pin
+them to a tuple-keyed reference network and to a digest of a seeded
+corpus of solves. A vertex mask restricts a solve to an induced subgraph
+without building one: vertices outside it are never entered and never
+cut. A cap stops a solve after that many paths, for callers that only ask
+whether there are so many. Each graph memoizes the (paths, cut) of every
+(s, t, mask, cap) it has solved. In the same order,
 vertex sets are int bitmasks (`Graph.mask`); one flood fill, `_flood`,
 finds the components of G - S as masks for `components`,
 `tight_components`, `Graph.is_connected` (once per graph) and separation
@@ -283,14 +287,14 @@ def _flood(g: Graph, removed: int) -> list[int]:
 
 def components(g: Graph, removed: Iterable[str] = ()) -> list[frozenset[str]]:
     """Connected components of g - removed, sorted by minimal vertex."""
-    names = g._vertex_index[0]
+    names = _checked(g)._vertex_index[0]
     return [frozenset(_select(names, c)) for c in _flood(g, g.mask(removed))]
 
 
 def tight_components(g: Graph, x: Iterable[str]) -> list[frozenset[str]]:
     """Components K of g - x with N_G(K) exactly equal to x, decided on
     masks: the closed neighbourhoods of K's vertices, less K, make up x."""
-    names = g._vertex_index[0]
+    names = _checked(g)._vertex_index[0]
     return [frozenset(_select(names, k)) for k in _tight(g, g.mask(x))]
 
 
@@ -298,6 +302,15 @@ def _tight(g: Graph, x: int) -> list[int]:
     """The masks of the components K of g - x with N(K) = x."""
     closed = g._vertex_index[2]
     return [k for k in _flood(g, x) if reduce(or_, _select(closed, k), 0) ^ k == x]
+
+
+def _checked(value, kind: type = Graph):
+    """value, which a public call takes as a `kind` (a Graph unless named):
+    anything else raises PreconditionError naming the type it got. Run once
+    per public call, before the value is read."""
+    if not isinstance(value, kind):
+        raise PreconditionError(f"expected a {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _ordered(names) -> list:
@@ -329,7 +342,7 @@ def _vertex_set(g: Graph, vs: Iterable[str], what: str) -> frozenset[str]:
 
 
 def _terminals(g: Graph, s: Iterable[str], t: Iterable[str]) -> tuple[frozenset[str], frozenset[str]]:
-    return _vertex_set(g, s, "s"), _vertex_set(g, t, "t")
+    return _vertex_set(_checked(g), s, "s"), _vertex_set(g, t, "t")
 
 
 def _solve(g: Graph, s: frozenset[str], t: frozenset[str], within: int | None = None, cap: int | None = None):
@@ -362,10 +375,23 @@ def _solve(g: Graph, s: frozenset[str], t: frozenset[str], within: int | None = 
     queues the new in-nodes `closed[v] & ~seen`, lowest bit first. That is
     the order of a scan of the residual arcs by increasing vertex, so the
     paths and the cut follow from g's sorted vertex order alone, which
-    inside a mask is the induced subgraph's own. The search that finds no
-    augmenting path has reached exactly the source side of the leftmost
-    minimum cut: the cut is the vertices whose in-node it reached and whose
-    out-node it did not.
+    inside a mask is the induced subgraph's own.
+
+    The search never expands the out-node of a vertex of t, so no unit
+    comes from a t vertex: a used t vertex ends its path, and like every
+    vertex it keeps its unit. So `free_t`, the unused vertices of t, loses
+    one bit per augmentation. The queue is first in, first out, so the
+    first vertex of `free_t` a search would pop is the first it discovers:
+    the search stops at its discovery, the lowest bit of the new in-nodes
+    in `free_t`, without expanding what was queued before it. A start in
+    t is popped before anything is expanded, so the first searches each
+    end at the least unused such start; they are done up front, as
+    one-vertex paths, up to the cap. So the augmenting paths, their order
+    and the cut are those of a search that stops only on popping a vertex
+    of `free_t`. The search that finds no augmenting path runs to the end
+    and has reached exactly the source side of the leftmost minimum cut:
+    the cut is the vertices whose in-node it reached and whose out-node it
+    did not.
 
     Results are memoized on g by (s, t, within, cap), with an unrestricted
     call keyed by the full mask, so a capped solve is never served to an
@@ -378,23 +404,27 @@ def _solve(g: Graph, s: frozenset[str], t: frozenset[str], within: int | None = 
         within = full
     key = (s, t, within, cap)
     memo = g._flow_memo
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
+    solved = memo.get(key)
+    if solved is not None:
+        return solved
     src = n
     starts = sorted(index[v] for v in s)
-    blocked = full & ~within | g.mask(s)
-    in_t = [False] * n
-    for v in t:
-        in_t[index[v]] = True
+    s_mask = g.mask(s)
+    blocked = full & ~within | s_mask
+    free_t = g.mask(t)
     into = [-1] * n
+    # the first searches, each ending at the least unused start in t
+    trivial = list(_select(range(n), s_mask & free_t))[:cap]
+    for v in trivial:
+        into[v] = src
+        free_t ^= 1 << v
+    flow = len(trivial)
     # the out-node vertex that reached each in-node (`src` for the starts),
     # and the in-node vertex that reached each out-node, in the latest
     # search: only the nodes on the path it finds are read back, so they
     # need no reset
     via_out = [src] * n
     via_in = [-1] * n
-    flow = 0
     while flow != cap:
         seen = blocked
         queue = starts.copy()
@@ -406,10 +436,13 @@ def _solve(g: Graph, s: frozenset[str], t: frozenset[str], within: int | None = 
             elif v == src:
                 continue
             via_in[v] = x
-            if in_t[v]:
-                last = v
-                break
             new = closed[v] & ~seen
+            hit = new & free_t
+            if hit:
+                last = (hit & -hit).bit_length() - 1
+                via_out[last] = v
+                via_in[last] = last
+                break
             seen |= new
             while new:
                 low = new & -new
@@ -434,6 +467,7 @@ def _solve(g: Graph, s: frozenset[str], t: frozenset[str], within: int | None = 
                 break
             if v != w:
                 into[w] = v
+        free_t ^= 1 << last
         flow += 1
     onward = [-1] * n
     for v, u in enumerate(into):
@@ -458,8 +492,8 @@ def _solve(g: Graph, s: frozenset[str], t: frozenset[str], within: int | None = 
             for v in _select(range(n), seen & within)
             if into[v] != -1 and not (onward[v] >= 0 and seen >> onward[v] & 1)
         )
-    memo[key] = hit = (tuple(paths), cut)
-    return hit
+    memo[key] = solved = (tuple(paths), cut)
+    return solved
 
 
 def disjoint_paths(g: Graph, s: Iterable[str], t: Iterable[str]) -> list[list[str]]:

@@ -35,7 +35,7 @@ from .errors import (
     OrientationUndecidableError,
     PreconditionError,
 )
-from .graph import Graph, _select, _tight, _vertex_set
+from .graph import Graph, _checked, _select, _tight, _vertex_set
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     NestedSet,
@@ -387,7 +387,7 @@ def pseudo_tight_check(
     sorted order, with the largest count; the counts are read from one
     table, built once per call from each item's tight B-side components.
     """
-    g = g_window
+    g = _checked(g_window)
     for item in seq:
         if not is_tight(g, item):
             raise PreconditionError(f"sequence item {item!r} is not tight")
@@ -546,7 +546,7 @@ def limit_separator_prefix(seq: SeparationSequence) -> frozenset[str]:
     separator through the last `_LOOKBACK` items (membership in A and B is
     monotone along the sequence, so the limit separator is exactly the set
     of vertices eventually always in the separators)."""
-    items = seq.items[-_LOOKBACK:]
+    items = _checked(seq, SeparationSequence).items[-_LOOKBACK:]
     if not items:
         raise PreconditionError("an empty sequence has no limit separator")
     prefix = items[0].separator

@@ -60,7 +60,7 @@ from .errors import (
     SequenceOrderError,
     UnknownVertexError,
 )
-from .graph import Graph, _as_json, _edge, _field, _flood, _least, _ordered, _select, _tight
+from .graph import Graph, _as_json, _checked, _edge, _field, _flood, _least, _ordered, _select, _tight
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
@@ -87,6 +87,7 @@ class Separation:
     sort_key: tuple[tuple[str, ...], tuple[str, ...]]
 
     def __init__(self, graph: Graph, side_a: Iterable[str], side_b: Iterable[str]):
+        _checked(graph)
         masks, unknown = [], []
         for side in (side_a, side_b):
             try:
@@ -385,7 +386,7 @@ def enumerate_separations(
     graph object (`is`) at its order or lower gets a copy, cut to max_order,
     after the same two budget checks.
     """
-    return _enumeration(g, max_order, budget)[0][:]
+    return _enumeration(_checked(g), max_order, budget)[0][:]
 
 
 def _enumeration(g: Graph, max_order: int, budget: int) -> tuple[list[Separation], list[tuple[int, list[int]]]]:
@@ -576,6 +577,7 @@ class NestedSet:
     members: frozenset[Separation]
 
     def __post_init__(self):
+        _checked(self.graph)
         for s in self.members:  # before `_ordered` reads their sort keys
             _ambient(self.graph, s)
         crossing = first_crossing(self._ordered)

@@ -39,7 +39,7 @@ from .errors import (
     OrientationUndecidableError,
     PreconditionError,
 )
-from .graph import Graph, _as_json, _field, _flood, disjoint_paths, minimum_separator
+from .graph import Graph, _as_json, _checked, _field, _flood, disjoint_paths, minimum_separator
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     Separation,
@@ -154,6 +154,7 @@ class TangleWitness:
     window: int = -1
 
     def __post_init__(self):
+        _checked(self.graph)
         if self.kind not in ("clique", "end_region"):
             raise FamilyParameterError(f"unknown witness kind {self.kind!r}")
         if type(self.order_bound) is not int or self.order_bound < 1:  # not bool, as in `PreTangle.from_json`
@@ -673,7 +674,7 @@ def enumerate_tangles(
     orientations: lexicographic in the choice vector over the (order,
     `sort_key`) separation order, "b" first.
     """
-    if not g.vertices:
+    if not _checked(g).vertices:
         raise EmptyGraphError("enumerate_tangles requires a non-empty graph")
     if not g.is_connected():
         raise DisconnectedGraphError("enumerate_tangles requires a connected graph")
@@ -845,6 +846,7 @@ def distinguishable_pairs(
 ) -> list[tuple[tuple[int, int], int]]:
     """All unordered distinguishable pairs (as index pairs) with their
     efficient order, sorted ascending by (order, i, j)."""
+    _checked(g)
     out = []
     for i in range(len(tangles)):
         for j in range(i + 1, len(tangles)):

@@ -35,7 +35,7 @@ from .errors import (
     SeparationError,
     UnknownVertexError,
 )
-from .graph import Graph, _as_json, _field, _flood, _select, _solve, components, minimum_separator
+from .graph import Graph, _as_json, _checked, _field, _flood, _select, _solve, components, minimum_separator
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     NestedSet,
@@ -104,7 +104,7 @@ def build_tree_of_tangles(
     """Greedy nested set efficiently distinguishing the given tangles.
 
     Each materialized tangle is checked first; witnesses are not."""
-    if not g.is_connected():
+    if not _checked(g).is_connected():
         raise DisconnectedGraphError("build_tree_of_tangles requires a connected graph")
     for t in tangles:
         if isinstance(t, PreTangle):
@@ -212,6 +212,7 @@ def verify_tree_of_tangles(
     "irrelevant" otherwise; each distinguishable pair is "efficient" or
     "missed" as `classify_pairs` finds it without a window boundary.
     """
+    _checked(g)
     ms = list(n)
     verdicts = classify_pairs(g, ms, tangles, budget=budget)
     relevance: dict = {}
@@ -314,7 +315,7 @@ def induce_tree_decomposition(g: Graph, n: NestedSet) -> TreeDecomposition:
     |n| tree edges. Every edge induces exactly its member, so the induced
     separation set is n.
     """
-    if not g.vertices:
+    if not _checked(g).vertices:
         raise EmptyGraphError("empty graph has no tree-decomposition here")
     if not g.is_connected():
         raise DisconnectedGraphError("induce_tree_decomposition requires connectivity")
@@ -387,6 +388,7 @@ def verify_tree_decomposition(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> TreeDecompositionReport:
     """Check (T1)-(T3), the induced separations, and pairwise efficiency."""
+    _checked(g)
     witnesses: dict = {}
     tree = td.tree
     tree_ok = not td.nodes or (

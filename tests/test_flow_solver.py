@@ -2,6 +2,7 @@
 comb and packing flows of `ends`, pinned against the tuple-keyed reference
 network in the oracles, on whole graphs and under a vertex mask."""
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -15,6 +16,8 @@ from tangletree.families import generate_family
 from tangletree.graph import Graph, _solve, disjoint_paths, minimum_separator
 from .conftest import cycle_graph, grid_graph, path_graph, random_connected_graph
 from .oracles import flow_reference, paths_from_base_reference, teeth_paths_reference
+
+PINNED_SOLVE_DIGEST = "efc5403244eab88e305db2209f4fbc0017abd7ff2d93f7217d0fa54602b50b49"
 
 
 def _solved(g, s, t):
@@ -195,3 +198,75 @@ def test_ends_flows_match_their_references_on_the_chain_window(scaled_chain):
         assert ends._paths_from_base(g, base, strict_b, boundary) == paths_from_base_reference(
             g, base, strict_b, boundary
         )
+
+
+def test_solver_matches_reference_on_the_horizon_five_window(scaled_chain):
+    """The 194-vertex window, where a search meets t after a few layers of a
+    long queue: 30 pairs of 5-vertex terminal sets drawn as the benchmark
+    draws its flow queries (one vertex from each tenth of the sorted names,
+    the even tenths giving s and the odd ones t), each also capped, and
+    every pair of ray prefixes at the cap the ray classes use."""
+    g = scaled_chain.graph_at(5)
+    assert len(g.vertices) == 194
+    vertices = sorted(g.vertices)
+    strata = [vertices[i * 194 // 10 : (i + 1) * 194 // 10] for i in range(10)]
+    rng = random.Random(2505)
+    for _ in range(30):
+        picked = [rng.choice(stratum) for stratum in strata]
+        s, t = frozenset(picked[0::2]), frozenset(picked[1::2])
+        reference = flow_reference(g, s, t)
+        assert _solved(g, s, t) == reference
+        _check_capped(g, s, t, g.vertices, rng.randint(0, 6), reference)
+    labels = sorted(scaled_chain.rays_in_layer(5))
+    assert len(labels) == 6
+    for a, b in combinations(labels, 2):
+        s, t = frozenset(scaled_chain.ray_prefix(a, 5)), frozenset(scaled_chain.ray_prefix(b, 5))
+        _check_capped(g, s, t, g.vertices, ends._JOINING_PATHS, flow_reference(g, s, t))
+
+
+def _solve_digest() -> str:
+    """SHA-256 of `_solve`'s (paths, cut) over a fixed seeded corpus: 3,000
+    random graphs of 1-16 vertices, half of them thinned and half solved
+    inside a random vertex mask, each at caps None, 0, 1, 2, 3 and 5; then
+    300 queries on the horizon-5 clique-chain window, a third of them
+    masked, each at one of those caps."""
+    digest = hashlib.sha256()
+
+    def record(g, s, t, within, cap):
+        paths, cut = _solve(g, s, t, None if within is None else g.mask(within), cap)
+        digest.update(repr((paths, None if cut is None else sorted(cut))).encode())
+
+    caps = (None, 0, 1, 2, 3, 5)
+    for seed in range(3000):
+        rng = random.Random(seed)
+        n = rng.randint(1, 16)
+        g = random_connected_graph(rng, n)
+        if rng.random() < 0.5:
+            g = Graph.from_data(g.vertices, [e for e in sorted(g.edges) if rng.random() < 0.5])
+        verts = sorted(g.vertices)
+        within = frozenset(rng.sample(verts, rng.randint(1, n))) if rng.random() < 0.5 else None
+        inside = sorted(within) if within else verts
+        s = frozenset(rng.sample(inside, rng.randint(1, min(5, len(inside)))))
+        t = frozenset(rng.sample(inside, rng.randint(1, min(5, len(inside)))))
+        for cap in caps:
+            record(g, s, t, within, cap)
+    p = generate_family("clique_chain", {"horizon": 5, "sizes": [8, 12, 20, 36]})
+    g = p.graph_at(5)
+    verts = sorted(g.vertices)
+    rng = random.Random(300)
+    for i in range(300):
+        s = frozenset(rng.sample(verts, rng.randint(1, 8)))
+        t = frozenset(rng.sample(verts, rng.randint(1, 8)))
+        within = None
+        if i % 3 == 1:
+            within = s | t | frozenset(rng.sample(verts, rng.randrange(len(verts))))
+        record(g, s, t, within, rng.choice(caps))
+    return digest.hexdigest()
+
+
+def test_solver_outputs_keep_their_pinned_digest():
+    """Byte identity of every path and cut over the corpus of `_solve_digest`.
+    The digest was computed at commit 381b67c, before the search stopped at
+    the first free vertex of t it discovers; a kernel change that moves a
+    single path or cut changes it."""
+    assert _solve_digest() == PINNED_SOLVE_DIGEST

@@ -18,9 +18,22 @@ from tangletree.graph import (
     minimum_separator,
     tight_components,
 )
-from tangletree.separations import NestedSet, Separation, SeparationSequence
-from tangletree.tangles import PreTangle
-from tangletree.tree_of_tangles import TreeDecomposition
+from tangletree.limits import limit_separator_prefix, pseudo_tight_check
+from tangletree.separations import (
+    NestedSet,
+    Separation,
+    SeparationSequence,
+    enumerate_separations,
+    make_separation,
+)
+from tangletree.tangles import PreTangle, clique_witness, distinguishable_pairs, enumerate_tangles
+from tangletree.tree_of_tangles import (
+    TreeDecomposition,
+    build_tree_of_tangles,
+    induce_tree_decomposition,
+    verify_tree_decomposition,
+    verify_tree_of_tangles,
+)
 from .conftest import cycle_graph, grid_graph, path_graph, random_connected_graph, star_graph
 from .oracles import components_reference, min_cut_brute, tight_components_reference
 
@@ -51,6 +64,45 @@ def test_unknown_vertex_names_still_raise_unknown_vertex_errors():
         components(g, ["zz", "p00", "yy"])
     with pytest.raises(UnknownVertexError, match="^zz$"):
         g.mask(iter(["p00", "zz", "p01"]))
+
+
+_PATH3 = path_graph(3)
+_CALLS_ON_A_GRAPH = {
+    "Separation": lambda g: Separation(g, {"p00"}, _PATH3.vertices),
+    "make_separation": lambda g: make_separation(g, {"p00"}, _PATH3.vertices),
+    "NestedSet.of": lambda g: NestedSet.of(g, []),
+    "enumerate_separations": lambda g: enumerate_separations(g, 1),
+    "enumerate_tangles": lambda g: enumerate_tangles(g, 2),
+    "disjoint_paths": lambda g: disjoint_paths(g, {"p00"}, {"p02"}),
+    "minimum_separator": lambda g: minimum_separator(g, {"p00"}, {"p02"}),
+    "components": lambda g: components(g),
+    "tight_components": lambda g: tight_components(g, {"p01"}),
+    "clique_witness": lambda g: clique_witness(g, {"p00", "p01"}, 1),
+    "distinguishable_pairs": lambda g: distinguishable_pairs(g, []),
+    "build_tree_of_tangles": lambda g: build_tree_of_tangles(g, []),
+    "verify_tree_of_tangles": lambda g: verify_tree_of_tangles(g, NestedSet.of(_PATH3, []), []),
+    "induce_tree_decomposition": lambda g: induce_tree_decomposition(g, None),
+    "verify_tree_decomposition": lambda g: verify_tree_decomposition(
+        g, induce_tree_decomposition(_PATH3, NestedSet.of(_PATH3, [])), NestedSet.of(_PATH3, []), []
+    ),
+    "pseudo_tight_check": lambda g: pseudo_tight_check(
+        g, SeparationSequence.strictly_increasing([Separation(_PATH3, {"p00"}, _PATH3.vertices)])
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [None, "x", _PATH3.edges], ids=["None", "str", "edge set"])
+@pytest.mark.parametrize("call", _CALLS_ON_A_GRAPH.values(), ids=_CALLS_ON_A_GRAPH)
+def test_an_argument_that_is_no_graph_raises_a_precondition_error(call, bad):
+    with pytest.raises(PreconditionError, match=f"^expected a Graph, got {type(bad).__name__}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [None, "x", []], ids=["None", "str", "list"])
+def test_a_limit_prefix_of_no_sequence_raises_a_precondition_error(bad):
+    message = f"^expected a SeparationSequence, got {type(bad).__name__}$"
+    with pytest.raises(PreconditionError, match=message):
+        limit_separator_prefix(bad)
 
 
 def test_load_smallest_nonempty():
