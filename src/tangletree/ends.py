@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FamilyParameterError, PreconditionError
-from .graph import Graph, _flood, _solve, components
+from .families import LayeredPresentation
+from .graph import Graph, _checked, _flood, _solve, components
 from .limits import _growth_table, exhaustiveness_evidence, limit_separator_prefix
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -110,7 +111,7 @@ def find_comb(
     """
     if t < 1:
         raise PreconditionError("at least one tooth is required")
-    g = p.graph_at(m)
+    g = _checked(p, kind=LayeredPresentation).graph_at(m)
     u = frozenset(u) & g.vertices
     labels = p.rays_in_layer(m)
     if not labels:
@@ -182,6 +183,10 @@ def directions_in_closure(
     """Equivalence classes whose rays admit combs with `min_teeth` teeth in u."""
     if min_teeth < 1:
         raise PreconditionError("at least one tooth is required")
+    return _directions_in_closure(_checked(p, kind=LayeredPresentation), m, u, min_teeth)
+
+
+def _directions_in_closure(p: LayeredPresentation, m: int, u, min_teeth: int) -> DirectionsReport:
     g = p.graph_at(m)
     u = frozenset(u) & g.vertices
     all_classes = ray_equivalence_classes(p, m)
@@ -246,6 +251,10 @@ def ray_packing(p, m: int, direction: Direction, base) -> RayPacking:
     """Maximum disjoint base-to-boundary paths inside the direction's
     territory (the components of G_m - base holding the direction's ray
     tails)."""
+    return _ray_packing(_checked(p, kind=LayeredPresentation), m, direction, base)
+
+
+def _ray_packing(p: LayeredPresentation, m: int, direction: Direction, base) -> RayPacking:
     g = p.graph_at(m)
     base = frozenset(base)
     territory = _direction_territory(p, m, direction, base)
@@ -354,6 +363,7 @@ def thick_end_pipeline(
     the pool) are re-verified as far as the window allows; clique-pair
     efficiency deficits caused by the window edge are flagged, not fatal.
     """
+    _checked(p, kind=LayeredPresentation)
     stages: list[StageReport] = []
     top = max(chains)
     g = p.graph_at(top)
@@ -394,7 +404,7 @@ def thick_end_pipeline(
 
     # stage 2: unique direction in the closure of the limit separator
     u_top = limit_separator_prefix(chains[top])
-    report = directions_in_closure(p, top, u_top)
+    report = _directions_in_closure(p, top, u_top, _JOINING_PATHS)
     stages.append(
         StageReport(
             "direction",
@@ -414,7 +424,7 @@ def thick_end_pipeline(
     packs = []
     for m in horizons:
         base_m = limit_separator_prefix(chains[m])
-        packs.append((m, ray_packing(p, m, direction, base_m).size))
+        packs.append((m, _ray_packing(p, m, direction, base_m).size))
     growing = len(packs) >= 3 and all(a[1] < b[1] for a, b in zip(packs, packs[1:]))
     # finite proxy for thickness: growing packings reach every size up to the
     # largest one, which some horizon attains, so the proxy is the growth
@@ -469,7 +479,7 @@ def thin_end_bound(
     final item retains only the boundary fringe. The search is exhaustive
     over the window's separations of order up to each candidate K.
     """
-    g = p.graph_at(m)
+    g = _checked(p, kind=LayeredPresentation).graph_at(m)
     boundary = p.boundary(m)
     fringe = boundary | g.neighbourhood(boundary)
     tails = set()

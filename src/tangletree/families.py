@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import FamilyParameterError, GraphFormatError
-from .graph import Graph, _as_json, _edge, _field
+from .graph import Graph, _as_json, _checked, _edge, _field
 from .separations import Separation, SeparationSequence
 
 FAMILIES = ("clique_chain", "ray", "double_ray", "grid", "binary_tree")
@@ -211,7 +211,7 @@ class LayeredPresentation:
 
 def truncate(p: LayeredPresentation, m: int) -> tuple[Graph, frozenset[str]]:
     """The finite window G_m with its boundary toward the next layer."""
-    return p.graph_at(m), p.boundary(m)
+    return _checked(p, kind=LayeredPresentation).graph_at(m), p.boundary(m)
 
 
 def _require_horizon(params: dict) -> int:
@@ -356,7 +356,7 @@ def generate_family(name: str, params: dict) -> LayeredPresentation:
 def load_presentation_spec(text: str) -> LayeredPresentation:
     """Parse `{"family": ..., "params": {...}}` and generate the family."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(_checked(text, kind=str))
     except json.JSONDecodeError as exc:
         raise GraphFormatError(
             f"invalid JSON: {exc.msg}", context=f"line {exc.lineno}, column {exc.colno}"

@@ -187,7 +187,7 @@ class Graph:
 def load_graph(text: str) -> Graph:
     """Parse a graph document, reporting malformed input with context."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(_checked(text, kind=str))
     except json.JSONDecodeError as exc:
         raise GraphFormatError(
             f"invalid JSON: {exc.msg}", context=f"line {exc.lineno}, column {exc.colno}"
@@ -302,6 +302,53 @@ def _tight(g: Graph, x: int) -> list[int]:
     """The masks of the components K of g - x with N(K) = x."""
     closed = g._vertex_index[2]
     return [k for k in _flood(g, x) if reduce(or_, _select(closed, k), 0) ^ k == x]
+
+
+def _blocks(g: Graph) -> list[int]:
+    """The blocks of connected g, its maximal 2-connected subgraphs and its
+    bridges, as vertex masks, by a lowpoint depth-first search from the
+    first vertex on its own stack, with no recursion. low[v] is the least
+    discovery time reachable from v's subtree by one back edge; a child w
+    of u with low[w] >= disc[u] closes the block of u and the vertices
+    discovered since w. A single vertex is one block."""
+    closed = g._vertex_index[2]
+    disc = [-1] * len(closed)
+    low = [0] * len(closed)
+    disc[0] = 0
+    clock = 1
+    pending = [0]  # the discovered vertices not yet in a closed block
+    stack = [[0, closed[0] ^ 1]]  # [vertex, its neighbours not yet tried]
+    blocks = []
+    while stack:
+        top = stack[-1]
+        v, untried = top
+        if untried:
+            bit = untried & -untried
+            top[1] = untried ^ bit
+            w = bit.bit_length() - 1
+            if disc[w] < 0:
+                disc[w] = low[w] = clock
+                clock += 1
+                pending.append(w)
+                stack.append([w, closed[w] ^ bit])
+            elif disc[w] < low[v]:
+                low[v] = disc[w]
+            continue
+        stack.pop()
+        if not stack:
+            break
+        u = stack[-1][0]
+        if low[v] < low[u]:
+            low[u] = low[v]
+        if low[v] >= disc[u]:
+            block = 1 << u
+            while True:
+                x = pending.pop()
+                block |= 1 << x
+                if x == v:
+                    break
+            blocks.append(block)
+    return blocks or [1]
 
 
 def _checked(value, kind: type = Graph):

@@ -132,6 +132,8 @@ def check_interlaced_pair(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> InterlacingReport:
     """Verify IM1 pointwise and IM2 for every index pair i < j."""
+    _checked(g)
+    _checked(ip, kind=InterlacedPair)
     im1_witness = _im1_witness(ip.sequence, ip.tangles)
     im2_witness = None
     if im1_witness is None:
@@ -336,7 +338,7 @@ def thin_out(ip: InterlacedPair) -> ThinOutReport:
     order; j(i) the last index after j(i-1) attaining the minimal remaining
     order. Orders become strictly increasing; the co-selected tangles keep
     IM1 and IM2."""
-    seq = ip.sequence
+    seq = _checked(ip, kind=InterlacedPair).sequence
     if not seq.items:
         return ThinOutReport((), ip)
     selected = _last_minima([item.order for item in seq])

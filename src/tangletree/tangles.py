@@ -7,6 +7,13 @@ orientations (repetition allowed) from covering the graph as subgraphs:
 G[A1] | G[A2] | G[A3] = G, on vertices and edges. The search and
 `check_tangle` decide that on vertex masks alone (see `_rest`).
 
+`enumerate_tangles` finds the tangles of order k as havens, one component
+β(S) of G - S per separator S with |S| < k, by one depth-first search,
+`_havens`. When k >= 2 and G has a cut vertex it runs that search on each
+block of G with at least k vertices and lifts the block's havens to G, so
+the separators through a cut vertex no longer multiply one search over
+the whole graph (see `_block_havens`).
+
 Two representations share one orientation-query contract (`order_bound`,
 `toward`, `graph`): the materialized PreTangle mapping, and the lazy
 TangleWitness whose orientation is computed per query. `toward(sep)` names
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -39,7 +47,19 @@ from .errors import (
     OrientationUndecidableError,
     PreconditionError,
 )
-from .graph import Graph, _as_json, _checked, _field, _flood, disjoint_paths, minimum_separator
+from .families import LayeredPresentation
+from .graph import (
+    Graph,
+    _as_json,
+    _blocks,
+    _checked,
+    _field,
+    _flood,
+    _select,
+    _vertex_set,
+    disjoint_paths,
+    minimum_separator,
+)
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     Separation,
@@ -259,11 +279,11 @@ def _orienting(g: Graph, *orienters, kind: type = Orienter) -> None:
 
 
 def clique_witness(g: Graph, clique: Iterable[str], order_bound: int) -> TangleWitness:
-    return TangleWitness("clique", g, order_bound, clique=frozenset(clique))
+    return TangleWitness("clique", g, order_bound, clique=_vertex_set(_checked(g), clique, "a clique"))
 
 
 def end_region_witness(presentation, spine: str, window: int, order_bound: int) -> TangleWitness:
-    g = presentation.graph_at(window)
+    g = _checked(presentation, kind=LayeredPresentation).graph_at(window)
     return TangleWitness(
         "end_region",
         g,
@@ -276,7 +296,7 @@ def end_region_witness(presentation, spine: str, window: int, order_bound: int) 
 
 def materialize(w: TangleWitness, *, budget: int = DEFAULT_ENUMERATION_BUDGET) -> PreTangle:
     """Expand a witness into the explicit orientation mapping (small graphs)."""
-    seps = enumerate_separations(w.graph, w.order_bound - 1, budget=budget)
+    seps = enumerate_separations(_checked(w, kind=TangleWitness).graph, w.order_bound - 1, budget=budget)
     choices = {sep: w.toward(sep) for sep in seps}
     for sep, toward in choices.items():
         if toward is None:
@@ -657,23 +677,27 @@ def enumerate_tangles(
     allowed, cover G: every small side lies inside its separator's.
 
     The separators and their components are those `enumerate_separations`
-    flooded, read off its slot. Each (S, component) pair is encoded once as
-    a `_mask_encoder` tuple. A separator with one component C is forced,
-    with side V - C = S; those sides go into the antichain (see
-    `_Antichains` and `check_tangle`) once, at the root, largest first, and
-    a covering triple among them leaves no tangle. The search then branches
-    over the separators with two or more components, in enumeration order,
-    trying each component in turn; a node is one such try, and `budget`
-    counts nodes only: the enumeration runs under
-    `DEFAULT_ENUMERATION_BUDGET`, whatever `budget` is. A choice is pruned
-    on the first covering triple that its side closes. The search keeps
-    its own stack, so its depth is not bounded by the interpreter's
-    recursion limit.
+    flooded, read off its slot; `_havens` searches them. When k >= 2 and G
+    has a cut vertex, a separator of size 1 with two or more components,
+    each block (maximal 2-connected subgraph or bridge) with at least k
+    vertices is searched on its own and its havens are lifted to G (see
+    `_block_havens`): every tangle of order k >= 2 lives in one block, and
+    a block with fewer than k vertices has none. That claim is checked
+    against the whole-graph search and the brute-force oracle by a
+    property test, not proved here. `budget` counts the search's nodes,
+    summed over the blocks; the enumeration runs under
+    `DEFAULT_ENUMERATION_BUDGET`, whatever `budget` is.
 
     The tangles are sorted at the end into the order of a search over
     orientations: lexicographic in the choice vector over the (order,
     `sort_key`) separation order, "b" first.
     """
+    return _search_tangles(g, k, budget)
+
+
+def _search_tangles(g: Graph, k: int, budget: int, split: bool = True) -> list[Tangle]:
+    """`enumerate_tangles`; with split False, by one search on the whole
+    graph even where G has a cut vertex."""
     if not _checked(g).vertices:
         raise EmptyGraphError("enumerate_tangles requires a non-empty graph")
     if not g.is_connected():
@@ -681,8 +705,31 @@ def enumerate_tangles(
     if k < 1:
         raise PreconditionError(f"tangle order must be at least 1, got {k}")
     seps, floods = _enumeration(g, k - 1, DEFAULT_ENUMERATION_BUDGET)
+    # the separators of size 1 follow the empty one when k >= 2
+    if split and any(len(comps) > 1 for _, comps in floods[1 : len(g.vertices) + 1]):
+        havens = _block_havens(g, k, floods, budget)
+    else:
+        havens = _havens(g, k, floods, budget)[0]
+    return _tangles_of(g, k, seps, havens)
+
+
+def _havens(g: Graph, k: int, floods, budget: int, nodes: int = 0) -> tuple[list[dict[int, int]], int]:
+    """The havens of order k of g over `floods`, the separators S with
+    |S| < k and the components of G - S, as masks, in enumeration order:
+    one map S -> β(S) per haven, and the search's node count added to
+    `nodes`, which past `budget` raises BudgetExceededError.
+
+    Each (S, component) pair is encoded once as a `_mask_encoder` tuple. A
+    separator with one component C is forced, with side V - C = S; those
+    sides go into the antichain (see `_Antichains` and `check_tangle`)
+    once, at the root, largest first, and a covering triple among them
+    leaves no haven. The search then branches over the separators with two
+    or more components, in the order of `floods`, trying each component in
+    turn; a node is one such try. A choice is pruned on the first covering
+    triple that its side closes. The search keeps its own stack, so its
+    depth is not bounded by the interpreter's recursion limit."""
     if not floods[-1][1]:
-        return []  # the separator V leaves no component: every side of (V, V) covers G
+        return [], nodes  # the separator V leaves no component: every side of (V, V) covers G
     closed = _tables(g._vertex_index[2])
     encode = _mask_encoder(g, closed)
     full = (1 << len(g.vertices)) - 1
@@ -690,15 +737,17 @@ def enumerate_tangles(
     # antichain's covering scan, which reads members in index order, meets
     # their large sides before the forced ones
     family = []
-    branching = []  # (first member, its number of components) per branching separator
+    branching = []  # (separator, its components, its first member) per branching separator
     for s, comps in floods:
         if len(comps) > 1:
-            branching.append((len(family), len(comps)))
+            branching.append((s, comps, len(family)))
             for c in comps:
                 family.append(encode(full ^ c, s | c, len(family)))
     first_forced = len(family)
+    forced = {}
     for s, comps in floods:
         if len(comps) == 1:
+            forced[s] = comps[0]
             family.append(encode(s, full, len(family)))
     antichains = _Antichains(g, family, closed)
     insert, closes = antichains.insert, antichains.closes
@@ -707,22 +756,23 @@ def enumerate_tangles(
         grown = insert(chain, x)
         if grown is not chain:
             if closes(grown, x):
-                return []
+                return [], nodes
             chain = grown
     undo = []  # chain before each chosen component
-    picks = []  # the chosen members of each tangle, one per branching separator
-    nodes = 0
+    havens = []
     # stack[i] is the next component to try at branching separator i
     stack = [0]
     while stack:
         i = len(stack) - 1
         if i == len(branching):
-            picks.append([first + j - 1 for (first, _), j in zip(branching, stack)])
-        elif stack[i] < branching[i][1]:
+            beta = dict(forced)
+            beta.update((s, comps[j - 1]) for (s, comps, _), j in zip(branching, stack))
+            havens.append(beta)
+        elif stack[i] < len(branching[i][1]):
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError("tangle search nodes", budget)
-            x = branching[i][0] + stack[i]
+            x = branching[i][2] + stack[i]
             stack[i] += 1
             grown = insert(chain, x)
             # a member's side A holding x's means every triple through x was tested
@@ -734,23 +784,71 @@ def enumerate_tangles(
         stack.pop()
         if i:
             chain = undo.pop()
-    return _tangles_of(g, k, seps, floods, family, picks)
+    return havens, nodes
 
 
-def _tangles_of(g: Graph, k: int, seps: list[Separation], floods, family: list[tuple], picks: list) -> list[Tangle]:
-    """The tangles of the picks, each the chosen member of every branching
-    separator, in the order of `enumerate_tangles`. A separation (A, B) with
-    separator S points toward "b" iff β(S) meets B; a member (V - β, S | β)
-    gives β as its B - A."""
-    beta = {s: comps[0] for s, comps in floods if len(comps) == 1}
+def _block_havens(g: Graph, k: int, floods, budget: int) -> list[dict[int, int]]:
+    """The havens of order k >= 2 of g, which has a cut vertex, as maps
+    S -> β(S) over `floods`: the lifts of the havens of its blocks with at
+    least k vertices.
+
+    Each such block H is searched by `_havens` as a graph of its own, on
+    floods read off g's: for S inside V(H), the components of H - S are
+    the nonempty traces on V(H) of those of G - S, because a path of G - S
+    that leaves H comes back through the cut vertex it left by. They are
+    listed as an enumeration of H would list them, so each block search is
+    the whole-graph search of H, and its nodes count against `budget`.
+    A haven β_H of H lifts to the β of g that picks, for each separator S
+    of g, the component of G - S that meets β_H(S & V(H)): that set is
+    connected and misses S. A separator with one component keeps it."""
+    names, _, closed = g._vertex_index
+    components = dict(floods)
+    forced = {s: comps[0] for s, comps in floods if len(comps) == 1}
+    branching = [(s, comps) for s, comps in floods if len(comps) > 1]
+    havens, nodes = [], 0
+    for block in _blocks(g):
+        if block.bit_count() < k:
+            continue
+        positions = list(_bits(block))  # vertex i of H is vertex positions[i] of g
+        local = {v: 1 << i for i, v in enumerate(positions)}
+
+        def trace(m: int) -> int:
+            return sum(local[v] for v in _bits(m & block))
+
+        h = Graph(
+            frozenset(_select(names, block)),
+            frozenset((names[u], names[w]) for u in positions for w in _bits(closed[u] & block) if w > u),
+        )
+        h_floods, outer = [], {}  # outer: each separator of h as a mask of g
+        for size in range(k):
+            for s in map(sum, combinations([1 << v for v in positions], size)):
+                s_h, comps = trace(s), components[s]
+                if len(comps) == 1:  # H - S is not empty: |S| < k <= |V(H)|
+                    h_floods.append((s_h, [((1 << len(positions)) - 1) ^ s_h]))
+                else:
+                    h_floods.append((s_h, sorted((trace(c) for c in comps if c & block), key=lambda c: c & -c)))
+                outer[s_h] = s
+        found, nodes = _havens(h, k, h_floods, budget, nodes)
+        for beta_h in found:
+            # a vertex of g in β_H(S & V(H)), per separator of g inside V(H)
+            inside = {outer[s]: 1 << positions[(c & -c).bit_length() - 1] for s, c in beta_h.items()}
+            beta = dict(forced)
+            for s, comps in branching:
+                v = inside[s & block]
+                for c in comps:
+                    if c & v:
+                        beta[s] = c
+                        break
+            havens.append(beta)
+    return havens
+
+
+def _tangles_of(g: Graph, k: int, seps: list[Separation], havens: list[dict[int, int]]) -> list[Tangle]:
+    """The tangles of the havens, each a map S -> β(S) over the separators
+    of seps, in the order of `enumerate_tangles`. A separation (A, B) with
+    separator S points toward "b" iff β(S) meets B."""
     sides = [(a & b, b) for a, b in (sep.masks for sep in seps)]
-    vectors = []
-    for pick in picks:
-        for x in pick:
-            a, b = family[x][:2]
-            beta[a & b] = b & ~a
-        vectors.append([not beta[s] & b for s, b in sides])  # True: toward "a"
-    vectors.sort()  # False first: "b" first
+    vectors = sorted([not beta[s] & b for s, b in sides] for beta in havens)  # True: toward "a"; "b" first
     return [Tangle(g, k, dict(zip(seps, ["ba"[t] for t in v]))) for v in vectors]
 
 

@@ -112,6 +112,22 @@ def separation_fault_reference(g: Graph, side_a: frozenset[str], side_b: frozens
     return None
 
 
+def blocks_reference(g: Graph) -> list[frozenset[str]]:
+    """The blocks of g by their definition, over every vertex set: the
+    inclusion-maximal sets X such that G[X] is connected and no vertex of X
+    disconnects it, sorted by their sorted names."""
+    names = sorted(g.vertices)
+    candidates = []
+    for size in range(1, len(names) + 1):
+        for xs in combinations(names, size):
+            inside = g.induced(xs)
+            if len(components_reference(inside)) == 1 and all(
+                len(components_reference(inside, {v})) <= 1 for v in xs
+            ):
+                candidates.append(frozenset(xs))
+    return sorted((x for x in candidates if not any(x < y for y in candidates)), key=sorted)
+
+
 def components_reference(g: Graph, removed=()) -> list[frozenset[str]]:
     """Connected components of g - removed, sorted by minimal vertex, by a
     breadth-first search over frozensets."""

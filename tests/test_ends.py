@@ -4,7 +4,7 @@ import pytest
 
 from tangletree import cli, ends, limits
 from tangletree.errors import PreconditionError
-from tangletree.families import generate_family
+from tangletree.families import LayeredPresentation, generate_family
 from tangletree.ends import (
     _JOINING_PATHS,
     CombWitness,
@@ -26,26 +26,15 @@ def _attachments(p, upto):
     return {p.attachment_vertex(i) for i in range(upto)}
 
 
-class _OneRayPresentation:
+def _one_ray_presentation(g, ray):
     """The least presentation `find_comb` needs: one window, one ray."""
-
-    def __init__(self, g, ray):
-        self.g, self.ray = g, ray
-
-    def graph_at(self, m):
-        return self.g
-
-    def rays_in_layer(self, m):
-        return ("R0",)
-
-    def ray_prefix(self, label, m):
-        return self.ray
+    return LayeredPresentation("ray", {}, 0, (g,), (frozenset(),), (("R0", ray),))
 
 
 def test_find_comb_ports_do_not_collide_with_vertices():
     # a vertex named like the spine vertex's port, "@" + "x", is the target
     g = Graph.from_data(["x", "@x", "y"], [("x", "y"), ("@x", "y")])
-    comb = find_comb(_OneRayPresentation(g, ("x",)), 0, {"@x"}, 1)
+    comb = find_comb(_one_ray_presentation(g, ("x",)), 0, {"@x"}, 1)
     assert comb == CombWitness(spine=("x",), teeth_paths=(("x", "y", "@x"),))
     comb.validate(g, frozenset({"@x"}))
 

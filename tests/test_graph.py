@@ -2,23 +2,26 @@
 
 import json
 import random
+import sys
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tangletree.ends import Direction, directions_in_closure, find_comb, ray_packing, thick_end_pipeline, thin_end_bound
 from tangletree.errors import FamilyParameterError, GraphFormatError, PreconditionError, UnknownVertexError
-from tangletree.families import LayeredPresentation, generate_family, load_presentation_spec
+from tangletree.families import LayeredPresentation, generate_family, load_presentation_spec, truncate
 from tangletree.graph import (
     Graph,
+    _blocks,
     components,
     disjoint_paths,
     load_graph,
     minimum_separator,
     tight_components,
 )
-from tangletree.limits import limit_separator_prefix, pseudo_tight_check
+from tangletree.limits import check_interlaced_pair, limit_separator_prefix, pseudo_tight_check, thin_out
 from tangletree.separations import (
     NestedSet,
     Separation,
@@ -26,7 +29,14 @@ from tangletree.separations import (
     enumerate_separations,
     make_separation,
 )
-from tangletree.tangles import PreTangle, clique_witness, distinguishable_pairs, enumerate_tangles
+from tangletree.tangles import (
+    PreTangle,
+    clique_witness,
+    distinguishable_pairs,
+    end_region_witness,
+    enumerate_tangles,
+    materialize,
+)
 from tangletree.tree_of_tangles import (
     TreeDecomposition,
     build_tree_of_tangles,
@@ -34,8 +44,16 @@ from tangletree.tree_of_tangles import (
     verify_tree_decomposition,
     verify_tree_of_tangles,
 )
-from .conftest import cycle_graph, grid_graph, path_graph, random_connected_graph, star_graph
-from .oracles import components_reference, min_cut_brute, tight_components_reference
+from .conftest import (
+    clique_chain_graph,
+    cycle_graph,
+    grid_graph,
+    path_graph,
+    random_connected_graph,
+    star_graph,
+    two_k5_shared_vertex,
+)
+from .oracles import blocks_reference, components_reference, min_cut_brute, tight_components_reference
 
 
 @pytest.mark.parametrize(
@@ -96,6 +114,32 @@ _CALLS_ON_A_GRAPH = {
 def test_an_argument_that_is_no_graph_raises_a_precondition_error(call, bad):
     with pytest.raises(PreconditionError, match=f"^expected a Graph, got {type(bad).__name__}$"):
         call(bad)
+
+
+_CALLS_ON_NONE = {
+    "ray_packing": lambda: ray_packing(None, 1, Direction(("R0",)), set()),
+    "thin_end_bound": lambda: thin_end_bound(None, Direction(("R0",)), 1),
+    "directions_in_closure": lambda: directions_in_closure(None, 1, set()),
+    "end_region_witness": lambda: end_region_witness(None, "R0", 1, 2),
+    "truncate": lambda: truncate(None, 1),
+    "thick_end_pipeline": lambda: thick_end_pipeline(None, NestedSet.of(_PATH3, []), {1: []}, []),
+    "find_comb": lambda: find_comb(None, 1, set(), 1),
+    "thin_out": lambda: thin_out(None),
+    "check_interlaced_pair": lambda: check_interlaced_pair(_PATH3, None),
+    "materialize": lambda: materialize(None),
+    "clique_witness": lambda: clique_witness(_PATH3, None, 1),
+    "load_graph": lambda: load_graph(None),
+    "load_presentation_spec": lambda: load_presentation_spec(None),
+}
+
+
+@pytest.mark.parametrize("call", _CALLS_ON_NONE.values(), ids=_CALLS_ON_NONE)
+def test_none_for_a_presentation_pair_witness_clique_or_text_raises_a_library_error(call):
+    """Each public call checks its arguments on entry, so None for a
+    presentation, an interlaced pair, a witness, a clique or a document
+    text raises a PreconditionError, not a raw AttributeError or TypeError."""
+    with pytest.raises(PreconditionError, match="^(expected a [A-Za-z]+, got NoneType|a clique must be an iterable)"):
+        call()
 
 
 @pytest.mark.parametrize("bad", [None, "x", []], ids=["None", "str", "list"])
@@ -310,6 +354,43 @@ def test_components_match_the_set_search(data):
     assert g.is_connected() == (len(components_reference(g)) == 1)
     with pytest.raises(UnknownVertexError):
         components(g, [*verts[:1], "zz"])
+
+
+def _block_names(g: Graph) -> list[frozenset[str]]:
+    names = g._vertex_index[0]
+    return sorted((frozenset(names[i] for i in range(len(names)) if b >> i & 1) for b in _blocks(g)), key=sorted)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_blocks_match_their_definition(data):
+    """`_blocks` against the maximal vertex sets that induce a connected
+    subgraph with no cut vertex, on connected graphs of 1 to 7 vertices, a
+    third of them with a pendant path of 1 to 3 vertices hung on."""
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    g = random_connected_graph(rng, data.draw(st.integers(1, 7)))
+    if rng.random() < 1 / 3:
+        tail = [rng.choice(sorted(g.vertices))] + [f"t{i}" for i in range(rng.randint(1, 3))]
+        g = Graph.from_data([*g.vertices, *tail[1:]], [*g.edges, *zip(tail, tail[1:])])
+    assert _block_names(g) == blocks_reference(g)
+
+
+def test_blocks_of_small_shapes_and_a_long_path():
+    """A cycle is one block and a single vertex is one; two K5 sharing a
+    vertex are two; the three-K4 chain has its three cliques and the two
+    bridges between them. On the path of 5,000 vertices each edge is a
+    block, found without recursion."""
+    assert _block_names(cycle_graph(5)) == [cycle_graph(5).vertices]
+    assert _blocks(Graph.from_data(["x"], [])) == [1]
+    assert len(_blocks(two_k5_shared_vertex())) == 2
+    assert len(_blocks(clique_chain_graph(3, 4))) == 5
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        blocks = _blocks(path_graph(5000))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(blocks) == 4999 and all(b.bit_count() == 2 for b in blocks)
 
 
 def test_components_match_the_set_search_on_the_chain_window(scaled_chain):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from tangletree.cli import main
 from tangletree.errors import BudgetExceededError
-from tangletree.graph import Graph
+from tangletree.graph import Graph, _blocks
 from tangletree.separations import Separation, enumerate_separations, leq
 from tangletree import graph, separations, tangles
 from tangletree.tangles import (
@@ -23,13 +23,14 @@ from tangletree.tangles import (
     _consistency_witness,
     _cover,
     _mask_encoder,
+    _search_tangles,
     _tables,
     check_pretangle,
     check_tangle,
     enumerate_tangles,
 )
 from tangletree.tree_of_tangles import build_tree_of_tangles
-from .conftest import clique_chain_graph, grid_graph, path_graph
+from .conftest import clique_chain_graph, grid_graph, path_graph, two_k5_shared_vertex
 from .oracles import (
     _consistent_brute,
     _covers_brute,
@@ -75,12 +76,16 @@ def test_enumerate_tangles_matches_brute_force(g, k):
     assert fast == brute
 
 
-def _assert_search_visits(g: Graph, k: int, nodes: int) -> list:
+def _assert_search_visits(g: Graph, k: int, nodes: int, split: bool = False) -> list:
     """The search's tangles, with its node count pinned by the budget: one
-    node short of it is a budget error, and with it the search completes."""
-    with pytest.raises(BudgetExceededError):
-        enumerate_tangles(g, k, budget=nodes - 1)
-    return enumerate_tangles(g, k, budget=nodes)
+    node short of a count above 0 is a budget error, and with it the search
+    completes. The search is one on the whole graph, or with split, that of
+    `enumerate_tangles`, which searches each block of a graph with a cut
+    vertex on its own."""
+    if nodes:
+        with pytest.raises(BudgetExceededError):
+            _search_tangles(g, k, nodes - 1, split)
+    return _search_tangles(g, k, nodes, split)
 
 
 @settings(max_examples=80)
@@ -444,6 +449,81 @@ def test_clique_chain_order_three_search_visits_33448_nodes():
 def test_grid_four_by_six_order_four_search_visits_5458_nodes():
     tangles = _assert_pinned(grid_graph(4, 6), 4, 5458, 226)
     assert len(tangles) == 1
+
+
+def _glued(first: Graph, second: Graph, joint: tuple[str, str], bridge: bool) -> Graph:
+    """first and second, their vertices prefixed x and y, with joint's first
+    vertex of first and second vertex of second joined by an edge, or made
+    one vertex, which keeps first's name."""
+    u, v = "x" + joint[0], "y" + joint[1]
+    rename = {v: u} if not bridge else {}
+    named = [{w: rename.get(p + w, p + w) for w in part.vertices} for p, part in (("x", first), ("y", second))]
+    vertices = [*named[0].values(), *named[1].values()]
+    edges = [(names[a], names[b]) for names, part in zip(named, (first, second)) for a, b in part.edges]
+    return Graph.from_data(vertices, edges + ([(u, v)] if bridge else []))
+
+
+@st.composite
+def graphs_with_a_cut_vertex(draw) -> Graph:
+    """Two connected graphs of 2 to 5 vertices, glued at a vertex or joined
+    by an edge, with at most 9 vertices in all: each joint is a cut vertex."""
+    bridge = draw(st.booleans())
+    first = draw(connected_graphs(max_vertices=5).filter(lambda g: len(g.vertices) > 1))
+    room = 9 - len(first.vertices) + (not bridge)
+    second = draw(connected_graphs(max_vertices=min(5, room)).filter(lambda g: len(g.vertices) > 1))
+    joint = (draw(st.sampled_from(sorted(first.vertices))), draw(st.sampled_from(sorted(second.vertices))))
+    return _glued(first, second, joint, bridge)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=graphs_with_a_cut_vertex(), k=st.integers(2, 4))
+def test_split_search_matches_the_whole_graph_search_and_brute_force(g, k):
+    """On graphs with a cut vertex, `enumerate_tangles` searches each block
+    and lifts its havens. Its list, in order, is that of the search on the
+    whole graph and of the search over orientations, within the latter's
+    node count; and at the largest order whose domain fits the brute-force
+    oracle, the oracle's."""
+    assert len(g.vertices) <= 9 and len(_blocks(g)) > 1
+    k = min(k, len(g.vertices) + 1)
+    reference, nodes = tangle_search_reference(g, k)
+    found = [t._key for t in enumerate_tangles(g, k, budget=nodes)]
+    assert found == [t._key for t in _search_tangles(g, k, nodes, split=False)]
+    assert found == [t._key for t in reference]
+    k, seps = _order_and_domain(g, k)
+    if k >= 2:
+        assert [t._key for t in enumerate_tangles(g, k)] == [t._key for t in all_tangles_brute(g, k, seps)]
+
+
+@pytest.mark.parametrize(
+    "g, k, nodes, whole_nodes, count",
+    [
+        (clique_chain_graph(8, 6), 3, 0, 15414, 8),
+        (two_k5_shared_vertex(), 4, 0, 146, 2),
+        (_glued(grid_graph(3, 3), grid_graph(3, 3), ("g11", "g00"), bridge=True), 3, 16, 202, 2),
+    ],
+    ids=["eight-K6 chain", "two K5 sharing a vertex", "two 3x3 grids and a bridge"],
+)
+def test_split_search_visits_pinned_nodes(g, k, nodes, whole_nodes, count):
+    """The node counts of the split search, summed over the blocks, pinned
+    beside the whole-graph search's. No separator of order < 3 splits a K6,
+    nor one of order < 4 a K5, so those blocks need no branching and their
+    searches take no node; the bridges have fewer than k vertices and drop
+    out. Each 3x3 grid takes 8 nodes, so a budget of 15 fails although
+    either block fits it alone."""
+    found = _assert_search_visits(g, k, nodes, split=True)
+    assert len(found) == count
+    assert [t._key for t in found] == [t._key for t in _assert_search_visits(g, k, whole_nodes)]
+
+
+def test_split_search_leaves_the_enumeration_slot_alone():
+    """The split search builds each block's floods from the slot's, and
+    enumerates no block: after `enumerate_separations(g, k - 1)` the slot
+    is the same object after the search as before it."""
+    g = clique_chain_graph(3, 5)
+    enumerate_separations(g, 2)
+    before = separations._last_enumeration
+    assert len(enumerate_tangles(g, 3)) == 3
+    assert separations._last_enumeration is before
 
 
 def _assert_check_matches_brute(g: Graph, p: PreTangle) -> None:
