@@ -20,9 +20,11 @@ the leftmost cut follow from the sorted vertex order alone, and tests pin
 them to a tuple-keyed reference network and to a digest of a seeded
 corpus of solves. A vertex mask restricts a solve to an induced subgraph
 without building one: vertices outside it are never entered and never
-cut. A cap stops a solve after that many paths, for callers that only ask
-whether there are so many. Each graph memoizes the (paths, cut) of every
-(s, t, mask, cap) it has solved. In the same order,
+cut. The tangle search restricts itself to a block of G the same way: a
+block is a mask, searched on G's own neighbourhood tables, and no `Graph`
+is built for it. A cap stops a solve after that many paths, for callers
+that only ask whether there are so many. Each graph memoizes the
+(paths, cut) of every (s, t, mask, cap) it has solved. In the same order,
 vertex sets are int bitmasks (`Graph.mask`); one flood fill, `_flood`,
 finds the components of G - S as masks for `components`,
 `tight_components`, `Graph.is_connected` (once per graph) and separation

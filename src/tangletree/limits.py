@@ -35,6 +35,7 @@ from .errors import (
     OrientationUndecidableError,
     PreconditionError,
 )
+from .families import LayeredPresentation
 from .graph import Graph, _checked, _select, _tight, _vertex_set
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -42,6 +43,7 @@ from .separations import (
     Separation,
     SeparationSequence,
     _ambient,
+    _listed,
     _stable_from,
     is_tight,
     leq,
@@ -49,7 +51,7 @@ from .separations import (
     relation,
     supremum,
 )
-from .tangles import Orienter, _splits, distinguishes, min_distinguishing_order
+from .tangles import Orienter, _orienting, _splits, distinguishes, min_distinguishing_order
 
 
 @dataclass(frozen=True)
@@ -214,7 +216,9 @@ def check_strongly_relevant(
     with s in P, and t efficiently distinguishes P and Q with reverse(t)
     in P. P is the first pool member in sort order that admits both
     partners; O and Q are the first partners of P."""
-    if not lt(s, t):
+    pool = _listed(pool, "a pool", of="orienters")
+    _orienting(_checked(g), *pool)
+    if not lt(_checked(s, kind=Separation), _checked(t, kind=Separation)):
         raise PreconditionError("strong relevance needs s strictly below t")
     s_sep, t_sep = s.canonical(), t.canonical()
     ordered = sorted(pool, key=lambda x: x.sort_key)
@@ -260,9 +264,11 @@ def construct_interlaced(
     the later induced tangle) is inserted; it lands strictly between the two
     by nestedness and consistency, and a failure to do so aborts loudly.
     """
-    if not seq:
+    pool = _listed(pool, "a pool", of="orienters")
+    _orienting(_checked(g), *pool)
+    if not _checked(seq, kind=SeparationSequence):
         raise PreconditionError("the sequence is empty")
-    members = set(n.members)
+    members = set(_checked(n, kind=NestedSet).members)
     for item in seq:
         if item.canonical() not in members:
             raise PreconditionError(f"sequence item {item!r} is not in the nested set")
@@ -390,7 +396,7 @@ def pseudo_tight_check(
     table, built once per call from each item's tight B-side components.
     """
     g = _checked(g_window)
-    for item in seq:
+    for item in _checked(seq, kind=SeparationSequence):
         if not is_tight(g, item):
             raise PreconditionError(f"sequence item {item!r} is not tight")
     sup = supremum(seq)
@@ -486,6 +492,7 @@ def exhaustiveness_evidence(p, chains: dict) -> ExhaustivenessVerdict:
     the opposite. Anything else, including conflicting signals, is
     inconclusive. All verdicts are finite-horizon evidence, not proof.
     """
+    _checked(p, kind=LayeredPresentation)
     if not chains:
         raise PreconditionError("no chain layers supplied")
     for m in sorted(chains):

@@ -244,13 +244,13 @@ def _graph_of(s) -> Graph:
     return s.graph
 
 
-def _listed(items, what: str) -> list:
+def _listed(items, what: str, of: str = "separations") -> list:
     """items as a list; a value that is not iterable raises PreconditionError,
     as `Graph.mask` does for a vertex set."""
     try:
         return list(items)
     except TypeError as exc:
-        raise PreconditionError(f"{what} must be an iterable of separations: {exc}") from None
+        raise PreconditionError(f"{what} must be an iterable of {of}: {exc}") from None
 
 
 def _ambient(g: Graph, s) -> None:

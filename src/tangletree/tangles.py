@@ -10,9 +10,9 @@ G[A1] | G[A2] | G[A3] = G, on vertices and edges. The search and
 `enumerate_tangles` finds the tangles of order k as havens, one component
 β(S) of G - S per separator S with |S| < k, by one depth-first search,
 `_havens`. When k >= 2 and G has a cut vertex it runs that search on each
-block of G with at least k vertices and lifts the block's havens to G, so
-the separators through a cut vertex no longer multiply one search over
-the whole graph (see `_block_havens`).
+block of G with at least k vertices, a vertex mask of G, and lifts the
+block's havens to G, so the separators through a cut vertex no longer
+multiply one search over the whole graph (see `_search_tangles`).
 
 Two representations share one orientation-query contract (`order_bound`,
 `toward`, `graph`): the materialized PreTangle mapping, and the lazy
@@ -55,7 +55,6 @@ from .graph import (
     _checked,
     _field,
     _flood,
-    _select,
     _vertex_set,
     disjoint_paths,
     minimum_separator,
@@ -67,6 +66,7 @@ from .separations import (
     _component_separations,
     _enumeration,
     _graph_of,
+    _listed,
     enumerate_separations,
 )
 
@@ -425,17 +425,16 @@ def _pretangle_report(g: Graph, p: PreTangle, budget: int, scan: bool) -> PreTan
     )
 
 
-def _mask_encoder(g: Graph, closed: list[list[int]]):
-    """encode(A, B, x), on the `Separation.masks` of an orientation, gives
-    the tuple (A, B, ∂A, |A|, x) that the covering test runs on; x numbers
-    it in its `_Antichains` family. ∂A is the set of vertices of A with a
-    neighbour outside A, read as A & N[V - A] off `closed`, the tables
-    `_tables(g._vertex_index[2])` of the closed neighbourhoods, so it takes
-    |V|/8 lookups rather than one per vertex."""
-    all_vertices = (1 << len(g.vertices)) - 1
+def _mask_encoder(within: int, closed: list[list[int]]):
+    """encode(A, B, x), on the masks of an orientation of a separation of
+    G[within], gives the tuple (A, B, ∂A, |A|, x) that the covering test
+    runs on; x numbers it in its `_Antichains` family. ∂A is the set of
+    vertices of A with a neighbour in within - A, read as A & N[within - A]
+    off `closed`, the tables `_tables(g._vertex_index[2])` of G's closed
+    neighbourhoods, so it takes |V|/8 lookups rather than one per vertex."""
 
     def encode(a: int, b: int, x: int) -> tuple[int, int, int, int, int]:
-        return (a, b, a & _union(closed, all_vertices ^ a), a.bit_count(), x)
+        return (a, b, a & _union(closed, within ^ a), a.bit_count(), x)
 
     return encode
 
@@ -461,13 +460,13 @@ def _union(tables: list[list[int]], s: int) -> int:
     return out
 
 
-def _cover(pool: list[tuple], all_vertices: int, closed: list[list[int]], x: tuple, y: tuple):
-    """Some z in pool with G[x.A] | G[y.A] | G[z.A] = G, else None, on
-    `_mask_encoder` tuples: the first whose side A holds `_rest` of x and
-    y. R is built once a z holds its cheap part, the vertices outside x.A
-    and y.A. pool must be sorted by decreasing |A|, so the size cutoff can
-    stop the scan early."""
-    vmiss = all_vertices & ~(x[0] | y[0])
+def _cover(pool: list[tuple], within: int, closed: list[list[int]], x: tuple, y: tuple):
+    """Some z in pool with H[x.A] | H[y.A] | H[z.A] = H, for H = G[within],
+    else None, on `_mask_encoder` tuples: the first whose side A holds
+    `_rest` of x and y. R is built once a z holds its cheap part, the
+    vertices outside x.A and y.A. pool must be sorted by decreasing |A|, so
+    the size cutoff can stop the scan early."""
+    vmiss = within & ~(x[0] | y[0])
     need = vmiss.bit_count()
     rest = None
     for z in pool:
@@ -476,20 +475,21 @@ def _cover(pool: list[tuple], all_vertices: int, closed: list[list[int]], x: tup
         if vmiss & ~z[0]:
             continue
         if rest is None:
-            rest = _rest(closed, vmiss, x, y)
+            rest = _rest(closed, within, vmiss, x, y)
         if not rest & ~z[0]:
             return z
     return None
 
 
-def _rest(closed: list[list[int]], vmiss: int, x: tuple, y: tuple) -> int:
-    """R = N[V - (X | Y)] | (∂X - Y) | (∂Y - X), for vmiss = V - (X | Y)
-    and the sides X, Y of x and y: the vertices outside X | Y and the ends
-    of the edges inside neither, which a side Z must hold for G[X] | G[Y] |
-    G[Z] = G. An edge with an end outside X | Y has both in N[V - (X | Y)];
-    one inside X | Y but inside neither X nor Y has one end in ∂X - Y and
-    the other in ∂Y - X, and each vertex of those is such an end."""
-    return _union(closed, vmiss) | (x[2] & ~y[0]) | (y[2] & ~x[0])
+def _rest(closed: list[list[int]], within: int, vmiss: int, x: tuple, y: tuple) -> int:
+    """R = N[V - (X | Y)] | (∂X - Y) | (∂Y - X) in H = G[within], for vmiss
+    = V(H) - (X | Y) and the sides X, Y of x and y: the vertices outside
+    X | Y and the ends of the edges inside neither, which a side Z must
+    hold for H[X] | H[Y] | H[Z] = H. An edge with an end outside X | Y has
+    both in N[V(H) - (X | Y)]; one inside X | Y but inside neither X nor Y
+    has one end in ∂X - Y and the other in ∂Y - X, and each vertex of those
+    is such an end. N is cut back to within, which G's can leave."""
+    return (_union(closed, vmiss) & within) | (x[2] & ~y[0]) | (y[2] & ~x[0])
 
 
 @dataclass(frozen=True)
@@ -503,17 +503,18 @@ class TangleReport:
         return self.pretangle.ok and self.axiom_ok
 
 
-_WIDE = 4  # an antichain of at least _WIDE * |V| members runs on the column index
+_WIDE = 4  # an antichain of at least _WIDE * |within| members runs on the column index
 
 
 class _Antichains:
     """Antichains of sides A over one family of `_mask_encoder` tuples,
-    member x being family[x].
+    member x being family[x], all encoded with the vertex space `within`
+    of the separations of G[within] that they orient.
 
     An antichain is a value that no method changes, so the search undoes
     an insert by going back to the value before it. While narrow it is a
     list by decreasing |A|, stable, and each test scans it. Once it holds
-    `_WIDE` * |V| members it is the pair (live, top): live an int with bit
+    `_WIDE` * |within| members it is the pair (live, top): live an int with bit
     x for member x, top the largest |A| among them. Its tests then read a
     column index of the family's sides A (see `_Sides`), built at the first
     switch: "does a member's side hold these vertices?" is one AND per
@@ -528,14 +529,28 @@ class _Antichains:
     later one, so the two forms then keep the same members.
     """
 
-    def __init__(self, g: Graph, family: list[tuple], closed: list[list[int]]):
+    def __init__(self, within: int, family: list[tuple], closed: list[list[int]]):
         self.family = family
         self._closed = closed  # the tables the family was encoded with
-        self._n = len(g.vertices)
-        self._all_vertices = (1 << self._n) - 1
+        self._n = within.bit_count()
+        self._all_vertices = within
         self._wide = _WIDE * self._n
         self._index: _Sides | None = None  # built by `_widen`, with _at_least
         self._at_least: list[int] = []
+
+    def load(self, xs: Iterable[int]) -> tuple:
+        """(chain, x): the members xs inserted in turn from the empty
+        antichain, each that no kept side holds tested with `closes`, up to
+        x, the first that closes a covering triple, or x None for none."""
+        chain = []
+        for x in xs:
+            grown = self.insert(chain, x)
+            if grown is chain:
+                continue  # a covering triple through x gives one through the member holding it
+            if self.closes(grown, x):
+                return grown, x
+            chain = grown
+        return chain, None
 
     def insert(self, chain, x: int):
         """chain with member x added, or chain itself when a member's side A
@@ -563,7 +578,7 @@ class _Antichains:
         """The wide form of a list, with the index built on the first call."""
         if self._index is None:
             family = self.family
-            self._index = _Sides([m[0] for m in family], self._n)
+            self._index = _Sides([m[0] for m in family], self._all_vertices.bit_length())
             at_least = [0] * (self._n + 2)  # at_least[s]: the members with |A| >= s
             for x, m in enumerate(family):
                 at_least[m[3]] |= 1 << x
@@ -582,21 +597,21 @@ class _Antichains:
 
     def _holding_rest(self, live: int, x: tuple, y: tuple) -> int:
         """The members in live whose side A holds `_rest` of x and y: those
-        are the z with G[x.A] | G[y.A] | G[z.A] = G. The vertices outside
-        x.A and y.A are asked first, and R less them only of the members
-        that hold them."""
+        are the z with H[x.A] | H[y.A] | H[z.A] = H, for H = G[within]. The
+        vertices outside x.A and y.A are asked first, and R less them only
+        of the members that hold them."""
         rest = self._all_vertices & ~(x[0] | y[0])
         live = self._index.holding(live, rest)
         if live:
-            live = self._index.holding(live, _rest(self._closed, rest, x, y) & ~rest)
+            live = self._index.holding(live, _rest(self._closed, self._all_vertices, rest, x, y) & ~rest)
         return live
 
     def closes(self, chain, x: int) -> bool:
         """True iff member x of chain and two members y, z, repetition
-        allowed, cover G: z.A holds `_rest` of x and y. A pair x, y leaves
-        out more than any z covers once |x.A| + |y.A| + (the largest |A|)
-        < |V|, so sizes decide first, then the vertices outside x.A and
-        y.A, and R only for the z that hold those."""
+        allowed, cover G[within]: z.A holds `_rest` of x and y. A pair x, y
+        leaves out more than any z covers once |x.A| + |y.A| + (the largest
+        |A|) < |within|, so sizes decide first, then the vertices outside
+        x.A and y.A, and R only for the z that hold those."""
         new = self.family[x]
         if type(chain) is list:
             least = self._n - new[3] - chain[0][3]  # |y.A| below this leaves out too much
@@ -639,24 +654,18 @@ def check_tangle(g: Graph, p: PreTangle, *, budget: int = DEFAULT_ENUMERATION_BU
     triple is built as oriented `Separation`s."""
     _orienting(g, p, kind=PreTangle)
     closed = _tables(g._vertex_index[2])
-    encode = _mask_encoder(g, closed)
+    full = (1 << len(g.vertices)) - 1
+    encode = _mask_encoder(full, closed)
     chosen = [(s.masks if t == "b" else s.masks[::-1], s, t) for s, t in p._items]
     chosen.sort(key=lambda c: -c[0][0].bit_count())  # stable: by decreasing |A|
     family = [encode(*ab, x) for x, (ab, _, _) in enumerate(chosen)]
-    antichains = _Antichains(g, family, closed)
-    all_vertices = (1 << len(g.vertices)) - 1
-    chain = []
+    antichains = _Antichains(full, family, closed)
+    chain, x = antichains.load(range(len(family)))
     witness = None
-    for x in range(len(family)):
-        grown = antichains.insert(chain, x)
-        if grown is chain:
-            continue  # a covering triple through x gives one through the member holding it
-        if antichains.closes(grown, x):
-            kept = antichains.members(grown)
-            y, z = next((y, z) for y in kept if (z := _cover(kept, all_vertices, closed, family[x], y)))
-            witness = tuple(chosen[w[4]][1].orient(chosen[w[4]][2]) for w in (family[x], y, z))
-            break
-        chain = grown
+    if x is not None:
+        kept = antichains.members(chain)
+        y, z = next((y, z) for y in kept if (z := _cover(kept, full, closed, family[x], y)))
+        witness = tuple(chosen[w[4]][1].orient(chosen[w[4]][2]) for w in (family[x], y, z))
     pre = _pretangle_report(g, p, budget, scan=witness is not None)
     return TangleReport(pretangle=pre, axiom_ok=witness is None, witness_triple=witness)
 
@@ -677,15 +686,15 @@ def enumerate_tangles(
     allowed, cover G: every small side lies inside its separator's.
 
     The separators and their components are those `enumerate_separations`
-    flooded, read off its slot; `_havens` searches them. When k >= 2 and G
-    has a cut vertex, a separator of size 1 with two or more components,
-    each block (maximal 2-connected subgraph or bridge) with at least k
-    vertices is searched on its own and its havens are lifted to G (see
-    `_block_havens`): every tangle of order k >= 2 lives in one block, and
-    a block with fewer than k vertices has none. That claim is checked
-    against the whole-graph search and the brute-force oracle by a
-    property test, not proved here. `budget` counts the search's nodes,
-    summed over the blocks; the enumeration runs under
+    flooded, read off its slot; `_havens` searches them. When k >= 2, each
+    block of G (maximal 2-connected subgraph or bridge) with at least k
+    vertices is searched on its own, as a vertex mask of G with no `Graph`
+    built for it, and its havens are lifted to G (see `_search_tangles`):
+    every tangle of order k >= 2 lives in one block, and a block with fewer
+    than k vertices has none. That claim is checked against the
+    whole-graph search and the brute-force oracle by a property test, not
+    proved here. A 2-connected G is its one block. `budget` counts the
+    search's nodes, summed over the blocks; the enumeration runs under
     `DEFAULT_ENUMERATION_BUDGET`, whatever `budget` is.
 
     The tangles are sorted at the end into the order of a search over
@@ -705,22 +714,52 @@ def _search_tangles(g: Graph, k: int, budget: int, split: bool = True) -> list[T
     if k < 1:
         raise PreconditionError(f"tangle order must be at least 1, got {k}")
     seps, floods = _enumeration(g, k - 1, DEFAULT_ENUMERATION_BUDGET)
-    # the separators of size 1 follow the empty one when k >= 2
-    if split and any(len(comps) > 1 for _, comps in floods[1 : len(g.vertices) + 1]):
-        havens = _block_havens(g, k, floods, budget)
-    else:
-        havens = _havens(g, k, floods, budget)[0]
+    closed = _tables(g._vertex_index[2])
+    full = (1 << len(g.vertices)) - 1
+    blocks = _blocks(g) if split and k >= 2 else [full]
+    if len(blocks) > 1:  # what the traces and the lifts read
+        components = dict(floods)
+        forced = {s: comps[0] for s, comps in floods if len(comps) == 1}
+        branching = [(s, comps) for s, comps in floods if len(comps) > 1]
+    havens, nodes = [], 0
+    for block in blocks:
+        if block.bit_count() < k:
+            continue  # (B, B) is a separation of G[B] of order < k
+        if block == full:  # G's own floods, and its havens are G's
+            found, nodes = _havens(closed, full, k, floods, budget, nodes)
+            havens += found
+            continue
+        # the components of G[B] - S are the nonempty traces on B of those of
+        # G - S, since a path of G - S that leaves B returns through the cut
+        # vertex it left by; listed as an enumeration of G[B] would list them
+        bits = [1 << v for v in _bits(block)]
+        traces = [
+            (s, sorted((c & block for c in components[s] if c & block), key=lambda c: c & -c))
+            for size in range(k)
+            for s in map(sum, combinations(bits, size))
+        ]
+        found, nodes = _havens(closed, block, k, traces, budget, nodes)
+        for beta_b in found:  # β(S) is the component that meets β_B(S & B): connected, missing S
+            beta = dict(forced)
+            for s, comps in branching:
+                piece = beta_b[s & block]
+                for c in comps:
+                    if c & piece:
+                        beta[s] = c
+                        break
+            havens.append(beta)
     return _tangles_of(g, k, seps, havens)
 
 
-def _havens(g: Graph, k: int, floods, budget: int, nodes: int = 0) -> tuple[list[dict[int, int]], int]:
-    """The havens of order k of g over `floods`, the separators S with
-    |S| < k and the components of G - S, as masks, in enumeration order:
-    one map S -> β(S) per haven, and the search's node count added to
-    `nodes`, which past `budget` raises BudgetExceededError.
+def _havens(closed, within: int, k: int, floods, budget: int, nodes: int = 0) -> tuple[list[dict[int, int]], int]:
+    """The havens of order k of H = G[within], |within| >= k, over `floods`,
+    the separators S of H with |S| < k and the components of H - S, as
+    masks of G read with its `_tables` closed, in enumeration order: one
+    map S -> β(S) per haven, and the search's node count added to `nodes`,
+    which past `budget` raises BudgetExceededError.
 
     Each (S, component) pair is encoded once as a `_mask_encoder` tuple. A
-    separator with one component C is forced, with side V - C = S; those
+    separator with one component C is forced, with side V(H) - C = S; those
     sides go into the antichain (see `_Antichains` and `check_tangle`)
     once, at the root, largest first, and a covering triple among them
     leaves no haven. The search then branches over the separators with two
@@ -728,11 +767,7 @@ def _havens(g: Graph, k: int, floods, budget: int, nodes: int = 0) -> tuple[list
     turn; a node is one such try. A choice is pruned on the first covering
     triple that its side closes. The search keeps its own stack, so its
     depth is not bounded by the interpreter's recursion limit."""
-    if not floods[-1][1]:
-        return [], nodes  # the separator V leaves no component: every side of (V, V) covers G
-    closed = _tables(g._vertex_index[2])
-    encode = _mask_encoder(g, closed)
-    full = (1 << len(g.vertices)) - 1
+    encode = _mask_encoder(within, closed)
     # the members of the branching separators come first, so that a wide
     # antichain's covering scan, which reads members in index order, meets
     # their large sides before the forced ones
@@ -742,22 +777,19 @@ def _havens(g: Graph, k: int, floods, budget: int, nodes: int = 0) -> tuple[list
         if len(comps) > 1:
             branching.append((s, comps, len(family)))
             for c in comps:
-                family.append(encode(full ^ c, s | c, len(family)))
+                family.append(encode(within ^ c, s | c, len(family)))
     first_forced = len(family)
     forced = {}
     for s, comps in floods:
         if len(comps) == 1:
             forced[s] = comps[0]
-            family.append(encode(s, full, len(family)))
-    antichains = _Antichains(g, family, closed)
+            family.append(encode(s, within, len(family)))
+    antichains = _Antichains(within, family, closed)
     insert, closes = antichains.insert, antichains.closes
-    chain = []  # the chosen sides that are maximal
-    for x in range(len(family) - 1, first_forced - 1, -1):  # by decreasing |S|
-        grown = insert(chain, x)
-        if grown is not chain:
-            if closes(grown, x):
-                return [], nodes
-            chain = grown
+    # the chosen sides that are maximal, the forced ones by decreasing |S|
+    chain, closer = antichains.load(range(len(family) - 1, first_forced - 1, -1))
+    if closer is not None:
+        return [], nodes
     undo = []  # chain before each chosen component
     havens = []
     # stack[i] is the next component to try at branching separator i
@@ -785,62 +817,6 @@ def _havens(g: Graph, k: int, floods, budget: int, nodes: int = 0) -> tuple[list
         if i:
             chain = undo.pop()
     return havens, nodes
-
-
-def _block_havens(g: Graph, k: int, floods, budget: int) -> list[dict[int, int]]:
-    """The havens of order k >= 2 of g, which has a cut vertex, as maps
-    S -> β(S) over `floods`: the lifts of the havens of its blocks with at
-    least k vertices.
-
-    Each such block H is searched by `_havens` as a graph of its own, on
-    floods read off g's: for S inside V(H), the components of H - S are
-    the nonempty traces on V(H) of those of G - S, because a path of G - S
-    that leaves H comes back through the cut vertex it left by. They are
-    listed as an enumeration of H would list them, so each block search is
-    the whole-graph search of H, and its nodes count against `budget`.
-    A haven β_H of H lifts to the β of g that picks, for each separator S
-    of g, the component of G - S that meets β_H(S & V(H)): that set is
-    connected and misses S. A separator with one component keeps it."""
-    names, _, closed = g._vertex_index
-    components = dict(floods)
-    forced = {s: comps[0] for s, comps in floods if len(comps) == 1}
-    branching = [(s, comps) for s, comps in floods if len(comps) > 1]
-    havens, nodes = [], 0
-    for block in _blocks(g):
-        if block.bit_count() < k:
-            continue
-        positions = list(_bits(block))  # vertex i of H is vertex positions[i] of g
-        local = {v: 1 << i for i, v in enumerate(positions)}
-
-        def trace(m: int) -> int:
-            return sum(local[v] for v in _bits(m & block))
-
-        h = Graph(
-            frozenset(_select(names, block)),
-            frozenset((names[u], names[w]) for u in positions for w in _bits(closed[u] & block) if w > u),
-        )
-        h_floods, outer = [], {}  # outer: each separator of h as a mask of g
-        for size in range(k):
-            for s in map(sum, combinations([1 << v for v in positions], size)):
-                s_h, comps = trace(s), components[s]
-                if len(comps) == 1:  # H - S is not empty: |S| < k <= |V(H)|
-                    h_floods.append((s_h, [((1 << len(positions)) - 1) ^ s_h]))
-                else:
-                    h_floods.append((s_h, sorted((trace(c) for c in comps if c & block), key=lambda c: c & -c)))
-                outer[s_h] = s
-        found, nodes = _havens(h, k, h_floods, budget, nodes)
-        for beta_h in found:
-            # a vertex of g in β_H(S & V(H)), per separator of g inside V(H)
-            inside = {outer[s]: 1 << positions[(c & -c).bit_length() - 1] for s, c in beta_h.items()}
-            beta = dict(forced)
-            for s, comps in branching:
-                v = inside[s & block]
-                for c in comps:
-                    if c & v:
-                        beta[s] = c
-                        break
-            havens.append(beta)
-    return havens
 
 
 def _tangles_of(g: Graph, k: int, seps: list[Separation], havens: list[dict[int, int]]) -> list[Tangle]:
@@ -944,7 +920,8 @@ def distinguishable_pairs(
 ) -> list[tuple[tuple[int, int], int]]:
     """All unordered distinguishable pairs (as index pairs) with their
     efficient order, sorted ascending by (order, i, j)."""
-    _checked(g)
+    tangles = _listed(tangles, "tangles", of="orienters")
+    _orienting(_checked(g), *tangles)
     out = []
     for i in range(len(tangles)):
         for j in range(i + 1, len(tangles)):

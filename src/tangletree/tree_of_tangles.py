@@ -41,6 +41,7 @@ from .separations import (
     NestedSet,
     Separation,
     _component_separations,
+    _listed,
     enumerate_separations,
     first_crossing,
     leq,
@@ -50,6 +51,7 @@ from .tangles import (
     Orienter,
     PreTangle,
     _clique_cores,
+    _orienting,
     _splits,
     check_tangle,
     distinguishable_pairs,
@@ -106,6 +108,8 @@ def build_tree_of_tangles(
     Each materialized tangle is checked first; witnesses are not."""
     if not _checked(g).is_connected():
         raise DisconnectedGraphError("build_tree_of_tangles requires a connected graph")
+    tangles = _listed(tangles, "tangles", of="orienters")
+    _orienting(g, *tangles)
     for t in tangles:
         if isinstance(t, PreTangle):
             report = check_tangle(g, t, budget=budget)
@@ -212,8 +216,9 @@ def verify_tree_of_tangles(
     "irrelevant" otherwise; each distinguishable pair is "efficient" or
     "missed" as `classify_pairs` finds it without a window boundary.
     """
-    _checked(g)
-    ms = list(n)
+    ms = list(_checked(n, kind=NestedSet))
+    tangles = _listed(tangles, "tangles", of="orienters")
+    _orienting(_checked(g), *tangles)
     verdicts = classify_pairs(g, ms, tangles, budget=budget)
     relevance: dict = {}
     for m in ms:
@@ -319,7 +324,7 @@ def induce_tree_decomposition(g: Graph, n: NestedSet) -> TreeDecomposition:
         raise EmptyGraphError("empty graph has no tree-decomposition here")
     if not g.is_connected():
         raise DisconnectedGraphError("induce_tree_decomposition requires connectivity")
-    ms = list(n)
+    ms = list(_checked(n, kind=NestedSet))
     for m in ms:
         if not m.is_proper():
             raise PreconditionError(f"improper member {m!r}")
@@ -388,9 +393,11 @@ def verify_tree_decomposition(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> TreeDecompositionReport:
     """Check (T1)-(T3), the induced separations, and pairwise efficiency."""
-    _checked(g)
+    _checked(n, kind=NestedSet)
+    tangles = _listed(tangles, "tangles", of="orienters")
+    _orienting(_checked(g), *tangles)
     witnesses: dict = {}
-    tree = td.tree
+    tree = _checked(td, kind=TreeDecomposition).tree
     tree_ok = not td.nodes or (
         len(components(tree)) == 1 and len(td.edges) == len(td.nodes) - 1
     )

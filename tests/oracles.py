@@ -287,11 +287,12 @@ def tangle_search_reference(g: Graph, k: int) -> tuple[list[Tangle], int]:
     """
     seps = enumerate_separations(g, k - 1)
     closed = _tables(g._vertex_index[2])
-    encode = _mask_encoder(g, closed)
+    full = (1 << len(g.vertices)) - 1
+    encode = _mask_encoder(full, closed)
     family = []
     for i, (a, b) in enumerate(s.masks for s in seps):
         family += (encode(a, b, 2 * i), encode(b, a, 2 * i + 1))
-    antichains = _Antichains(g, family, closed)
+    antichains = _Antichains(full, family, closed)
     chain = []
     undo = []
     results: list[Tangle] = []

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tangletree.ends import Direction, directions_in_closure, find_comb, ray_packing, thick_end_pipeline, thin_end_bound
-from tangletree.errors import FamilyParameterError, GraphFormatError, PreconditionError, UnknownVertexError
+from tangletree.errors import (
+    AmbientMismatchError,
+    FamilyParameterError,
+    GraphFormatError,
+    PreconditionError,
+    UnknownVertexError,
+)
 from tangletree.families import LayeredPresentation, generate_family, load_presentation_spec, truncate
 from tangletree.graph import (
     Graph,
@@ -21,7 +27,16 @@ from tangletree.graph import (
     minimum_separator,
     tight_components,
 )
-from tangletree.limits import check_interlaced_pair, limit_separator_prefix, pseudo_tight_check, thin_out
+from tangletree.limits import (
+    check_interlaced_pair,
+    check_strongly_relevant,
+    construct_interlaced,
+    exhaustiveness_evidence,
+    limit_separator_growth,
+    limit_separator_prefix,
+    pseudo_tight_check,
+    thin_out,
+)
 from tangletree.separations import (
     NestedSet,
     Separation,
@@ -116,6 +131,10 @@ def test_an_argument_that_is_no_graph_raises_a_precondition_error(call, bad):
         call(bad)
 
 
+_ITEM = Separation(_PATH3, {"p00", "p01"}, {"p01", "p02"})
+_SEQ = SeparationSequence.strictly_increasing([_ITEM])
+_NESTED = NestedSet.of(_PATH3, [_ITEM.canonical()])
+_DECOMPOSITION = induce_tree_decomposition(_PATH3, _NESTED)
 _CALLS_ON_NONE = {
     "ray_packing": lambda: ray_packing(None, 1, Direction(("R0",)), set()),
     "thin_end_bound": lambda: thin_end_bound(None, Direction(("R0",)), 1),
@@ -130,16 +149,41 @@ _CALLS_ON_NONE = {
     "clique_witness": lambda: clique_witness(_PATH3, None, 1),
     "load_graph": lambda: load_graph(None),
     "load_presentation_spec": lambda: load_presentation_spec(None),
+    "build_tree_of_tangles": lambda: build_tree_of_tangles(_PATH3, None),
+    "distinguishable_pairs": lambda: distinguishable_pairs(_PATH3, None),
+    "verify_tree_of_tangles nested set": lambda: verify_tree_of_tangles(_PATH3, None, []),
+    "verify_tree_of_tangles tangles": lambda: verify_tree_of_tangles(_PATH3, _NESTED, None),
+    "induce_tree_decomposition": lambda: induce_tree_decomposition(_PATH3, None),
+    "verify_tree_decomposition decomposition": lambda: verify_tree_decomposition(_PATH3, None, _NESTED, []),
+    "verify_tree_decomposition nested set": lambda: verify_tree_decomposition(_PATH3, _DECOMPOSITION, None, []),
+    "verify_tree_decomposition tangles": lambda: verify_tree_decomposition(_PATH3, _DECOMPOSITION, _NESTED, None),
+    "exhaustiveness_evidence": lambda: exhaustiveness_evidence(None, {1: _SEQ}),
+    "limit_separator_growth": lambda: limit_separator_growth(None, {1: _SEQ}),
+    "construct_interlaced nested set": lambda: construct_interlaced(_PATH3, None, _SEQ, []),
+    "construct_interlaced pool": lambda: construct_interlaced(_PATH3, _NESTED, _SEQ, None),
+    "check_strongly_relevant": lambda: check_strongly_relevant(
+        _PATH3, Separation(_PATH3, {"p00"}, _PATH3.vertices), _ITEM, None
+    ),
+    "pseudo_tight_check": lambda: pseudo_tight_check(_PATH3, None),
 }
 
 
 @pytest.mark.parametrize("call", _CALLS_ON_NONE.values(), ids=_CALLS_ON_NONE)
 def test_none_for_a_presentation_pair_witness_clique_or_text_raises_a_library_error(call):
     """Each public call checks its arguments on entry, so None for a
-    presentation, an interlaced pair, a witness, a clique or a document
-    text raises a PreconditionError, not a raw AttributeError or TypeError."""
-    with pytest.raises(PreconditionError, match="^(expected a [A-Za-z]+, got NoneType|a clique must be an iterable)"):
+    presentation, an interlaced pair, a witness, a clique, a document text,
+    a nested set, a tree-decomposition, a sequence, or a list of tangles or
+    pool of orienters raises a PreconditionError, not a raw AttributeError
+    or TypeError."""
+    with pytest.raises(PreconditionError, match="^(expected a [A-Za-z]+, got NoneType|[a-z ]+ must be an iterable)"):
         call()
+
+
+def test_a_tangle_list_holding_none_raises_an_ambient_mismatch():
+    """A list of tangles is checked member by member on entry: None in it is
+    no orienter, where the builder used to return an empty nested set."""
+    with pytest.raises(AmbientMismatchError, match="^expected an orienter, got NoneType$"):
+        build_tree_of_tangles(_PATH3, [None])
 
 
 @pytest.mark.parametrize("bad", [None, "x", []], ids=["None", "str", "list"])

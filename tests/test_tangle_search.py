@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from tangletree.cli import main
 from tangletree.errors import BudgetExceededError
-from tangletree.graph import Graph, _blocks
-from tangletree.separations import Separation, enumerate_separations, leq
+from tangletree.graph import Graph, _blocks, _select
+from tangletree.separations import DEFAULT_ENUMERATION_BUDGET, Separation, _enumeration, enumerate_separations, leq
 from tangletree import graph, separations, tangles
 from tangletree.tangles import (
+    DEFAULT_TANGLE_BUDGET,
     PreTangle,
     _Antichains,
     _consistency_witness,
@@ -25,6 +26,7 @@ from tangletree.tangles import (
     _mask_encoder,
     _search_tangles,
     _tables,
+    _tangles_of,
     check_pretangle,
     check_tangle,
     enumerate_tangles,
@@ -170,7 +172,7 @@ def test_antichain_forms_agree(g, data):
     cover G. Small sides A are drawn more often, so that lists grow wide."""
     seps = enumerate_separations(g, min(2, len(g.vertices)))
     closed = _tables(g._vertex_index[2])
-    encode = _mask_encoder(g, closed)
+    encode = _mask_encoder(g.mask(g.vertices), closed)
     family = []
     for i, (a, b) in enumerate(s.orient("b").masks for s in seps):
         family += (encode(a, b, 2 * i), encode(b, a, 2 * i + 1))
@@ -179,9 +181,9 @@ def test_antichain_forms_agree(g, data):
     picks = [small[x] ^ (r == 0) for x, r in data.draw(st.lists(draws, unique_by=lambda d: d[0] // 2))]
     wide = data.draw(st.sampled_from((0, 0.25, 1)))
     with mock.patch.object(tangles, "_WIDE", len(family) + 1):
-        narrow = _Antichains(g, family, closed)
+        narrow = _Antichains(g.mask(g.vertices), family, closed)
     with mock.patch.object(tangles, "_WIDE", wide):
-        indexed = _Antichains(g, family, closed)
+        indexed = _Antichains(g.mask(g.vertices), family, closed)
     chains = [[], []]
     for x in picks:
         grown = [narrow.insert(chains[0], x), indexed.insert(chains[1], x)]
@@ -202,9 +204,9 @@ def test_widened_antichain_keeps_its_largest_side():
     big = Separation.from_json(g, {"a": [f"p0{i}" for i in range(6)], "b": ["p05", "p06"]})
     small = Separation.from_json(g, {"a": ["p05", "p06"], "b": sorted(g.vertices)})
     closed = _tables(g._vertex_index[2])
-    encode = _mask_encoder(g, closed)
+    encode = _mask_encoder(g.mask(g.vertices), closed)
     with mock.patch.object(tangles, "_WIDE", 2 / 7):
-        antichains = _Antichains(g, [encode(*big.masks, 0), encode(*small.masks, 1)], closed)
+        antichains = _Antichains(g.mask(g.vertices), [encode(*big.masks, 0), encode(*small.masks, 1)], closed)
     chain = antichains.insert(antichains.insert([], 0), 1)
     assert type(chain) is tuple
     assert antichains.closes(chain, 1)
@@ -240,14 +242,14 @@ def test_covering_test_matches_brute_force(g, case, data):
         x, y = (x | u) & ~v, (y | u) & ~v
     pool = sorted(data.draw(st.lists(sets, max_size=6)), key=int.bit_count, reverse=True)
     closed = _tables(g._vertex_index[2])
-    encode = _mask_encoder(g, closed)
+    encode = _mask_encoder(full, closed)
     family = [encode(m, full, i) for i, m in enumerate([x, y, *pool])]
     as_set = [frozenset(names[i] for i in range(len(names)) if m[0] >> i & 1) for m in family]
     expected = next((z for z in family[2:] if _covers_as_subgraphs(g, (as_set[0], as_set[1], as_set[z[4]]))), None)
     assert _cover(family[2:], full, closed, family[0], family[1]) == expected
     for wide in (0, len(family) + 1):
         with mock.patch.object(tangles, "_WIDE", wide):
-            antichains = _Antichains(g, family, closed)
+            antichains = _Antichains(full, family, closed)
         chain = []
         for i in range(len(family)):
             grown = antichains.insert(chain, i)
@@ -290,10 +292,10 @@ def test_maximal_on_the_index_matches_linear_scan(g, k, kind, wide, data):
     choices = _orientation_sets(g, k, kind, data.draw)
     ordered = sorted((s.orient(t) for s, t in choices.items()), key=lambda o: -len(o.side_a))
     closed = _tables(g._vertex_index[2])
-    encode = _mask_encoder(g, closed)
+    encode = _mask_encoder(g.mask(g.vertices), closed)
     family = [encode(*o.masks, x) for x, o in enumerate(ordered)]
     with mock.patch.object(tangles, "_WIDE", wide):
-        antichains, chain = _Antichains(g, family, closed), []
+        antichains, chain = _Antichains(g.mask(g.vertices), family, closed), []
         for x in range(len(family)):
             chain = antichains.insert(chain, x)
     assert antichains.members(chain) == maximal_sides_reference(family)
@@ -513,6 +515,77 @@ def test_split_search_visits_pinned_nodes(g, k, nodes, whole_nodes, count):
     found = _assert_search_visits(g, k, nodes, split=True)
     assert len(found) == count
     assert [t._key for t in found] == [t._key for t in _assert_search_visits(g, k, whole_nodes)]
+
+
+_GRID = grid_graph(3, 3)
+_TWO_K5_AND_PENDANTS = Graph.from_data(
+    [f"{c}{i}" for c in "xy" for i in range(5)] + ["a", "z"],
+    [(f"{c}{i}", f"{c}{j}") for c in "xy" for i, j in combinations(range(5), 2)]
+    + [("x0", "y0"), ("x1", "y1"), ("a", "y2"), ("x2", "z")],
+)
+
+
+def _assert_block_searches_are_their_graphs_searches(g: Graph, k: int) -> None:
+    """`_search_tangles` on g searches each block B of g with at least k
+    vertices, recorded at its `_havens` call, inside the vertex space B. Each
+    finds the havens of the whole-graph search of g.induced(B), in the same
+    order with each mask mapped by vertex name, and takes its node count:
+    that count pins `_search_tangles(g.induced(B), k, nodes, split=False)`,
+    whose tangles are those of the block's havens."""
+    names, havens, searches = g._vertex_index[0], tangles._havens, []
+
+    def recording(closed, within, order, floods, budget, nodes=0):
+        found, total = havens(closed, within, order, floods, budget, nodes)
+        searches.append((within, found, total - nodes))
+        return found, total
+
+    with mock.patch.object(tangles, "_havens", recording):
+        _search_tangles(g, k, DEFAULT_TANGLE_BUDGET)
+    assert [block for block, _, _ in searches] == [block for block in _blocks(g) if block.bit_count() >= k]
+    for block, found, nodes in searches:
+        h = g.induced(_select(names, block))
+        seps, floods = _enumeration(h, k - 1, DEFAULT_ENUMERATION_BUDGET)
+        expected = havens(_tables(h._vertex_index[2]), h.mask(h.vertices), k, floods, DEFAULT_TANGLE_BUDGET)
+        named = [{h.mask(_select(names, s)): h.mask(_select(names, c)) for s, c in beta.items()} for beta in found]
+        assert (named, nodes) == expected
+        assert [t._key for t in _assert_search_visits(h, k, nodes)] == [t._key for t in _tangles_of(h, k, seps, named)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs_with_a_cut_vertex(), k=st.integers(2, 4))
+def test_each_block_search_is_the_whole_graph_search_of_its_block(g, k):
+    _assert_block_searches_are_their_graphs_searches(g, k)
+
+
+@pytest.mark.parametrize(
+    "g, k",
+    [
+        (clique_chain_graph(8, 6), 3),
+        (two_k5_shared_vertex(), 4),
+        (_glued(grid_graph(3, 3), grid_graph(3, 3), ("g11", "g00"), bridge=True), 3),
+        (Graph.from_data([*_GRID.vertices, "a", "z"], [*_GRID.edges, ("a", "g22"), ("g00", "z")]), 4),
+        (_TWO_K5_AND_PENDANTS, 3),
+    ],
+    ids=[
+        "eight-K6 chain",
+        "two K5 sharing a vertex",
+        "two 3x3 grids and a bridge",
+        "a 3x3 grid and two pendant edges",
+        "two K5 and two pendant edges",
+    ],
+)
+def test_each_block_search_of_the_pinned_graphs_is_the_whole_graph_search_of_its_block(g, k):
+    """The pinned graphs of the split search, and two graphs whose block
+    has two cut vertices, so its neighbourhoods in G leave it at both.
+    On the 3x3 grid with pendant edges at two corners, at order 4, the
+    antichains turn wide, and `_rest` must cut R back to the block before
+    the column index reads it. Two K5 joined by the edges x0-y0 and x1-y1
+    make one block with two tangles of order 3; the pendant vertex a, at
+    y2, sorts first, so the component of G - {x0, x1} holding it comes
+    before the other one while its trace on the block comes after: the
+    traces are sorted again, or the block's two havens come out in the
+    other order."""
+    _assert_block_searches_are_their_graphs_searches(g, k)
 
 
 def test_split_search_leaves_the_enumeration_slot_alone():
