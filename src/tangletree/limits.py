@@ -189,17 +189,6 @@ class StrongRelevanceReport:
     witness: tuple | None  # (O, P, Q)
 
 
-def _holds(t: Orienter, item: Separation) -> bool:
-    """True when item's order lies below t's order bound and t orients
-    item's separation as item. Pool members that cannot orient it do not
-    hold it."""
-    sep = item.canonical()
-    if t.order_bound <= item.order:
-        return False
-    toward = t.toward(sep)
-    return toward is not None and sep.orient(toward) == item
-
-
 def _efficiently_distinguishes(g, sep, p, q, *, budget) -> bool:
     return _splits(sep, p, q) and min_distinguishing_order(g, p, q, budget=budget) == sep.order
 
@@ -223,7 +212,7 @@ def check_strongly_relevant(
     s_sep, t_sep = s.canonical(), t.canonical()
     ordered = sorted(pool, key=lambda x: x.sort_key)
     for p in ordered:
-        if not (_holds(p, s) and _holds(p, t.reverse())):
+        if not (p.holds(s) and p.holds(t.reverse())):
             continue
         o = next((x for x in ordered if _efficiently_distinguishes(g, s_sep, x, p, budget=budget)), None)
         if o is None:
@@ -240,10 +229,10 @@ def _relevance_partner(g, item, pool, *, budget):
     sep = item.canonical()
     ordered = sorted(pool, key=lambda x: x.sort_key)
     for p in ordered:
-        if not _holds(p, item.reverse()):
+        if not p.holds(item.reverse()):
             continue
         for q in ordered:
-            if _holds(q, item) and _efficiently_distinguishes(g, sep, p, q, budget=budget):
+            if q.holds(item) and _efficiently_distinguishes(g, sep, p, q, budget=budget):
                 return (p, q)
     return None
 

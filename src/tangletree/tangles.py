@@ -14,20 +14,20 @@ block of G with at least k vertices, a vertex mask of G, and lifts the
 block's havens to G, so the separators through a cut vertex no longer
 multiply one search over the whole graph (see `_search_tangles`).
 
-Two representations share one orientation-query contract (`order_bound`,
-`toward`, `graph`): the materialized PreTangle mapping, and the lazy
+Two representations subclass one `Orienter` (`order_bound`, `toward`,
+`graph`, `sort_key`): the materialized PreTangle mapping, and the lazy
 TangleWitness whose orientation is computed per query. `toward(sep)` names
 the side of sep that the orienter points to, or None where it orients
-nothing; `orient`, the split predicate and `materialize` all read it.
-Witnesses keep the large generated graphs workable, where materializing
-every low-order separation is out of reach.
+nothing; `orient`, `holds`, the split predicate and `materialize` all read
+it. Witnesses keep the large generated graphs workable, where
+materializing every low-order separation is out of reach.
 
 Efficient distinguishers between two clique witnesses reduce to a minimum
 vertex cut between the cliques (any separation splitting the cliques must
 contain their shared vertices and block every connecting path, and
 conversely every cut yields such a separation), so the search runs as
-unit-capacity max-flow. Materialized pre-tangles are compared by direct
-enumeration with an explicit budget instead.
+unit-capacity max-flow, read from one memoized solve (`_clique_flow`).
+Materialized pre-tangles are compared by enumeration with a budget instead.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .errors import (
     EmptyGraphError,
     FamilyParameterError,
     GraphFormatError,
+    InternalCheckError,
     OrientationUndecidableError,
     PreconditionError,
 )
@@ -55,9 +56,8 @@ from .graph import (
     _checked,
     _field,
     _flood,
+    _solve,
     _vertex_set,
-    disjoint_paths,
-    minimum_separator,
 )
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -73,8 +73,51 @@ from .separations import (
 DEFAULT_TANGLE_BUDGET = 500_000
 
 
+class Orienter:
+    """An orientation of the separations of order < `order_bound` of
+    `graph`, asked through `toward(sep)`. Its `sort_key` compares across
+    every kind. The constructor checks the graph and the order bound only;
+    `check_pretangle` and `check_tangle` check the orientation."""
+
+    def __post_init__(self):
+        _checked(self.graph)
+        if type(self.order_bound) is not int or self.order_bound < 1:  # not bool, as in `PreTangle.from_json`
+            raise FamilyParameterError(f"order_bound must be an integer >= 1, got {self.order_bound!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Orienter):
+            return NotImplemented
+        return self.sort_key == other.sort_key and self.graph == other.graph
+
+    def __hash__(self):
+        return self._key_hash
+
+    @cached_property
+    def _key_hash(self) -> int:
+        return hash(self.sort_key)
+
+    def orient(self, sep: Separation) -> Separation:
+        toward = self.toward(sep)
+        if toward is None:
+            raise OrientationUndecidableError(self._open(sep))
+        return sep.orient(toward)
+
+    def _open(self, sep: Separation) -> str:
+        """Why `toward` leaves sep open."""
+        return f"separation of order {sep.order} outside this order-{self.order_bound} domain"
+
+    def holds(self, item: Separation) -> bool:
+        """True when item's order lies below the order bound and `toward`
+        orients item's separation as item."""
+        if self.order_bound <= item.order:
+            return False
+        sep = item.canonical()
+        toward = self.toward(sep)
+        return toward is not None and sep.orient(toward) == item
+
+
 @dataclass(frozen=True, eq=False)
-class PreTangle:
+class PreTangle(Orienter):
     """Materialized consistent orientation of all separations of order < k."""
 
     graph: Graph
@@ -82,35 +125,17 @@ class PreTangle:
     choices: dict
 
     def __post_init__(self):
-        items = tuple(sorted(self.choices.items(), key=lambda kv: kv[0].sort_key))
-        key = tuple((s.sort_key, t) for s, t in items)
-        object.__setattr__(self, "_items", items)  # the one sort of the choices
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash((self.order_bound, key)))
+        super().__post_init__()
+        items = sorted(_checked(self.choices, kind=dict).items(), key=lambda kv: kv[0].sort_key)
+        object.__setattr__(self, "_items", tuple(items))  # the one sort of the choices
 
-    def __eq__(self, other):
-        if not isinstance(other, PreTangle):
-            return NotImplemented
-        return self.order_bound == other.order_bound and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
-
-    @property
+    @cached_property
     def sort_key(self) -> tuple:
-        return (self.order_bound, self._key)
+        return (self.order_bound, "", tuple((s.sort_key, t) for s, t in self._items))
 
     def toward(self, sep: Separation) -> str | None:
         """The chosen side of the canonical separation sep, else None."""
         return self.choices.get(sep)
-
-    def orient(self, sep: Separation) -> Separation:
-        toward = self.toward(sep)
-        if toward is None:
-            raise OrientationUndecidableError(
-                f"separation of order {sep.order} outside this order-{self.order_bound} domain"
-            )
-        return sep.orient(toward)
 
     def oriented_members(self) -> tuple[Separation, ...]:
         """The chosen orientations in canonical separation order, sorted once."""
@@ -149,7 +174,7 @@ class Tangle(PreTangle):
 
 
 @dataclass(frozen=True, eq=False)
-class TangleWitness:
+class TangleWitness(Orienter):
     """Lazy orientation anchored to a cohesive substructure.
 
     kind == "clique": orients every separation of order < order_bound toward
@@ -174,12 +199,11 @@ class TangleWitness:
     window: int = -1
 
     def __post_init__(self):
-        _checked(self.graph)
+        super().__post_init__()
         if self.kind not in ("clique", "end_region"):
             raise FamilyParameterError(f"unknown witness kind {self.kind!r}")
-        if type(self.order_bound) is not int or self.order_bound < 1:  # not bool, as in `PreTangle.from_json`
-            raise FamilyParameterError(f"witness order_bound must be an integer >= 1, got {self.order_bound!r}")
         if self.kind == "clique":
+            object.__setattr__(self, "clique", _vertex_set(self.graph, self.clique, "a clique"))
             if not self.clique:
                 raise FamilyParameterError("clique witness needs a non-empty clique")
             if self.order_bound > len(self.clique):
@@ -187,7 +211,7 @@ class TangleWitness:
                     "clique witness bound may not exceed the clique size"
                 )
             closed = self.graph._vertex_index[2]
-            c = self._anchor  # raises UnknownVertexError for a vertex outside the graph
+            c = self._anchor
             if any(c & ~closed[v] for v in _bits(c)):
                 raise FamilyParameterError("clique witness vertices must be pairwise adjacent")
         else:
@@ -195,24 +219,8 @@ class TangleWitness:
                 raise FamilyParameterError(
                     "end_region witness needs a presentation and spine label"
                 )
-        object.__setattr__(self, "_hash", hash((self.kind, self.order_bound, self.clique, self.spine, self.window)))
 
-    def __eq__(self, other):
-        if not isinstance(other, TangleWitness):
-            return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.order_bound == other.order_bound
-            and self.clique == other.clique
-            and self.spine == other.spine
-            and self.window == other.window
-            and self.graph == other.graph
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    @property
+    @cached_property
     def sort_key(self) -> tuple:
         return (self.order_bound, self.kind, tuple(sorted(self.clique)), self.spine, self.window)
 
@@ -241,17 +249,10 @@ class TangleWitness:
             return None
         return "a" if rest & a else "b"
 
-    def orient(self, sep: Separation) -> Separation:
-        toward = self.toward(sep)
-        if toward is None:
-            if sep.order >= self.order_bound:
-                raise OrientationUndecidableError(
-                    f"separation of order {sep.order} outside this order-{self.order_bound} domain"
-                )
-            raise OrientationUndecidableError(
-                "spine tail meets the separator; end_region undecidable in this window"
-            )
-        return sep.orient(toward)
+    def _open(self, sep: Separation) -> str:
+        if sep.order < self.order_bound:
+            return "spine tail meets the separator; end_region undecidable in this window"
+        return super()._open(sep)
 
     def to_json(self) -> dict:
         doc = {"kind": self.kind, "order_bound": self.order_bound}
@@ -261,9 +262,6 @@ class TangleWitness:
             doc["spine"] = self.spine
             doc["window"] = self.window
         return doc
-
-
-Orienter = PreTangle | TangleWitness
 
 
 def _orienting(g: Graph, *orienters, kind: type = Orienter) -> None:
@@ -279,7 +277,7 @@ def _orienting(g: Graph, *orienters, kind: type = Orienter) -> None:
 
 
 def clique_witness(g: Graph, clique: Iterable[str], order_bound: int) -> TangleWitness:
-    return TangleWitness("clique", g, order_bound, clique=_vertex_set(_checked(g), clique, "a clique"))
+    return TangleWitness("clique", g, order_bound, clique=clique)
 
 
 def end_region_witness(presentation, spine: str, window: int, order_bound: int) -> TangleWitness:
@@ -838,15 +836,12 @@ def distinguishes(s: Separation, p: Orienter, q: Orienter) -> bool:
     return p.orient(s) != q.orient(s)
 
 
-def _clique_cores(p: Orienter, q: Orienter):
-    """The two cliques when p and q are both clique witnesses, else None."""
-    if (
-        isinstance(p, TangleWitness)
-        and isinstance(q, TangleWitness)
-        and p.kind == "clique"
-        and q.kind == "clique"
-    ):
-        return p.clique, q.clique
+def _clique_flow(g: Graph, p: Orienter, q: Orienter):
+    """(paths, leftmost cut) of the max flow between the cliques of p and q
+    when both are clique witnesses, else None: one `_solve`, memoized on g,
+    read by every distinguisher query on the pair."""
+    if isinstance(p, TangleWitness) and isinstance(q, TangleWitness) and p.kind == q.kind == "clique":
+        return _solve(g, p.clique, q.clique)
     return None
 
 
@@ -879,17 +874,15 @@ def efficient_distinguisher(
     `enumerate_separations` slot.
     """
     _orienting(g, p, q)
-    cores = _clique_cores(p, q)
-    if cores is not None:
-        if min_distinguishing_order(g, p, q, budget=budget) is None:
+    flow = _clique_flow(g, p, q)
+    if flow is not None:
+        if len(flow[0]) >= min(p.order_bound, q.order_bound):
             return None
-        s, q_mask = g.mask(minimum_separator(g, *cores)), g.mask(cores[1])
+        s, q_mask = g.mask(flow[1]), g.mask(q.clique)
         pinned = sum(c for c in _flood(g, s) if not c & q_mask)
         sep = _component_separations(g, s, pinned, [])[0]
-        if not distinguishes(sep, p, q):
-            raise OrientationUndecidableError(
-                "minimum cut failed to distinguish the clique witnesses"
-            )
+        if not _splits(sep, p, q):
+            raise InternalCheckError("minimum cut failed to distinguish the clique witnesses")
         return sep
     bound = min(p.order_bound, q.order_bound)
     seps = enumerate_separations(g, bound - 1, budget=budget)
@@ -904,9 +897,9 @@ def min_distinguishing_order(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> int | None:
     _orienting(g, p, q)
-    cores = _clique_cores(p, q)
-    if cores is not None:
-        value = len(disjoint_paths(g, *cores))
+    flow = _clique_flow(g, p, q)
+    if flow is not None:
+        value = len(flow[0])
         return value if value < min(p.order_bound, q.order_bound) else None
     sep = efficient_distinguisher(g, p, q, budget=budget)
     return None if sep is None else sep.order

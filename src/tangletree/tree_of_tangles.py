@@ -35,7 +35,7 @@ from .errors import (
     SeparationError,
     UnknownVertexError,
 )
-from .graph import Graph, _as_json, _checked, _field, _flood, _select, _solve, components, minimum_separator
+from .graph import Graph, _as_json, _checked, _field, _flood, _select, components
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     NestedSet,
@@ -50,7 +50,7 @@ from .separations import (
 from .tangles import (
     Orienter,
     PreTangle,
-    _clique_cores,
+    _clique_flow,
     _orienting,
     _splits,
     check_tangle,
@@ -75,10 +75,11 @@ def _min_order_distinguishers(
     bipartition of the other components with p's on side a and q's on
     side b.
     """
-    if _clique_cores(p, q) is None:
+    flow = _clique_flow(g, p, q)
+    if flow is None:
         seps = enumerate_separations(g, target_order, budget=budget)
         return [sep for sep in seps if sep.order == target_order and _splits(sep, p, q)]
-    paths = _solve(g, p.clique, q.clique)[0]
+    paths = flow[0]
     if prod(map(len, paths)) > budget:
         raise BudgetExceededError("clique-pair separator candidates", budget)
     p_mask, q_mask = g.mask(p.clique), g.mask(q.clique)
@@ -155,10 +156,10 @@ class TreeOfTanglesReport:
 def _window_limited(g: Graph, p: Orienter, q: Orienter, boundary: frozenset[str]) -> bool:
     """True when the sub-minimum cut between clique cores leans on the
     window boundary, so the deficit is an artifact of truncation."""
-    if not boundary or _clique_cores(p, q) is None:
+    if not boundary:
         return False
-    cut = minimum_separator(g, p.clique, q.clique)
-    return bool(cut & (boundary | g.neighbourhood(boundary)))
+    flow = _clique_flow(g, p, q)
+    return flow is not None and bool(flow[1] & (boundary | g.neighbourhood(boundary)))
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,9 @@ def classify_pairs(
     otherwise. The efficient orders come from one `distinguishable_pairs`
     call, which shares one separation enumeration among all pairs.
     """
-    members = list(members)
+    members = _listed(members, "members")
+    tangles = _listed(tangles, "tangles", of="orienters")
+    _orienting(_checked(g), *tangles)
     out = []
     for (i, j), order in sorted(distinguishable_pairs(g, tangles, budget=budget)):
         p, q = tangles[i], tangles[j]
@@ -217,8 +220,6 @@ def verify_tree_of_tangles(
     "missed" as `classify_pairs` finds it without a window boundary.
     """
     ms = list(_checked(n, kind=NestedSet))
-    tangles = _listed(tangles, "tangles", of="orienters")
-    _orienting(_checked(g), *tangles)
     verdicts = classify_pairs(g, ms, tangles, budget=budget)
     relevance: dict = {}
     for m in ms:

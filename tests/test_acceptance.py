@@ -104,8 +104,8 @@ def test_criterion_03_enumeration_oracles(corpus_small):
     for g in graphs:
         k = min(3, len(g.vertices))
         seps = enumerate_separations(g, k - 1)
-        fast = {t._key for t in enumerate_tangles(g, k)}
-        brute = {t._key for t in all_tangles_brute(g, k, seps)}
+        fast = {t.sort_key for t in enumerate_tangles(g, k)}
+        brute = {t.sort_key for t in all_tangles_brute(g, k, seps)}
         assert fast == brute
         checked_tangles += 1
     _report(
@@ -142,7 +142,7 @@ def test_criterion_05_two_k4_exact_values():
     tangles = enumerate_tangles(g, 3)
     assert len(tangles) == 2
     brute = all_tangles_brute(g, 3, enumerate_separations(g, 2))
-    assert {t._key for t in tangles} == {t._key for t in brute}
+    assert {t.sort_key for t in tangles} == {t.sort_key for t in brute}
     sep = efficient_distinguisher(g, tangles[0], tangles[1])
     assert sep.order == 1
     assert min_distinguishing_order_brute(g, tangles[0], tangles[1]) == 1

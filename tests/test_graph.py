@@ -46,6 +46,7 @@ from tangletree.separations import (
 )
 from tangletree.tangles import (
     PreTangle,
+    TangleWitness,
     clique_witness,
     distinguishable_pairs,
     end_region_witness,
@@ -55,6 +56,7 @@ from tangletree.tangles import (
 from tangletree.tree_of_tangles import (
     TreeDecomposition,
     build_tree_of_tangles,
+    classify_pairs,
     induce_tree_decomposition,
     verify_tree_decomposition,
     verify_tree_of_tangles,
@@ -165,6 +167,12 @@ _CALLS_ON_NONE = {
         _PATH3, Separation(_PATH3, {"p00"}, _PATH3.vertices), _ITEM, None
     ),
     "pseudo_tight_check": lambda: pseudo_tight_check(_PATH3, None),
+    "PreTangle graph": lambda: PreTangle(None, 2, {}),
+    "PreTangle choices": lambda: PreTangle(_PATH3, 2, None),
+    "TangleWitness graph": lambda: TangleWitness("clique", None, 1, clique={"p00"}),
+    "TangleWitness clique": lambda: TangleWitness("clique", _PATH3, 1, clique=None),
+    "classify_pairs members": lambda: classify_pairs(_PATH3, None, []),
+    "classify_pairs tangles": lambda: classify_pairs(_PATH3, [], None),
 }
 
 
@@ -172,9 +180,9 @@ _CALLS_ON_NONE = {
 def test_none_for_a_presentation_pair_witness_clique_or_text_raises_a_library_error(call):
     """Each public call checks its arguments on entry, so None for a
     presentation, an interlaced pair, a witness, a clique, a document text,
-    a nested set, a tree-decomposition, a sequence, or a list of tangles or
-    pool of orienters raises a PreconditionError, not a raw AttributeError
-    or TypeError."""
+    a nested set, a tree-decomposition, a sequence, a list of members, of
+    tangles or pool of orienters, or an orienter's graph or choices raises a
+    PreconditionError, not a raw AttributeError or TypeError."""
     with pytest.raises(PreconditionError, match="^(expected a [A-Za-z]+, got NoneType|[a-z ]+ must be an iterable)"):
         call()
 

@@ -29,7 +29,8 @@ from tangletree.separations import (
     relation,
     supremum,
 )
-from tangletree.tangles import PreTangle, clique_witness
+from tangletree.tangles import PreTangle, clique_witness, enumerate_tangles
+from .conftest import clique_chain_graph
 from .oracles import pseudo_tight_reference, thin_out_reference
 
 
@@ -204,6 +205,26 @@ def test_strong_relevance_without_middle_tangle(chain_setup):
         g, chain.items[0], chain.items[1], [pool[0], pool[3]]
     )
     assert not report.witnessed
+
+
+def test_a_pool_mixing_search_tangles_and_a_witness_of_their_order_sorts():
+    """Three K4 joined by bridges: the search's tangles of order 2 and a
+    clique witness of order 2 on the last K4 make one pool. Their sort keys
+    compare, pre-tangles first, so the strong-relevance witness and the
+    interlaced pair are those of the search's tangles alone."""
+    g = clique_chain_graph(3, 4)
+    k4 = [{v for v in g.vertices if v.startswith(f"c{i}_")} for i in range(3)]
+    tangles = enumerate_tangles(g, 2)
+    pool = [*tangles, clique_witness(g, k4[2], 2)]
+    s = make_separation(g, k4[0], k4[1] | k4[2] | {"c0_4"})
+    t = make_separation(g, k4[0] | k4[1], k4[2] | {"c1_4"})
+    report = check_strongly_relevant(g, s, t, pool)
+    assert report.witnessed and report == check_strongly_relevant(g, s, t, tangles)
+    nested = NestedSet.of(g, [s.canonical(), t.canonical()])
+    for item in (s, t):
+        seq = SeparationSequence.strictly_increasing([item])
+        mixed, alone = (construct_interlaced(g, nested, seq, x) for x in (pool, tangles))
+        assert mixed.sequence.items == alone.sequence.items and mixed.tangles == alone.tangles
 
 
 def test_pool_members_orienting_nothing_are_skipped(chain_setup):

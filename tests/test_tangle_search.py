@@ -73,8 +73,8 @@ def _order_and_domain(g: Graph, k: int):
 @given(g=connected_graphs(), k=st.integers(1, 4))
 def test_enumerate_tangles_matches_brute_force(g, k):
     k, seps = _order_and_domain(g, k)
-    fast = [t._key for t in enumerate_tangles(g, k)]
-    brute = [t._key for t in all_tangles_brute(g, k, seps)]
+    fast = [t.sort_key for t in enumerate_tangles(g, k)]
+    brute = [t.sort_key for t in all_tangles_brute(g, k, seps)]
     assert fast == brute
 
 
@@ -99,9 +99,9 @@ def test_search_matches_the_orientation_search_and_brute_force(g, k):
     k = min(k, len(g.vertices) + 1)
     reference, nodes = tangle_search_reference(g, k)
     found = enumerate_tangles(g, k, budget=nodes)
-    assert [t._key for t in found] == [t._key for t in reference]
+    assert [t.sort_key for t in found] == [t.sort_key for t in reference]
     k, seps = _order_and_domain(g, k)
-    assert [t._key for t in enumerate_tangles(g, k)] == [t._key for t in all_tangles_brute(g, k, seps)]
+    assert [t.sort_key for t in enumerate_tangles(g, k)] == [t.sort_key for t in all_tangles_brute(g, k, seps)]
 
 
 @settings(max_examples=80)
@@ -116,7 +116,7 @@ def test_search_on_the_index_from_the_first_node_matches_the_orientation_search(
     reference, nodes = tangle_search_reference(g, k)
     with mock.patch.object(tangles, "_WIDE", wide):
         found = enumerate_tangles(g, k, budget=nodes)
-    assert [t._key for t in found] == [t._key for t in reference]
+    assert [t.sort_key for t in found] == [t.sort_key for t in reference]
 
 
 def _insert_kinds(monkeypatch) -> list:
@@ -437,7 +437,7 @@ def _assert_pinned(g: Graph, k: int, reference_nodes: int, nodes: int) -> list:
     reference, visited = tangle_search_reference(g, k)
     assert visited == reference_nodes
     found = _assert_search_visits(g, k, nodes)
-    assert [t._key for t in found] == [t._key for t in reference]
+    assert [t.sort_key for t in found] == [t.sort_key for t in reference]
     return found
 
 
@@ -488,12 +488,12 @@ def test_split_search_matches_the_whole_graph_search_and_brute_force(g, k):
     assert len(g.vertices) <= 9 and len(_blocks(g)) > 1
     k = min(k, len(g.vertices) + 1)
     reference, nodes = tangle_search_reference(g, k)
-    found = [t._key for t in enumerate_tangles(g, k, budget=nodes)]
-    assert found == [t._key for t in _search_tangles(g, k, nodes, split=False)]
-    assert found == [t._key for t in reference]
+    found = [t.sort_key for t in enumerate_tangles(g, k, budget=nodes)]
+    assert found == [t.sort_key for t in _search_tangles(g, k, nodes, split=False)]
+    assert found == [t.sort_key for t in reference]
     k, seps = _order_and_domain(g, k)
     if k >= 2:
-        assert [t._key for t in enumerate_tangles(g, k)] == [t._key for t in all_tangles_brute(g, k, seps)]
+        assert [t.sort_key for t in enumerate_tangles(g, k)] == [t.sort_key for t in all_tangles_brute(g, k, seps)]
 
 
 @pytest.mark.parametrize(
@@ -514,7 +514,7 @@ def test_split_search_visits_pinned_nodes(g, k, nodes, whole_nodes, count):
     either block fits it alone."""
     found = _assert_search_visits(g, k, nodes, split=True)
     assert len(found) == count
-    assert [t._key for t in found] == [t._key for t in _assert_search_visits(g, k, whole_nodes)]
+    assert [t.sort_key for t in found] == [t.sort_key for t in _assert_search_visits(g, k, whole_nodes)]
 
 
 _GRID = grid_graph(3, 3)
@@ -548,7 +548,7 @@ def _assert_block_searches_are_their_graphs_searches(g: Graph, k: int) -> None:
         expected = havens(_tables(h._vertex_index[2]), h.mask(h.vertices), k, floods, DEFAULT_TANGLE_BUDGET)
         named = [{h.mask(_select(names, s)): h.mask(_select(names, c)) for s, c in beta.items()} for beta in found]
         assert (named, nodes) == expected
-        assert [t._key for t in _assert_search_visits(h, k, nodes)] == [t._key for t in _tangles_of(h, k, seps, named)]
+        assert [t.sort_key for t in _assert_search_visits(h, k, nodes)] == [t.sort_key for t in _tangles_of(h, k, seps, named)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -768,7 +768,7 @@ def test_search_reads_the_enumeration_floods(monkeypatch, g, k, count):
     hot = Graph(g.vertices, g.edges)
     enumerate_separations(hot, k - 1)
     floods.clear()
-    assert [t._key for t in enumerate_tangles(hot, k)] == [t._key for t in found]
+    assert [t.sort_key for t in enumerate_tangles(hot, k)] == [t.sort_key for t in found]
     assert floods == []
 
 

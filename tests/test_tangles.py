@@ -23,6 +23,7 @@ from tangletree.tangles import (
     PreTangle,
     _splits,
     Tangle,
+    TangleWitness,
     check_pretangle,
     check_tangle,
     clique_witness,
@@ -129,7 +130,7 @@ def test_two_k4_has_exactly_two_order_three_tangles():
     assert len(tangles) == 2
     seps = enumerate_separations(g, 2)
     brute = all_tangles_brute(g, 3, seps)
-    assert {t._key for t in tangles} == {t._key for t in brute}
+    assert {t.sort_key for t in tangles} == {t.sort_key for t in brute}
 
 
 def test_enumerate_tangles_matches_brute_force(corpus_small):
@@ -138,7 +139,7 @@ def test_enumerate_tangles_matches_brute_force(corpus_small):
         seps = enumerate_separations(g, k - 1)
         fast = enumerate_tangles(g, k)
         brute = all_tangles_brute(g, k, seps)
-        assert {t._key for t in fast} == {t._key for t in brute}
+        assert {t.sort_key for t in fast} == {t.sort_key for t in brute}
 
 
 def test_tangle_domain_is_downward_closed(corpus_small):
@@ -212,16 +213,28 @@ def test_clique_witness_rejects_non_cliques():
     assert clique_witness(g, ["b", "c"], 2).orient(bridge).side_b == {"b", "c", "d"}
 
 
-@pytest.mark.parametrize("bound", [0, -1, True, 2.0, "2"])
+@pytest.mark.parametrize("bound", [0, -1, True, 2.0, "2", None])
 def test_witness_order_bound_is_an_integer_of_at_least_one(bound, scaled_chain):
     """A witness order bound is an int (not a bool) of at least 1, as a
-    tangle document's is, for clique and end-region witnesses alike."""
+    tangle document's is, for clique and end-region witnesses and for a
+    pre-tangle alike."""
     g = Graph.from_data(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
     with pytest.raises(FamilyParameterError, match="order_bound"):
         clique_witness(g, ["a", "b", "c"], bound)
     with pytest.raises(FamilyParameterError, match="order_bound"):
         end_region_witness(scaled_chain, "R0", 2, bound)
+    with pytest.raises(FamilyParameterError, match="order_bound"):
+        PreTangle(g, bound, {})
     assert clique_witness(g, ["a", "b", "c"], 1).order_bound == 1
+
+
+@pytest.mark.parametrize("kind", [list, set, iter], ids=["list", "set", "iterator"])
+def test_a_witness_clique_is_read_as_a_frozenset(kind):
+    """The constructor reads its clique as `clique_witness` does, so a list
+    or a set of names gives the witness that function builds."""
+    g = Graph.from_data(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+    w = TangleWitness("clique", g, 2, clique=kind(["a", "b", "c"]))
+    assert w.clique == frozenset(["a", "b", "c"]) and w == clique_witness(g, ["c", "b", "a"], 2)
 
 
 def test_witness_rejects_a_separation_of_another_graph(scaled_chain):
@@ -283,7 +296,7 @@ def _outcome(f, *args):
 
 
 def _assert_queries_agree(g: Graph, orienters: list, max_order: int) -> None:
-    """toward, orient, _splits and distinguishes against the name-lookup
+    """toward, orient, holds, _splits and distinguishes against the name-lookup
     references, on both orientations of every separation of order <= each
     orienter's bound, and for every pair below both bounds."""
     seps = [x for sep in enumerate_separations(g, max_order) for x in sep.orientations()]
@@ -297,6 +310,9 @@ def _assert_queries_agree(g: Graph, orienters: list, max_order: int) -> None:
             else:
                 assert toward is None
             assert _outcome(t.orient, sep) == _outcome(orient_reference, t, sep)
+            canonical = sep.canonical()
+            held = sep.order < t.order_bound and orients_reference(t, canonical)
+            assert t.holds(sep) == (held and orient_reference(t, canonical) == sep)
     for i, p in enumerate(orienters):
         for q in orienters[i + 1 :]:
             for sep in seps:
@@ -426,9 +442,15 @@ def test_witness_and_tangle_json(scaled_chain):
     w = clique_witness(g, scaled_chain.clique(0), 3)
     doc = w.to_json()
     assert doc["kind"] == "clique" and doc["order_bound"] == 3
-    t = enumerate_tangles(path_graph(3), 2)[0]
-    back = PreTangle.from_json(path_graph(3), t.to_json())
-    assert back == t
+    path = path_graph(3)
+    tangles = enumerate_tangles(path, 2)
+    t = tangles[0]
+    back = PreTangle.from_json(path, t.to_json())
+    assert back == t and hash(back) == hash(t) and type(back) is not type(t)
+    # a pre-tangle never equals a witness, even one orienting as it does
+    edge = clique_witness(path, ["p00", "p01"], 2)
+    assert materialize(edge) in tangles and edge not in tangles
+    assert sorted([edge, *tangles], key=lambda x: x.sort_key)[-1] is edge
 
 
 @pytest.mark.parametrize("toward", ["a", "b"])
@@ -490,8 +512,8 @@ def test_enumerate_tangles_brute_agreement_random(data):
     g = random_connected_graph(random.Random(seed), n)
     k = data.draw(st.integers(1, min(3, n)))
     seps = enumerate_separations(g, k - 1)
-    assert {t._key for t in enumerate_tangles(g, k)} == {
-        t._key for t in all_tangles_brute(g, k, seps)
+    assert {t.sort_key for t in enumerate_tangles(g, k)} == {
+        t.sort_key for t in all_tangles_brute(g, k, seps)
     }
 
 
