@@ -14,6 +14,11 @@ closure, ray packings growing with the horizon, and a packing realized
 beyond the window supremum, starting inside its separator. Every stage is
 explicitly evidence at a finite horizon, never proof about the infinite
 object.
+
+Every flow here runs on vertex masks of the window: spines, ray prefixes,
+bases, territories and the supremum's sides. Frozensets of names are the
+boundary only: the arguments of the public calls, `RayPacking.base`, the
+sets the `validate` methods check, and stage details.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import FamilyParameterError, PreconditionError
 from .families import LayeredPresentation
-from .graph import Graph, _checked, _flood, _solve, components
+from .graph import Graph, _checked, _flood, _solve
 from .limits import _growth_table, exhaustiveness_evidence, limit_separator_prefix
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -88,14 +93,14 @@ def _teeth_paths(g: Graph, spine: tuple[str, ...], targets: frozenset[str]) -> l
 
     Spine vertices inside the target set contribute their trivial path; the
     others come from one flow in g from the whole spine to the remaining
-    targets. No edge needs deleting for that: each search of the flow enters
-    every source's in-node from the source first, so no path enters a
-    second spine vertex and an edge between two spine vertices carries no
-    flow.
+    targets, both as masks. No edge needs deleting for that: each search of
+    the flow enters every source's in-node from the source first, so no
+    path enters a second spine vertex and an edge between two spine
+    vertices carries no flow.
     """
-    spine_set = frozenset(spine)
     trivial = [(v,) for v in spine if v in targets]
-    return trivial + list(_solve(g, spine_set, targets - spine_set)[0])
+    spine_mask = g.mask(spine)
+    return trivial + list(_solve(g, spine_mask, g.mask(targets) & ~spine_mask)[0])
 
 
 def find_comb(
@@ -150,27 +155,19 @@ def ray_equivalence_classes(p, m: int) -> tuple[Direction, ...]:
     in G_m'."""
     g = p.graph_at(m)
     labels = sorted(p.rays_in_layer(m))
-    parent = {lab: lab for lab in labels}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    prefix = {lab: g.mask(p.ray_prefix(lab, m)) for lab in labels}
+    least = {lab: lab for lab in labels}  # the least label of each label's class so far
     for i, a in enumerate(labels):
         for b in labels[i + 1 :]:
-            ra, rb = find(a), find(b)
-            if ra == rb:
+            if least[a] == least[b]:
                 continue  # already joined: a flow would not change the classes
-            va = frozenset(p.ray_prefix(a, m))
-            vb = frozenset(p.ray_prefix(b, m))
-            if len(_solve(g, va, vb, cap=_JOINING_PATHS)[0]) == _JOINING_PATHS:
-                parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[str, list[str]] = {}
-    for lab in labels:
-        groups.setdefault(find(lab), []).append(lab)
-    return tuple(Direction(tuple(sorted(g))) for _, g in sorted(groups.items()))
+            if len(_solve(g, prefix[a], prefix[b], cap=_JOINING_PATHS)[0]) == _JOINING_PATHS:
+                low, high = sorted((least[a], least[b]))
+                least = {lab: low if c == high else c for lab, c in least.items()}
+    classes: dict[str, list[str]] = {}
+    for lab in labels:  # in label order, so each class comes in at its least label
+        classes.setdefault(least[lab], []).append(lab)
+    return tuple(Direction(tuple(rays)) for rays in classes.values())
 
 
 def directions_in_closure(
@@ -233,18 +230,12 @@ class RayPacking:
         }
 
 
-def _direction_territory(p, m: int, direction: Direction, base: frozenset[str]) -> frozenset[str]:
-    g = p.graph_at(m)
-    tails = set()
-    for label in direction.rays:
-        prefix = [v for v in p.ray_prefix(label, m) if v not in base]
-        if prefix:
-            tails.add(prefix[-1])
-    territory: set[str] = set()
-    for comp in components(g, base):
-        if comp & tails:
-            territory |= comp
-    return frozenset(territory)
+def _ray_tails(g: Graph, p, m: int, direction: Direction, base: int = 0) -> int:
+    """The mask of the last vertex outside base of each ray prefix of the
+    direction in g, which is G_m."""
+    index = g._vertex_index[1]
+    outside = ([v for v in p.ray_prefix(label, m) if not base >> index[v] & 1] for label in direction.rays)
+    return g.mask(prefix[-1] for prefix in outside if prefix)
 
 
 def ray_packing(p, m: int, direction: Direction, base) -> RayPacking:
@@ -257,20 +248,23 @@ def ray_packing(p, m: int, direction: Direction, base) -> RayPacking:
 def _ray_packing(p: LayeredPresentation, m: int, direction: Direction, base) -> RayPacking:
     g = p.graph_at(m)
     base = frozenset(base)
-    territory = _direction_territory(p, m, direction, base)
+    z = g.mask(base)
+    tails = _ray_tails(g, p, m, direction, z)
+    territory = sum(c for c in _flood(g, z) if c & tails)
     if not territory:
         raise PreconditionError("empty territory for this direction at this horizon")
-    return RayPacking(base=base, paths=_paths_from_base(g, base, territory, p.boundary(m)))
+    return RayPacking(base=base, paths=_paths_from_base(g, z, territory, g.mask(p.boundary(m))))
 
 
-def _paths_from_base(g: Graph, base: frozenset[str], region: frozenset[str], targets) -> tuple:
+def _paths_from_base(g: Graph, base: int, region: int, targets: int) -> tuple:
     """Maximum disjoint paths from base to targets in G[base | region] less
-    the edges inside base, as one flow in g restricted to base | region.
-    The edges inside base need no deleting: every search of the flow enters
-    each base vertex from the source first, so no such edge carries flow.
+    the edges inside base, as one flow in g restricted to base | region,
+    all four vertex masks. The edges inside base need no deleting: every
+    search of the flow enters each base vertex from the source first, so no
+    such edge carries flow.
     """
-    vertices = region | base
-    return _solve(g, base, targets & vertices, g.mask(vertices))[0]
+    within = region | base
+    return _solve(g, base, targets & within, within)[0]
 
 
 @dataclass(frozen=True)
@@ -437,23 +431,23 @@ def thick_end_pipeline(
     )
 
     # stage 4: packing realized beyond the window supremum
-    sup = supremum(top_chain)
-    strict_b = sup.side_b - sup.side_a
-    z = u_top
-    if not z <= sup.separator:
+    a, b = supremum(top_chain).masks
+    strict_b = b & ~a
+    z = g.mask(u_top)
+    if z & ~(a & b):
         stages.append(
             StageReport("beyond_limit", "fail", {"reason": "prefix not inside separator"})
         )
         return _report(stages)
-    paths = _paths_from_base(g, z, strict_b, boundary)
-    contained = all(set(path[1:]) <= strict_b for path in paths)
-    status = "pass" if len(paths) == len(z) and contained and z else "fail"
+    paths = _paths_from_base(g, z, strict_b, g.mask(boundary))
+    contained = not any(g.mask(path[1:]) & ~strict_b for path in paths)
+    status = "pass" if len(paths) == len(u_top) and contained and z else "fail"
     stages.append(
         StageReport(
             "beyond_limit",
             status,
             {
-                "target_size": len(z),
+                "target_size": len(u_top),
                 "achieved": len(paths),
                 "contained_in_strict_b": contained,
                 "paths": [list(path) for path in paths],
@@ -481,15 +475,10 @@ def thin_end_bound(
     """
     g = _checked(p, kind=LayeredPresentation).graph_at(m)
     boundary = p.boundary(m)
-    fringe = boundary | g.neighbourhood(boundary)
-    tails = set()
-    for label in direction.rays:
-        prefix = p.ray_prefix(label, m)
-        if prefix:
-            tails.add(prefix[-1])
+    fringe = g.mask(boundary | g.neighbourhood(boundary))
+    tails = _ray_tails(g, p, m, direction)
     if not tails:
         raise PreconditionError("direction has no ray tails in this window")
-    tails, fringe = g.mask(tails), g.mask(fringe)
     full = (1 << len(g.vertices)) - 1
     for bound in range(1, max_bound + 1):
         candidates = []

@@ -4,7 +4,9 @@ A LayeredPresentation is a chain G_0 <= G_1 <= ... <= G_h of induced
 subgraphs together with, per layer, the boundary: the vertices that gain a
 neighbour in the next layer. Generators also declare the family's rays (as
 vertex paths) and, for the clique chain, the cliques themselves, so that
-tests and pipelines can reference designated vertices by name.
+tests and pipelines can reference designated vertices by name. So the
+boundaries, cliques and chain separators are frozensets of names: a family
+is built, and read back from JSON, by name.
 
 Each generator declares its graph once, up to level h + 1: every vertex
 with the level at which it enters, and every edge, which enters with its

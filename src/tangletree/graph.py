@@ -9,11 +9,12 @@ Disjoint path computation uses unit-vertex-capacity max-flow on the
 split-vertex digraph, so its cardinality equals the minimum vertex cut
 between the two terminal sets (Menger duality); tests check this against
 brute-force cut enumeration on small graphs. One solver, `_solve`, serves
-`disjoint_paths`, `minimum_separator` and the flows of the end evidence.
-Its breadth-first search pops an in-node and expands the out-node it leads
-to in one step, finds the new in-nodes with one mask operation on the
-closed neighbourhoods, lowest bit first, and stops as soon as it discovers
-an unused vertex of t, which is the one it would pop first. It never
+`disjoint_paths`, `minimum_separator` and the flows of the end evidence;
+it takes vertex masks and returns its cut as one. Its breadth-first
+search pops an in-node and expands the out-node it leads to in one step,
+finds the new in-nodes with one mask operation on the closed
+neighbourhoods, lowest bit first, and stops as soon as it discovers an
+unused vertex of t, which is the one it would pop first. It never
 expands a t vertex's out-node, so a used t vertex ends its path and keeps
 its unit, and one mask tracks the unused ones. So the emitted paths and
 the leftmost cut follow from the sorted vertex order alone, and tests pin
@@ -24,11 +25,13 @@ cut. The tangle search restricts itself to a block of G the same way: a
 block is a mask, searched on G's own neighbourhood tables, and no `Graph`
 is built for it. A cap stops a solve after that many paths, for callers
 that only ask whether there are so many. Each graph memoizes the
-(paths, cut) of every (s, t, mask, cap) it has solved. In the same order,
-vertex sets are int bitmasks (`Graph.mask`); one flood fill, `_flood`,
-finds the components of G - S as masks for `components`,
+(paths, cut) of every solve by its masks s, t and `within` and its cap.
+In the same order, vertex sets are int bitmasks (`Graph.mask`); one flood
+fill, `_flood`, finds the components of G - S as masks for `components`,
 `tight_components`, `Graph.is_connected` (once per graph) and separation
-enumeration, which keeps them for the tangle search.
+enumeration, which keeps them for the tangle search. Frozensets of names
+are the boundary only: a `Graph`'s fields and `adjacency`, and the
+arguments and results of the public calls.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ class Graph:
     edges: frozenset[Edge]
 
     def __post_init__(self):
-        for u, v in self.edges:
+        _checked(self.vertices, kind=frozenset)
+        for u, v in _checked(self.edges, kind=frozenset):
             if u == v:
                 raise GraphFormatError(f"loop edge at {u!r}", context="edges")
             if u > v:
@@ -78,9 +82,10 @@ class Graph:
 
     @classmethod
     def from_data(cls, vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "Graph":
-        vs = frozenset(vertices)
-        es = frozenset(_edge(u, v) for u, v in edges)
-        return cls(vs, es)
+        try:
+            return cls(frozenset(vertices), frozenset(_edge(u, v) for u, v in edges))
+        except (TypeError, ValueError) as exc:
+            raise PreconditionError(f"graph data must be an iterable of names and one of name pairs: {exc}") from None
 
     def __eq__(self, other):
         if self is other:
@@ -118,26 +123,14 @@ class Graph:
 
     @cached_property
     def _flow_memo(self) -> dict:
-        """(paths, cut) by (s, t, within, cap), filled by `_solve`; lives as
-        long as the graph."""
+        """(paths, cut) by the masks (s, t, within) and the cap, filled by
+        `_solve`; lives as long as the graph."""
         return {}
 
     def mask(self, vs: Iterable[str]) -> int:
-        """vs as an int with bit i set for the i-th vertex in sorted order.
-        A vertex not in the graph raises UnknownVertexError (the least such
-        name); a vs that is None, is not iterable or holds an unhashable item,
-        PreconditionError, as in `_vertex_set`."""
-        index = self._vertex_index[1]
-        mask = 0
-        try:
-            try:
-                for v in vs:
-                    mask |= 1 << index[v]
-            except KeyError as exc:
-                raise UnknownVertexError(_least({exc.args[0], *vs}.difference(index))) from None
-        except TypeError as exc:
-            raise PreconditionError(f"a vertex set must be an iterable of vertex names: {exc}") from None
-        return mask
+        """vs as an int with bit i set for the i-th vertex in sorted order,
+        checked as `_mask` checks it."""
+        return _mask(self, vs, "a vertex set")
 
     def neighbors(self, v: str) -> frozenset[str]:
         if v not in self.vertices:
@@ -155,12 +148,8 @@ class Graph:
         return _edge(u, v) in self.edges
 
     def induced(self, vs: Iterable[str]) -> "Graph":
-        vs = frozenset(vs)
-        unknown = vs - self.vertices
-        if unknown:
-            raise UnknownVertexError(min(unknown))
-        es = frozenset(e for e in self.edges if e[0] in vs and e[1] in vs)
-        return Graph(vs, es)
+        vs = _vertex_set(self, vs, "vs")
+        return Graph(vs, self.edges_within(vs))
 
     def edges_within(self, vs: frozenset[str]) -> frozenset[Edge]:
         return frozenset(e for e in self.edges if e[0] in vs and e[1] in vs)
@@ -376,30 +365,36 @@ def _least(names):
     return _ordered(names)[0]
 
 
-def _vertex_set(g: Graph, vs: Iterable[str], what: str) -> frozenset[str]:
-    """vs as a set of g's vertices. A vs that is None, is not iterable or
-    holds an unhashable item raises PreconditionError; a name g lacks,
-    UnknownVertexError (the least such name)."""
+def _mask(g: Graph, vs: Iterable[str], what: str) -> int:
+    """vs, which a public call takes as `what`, as a mask of g's vertices.
+    A name g lacks raises UnknownVertexError (the least such name); a vs
+    that is None, is not iterable or holds an unhashable item,
+    PreconditionError naming `what`."""
+    index = g._vertex_index[1]
+    mask = 0
     try:
-        vs = frozenset(vs)
+        try:
+            for v in vs:
+                mask |= 1 << index[v]
+        except KeyError as exc:
+            raise UnknownVertexError(_least({exc.args[0], *vs}.difference(index))) from None
     except TypeError as exc:
         raise PreconditionError(f"{what} must be an iterable of vertex names: {exc}") from None
-    unknown = vs - g.vertices
-    if unknown:
-        raise UnknownVertexError(_least(unknown))
-    return vs
+    return mask
 
 
-def _terminals(g: Graph, s: Iterable[str], t: Iterable[str]) -> tuple[frozenset[str], frozenset[str]]:
-    return _vertex_set(_checked(g), s, "s"), _vertex_set(g, t, "t")
+def _vertex_set(g: Graph, vs: Iterable[str], what: str) -> frozenset[str]:
+    """vs as a set of g's vertices, checked as `_mask` checks it."""
+    return frozenset(_select(g._vertex_index[0], _mask(g, vs, what)))
 
 
-def _solve(g: Graph, s: frozenset[str], t: frozenset[str], within: int | None = None, cap: int | None = None):
-    """(paths, cut) of the unit-vertex-capacity max flow from s to t in the
-    subgraph of g induced by the mask `within` (all of g when None); s and
-    t must lie inside it. With a cap, the flow stops after `cap` augmenting
-    paths, so it finds min(cap, max flow) paths; the cut is then None if it
-    stopped there.
+def _solve(g: Graph, s: int, t: int, within: int | None = None, cap: int | None = None):
+    """(paths, cut) of the unit-vertex-capacity max flow from the mask s to
+    the mask t in the subgraph of g induced by the mask `within` (all of g
+    when None); s and t must lie inside it. Paths are tuples of names, the
+    cut a mask. With a cap, the flow stops after `cap` augmenting paths, so
+    it finds min(cap, max flow) paths; the cut is then None if it stopped
+    there. An empty s or t solves to ((), 0).
 
     The split-vertex network gives each vertex an in-node and an out-node,
     joined by an arc of capacity one; edges join out-nodes to in-nodes both
@@ -446,7 +441,7 @@ def _solve(g: Graph, s: frozenset[str], t: frozenset[str], within: int | None = 
     call keyed by the full mask, so a capped solve is never served to an
     uncapped caller; the memo holds no flow state.
     """
-    names, index, closed = g._vertex_index
+    names, _, closed = g._vertex_index
     n = len(names)
     full = (1 << n) - 1
     if within is None:
@@ -457,13 +452,12 @@ def _solve(g: Graph, s: frozenset[str], t: frozenset[str], within: int | None = 
     if solved is not None:
         return solved
     src = n
-    starts = sorted(index[v] for v in s)
-    s_mask = g.mask(s)
-    blocked = full & ~within | s_mask
-    free_t = g.mask(t)
+    starts = list(_select(range(n), s))
+    blocked = full & ~within | s
+    free_t = t
     into = [-1] * n
     # the first searches, each ending at the least unused start in t
-    trivial = list(_select(range(n), s_mask & free_t))[:cap]
+    trivial = list(_select(range(n), s & t))[:cap]
     for v in trivial:
         into[v] = src
         free_t ^= 1 << v
@@ -536,8 +530,8 @@ def _solve(g: Graph, s: frozenset[str], t: frozenset[str], within: int | None = 
         # the last search reached the out-node of each unused vertex whose
         # in-node it reached, and of a used vertex only through the in-node
         # its unit goes on to
-        cut = frozenset(
-            names[v]
+        cut = sum(
+            1 << v
             for v in _select(range(n), seen & within)
             if into[v] != -1 and not (onward[v] >= 0 and seen >> onward[v] & 1)
         )
@@ -552,10 +546,7 @@ def disjoint_paths(g: Graph, s: Iterable[str], t: Iterable[str]) -> list[list[st
     both s and t contributes a one-vertex path. Output is deterministic for
     a fixed input: paths are sorted by their first vertex.
     """
-    s, t = _terminals(g, s, t)
-    if not s or not t:
-        return []
-    return [list(path) for path in _solve(g, s, t)[0]]
+    return [list(path) for path in _solve(g, _mask(_checked(g), s, "s"), _mask(g, t, "t"))[0]]
 
 
 def minimum_separator(g: Graph, s: Iterable[str], t: Iterable[str]) -> frozenset[str]:
@@ -563,8 +554,6 @@ def minimum_separator(g: Graph, s: Iterable[str], t: Iterable[str]) -> frozenset
 
     The cut may intersect s and t; its size equals len(disjoint_paths(g,s,t)).
     """
-    s, t = _terminals(g, s, t)
-    if not s or not t:
-        return frozenset()
-    return _solve(g, s, t)[1]
+    cut = _solve(g, _mask(_checked(g), s, "s"), _mask(g, t, "t"))[1]
+    return frozenset(_select(g._vertex_index[0], cut))
 

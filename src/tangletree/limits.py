@@ -18,6 +18,10 @@ them. `thin_out` selects the last index attaining each successive minimal
 order, yielding strictly increasing orders while preserving IM1 and IM2.
 `exhaustiveness_evidence` reads a presentation's layer chains for signs that
 they exhaust the graph.
+
+Frozensets of names are the boundary only: the limit separator handed out,
+the boundary argument, and the layer checks and traces, which compare
+separations of different windows by name.
 """
 
 from __future__ import annotations
@@ -98,10 +102,10 @@ class InterlacedPair:
     tangles: tuple
 
     def __post_init__(self):
-        if len(self.tangles) != len(self.sequence) + 1:
-            raise PreconditionError(
-                "tangle list must be one longer than the sequence"
-            )
+        if type(self.tangles) is not tuple:
+            object.__setattr__(self, "tangles", tuple(_listed(self.tangles, "tangles", of="orienters")))
+        if len(self.tangles) != len(_checked(self.sequence, kind=SeparationSequence)) + 1:
+            raise PreconditionError("tangle list must be one longer than the sequence")
 
     @property
     def graph(self) -> Graph:

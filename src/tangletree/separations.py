@@ -19,8 +19,8 @@ masks. `reverse()` builds (B, A) on first call without a check, since it
 is a separation exactly when (A, B) is, and links the two. Sides are
 frozensets of vertex names in the API and JSON: `side_a`, `side_b` and
 `separator` are views built on first read, which the library reads only
-to hand names out, to compare separations of different graphs, or to call
-a routine that takes names.
+to hand names out, to check names a caller passed (`pushing_index`), or
+to compare separations of different graphs.
 
 Every separation built from a separator S and the components of G - S,
 (S | left, V - left) for a union `left` of components, comes from one
@@ -445,6 +445,8 @@ class SeparationSequence:
     strict: bool = True
 
     def __post_init__(self):
+        if type(self.items) is not tuple:
+            object.__setattr__(self, "items", tuple(_listed(self.items, "a sequence")))
         if self.items:
             g = _graph_of(self.items[0])
             for it in self.items[1:]:
@@ -457,11 +459,11 @@ class SeparationSequence:
 
     @classmethod
     def strictly_increasing(cls, items: Sequence[Separation]) -> "SeparationSequence":
-        return cls(tuple(_listed(items, "a sequence")), strict=True)
+        return cls(items, strict=True)
 
     @classmethod
     def weakly_increasing(cls, items: Sequence[Separation]) -> "SeparationSequence":
-        return cls(tuple(_listed(items, "a sequence")), strict=False)
+        return cls(items, strict=False)
 
     @property
     def graph(self) -> Graph:

@@ -26,7 +26,8 @@ Efficient distinguishers between two clique witnesses reduce to a minimum
 vertex cut between the cliques (any separation splitting the cliques must
 contain their shared vertices and block every connecting path, and
 conversely every cut yields such a separation), so the search runs as
-unit-capacity max-flow, read from one memoized solve (`_clique_flow`).
+unit-capacity max-flow, read from one memoized solve (`_clique_flow`) on
+the clique masks; `clique` is a frozenset of names for the API and JSON.
 Materialized pre-tangles are compared by enumeration with a budget instead.
 """
 
@@ -126,8 +127,17 @@ class PreTangle(Orienter):
 
     def __post_init__(self):
         super().__post_init__()
-        items = sorted(_checked(self.choices, kind=dict).items(), key=lambda kv: kv[0].sort_key)
-        object.__setattr__(self, "_items", tuple(items))  # the one sort of the choices
+        choices = _checked(self.choices, kind=dict)
+        try:  # the one sort of the choices, which fails on a key with no sort key or
+            # with one that does not compare with a separation's; the least is checked
+            items = sorted(choices.items(), key=lambda kv: kv[0].sort_key)
+            valid = {"a", "b"}.issuperset(choices.values()) and all(type(s) is Separation for s, _ in items[:1])
+        except (AttributeError, TypeError):
+            valid = False
+        if not valid:
+            bad = next((s, t) for s, t in choices.items() if type(s) is not Separation or t not in ("a", "b"))
+            raise PreconditionError(f"choice {bad[0]!r}: {bad[1]!r} is not a separation oriented toward 'a' or 'b'")
+        object.__setattr__(self, "_items", tuple(items))
 
     @cached_property
     def sort_key(self) -> tuple:
@@ -841,7 +851,7 @@ def _clique_flow(g: Graph, p: Orienter, q: Orienter):
     when both are clique witnesses, else None: one `_solve`, memoized on g,
     read by every distinguisher query on the pair."""
     if isinstance(p, TangleWitness) and isinstance(q, TangleWitness) and p.kind == q.kind == "clique":
-        return _solve(g, p.clique, q.clique)
+        return _solve(g, p._anchor, q._anchor)
     return None
 
 
@@ -878,9 +888,8 @@ def efficient_distinguisher(
     if flow is not None:
         if len(flow[0]) >= min(p.order_bound, q.order_bound):
             return None
-        s, q_mask = g.mask(flow[1]), g.mask(q.clique)
-        pinned = sum(c for c in _flood(g, s) if not c & q_mask)
-        sep = _component_separations(g, s, pinned, [])[0]
+        pinned = sum(c for c in _flood(g, flow[1]) if not c & q._anchor)
+        sep = _component_separations(g, flow[1], pinned, [])[0]
         if not _splits(sep, p, q):
             raise InternalCheckError("minimum cut failed to distinguish the clique witnesses")
         return sep

@@ -13,7 +13,8 @@ tree-decomposition whose nodes are the consistent orientations of the set,
 with bag(O) the intersection of the chosen right-hand sides and edges
 between orientations differing in exactly one member. The edge across a
 reversed member induces that member back, which is the round-trip invariant
-the verifier checks.
+the verifier checks. Its bags are frozensets of names, as the API and JSON
+hand them out and read them back; the clique-pair flows run on masks.
 """
 
 from __future__ import annotations
@@ -82,13 +83,12 @@ def _min_order_distinguishers(
     paths = flow[0]
     if prod(map(len, paths)) > budget:
         raise BudgetExceededError("clique-pair separator candidates", budget)
-    p_mask, q_mask = g.mask(p.clique), g.mask(q.clique)
     found: list[Separation] = []
     for picked in product(*paths):
         s = g.mask(picked)
         comps = _flood(g, s)
-        cp = next(c for c in comps if c & p_mask)
-        cq = next(c for c in comps if c & q_mask)
+        cp = next(c for c in comps if c & p._anchor)
+        cq = next(c for c in comps if c & q._anchor)
         if cp == cq:
             continue
         neutral = [c for c in comps if c != cp and c != cq]
@@ -159,7 +159,7 @@ def _window_limited(g: Graph, p: Orienter, q: Orienter, boundary: frozenset[str]
     if not boundary:
         return False
     flow = _clique_flow(g, p, q)
-    return flow is not None and bool(flow[1] & (boundary | g.neighbourhood(boundary)))
+    return flow is not None and bool(flow[1] & g.mask(boundary | g.neighbourhood(boundary)))
 
 
 @dataclass(frozen=True)

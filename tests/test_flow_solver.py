@@ -1,6 +1,8 @@
 """The max-flow solver behind disjoint_paths, minimum_separator and the
 comb and packing flows of `ends`, pinned against the tuple-keyed reference
-network in the oracles, on whole graphs and under a vertex mask."""
+network in the oracles, on whole graphs and under a vertex mask. `_solve`
+takes and returns vertex masks; the reference works on names, so the
+checks mask the terminals and name the cut."""
 
 import hashlib
 import random
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from tangletree import ends
 from tangletree.errors import PreconditionError, UnknownVertexError
 from tangletree.families import generate_family
-from tangletree.graph import Graph, _solve, disjoint_paths, minimum_separator
+from tangletree.graph import Graph, _select, _solve, disjoint_paths, minimum_separator
 from .conftest import cycle_graph, grid_graph, path_graph, random_connected_graph
 from .oracles import flow_reference, paths_from_base_reference, teeth_paths_reference
 
@@ -24,17 +26,22 @@ def _solved(g, s, t):
     return disjoint_paths(g, s, t), minimum_separator(g, s, t)
 
 
+def _names(g, mask):
+    """The vertex names of a mask of g."""
+    return frozenset(_select(g._vertex_index[0], mask))
+
+
 def _check_capped(g, s, t, within, cap, reference):
     """A solve capped at `cap` inside the vertex set `within`: the
     reference's (paths, cut) when the cap exceeds the max flow; its paths
     and no cut when the cap equals it, since the solve stops at its cap
     before a last search could prove the flow maximum; and otherwise
     exactly `cap` vertex-disjoint s-t paths inside `within`, with no cut."""
-    paths, cut = _solve(g, s, t, g.mask(within), cap)
+    paths, cut = _solve(g, g.mask(s), g.mask(t), g.mask(within), cap)
     flow = len(reference[0])
     if cap >= flow:
         assert [list(path) for path in paths] == reference[0]
-        assert cut == (reference[1] if cap > flow else None)
+        assert cut == (g.mask(reference[1]) if cap > flow else None)
         return
     assert len(paths) == cap and cut is None
     used = [v for path in paths for v in path]
@@ -81,13 +88,14 @@ def test_a_capped_solve_is_memoized_apart():
     cut; the memo keeps it apart from the full solve."""
     g = grid_graph(4, 4)
     left, right = frozenset(f"g{r}0" for r in range(4)), frozenset(f"g{r}3" for r in range(4))
-    capped = _solve(g, left, right, cap=2)
+    s, t = g.mask(left), g.mask(right)
+    capped = _solve(g, s, t, cap=2)
     assert len(capped[0]) == 2 and capped[1] is None
     assert _solved(g, left, right) == flow_reference(g, left, right)
     assert len(disjoint_paths(g, left, right)) == 4
-    assert _solve(g, left, right, cap=2) is capped
-    paths, cut = _solve(g, left, right, cap=5)  # a cap above the flow changes nothing
-    assert ([list(p) for p in paths], cut) == _solved(g, left, right)
+    assert _solve(g, s, t, cap=2) is capped
+    paths, cut = _solve(g, s, t, cap=5)  # a cap above the flow changes nothing
+    assert ([list(p) for p in paths], _names(g, cut)) == _solved(g, left, right)
 
 
 def test_returned_paths_do_not_alias_the_memo():
@@ -141,8 +149,8 @@ def test_malformed_terminals_raise_library_errors(query, s, t, error, message):
 
 
 def _masked(g, s, t, within):
-    paths, cut = _solve(g, s, t, g.mask(within))
-    return [list(path) for path in paths], cut
+    paths, cut = _solve(g, g.mask(s), g.mask(t), g.mask(within))
+    return [list(path) for path in paths], _names(g, cut)
 
 
 @settings(max_examples=150, deadline=None)
@@ -168,20 +176,19 @@ def test_masked_solver_and_ends_flows_match_their_references(data):
     assert ends._teeth_paths(g, spine, targets) == teeth_paths_reference(g, spine, targets)
     base = frozenset(rng.sample(verts, rng.randint(0, min(4, len(verts)))))
     region = frozenset(rng.sample(verts, rng.randint(0, len(verts))))
-    assert ends._paths_from_base(g, base, region, targets) == paths_from_base_reference(
-        g, base, region, targets
-    )
+    masks = g.mask(base), g.mask(region), g.mask(targets)
+    assert ends._paths_from_base(g, *masks) == paths_from_base_reference(g, base, region, targets)
 
 
 def test_restriction_is_part_of_the_memo_key():
     g = cycle_graph(4)
-    s, t = frozenset({"c00"}), frozenset({"c02"})
-    assert _solve(g, s, t) == ((("c00", "c01", "c02"),), frozenset({"c00"}))
+    s, t = g.mask({"c00"}), g.mask({"c02"})
+    assert _solve(g, s, t) == ((("c00", "c01", "c02"),), g.mask({"c00"}))
     assert _solve(g, s, t, g.mask(g.vertices - {"c01"})) == (
         (("c00", "c03", "c02"),),
-        frozenset({"c00"}),
+        g.mask({"c00"}),
     )
-    assert _solve(g, s, t, g.mask(s | t)) == ((), frozenset())
+    assert _solve(g, s, t, s | t) == ((), 0)
     # the full mask is the unrestricted call's key
     assert _solve(g, s, t, g.mask(g.vertices)) is _solve(g, s, t)
 
@@ -195,9 +202,8 @@ def test_ends_flows_match_their_references_on_the_chain_window(scaled_chain):
         assert ends._teeth_paths(g, spine, targets) == teeth_paths_reference(g, spine, targets)
     for item in scaled_chain.canonical_chain(5):
         base, strict_b = item.separator, item.side_b - item.side_a
-        assert ends._paths_from_base(g, base, strict_b, boundary) == paths_from_base_reference(
-            g, base, strict_b, boundary
-        )
+        masks = g.mask(base), g.mask(strict_b), g.mask(boundary)
+        assert ends._paths_from_base(g, *masks) == paths_from_base_reference(g, base, strict_b, boundary)
 
 
 def test_solver_matches_reference_on_the_horizon_five_window(scaled_chain):
@@ -233,8 +239,8 @@ def _solve_digest() -> str:
     digest = hashlib.sha256()
 
     def record(g, s, t, within, cap):
-        paths, cut = _solve(g, s, t, None if within is None else g.mask(within), cap)
-        digest.update(repr((paths, None if cut is None else sorted(cut))).encode())
+        paths, cut = _solve(g, g.mask(s), g.mask(t), None if within is None else g.mask(within), cap)
+        digest.update(repr((paths, None if cut is None else sorted(_names(g, cut)))).encode())
 
     caps = (None, 0, 1, 2, 3, 5)
     for seed in range(3000):

@@ -28,6 +28,7 @@ from tangletree.graph import (
     tight_components,
 )
 from tangletree.limits import (
+    InterlacedPair,
     check_interlaced_pair,
     check_strongly_relevant,
     construct_interlaced,
@@ -173,6 +174,13 @@ _CALLS_ON_NONE = {
     "TangleWitness clique": lambda: TangleWitness("clique", _PATH3, 1, clique=None),
     "classify_pairs members": lambda: classify_pairs(_PATH3, None, []),
     "classify_pairs tangles": lambda: classify_pairs(_PATH3, [], None),
+    "Graph": lambda: Graph(None, None),
+    "Graph.from_data vertices": lambda: Graph.from_data(None, []),
+    "Graph.from_data edges": lambda: Graph.from_data("ab", 3),
+    "SeparationSequence None": lambda: SeparationSequence(None),
+    "SeparationSequence int": lambda: SeparationSequence(3),
+    "InterlacedPair sequence": lambda: InterlacedPair(None, ()),
+    "InterlacedPair tangles": lambda: InterlacedPair(_SEQ, None),
 }
 
 
@@ -181,8 +189,10 @@ def test_none_for_a_presentation_pair_witness_clique_or_text_raises_a_library_er
     """Each public call checks its arguments on entry, so None for a
     presentation, an interlaced pair, a witness, a clique, a document text,
     a nested set, a tree-decomposition, a sequence, a list of members, of
-    tangles or pool of orienters, or an orienter's graph or choices raises a
-    PreconditionError, not a raw AttributeError or TypeError."""
+    tangles or pool of orienters, an orienter's graph or choices, a graph's
+    vertices or edges, or an interlaced pair's sequence or tangles raises a
+    PreconditionError, not a raw AttributeError or TypeError; so do an int
+    for the items of a sequence and for the edges of `Graph.from_data`."""
     with pytest.raises(PreconditionError, match="^(expected a [A-Za-z]+, got NoneType|[a-z ]+ must be an iterable)"):
         call()
 

@@ -13,6 +13,7 @@ from tangletree.errors import (
     FamilyParameterError,
     GraphFormatError,
     OrientationUndecidableError,
+    PreconditionError,
     TangletreeError,
     UnknownVertexError,
 )
@@ -226,6 +227,30 @@ def test_witness_order_bound_is_an_integer_of_at_least_one(bound, scaled_chain):
     with pytest.raises(FamilyParameterError, match="order_bound"):
         PreTangle(g, bound, {})
     assert clique_witness(g, ["a", "b", "c"], 1).order_bound == 1
+
+
+@pytest.mark.parametrize("kind", [PreTangle, Tangle])
+def test_a_choice_that_is_no_oriented_separation_raises_a_precondition_error(kind):
+    """Every key of a pre-tangle's choices is a separation and every value
+    "a" or "b": a "c" in place of an "a" would read as "a" in
+    `check_tangle`, and a name for a key would crash the constructor's sort.
+    The constructor names the entry, so `check_tangle`, `check_pretangle`
+    and `build_tree_of_tangles` never see such a choice."""
+    g = k4()
+    choices = enumerate_tangles(g, 2)[0].choices
+    sep = next(s for s, t in choices.items() if t == "a")
+    w = clique_witness(g, ["k1", "k2"], 1)  # an orienter, which has a sort key
+    for bad, entry in [
+        ({**choices, sep: "c"}, f"{re.escape(repr(sep))}: 'c'"),
+        ({"x": "a"}, "'x': 'a'"),
+        ({sep: None}, f"{re.escape(repr(sep))}: None"),
+        ({**choices, 3: "b"}, "3: 'b'"),
+        ({w: "a"}, f"{re.escape(repr(w))}: 'a'"),
+        ({**choices, w: "b"}, f"{re.escape(repr(w))}: 'b'"),
+    ]:
+        with pytest.raises(PreconditionError, match=f"^choice {entry} is not a separation oriented toward 'a' or 'b'$"):
+            kind(g, 2, bad)
+    assert check_tangle(g, kind(g, 2, choices)).ok
 
 
 @pytest.mark.parametrize("kind", [list, set, iter], ids=["list", "set", "iterator"])
