@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 from .errors import FamilyParameterError, PreconditionError
 from .families import LayeredPresentation
-from .graph import Graph, _checked, _flood, _solve
-from .limits import _growth_table, exhaustiveness_evidence, limit_separator_prefix
+from .graph import Graph, _checked, _flood, _names, _solve, _vertex_set
+from .limits import _chain_layers, _growth_table, exhaustiveness_evidence, limit_separator_prefix
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     NestedSet,
@@ -114,10 +114,10 @@ def find_comb(
     The spine is chosen among the declared family rays in label order; teeth
     are routed by disjoint-path search from the spine into u.
     """
-    if t < 1:
-        raise PreconditionError("at least one tooth is required")
+    if type(t) is not int or t < 1:  # not bool, as in `Orienter`
+        raise PreconditionError(f"at least one tooth is required, got {t!r}")
     g = _checked(p, kind=LayeredPresentation).graph_at(m)
-    u = frozenset(u) & g.vertices
+    u = _names(u, "a target set") & g.vertices
     labels = p.rays_in_layer(m)
     if not labels:
         raise FamilyParameterError("no declared rays in this window")
@@ -178,14 +178,14 @@ def directions_in_closure(
     min_teeth: int = _JOINING_PATHS,
 ) -> DirectionsReport:
     """Equivalence classes whose rays admit combs with `min_teeth` teeth in u."""
-    if min_teeth < 1:
-        raise PreconditionError("at least one tooth is required")
+    if type(min_teeth) is not int or min_teeth < 1:
+        raise PreconditionError(f"at least one tooth is required, got {min_teeth!r}")
     return _directions_in_closure(_checked(p, kind=LayeredPresentation), m, u, min_teeth)
 
 
 def _directions_in_closure(p: LayeredPresentation, m: int, u, min_teeth: int) -> DirectionsReport:
     g = p.graph_at(m)
-    u = frozenset(u) & g.vertices
+    u = _names(u, "a target set") & g.vertices
     all_classes = ray_equivalence_classes(p, m)
     admitted = []
     for cls in all_classes:
@@ -242,12 +242,12 @@ def ray_packing(p, m: int, direction: Direction, base) -> RayPacking:
     """Maximum disjoint base-to-boundary paths inside the direction's
     territory (the components of G_m - base holding the direction's ray
     tails)."""
-    return _ray_packing(_checked(p, kind=LayeredPresentation), m, direction, base)
+    return _ray_packing(_checked(p, kind=LayeredPresentation), m, _checked(direction, kind=Direction), base)
 
 
 def _ray_packing(p: LayeredPresentation, m: int, direction: Direction, base) -> RayPacking:
     g = p.graph_at(m)
-    base = frozenset(base)
+    base = _vertex_set(g, base, "a base")
     z = g.mask(base)
     tails = _ray_tails(g, p, m, direction, z)
     territory = sum(c for c in _flood(g, z) if c & tails)
@@ -358,8 +358,9 @@ def thick_end_pipeline(
     efficiency deficits caused by the window edge are flagged, not fatal.
     """
     _checked(p, kind=LayeredPresentation)
+    _checked(n, kind=NestedSet)
     stages: list[StageReport] = []
-    top = max(chains)
+    top = _chain_layers(chains)[-1]
     g = p.graph_at(top)
     boundary = p.boundary(top)
 
@@ -474,6 +475,7 @@ def thin_end_bound(
     over the window's separations of order up to each candidate K.
     """
     g = _checked(p, kind=LayeredPresentation).graph_at(m)
+    _checked(direction, kind=Direction)
     boundary = p.boundary(m)
     fringe = g.mask(boundary | g.neighbourhood(boundary))
     tails = _ray_tails(g, p, m, direction)

@@ -58,14 +58,15 @@ class LayeredPresentation:
     cliques: tuple[frozenset[str], ...] = ()
 
     def graph_at(self, m: int) -> Graph:
-        if m > self.horizon or m < 0:
-            raise FamilyParameterError(f"layer {m} outside horizon {self.horizon}")
-        return self.layers[m]
+        return self.layers[self._layer(m)]
 
     def boundary(self, m: int) -> frozenset[str]:
-        if m > self.horizon or m < 0:
-            raise FamilyParameterError(f"layer {m} outside horizon {self.horizon}")
-        return self.boundaries[m]
+        return self.boundaries[self._layer(m)]
+
+    def _layer(self, m: int) -> int:
+        if type(m) is not int or not 0 <= m <= self.horizon:  # not bool, as in `Orienter`
+            raise FamilyParameterError(f"layer {m!r} outside horizon {self.horizon}")
+        return m
 
     def ray_path(self, label: str) -> tuple[str, ...]:
         for lab, path in self.rays:
@@ -352,7 +353,7 @@ def generate_family(name: str, params: dict) -> LayeredPresentation:
         raise FamilyParameterError(
             f"unknown family {name!r}; expected one of {', '.join(FAMILIES)}"
         )
-    return _GENERATORS[name](dict(params))
+    return _GENERATORS[name](dict(_checked(params, kind=dict)))
 
 
 def load_presentation_spec(text: str) -> LayeredPresentation:

@@ -66,7 +66,10 @@ class Graph:
 
     def __post_init__(self):
         _checked(self.vertices, kind=frozenset)
-        for u, v in _checked(self.edges, kind=frozenset):
+        for edge in _checked(self.edges, kind=frozenset):
+            if type(edge) is not tuple or len(edge) != 2:
+                raise GraphFormatError(f"edge {edge!r} is not a pair of vertices", context="edges")
+            u, v = edge
             if u == v:
                 raise GraphFormatError(f"loop edge at {u!r}", context="edges")
             if u > v:
@@ -386,6 +389,16 @@ def _mask(g: Graph, vs: Iterable[str], what: str) -> int:
 def _vertex_set(g: Graph, vs: Iterable[str], what: str) -> frozenset[str]:
     """vs as a set of g's vertices, checked as `_mask` checks it."""
     return frozenset(_select(g._vertex_index[0], _mask(g, vs, what)))
+
+
+def _names(vs: Iterable[str], what: str) -> frozenset[str]:
+    """vs as a set of names that need not lie in any one graph: a vs that is
+    None, is not iterable or holds an unhashable item raises
+    PreconditionError naming `what`, as `_mask` does."""
+    try:
+        return frozenset(vs)
+    except TypeError as exc:
+        raise PreconditionError(f"{what} must be an iterable of vertex names: {exc}") from None
 
 
 def _solve(g: Graph, s: int, t: int, within: int | None = None, cap: int | None = None):

@@ -34,6 +34,7 @@ from operator import or_
 from typing import Iterable
 
 from .errors import (
+    AmbientMismatchError,
     IncoherentChainError,
     InternalCheckError,
     OrientationUndecidableError,
@@ -106,6 +107,9 @@ class InterlacedPair:
             object.__setattr__(self, "tangles", tuple(_listed(self.tangles, "tangles", of="orienters")))
         if len(self.tangles) != len(_checked(self.sequence, kind=SeparationSequence)) + 1:
             raise PreconditionError("tangle list must be one longer than the sequence")
+        for t in self.tangles:
+            if not isinstance(t, Orienter):
+                raise AmbientMismatchError(f"expected an orienter, got {type(t).__name__}")
 
     @property
     def graph(self) -> Graph:
@@ -471,6 +475,13 @@ def check_chain_coherence(p, chains: dict) -> None:
                 )
 
 
+def _chain_layers(chains: dict) -> list:
+    """The layers of chains, a non-empty dict from layer to chain, sorted."""
+    if not _checked(chains, kind=dict):
+        raise PreconditionError("no chain layers supplied")
+    return sorted(chains)
+
+
 # Successive horizons over which the strict B-side trace must stay fixed to
 # witness non-exhaustion.
 _STABILITY_SPAN = 3
@@ -486,13 +497,11 @@ def exhaustiveness_evidence(p, chains: dict) -> ExhaustivenessVerdict:
     inconclusive. All verdicts are finite-horizon evidence, not proof.
     """
     _checked(p, kind=LayeredPresentation)
-    if not chains:
-        raise PreconditionError("no chain layers supplied")
-    for m in sorted(chains):
+    layers = _chain_layers(chains)
+    for m in layers:
         if not chains[m]:
             raise PreconditionError(f"the chain of layer {m} is empty")
     check_chain_coherence(p, chains)
-    layers = sorted(chains)
     ref = layers[0]
     ref_vertices = p.graph_at(ref).vertices
     notes = []

@@ -60,7 +60,7 @@ from .errors import (
     SequenceOrderError,
     UnknownVertexError,
 )
-from .graph import Graph, _as_json, _checked, _edge, _field, _flood, _least, _ordered, _select, _tight
+from .graph import Graph, _as_json, _checked, _edge, _field, _flood, _least, _names, _ordered, _select, _tight
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
@@ -360,7 +360,8 @@ def is_tight(g: Graph, s: Separation) -> bool:
 # (graph, max_order, separations, floods, widest) of the last enumeration
 # finished; floods lists each candidate separator S as (S, the components of
 # g - S), as masks, by |S| and then in `combinations` order; widest[k] is the
-# most bipartitions of the components of any S with |S| = k
+# most bipartitions of the components of any S with |S| = k. One slot, not
+# one per Graph: a sweep over many graphs would keep every enumeration alive
 _last_enumeration: tuple = (None, -1, [], [], [])
 
 
@@ -386,6 +387,8 @@ def enumerate_separations(
     graph object (`is`) at its order or lower gets a copy, cut to max_order,
     after the same two budget checks.
     """
+    if type(max_order) is not int or max_order < 0:  # not bool, as in `Orienter`
+        raise PreconditionError(f"max_order must be an integer >= 0, got {max_order!r}")
     return _enumeration(_checked(g), max_order, budget)[0][:]
 
 
@@ -547,10 +550,7 @@ def pushing_index(seq: SeparationSequence, x: Iterable[str]) -> PushingReport:
     Stability is against the window supremum; elements of x outside the
     supremum's A side are rejected.
     """
-    try:
-        x = frozenset(x)
-    except TypeError as exc:
-        raise PreconditionError(f"a pushing set must be an iterable of vertex names: {exc}") from None
+    x = _names(x, "a pushing set")
     sup = supremum(seq)
     outside = x - sup.side_a
     if outside:
@@ -580,6 +580,8 @@ class NestedSet:
 
     def __post_init__(self):
         _checked(self.graph)
+        if type(self.members) is not frozenset:
+            object.__setattr__(self, "members", frozenset(_listed(self.members, "members")))
         for s in self.members:  # before `_ordered` reads their sort keys
             _ambient(self.graph, s)
         crossing = first_crossing(self._ordered)
@@ -593,7 +595,7 @@ class NestedSet:
 
     @classmethod
     def of(cls, g: Graph, members: Iterable[Separation]) -> "NestedSet":
-        return cls(g, frozenset(_listed(members, "members")))
+        return cls(g, members)
 
     def __iter__(self):
         return iter(self._ordered)

@@ -10,9 +10,9 @@ G[A1] | G[A2] | G[A3] = G, on vertices and edges. The search and
 `enumerate_tangles` finds the tangles of order k as havens, one component
 β(S) of G - S per separator S with |S| < k, by one depth-first search,
 `_havens`. When k >= 2 and G has a cut vertex it runs that search on each
-block of G with at least k vertices, a vertex mask of G, and lifts the
-block's havens to G, so the separators through a cut vertex no longer
-multiply one search over the whole graph (see `_search_tangles`).
+block of G with at least k vertices, a vertex mask of G, whose havens
+orient G's separations, so the separators through a cut vertex no longer
+multiply one search over the whole graph (see `_tangles_of`).
 
 Two representations subclass one `Orienter` (`order_bound`, `toward`,
 `graph`, `sort_key`): the materialized PreTangle mapping, and the lazy
@@ -697,7 +697,7 @@ def enumerate_tangles(
     flooded, read off its slot; `_havens` searches them. When k >= 2, each
     block of G (maximal 2-connected subgraph or bridge) with at least k
     vertices is searched on its own, as a vertex mask of G with no `Graph`
-    built for it, and its havens are lifted to G (see `_search_tangles`):
+    built for it, and its havens orient G's separations (see `_tangles_of`):
     every tangle of order k >= 2 lives in one block, and a block with fewer
     than k vertices has none. That claim is checked against the
     whole-graph search and the brute-force oracle by a property test, not
@@ -714,48 +714,32 @@ def enumerate_tangles(
 
 def _search_tangles(g: Graph, k: int, budget: int, split: bool = True) -> list[Tangle]:
     """`enumerate_tangles`; with split False, by one search on the whole
-    graph even where G has a cut vertex."""
+    graph even where G has a cut vertex. The havens are (block, β) pairs."""
     if not _checked(g).vertices:
         raise EmptyGraphError("enumerate_tangles requires a non-empty graph")
     if not g.is_connected():
         raise DisconnectedGraphError("enumerate_tangles requires a connected graph")
-    if k < 1:
-        raise PreconditionError(f"tangle order must be at least 1, got {k}")
+    if type(k) is not int or k < 1:
+        raise PreconditionError(f"tangle order must be an integer at least 1, got {k!r}")
     seps, floods = _enumeration(g, k - 1, DEFAULT_ENUMERATION_BUDGET)
     closed = _tables(g._vertex_index[2])
     full = (1 << len(g.vertices)) - 1
     blocks = _blocks(g) if split and k >= 2 else [full]
-    if len(blocks) > 1:  # what the traces and the lifts read
-        components = dict(floods)
-        forced = {s: comps[0] for s, comps in floods if len(comps) == 1}
-        branching = [(s, comps) for s, comps in floods if len(comps) > 1]
+    components = dict(floods) if len(blocks) > 1 else {}
     havens, nodes = [], 0
     for block in blocks:
         if block.bit_count() < k:
             continue  # (B, B) is a separation of G[B] of order < k
-        if block == full:  # G's own floods, and its havens are G's
-            found, nodes = _havens(closed, full, k, floods, budget, nodes)
-            havens += found
-            continue
         # the components of G[B] - S are the nonempty traces on B of those of
         # G - S, since a path of G - S that leaves B returns through the cut
         # vertex it left by; listed as an enumeration of G[B] would list them
-        bits = [1 << v for v in _bits(block)]
-        traces = [
+        traces = floods if block == full else [
             (s, sorted((c & block for c in components[s] if c & block), key=lambda c: c & -c))
             for size in range(k)
-            for s in map(sum, combinations(bits, size))
+            for s in map(sum, combinations([1 << v for v in _bits(block)], size))
         ]
         found, nodes = _havens(closed, block, k, traces, budget, nodes)
-        for beta_b in found:  # β(S) is the component that meets β_B(S & B): connected, missing S
-            beta = dict(forced)
-            for s, comps in branching:
-                piece = beta_b[s & block]
-                for c in comps:
-                    if c & piece:
-                        beta[s] = c
-                        break
-            havens.append(beta)
+        havens += ((block, beta) for beta in found)
     return _tangles_of(g, k, seps, havens)
 
 
@@ -827,12 +811,13 @@ def _havens(closed, within: int, k: int, floods, budget: int, nodes: int = 0) ->
     return havens, nodes
 
 
-def _tangles_of(g: Graph, k: int, seps: list[Separation], havens: list[dict[int, int]]) -> list[Tangle]:
-    """The tangles of the havens, each a map S -> β(S) over the separators
-    of seps, in the order of `enumerate_tangles`. A separation (A, B) with
-    separator S points toward "b" iff β(S) meets B."""
+def _tangles_of(g: Graph, k: int, seps: list[Separation], havens: list[tuple[int, dict[int, int]]]) -> list[Tangle]:
+    """The tangles of the havens, each a pair (B, β) of a block B of G and
+    a haven β of G[B], in the order of `enumerate_tangles`. A separation
+    (A, B') of G with separator S points toward "b" iff β(S ∩ B) meets B':
+    it is connected in G[B] - S ⊆ G - S, so it lies in A - B' or B' - A."""
     sides = [(a & b, b) for a, b in (sep.masks for sep in seps)]
-    vectors = sorted([not beta[s] & b for s, b in sides] for beta in havens)  # True: toward "a"; "b" first
+    vectors = sorted([not beta[s & block] & b for s, b in sides] for block, beta in havens)  # True: toward "a"; "b" first
     return [Tangle(g, k, dict(zip(seps, ["ba"[t] for t in v]))) for v in vectors]
 
 

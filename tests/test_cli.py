@@ -183,6 +183,36 @@ def test_ends_command_grid_rejected(tmp_path):
     assert doc["rejected"] is True
 
 
+@pytest.mark.parametrize(
+    "family, code, rows",
+    [("clique_chain", 0, ["3,2", "4,3", "5,4"]), ("ray", 2, [])],
+    ids=["passing clique chain", "rejected ray"],
+)
+def test_ends_command_csv(tmp_path, family, code, rows):
+    """CSV `ends` lists the packing size per horizon of the packing stage,
+    and only its header when the pipeline rejects its input."""
+    out = tmp_path / "ends.csv"
+    args = ["ends", "--family", family, "--horizon", "5", "--format", "csv", "--output", str(out)]
+    assert run(args + (["--sizes", "8,12,20,36"] if family == "clique_chain" else [])) == code
+    assert out.read_text() == "\n".join(["horizon,packing", *rows]) + "\n"
+
+
+def test_module_entry_point_prints_its_version_and_text_errors(tmp_path):
+    """`python -m tangletree.cli` runs `main` and exits with its code; a
+    failing command in a text format writes one `error:` line to stderr."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+
+    def cli_run(*args):
+        return subprocess.run([sys.executable, "-m", "tangletree.cli", *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = cli_run("--version")
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{cli.__version__}\n", "")
+    done = cli_run("tangles", "--format", "dot", "--input", "missing.json")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["limits", "ends"])
 @pytest.mark.parametrize("horizon", [5, "3", True], ids=["beyond the layers", "string", "bool"])
 def test_presentation_horizon_must_count_its_layers(tmp_path, capsys, command, horizon):

@@ -9,6 +9,7 @@ from tangletree.ends import (
     _JOINING_PATHS,
     CombWitness,
     Direction,
+    RayPacking,
     directions_in_closure,
     find_comb,
     ray_equivalence_classes,
@@ -292,3 +293,20 @@ def test_thin_end_bound_absent_for_clique_chain(scaled_chain):
     for m in (3, 4):
         direction = directions_in_closure(scaled_chain, m, top_u).classes[0]
         assert thin_end_bound(scaled_chain, direction, m, max_bound=2) is None
+
+
+def test_pipeline_rejects_a_chain_item_outside_the_nested_set(scaled_chain):
+    chains = scaled_chain.canonical_layer_chains()
+    g = scaled_chain.graph_at(5)
+    nested = NestedSet.of(g, [it.canonical() for it in chains[5][:-1]])
+    report = thick_end_pipeline(scaled_chain, nested, chains, [])
+    assert report.rejected
+    assert report.stages[0].details == {"reason": "chain item outside the nested set"}
+    assert [s.status for s in report.stages[1:]] == ["skipped"] * 4
+
+
+def test_comb_and_packing_documents():
+    comb = CombWitness(spine=("a", "b"), teeth_paths=(("a",), ("b", "c")))
+    assert comb.to_json() == {"kind": "comb", "spine": ["a", "b"], "teeth_paths": [["a"], ["b", "c"]]}
+    packing = RayPacking(base=frozenset({"b", "a"}), paths=(("a", "x"), ("b", "y")))
+    assert packing.to_json() == {"kind": "ray_packing", "base": ["a", "b"], "paths": [["a", "x"], ["b", "y"]]}

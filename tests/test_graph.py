@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import sys
 from itertools import combinations
 
@@ -202,6 +203,40 @@ def test_a_tangle_list_holding_none_raises_an_ambient_mismatch():
     no orienter, where the builder used to return an empty nested set."""
     with pytest.raises(AmbientMismatchError, match="^expected an orienter, got NoneType$"):
         build_tree_of_tangles(_PATH3, [None])
+
+
+@pytest.mark.parametrize("edge", [("a",), 1, ("a", "b", "c")], ids=["one name", "int", "three names"])
+def test_a_raw_graph_edge_that_is_no_pair_raises_a_graph_format_error(edge):
+    with pytest.raises(GraphFormatError, match=f"^edge {re.escape(repr(edge))} is not a pair of vertices") as err:
+        Graph(frozenset({"a", "b", "c"}), frozenset({edge}))
+    assert err.value.context == "edges"
+
+
+@pytest.mark.parametrize("members", [None, 3], ids=["None", "int"])
+def test_nested_set_members_that_are_not_iterable_raise_a_precondition_error(members):
+    with pytest.raises(PreconditionError, match="^members must be an iterable of separations"):
+        NestedSet(_PATH3, members)
+
+
+def test_nested_set_members_are_read_into_a_frozenset():
+    assert NestedSet(_PATH3, [_ITEM.canonical()] * 2).members == frozenset({_ITEM.canonical()})
+
+
+@pytest.mark.parametrize("tangle", [None, 3], ids=["None", "int"])
+def test_an_interlaced_pair_holding_no_orienter_raises_an_ambient_mismatch(tangle):
+    with pytest.raises(AmbientMismatchError, match=f"^expected an orienter, got {type(tangle).__name__}$"):
+        InterlacedPair(SeparationSequence(()), (tangle,))
+
+
+def test_a_negative_order_or_no_chain_layer_raises_a_precondition_error():
+    """Two inputs that passed the entry checks and crashed inside: a
+    negative max_order read an empty list, and the pipeline took the
+    largest layer of an empty dict."""
+    with pytest.raises(PreconditionError, match="^max_order must be an integer >= 0, got -1$"):
+        enumerate_separations(_PATH3, -1)
+    p = generate_family("ray", {"horizon": 2})
+    with pytest.raises(PreconditionError, match="^no chain layers supplied$"):
+        thick_end_pipeline(p, NestedSet.of(p.graph_at(2), []), {}, [])
 
 
 @pytest.mark.parametrize("bad", [None, "x", []], ids=["None", "str", "list"])

@@ -548,7 +548,7 @@ def _assert_block_searches_are_their_graphs_searches(g: Graph, k: int) -> None:
         expected = havens(_tables(h._vertex_index[2]), h.mask(h.vertices), k, floods, DEFAULT_TANGLE_BUDGET)
         named = [{h.mask(_select(names, s)): h.mask(_select(names, c)) for s, c in beta.items()} for beta in found]
         assert (named, nodes) == expected
-        assert [t.sort_key for t in _assert_search_visits(h, k, nodes)] == [t.sort_key for t in _tangles_of(h, k, seps, named)]
+        assert [t.sort_key for t in _assert_search_visits(h, k, nodes)] == [t.sort_key for t in _tangles_of(h, k, seps, [(h.mask(h.vertices), beta) for beta in named])]
 
 
 @settings(max_examples=60, deadline=None)

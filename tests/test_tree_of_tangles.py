@@ -18,7 +18,7 @@ from tangletree.separations import (
 )
 from tangletree.families import generate_family
 from tangletree.limits import check_chain_coherence, exhaustiveness_evidence
-from tangletree.tangles import clique_witness, enumerate_tangles, min_distinguishing_order
+from tangletree.tangles import PreTangle, check_pretangle, check_tangle, clique_witness, enumerate_tangles, min_distinguishing_order
 from tangletree.tree_of_tangles import (
     TreeDecomposition,
     _min_order_distinguishers,
@@ -424,3 +424,25 @@ def test_induce_long_chain_on_a_path():
     expected = [vs[i : i + 2] for i in range(27)] + [vs[27:]]
     assert sorted(sorted(bag) for bag in td.bags.values()) == expected
     assert verify_tree_decomposition(g, td, nested, []).ok
+
+
+def test_build_rejects_a_complete_pretangle_that_fails_the_axiom():
+    """On the path p00-p01-p02, orienting every separation of order <= 1
+    toward "a", but (∅, V) toward "b", is consistent and complete, and
+    three of its small sides cover the path."""
+    g = path_graph(3)
+    p = PreTangle(g, 2, {sep: "a" if sep.side_a else "b" for sep in enumerate_separations(g, 1)})
+    assert check_pretangle(g, p).ok and not check_tangle(g, p).ok
+    with pytest.raises(PreconditionError, match="^input is not a tangle"):
+        build_tree_of_tangles(g, [p])
+
+
+def test_an_empty_tree_decomposition_misses_the_pair_of_two_k4():
+    """The two K4 of two_k4_bridge give two tangles of order 3, which the
+    bridge distinguishes at order 1; a one-bag decomposition distinguishes
+    nothing, so the pair is its inefficient-pairs witness."""
+    g = two_k4_bridge()
+    nested = NestedSet.of(g, [])
+    report = verify_tree_decomposition(g, induce_tree_decomposition(g, nested), nested, enumerate_tangles(g, 3))
+    assert report.tree_ok and report.induced_equal and not report.efficiency_ok and not report.ok
+    assert report.witnesses == {"inefficient_pairs": [(0, 1, 1)]}
