@@ -30,7 +30,7 @@ from .errors import (
     UnknownVertexError,
 )
 from .families import LayeredPresentation, generate_family
-from .graph import Graph, _graph_of_document
+from .graph import Graph, _as_json, _field, _graph_of_document
 from .limits import (
     _growth_table,
     check_interlaced_pair,
@@ -41,8 +41,8 @@ from .limits import (
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     NestedSet,
-    Separation,
     SeparationSequence,
+    _nested_members,
     first_crossing,
 )
 from .tangles import PreTangle, check_tangle, clique_witness, enumerate_tangles
@@ -74,12 +74,6 @@ def _config_hash(args: argparse.Namespace) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _stamp(doc: dict, args) -> dict:
-    doc["tool_version"] = __version__
-    doc["config_hash"] = _config_hash(args)
-    return doc
-
-
 def _emit(args, text: str) -> None:
     """Write text to stdout, or atomically to --output: into a temporary
     file beside it, then renamed onto it, so the path never holds a partial
@@ -99,6 +93,9 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, doc: dict) -> None:
+    """Write doc, stamped with the tool version and the configuration hash."""
+    doc["tool_version"] = __version__
+    doc["config_hash"] = _config_hash(args)
     _emit(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
@@ -131,6 +128,12 @@ def _inputs(args, count: int) -> list[str]:
             context="--input",
         )
     return args.input
+
+
+def _tangle_list(g: Graph, doc) -> list[PreTangle]:
+    """The tangles of a tangle-list document over g, in document order."""
+    tangles = _as_json(_field(_as_json(doc, "a tangle list", dict), "tangles"), "tangles")
+    return [PreTangle.from_json(g, d) for d in tangles]
 
 
 def _as_presentation(doc: dict) -> LayeredPresentation:
@@ -177,7 +180,7 @@ def _family_bundle(p: LayeredPresentation):
 
 def cmd_generate(args) -> int:
     p = _family_presentation(args)
-    _emit_json(args, _stamp(p.to_json(), args))
+    _emit_json(args, p.to_json())
     return 0
 
 
@@ -189,7 +192,7 @@ def cmd_tangles(args) -> int:
         "order_bound": args.order,
         "tangles": [t.to_json() for t in found],
     }
-    _emit_json(args, _stamp(doc, args))
+    _emit_json(args, doc)
     return 0
 
 
@@ -215,14 +218,14 @@ def cmd_tot(args) -> int:
         },
         "tangle_count": len(found),
     }
-    _emit_json(args, _stamp(doc, args))
+    _emit_json(args, doc)
     return 0 if report.ok else 2
 
 
 def cmd_decompose(args) -> int:
     paths = _inputs(args, 2)
     g = _load(paths[0], _graph_of_document)
-    members = _load(paths[1], lambda doc: [Separation.from_json(g, d).canonical() for d in doc["members"]])
+    members = _load(paths[1], lambda doc: _nested_members(g, doc))
     try:
         nested = NestedSet.of(g, members)
     except SequenceOrderError:  # name the first crossing pair in document order
@@ -233,7 +236,7 @@ def cmd_decompose(args) -> int:
             "status": "fail",
             "witness": [crossing[0].to_json(), crossing[1].to_json()],
         }
-        _emit_json(args, _stamp(doc, args))
+        _emit_json(args, doc)
         return 2
     td = induce_tree_decomposition(g, nested)
     report = verify_tree_decomposition(g, td, nested, [])
@@ -249,7 +252,7 @@ def cmd_decompose(args) -> int:
         "induced_equal": report.induced_equal,
         "ok": report.ok,
     }
-    _emit_json(args, _stamp(doc, args))
+    _emit_json(args, doc)
     return 0 if report.ok else 2
 
 
@@ -264,7 +267,7 @@ def cmd_limits(args) -> int:
             _emit(args, table.to_csv())
             return 0
         doc["growth"] = table.to_json()
-    _emit_json(args, _stamp(doc, args))
+    _emit_json(args, doc)
     return 0
 
 
@@ -281,7 +284,7 @@ def cmd_interlace(args) -> int:
         g = _load(paths[0], _graph_of_document)
         nested = _load(paths[1], lambda doc: NestedSet.from_json(g, doc))
         seq = _load(paths[2], lambda doc: SeparationSequence.from_json(g, doc))
-        pool = _load(paths[3], lambda doc: [PreTangle.from_json(g, d) for d in doc["tangles"]])
+        pool = _load(paths[3], lambda doc: _tangle_list(g, doc))
     pair = construct_interlaced(g, nested, seq, pool, budget=args.budget)
     report = check_interlaced_pair(g, pair, budget=args.budget)
     thinned = thin_out(pair)
@@ -294,7 +297,7 @@ def cmd_interlace(args) -> int:
         "thinned_im1_ok": thin_report.im1_ok,
         "thinned_im2_ok": thin_report.im2_ok,
     }
-    _emit_json(args, _stamp(doc, args))
+    _emit_json(args, doc)
     return 0 if report.ok and thin_report.ok else 2
 
 
@@ -311,7 +314,7 @@ def cmd_ends(args) -> int:
             ]
         _emit(args, "\n".join(lines) + "\n")
     else:
-        _emit_json(args, _stamp(report.to_json(), args))
+        _emit_json(args, report.to_json())
     return 0 if report.ok else 2
 
 
@@ -333,9 +336,9 @@ def _as_artifact(g: Graph, doc: dict):
     """(kind, parsed artifact) of a document `verify` checks against g."""
     kind = _kind_of(doc)
     if kind == "nested_set":
-        return kind, [Separation.from_json(g, d).canonical() for d in doc["members"]]
+        return kind, _nested_members(g, doc)
     if kind == "tangle_list":
-        return kind, [PreTangle.from_json(g, d) for d in doc["tangles"]]
+        return kind, _tangle_list(g, doc)
     if kind == "tree_decomposition":
         return kind, TreeDecomposition.from_json(doc)
     raise TangletreeError(f"cannot verify artifact of kind {kind!r}")
@@ -375,7 +378,7 @@ def cmd_verify(args) -> int:
             checks.append({"check": "tree_decomposition", "status": status})
             ok = ok and report.ok
     doc = {"kind": "report", "checks": checks, "ok": ok}
-    _emit_json(args, _stamp(doc, args))
+    _emit_json(args, doc)
     return 0 if ok else 2
 
 
@@ -430,7 +433,7 @@ def main(argv=None) -> int:
                 "error": type(exc).__name__,
                 "message": str(exc),
             }
-            _emit_json(args, _stamp(doc, args))
+            _emit_json(args, doc)
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import FamilyParameterError, PreconditionError
 from .families import LayeredPresentation
-from .graph import Graph, _checked, _flood, _names, _solve, _vertex_set
+from .graph import Graph, _checked, _flood, _integer, _names, _solve, _vertex_set
 from .limits import _chain_layers, _growth_table, exhaustiveness_evidence, limit_separator_prefix
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -180,11 +180,7 @@ def directions_in_closure(
     """Equivalence classes whose rays admit combs with `min_teeth` teeth in u."""
     if type(min_teeth) is not int or min_teeth < 1:
         raise PreconditionError(f"at least one tooth is required, got {min_teeth!r}")
-    return _directions_in_closure(_checked(p, kind=LayeredPresentation), m, u, min_teeth)
-
-
-def _directions_in_closure(p: LayeredPresentation, m: int, u, min_teeth: int) -> DirectionsReport:
-    g = p.graph_at(m)
+    g = _checked(p, kind=LayeredPresentation).graph_at(m)
     u = _names(u, "a target set") & g.vertices
     all_classes = ray_equivalence_classes(p, m)
     admitted = []
@@ -242,10 +238,8 @@ def ray_packing(p, m: int, direction: Direction, base) -> RayPacking:
     """Maximum disjoint base-to-boundary paths inside the direction's
     territory (the components of G_m - base holding the direction's ray
     tails)."""
-    return _ray_packing(_checked(p, kind=LayeredPresentation), m, _checked(direction, kind=Direction), base)
-
-
-def _ray_packing(p: LayeredPresentation, m: int, direction: Direction, base) -> RayPacking:
+    _checked(p, kind=LayeredPresentation)
+    _checked(direction, kind=Direction)
     g = p.graph_at(m)
     base = _vertex_set(g, base, "a base")
     z = g.mask(base)
@@ -399,7 +393,7 @@ def thick_end_pipeline(
 
     # stage 2: unique direction in the closure of the limit separator
     u_top = limit_separator_prefix(chains[top])
-    report = _directions_in_closure(p, top, u_top, _JOINING_PATHS)
+    report = directions_in_closure(p, top, u_top)
     stages.append(
         StageReport(
             "direction",
@@ -419,7 +413,7 @@ def thick_end_pipeline(
     packs = []
     for m in horizons:
         base_m = limit_separator_prefix(chains[m])
-        packs.append((m, _ray_packing(p, m, direction, base_m).size))
+        packs.append((m, ray_packing(p, m, direction, base_m).size))
     growing = len(packs) >= 3 and all(a[1] < b[1] for a, b in zip(packs, packs[1:]))
     # finite proxy for thickness: growing packings reach every size up to the
     # largest one, which some horizon attains, so the proxy is the growth
@@ -482,7 +476,7 @@ def thin_end_bound(
     if not tails:
         raise PreconditionError("direction has no ray tails in this window")
     full = (1 << len(g.vertices)) - 1
-    for bound in range(1, max_bound + 1):
+    for bound in range(1, _integer(max_bound, "max_bound") + 1):
         candidates = []
         for sep in enumerate_separations(g, bound, budget=budget):
             if not is_tight(g, sep):

@@ -55,7 +55,7 @@ def _edge(u: str, v: str) -> Edge:
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable simple undirected graph over string vertex identifiers.
+    """Immutable simple undirected graph over non-empty string vertex names.
 
     Construct through :meth:`from_data` (which normalizes edge tuples) or
     :meth:`loads`; the raw constructor expects pre-normalized frozensets.
@@ -65,21 +65,23 @@ class Graph:
     edges: frozenset[Edge]
 
     def __post_init__(self):
-        _checked(self.vertices, kind=frozenset)
+        bad = [v for v in _checked(self.vertices, kind=frozenset) if not isinstance(v, str) or not v]
+        if bad:  # as in a graph document: names are sorted and written as JSON strings
+            raise GraphFormatError(f"vertex must be a non-empty string, got {_least(bad)!r}", context="vertices")
         for edge in _checked(self.edges, kind=frozenset):
             if type(edge) is not tuple or len(edge) != 2:
                 raise GraphFormatError(f"edge {edge!r} is not a pair of vertices", context="edges")
             u, v = edge
+            if u not in self.vertices or v not in self.vertices:
+                raise GraphFormatError(
+                    f"edge ({u!r}, {v!r}) has an undeclared endpoint",
+                    context="edges",
+                )
             if u == v:
                 raise GraphFormatError(f"loop edge at {u!r}", context="edges")
             if u > v:
                 raise GraphFormatError(
                     f"edge ({u!r}, {v!r}) not normalized", context="edges"
-                )
-            if u not in self.vertices or v not in self.vertices:
-                raise GraphFormatError(
-                    f"edge ({u!r}, {v!r}) has an undeclared endpoint",
-                    context="edges",
                 )
         object.__setattr__(self, "_hash", hash((self.vertices, self.edges)))
 
@@ -298,59 +300,21 @@ def _tight(g: Graph, x: int) -> list[int]:
     return [k for k in _flood(g, x) if reduce(or_, _select(closed, k), 0) ^ k == x]
 
 
-def _blocks(g: Graph) -> list[int]:
-    """The blocks of connected g, its maximal 2-connected subgraphs and its
-    bridges, as vertex masks, by a lowpoint depth-first search from the
-    first vertex on its own stack, with no recursion. low[v] is the least
-    discovery time reachable from v's subtree by one back edge; a child w
-    of u with low[w] >= disc[u] closes the block of u and the vertices
-    discovered since w. A single vertex is one block."""
-    closed = g._vertex_index[2]
-    disc = [-1] * len(closed)
-    low = [0] * len(closed)
-    disc[0] = 0
-    clock = 1
-    pending = [0]  # the discovered vertices not yet in a closed block
-    stack = [[0, closed[0] ^ 1]]  # [vertex, its neighbours not yet tried]
-    blocks = []
-    while stack:
-        top = stack[-1]
-        v, untried = top
-        if untried:
-            bit = untried & -untried
-            top[1] = untried ^ bit
-            w = bit.bit_length() - 1
-            if disc[w] < 0:
-                disc[w] = low[w] = clock
-                clock += 1
-                pending.append(w)
-                stack.append([w, closed[w] ^ bit])
-            elif disc[w] < low[v]:
-                low[v] = disc[w]
-            continue
-        stack.pop()
-        if not stack:
-            break
-        u = stack[-1][0]
-        if low[v] < low[u]:
-            low[u] = low[v]
-        if low[v] >= disc[u]:
-            block = 1 << u
-            while True:
-                x = pending.pop()
-                block |= 1 << x
-                if x == v:
-                    break
-            blocks.append(block)
-    return blocks or [1]
-
-
 def _checked(value, kind: type = Graph):
     """value, which a public call takes as a `kind` (a Graph unless named):
     anything else raises PreconditionError naming the type it got. Run once
     per public call, before the value is read."""
     if not isinstance(value, kind):
         raise PreconditionError(f"expected a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    """value, which a public call takes as the integer `what`: anything
+    else, a bool too, raises PreconditionError. Run once per call, before
+    value is compared."""
+    if type(value) is not int:
+        raise PreconditionError(f"{what} must be an integer, got {value!r}")
     return value
 
 

@@ -41,7 +41,7 @@ from .errors import (
     PreconditionError,
 )
 from .families import LayeredPresentation
-from .graph import Graph, _checked, _select, _tight, _vertex_set
+from .graph import Graph, _checked, _integer, _select, _tight, _vertex_set
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     NestedSet,
@@ -479,7 +479,7 @@ def _chain_layers(chains: dict) -> list:
     """The layers of chains, a non-empty dict from layer to chain, sorted."""
     if not _checked(chains, kind=dict):
         raise PreconditionError("no chain layers supplied")
-    return sorted(chains)
+    return sorted(_integer(m, "a chain layer") for m in chains)
 
 
 # Successive horizons over which the strict B-side trace must stay fixed to

@@ -60,7 +60,7 @@ from .errors import (
     SequenceOrderError,
     UnknownVertexError,
 )
-from .graph import Graph, _as_json, _checked, _edge, _field, _flood, _least, _names, _ordered, _select, _tight
+from .graph import Graph, _as_json, _checked, _edge, _field, _flood, _integer, _least, _names, _ordered, _select, _tight
 
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 
@@ -397,6 +397,7 @@ def _enumeration(g: Graph, max_order: int, budget: int) -> tuple[list[Separation
     built from (see `_last_enumeration`), cut from the slot on a hit. On a
     miss the lists are the slot's own, so callers must not change them."""
     global _last_enumeration
+    _integer(budget, "budget")
     last_graph, last_order, last_out, last_floods, last_widest = _last_enumeration
     hit = g is last_graph and max_order <= last_order
     if not hit:
@@ -611,5 +612,11 @@ class NestedSet:
 
     @classmethod
     def from_json(cls, g: Graph, doc: dict) -> "NestedSet":
-        members = _as_json(_field(_as_json(doc, "a nested set", dict), "members"), "members")
-        return cls.of(g, (Separation.from_json(g, d).canonical() for d in members))
+        return cls.of(g, _nested_members(g, doc))
+
+
+def _nested_members(g: Graph, doc: dict) -> list[Separation]:
+    """The members of a nested-set document over g, canonical, in document
+    order, before any check that they are nested."""
+    members = _as_json(_field(_as_json(doc, "a nested set", dict), "members"), "members")
+    return [Separation.from_json(g, d).canonical() for d in members]

@@ -12,7 +12,8 @@ G[A1] | G[A2] | G[A3] = G, on vertices and edges. The search and
 `_havens`. When k >= 2 and G has a cut vertex it runs that search on each
 block of G with at least k vertices, a vertex mask of G, whose havens
 orient G's separations, so the separators through a cut vertex no longer
-multiply one search over the whole graph (see `_tangles_of`).
+multiply one search over the whole graph (see `_tangles_of`). The blocks
+are read off the same floods, at the separators of size 1 (see `_blocks`).
 
 Two representations subclass one `Orienter` (`order_bound`, `toward`,
 `graph`, `sort_key`): the materialized PreTangle mapping, and the lazy
@@ -53,10 +54,10 @@ from .families import LayeredPresentation
 from .graph import (
     Graph,
     _as_json,
-    _blocks,
     _checked,
     _field,
     _flood,
+    _integer,
     _solve,
     _vertex_set,
 )
@@ -696,8 +697,9 @@ def enumerate_tangles(
     The separators and their components are those `enumerate_separations`
     flooded, read off its slot; `_havens` searches them. When k >= 2, each
     block of G (maximal 2-connected subgraph or bridge) with at least k
-    vertices is searched on its own, as a vertex mask of G with no `Graph`
-    built for it, and its havens orient G's separations (see `_tangles_of`):
+    vertices, read off the floods of the cut vertices (see `_blocks`), is
+    searched on its own, as a vertex mask of G with no `Graph` built for
+    it, and its havens orient G's separations (see `_tangles_of`):
     every tangle of order k >= 2 lives in one block, and a block with fewer
     than k vertices has none. That claim is checked against the
     whole-graph search and the brute-force oracle by a property test, not
@@ -721,10 +723,11 @@ def _search_tangles(g: Graph, k: int, budget: int, split: bool = True) -> list[T
         raise DisconnectedGraphError("enumerate_tangles requires a connected graph")
     if type(k) is not int or k < 1:
         raise PreconditionError(f"tangle order must be an integer at least 1, got {k!r}")
+    _integer(budget, "budget")
     seps, floods = _enumeration(g, k - 1, DEFAULT_ENUMERATION_BUDGET)
     closed = _tables(g._vertex_index[2])
     full = (1 << len(g.vertices)) - 1
-    blocks = _blocks(g) if split and k >= 2 else [full]
+    blocks = _blocks(full, floods) if split and k >= 2 else [full]
     components = dict(floods) if len(blocks) > 1 else {}
     havens, nodes = [], 0
     for block in blocks:
@@ -741,6 +744,24 @@ def _search_tangles(g: Graph, k: int, budget: int, split: bool = True) -> list[T
         found, nodes = _havens(closed, block, k, traces, budget, nodes)
         havens += ((block, beta) for beta in found)
     return _tangles_of(g, k, seps, havens)
+
+
+def _blocks(full: int, floods: list[tuple[int, list[int]]]) -> list[int]:
+    """The blocks of the connected graph on the vertex mask full (its
+    maximal 2-connected subgraphs and bridges, or its one vertex) as masks,
+    read off the cut vertices in `floods`, an enumeration's separators S
+    through size 1 with the components of G - S. By Menger, two vertices
+    share a block iff no third vertex separates them. So from [V], each cut
+    vertex s splits every set b into its traces b & (C | s) on the
+    components C of G - s that meet b. The sets stay connected, of two or
+    more vertices, and two share at most one vertex, so none holds another;
+    each lies in a block, and each block in one of them: they are the
+    blocks."""
+    blocks = [full]
+    for s, comps in floods[1 : full.bit_length() + 1]:
+        if len(comps) > 1:
+            blocks = [b & (c | s) for b in blocks for c in comps if b & c]
+    return blocks
 
 
 def _havens(closed, within: int, k: int, floods, budget: int, nodes: int = 0) -> tuple[list[dict[int, int]], int]:
@@ -869,6 +890,7 @@ def efficient_distinguisher(
     `enumerate_separations` slot.
     """
     _orienting(g, p, q)
+    _integer(budget, "budget")
     flow = _clique_flow(g, p, q)
     if flow is not None:
         if len(flow[0]) >= min(p.order_bound, q.order_bound):
@@ -891,6 +913,7 @@ def min_distinguishing_order(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> int | None:
     _orienting(g, p, q)
+    _integer(budget, "budget")
     flow = _clique_flow(g, p, q)
     if flow is not None:
         value = len(flow[0])

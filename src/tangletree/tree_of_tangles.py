@@ -36,7 +36,7 @@ from .errors import (
     SeparationError,
     UnknownVertexError,
 )
-from .graph import Graph, _as_json, _checked, _field, _flood, _select, components
+from .graph import Graph, _as_json, _checked, _field, _flood, _integer, _select, components
 from .separations import (
     DEFAULT_ENUMERATION_BUDGET,
     NestedSet,
@@ -81,7 +81,7 @@ def _min_order_distinguishers(
         seps = enumerate_separations(g, target_order, budget=budget)
         return [sep for sep in seps if sep.order == target_order and _splits(sep, p, q)]
     paths = flow[0]
-    if prod(map(len, paths)) > budget:
+    if prod(map(len, paths)) > _integer(budget, "budget"):
         raise BudgetExceededError("clique-pair separator candidates", budget)
     found: list[Separation] = []
     for picked in product(*paths):

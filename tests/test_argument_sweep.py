@@ -22,7 +22,7 @@ from tangletree import (
     induce_tree_decomposition,
     make_separation,
 )
-from tangletree.errors import TangletreeError
+from tangletree.errors import PreconditionError, TangletreeError
 
 from .conftest import clique_chain_graph
 
@@ -132,3 +132,37 @@ def test_a_malformed_positional_argument_raises_only_library_errors(valid_calls,
             call(*args[:i], bad, *args[i + 1 :], **kwargs)
         except TangletreeError:
             pass
+
+
+# the keyword-only integer arguments of the public callables
+_INTEGER_KEYWORDS = ("budget", "max_bound", "min_teeth")
+
+
+def _integer_keywords(name: str) -> list[str]:
+    parameters = inspect.signature(getattr(tangletree, name)).parameters.values()
+    return [p.name for p in parameters if p.kind is p.KEYWORD_ONLY and p.name in _INTEGER_KEYWORDS]
+
+
+@pytest.mark.parametrize("bad", [None, "x"], ids=["None", "str"])
+@pytest.mark.parametrize("name", [name for name in _CALLABLES if _integer_keywords(name)])
+def test_a_malformed_keyword_only_integer_raises_a_precondition_error(valid_calls, name, bad):
+    """Each keyword-only integer is checked on entry, where a None or a
+    string used to raise TypeError where it was compared, or pass unread
+    when the call never reached the comparison."""
+    call = getattr(tangletree, name)
+    args, kwargs = valid_calls[name], _KEYWORDS.get(name, {})
+    for keyword in _integer_keywords(name):
+        with pytest.raises(PreconditionError, match=f"^({keyword} must be an integer|at least one tooth is required), got {bad!r}$"):
+            call(*args, **kwargs, **{keyword: bad})
+
+
+@pytest.mark.parametrize("name, position", [("exhaustiveness_evidence", 1), ("thick_end_pipeline", 2)])
+@pytest.mark.parametrize("layer", ["x", None], ids=["str", "None"])
+def test_a_chain_layer_that_is_no_integer_raises_a_precondition_error(valid_calls, name, position, layer):
+    """The layers of a chain dict are sorted, which used to raise TypeError
+    on a key that is no int beside the int layers."""
+    args = list(valid_calls[name])
+    chains = args[position]
+    args[position] = {**chains, layer: chains[max(chains)]}
+    with pytest.raises(PreconditionError, match=f"^a chain layer must be an integer, got {layer!r}$"):
+        getattr(tangletree, name)(*args)

@@ -243,6 +243,23 @@ def test_presentation_with_string_vertices_is_a_json_error(tmp_path, capsys):
     assert report["error"] == "GraphFormatError" and "must be a list" in report["message"]
 
 
+@pytest.mark.parametrize("command", ["limits", "ends"])
+def test_presentation_with_an_int_vertex_is_a_json_error(tmp_path, capsys, command):
+    """An int among a layer's vertices is a GraphFormatError naming the
+    vertices, not a TypeError from sorting them: exit 1 and one error
+    document."""
+    pres = tmp_path / "pres.json"
+    assert run(["generate", "--family", "ray", "--horizon", "3", "--output", str(pres)]) == 0
+    doc = json.loads(pres.read_text())
+    doc["layers"][3]["vertices"].append(7)
+    pres.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run([command, "--input", str(pres)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["kind"] == "error" and report["error"] == "GraphFormatError"
+    assert "non-empty string, got 7" in report["message"]
+
+
 def test_interlace_with_an_empty_sequence_is_a_json_error(tmp_path, capsys):
     with tempfile.TemporaryDirectory() as tmp_dir:
         docs = _valid_documents(tmp_dir)
@@ -327,6 +344,37 @@ def test_verify_rejects_string_sides(tmp_path, capsys):
     assert run(["verify", "--input", _path_abc(tmp_path), "--input", str(nested)]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "error" and doc["error"] == "GraphFormatError"
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("decompose", {"kind": "nested_set"}, "missing 'members' field"),
+        ("verify", {"kind": "nested_set"}, "missing 'members' field"),
+        ("interlace", {"kind": "nested_set"}, "missing 'members' field"),
+        ("decompose", {"kind": "nested_set", "members": "ab"}, "members must be a list, got str"),
+        ("verify", {"kind": "tangle_list"}, "missing 'tangles' field"),
+        ("interlace", {"kind": "tangle_list", "tangles": "ab"}, "tangles must be a list, got str"),
+    ],
+)
+def test_a_member_or_tangle_list_reads_alike_in_every_command(tmp_path, capsys, command, doc, message):
+    """`decompose`, `interlace` and `verify` read a nested set's members
+    and a tangle list through one parser each, so a malformed list gives
+    one message naming the field, not a raw KeyError in some commands."""
+    graph, bad = _path_abc(tmp_path), tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    nested, seq = tmp_path / "nested.json", tmp_path / "seq.json"
+    nested.write_text(json.dumps({"members": []}))
+    seq.write_text(json.dumps({"items": []}))
+    inputs = {
+        "decompose": [graph, bad],
+        "verify": [graph, bad],
+        "interlace": [graph, bad, seq, nested] if "members" in message else [graph, nested, seq, bad],
+    }[command]
+    assert run([command, *(arg for path in inputs for arg in ("--input", str(path)))]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["kind"] == "error" and report["error"] == "GraphFormatError"
+    assert report["message"] == f"{message} ({bad})"
 
 
 @pytest.mark.parametrize("order_bound", [-5, 0, True])

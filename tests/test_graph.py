@@ -21,7 +21,6 @@ from tangletree.errors import (
 from tangletree.families import LayeredPresentation, generate_family, load_presentation_spec, truncate
 from tangletree.graph import (
     Graph,
-    _blocks,
     components,
     disjoint_paths,
     load_graph,
@@ -40,15 +39,18 @@ from tangletree.limits import (
     thin_out,
 )
 from tangletree.separations import (
+    DEFAULT_ENUMERATION_BUDGET,
     NestedSet,
     Separation,
     SeparationSequence,
+    _enumeration,
     enumerate_separations,
     make_separation,
 )
 from tangletree.tangles import (
     PreTangle,
     TangleWitness,
+    _blocks,
     clique_witness,
     distinguishable_pairs,
     end_region_witness,
@@ -210,6 +212,27 @@ def test_a_raw_graph_edge_that_is_no_pair_raises_a_graph_format_error(edge):
     with pytest.raises(GraphFormatError, match=f"^edge {re.escape(repr(edge))} is not a pair of vertices") as err:
         Graph(frozenset({"a", "b", "c"}), frozenset({edge}))
     assert err.value.context == "edges"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Graph.from_data([3, "a"], []),
+        lambda: Graph(frozenset({3, "a"}), frozenset()),
+        lambda: Graph.from_data([3], []),
+        lambda: Graph.from_data(["", "a"], []),
+        lambda: Graph(frozenset({"a", 3}), frozenset({("a", 3)})),
+    ],
+    ids=["from_data", "raw", "int names only", "empty name", "raw int endpoint"],
+)
+def test_a_vertex_that_is_no_non_empty_string_raises_a_graph_format_error(build):
+    """A graph document takes vertex names as non-empty strings, and so does
+    every `Graph`: one with an int name used to build, and then each call
+    that sorts its names raised TypeError, and its `dumps` wrote a
+    document `load_graph` rejects."""
+    with pytest.raises(GraphFormatError, match="^vertex must be a non-empty string, got (3|'')") as err:
+        build()
+    assert err.value.context == "vertices"
 
 
 @pytest.mark.parametrize("members", [None, 3], ids=["None", "int"])
@@ -453,9 +476,14 @@ def test_components_match_the_set_search(data):
         components(g, [*verts[:1], "zz"])
 
 
+def _blocks_of(g: Graph) -> list[int]:
+    """`_blocks` of connected g, read off the floods of its order-1 enumeration."""
+    return _blocks((1 << len(g.vertices)) - 1, _enumeration(g, 1, DEFAULT_ENUMERATION_BUDGET)[1])
+
+
 def _block_names(g: Graph) -> list[frozenset[str]]:
     names = g._vertex_index[0]
-    return sorted((frozenset(names[i] for i in range(len(names)) if b >> i & 1) for b in _blocks(g)), key=sorted)
+    return sorted((frozenset(names[i] for i in range(len(names)) if b >> i & 1) for b in _blocks_of(g)), key=sorted)
 
 
 @settings(max_examples=100, deadline=None)
@@ -475,19 +503,19 @@ def test_blocks_match_their_definition(data):
 def test_blocks_of_small_shapes_and_a_long_path():
     """A cycle is one block and a single vertex is one; two K5 sharing a
     vertex are two; the three-K4 chain has its three cliques and the two
-    bridges between them. On the path of 5,000 vertices each edge is a
+    bridges between them. On the path of 1,200 vertices each edge is a
     block, found without recursion."""
     assert _block_names(cycle_graph(5)) == [cycle_graph(5).vertices]
-    assert _blocks(Graph.from_data(["x"], [])) == [1]
-    assert len(_blocks(two_k5_shared_vertex())) == 2
-    assert len(_blocks(clique_chain_graph(3, 4))) == 5
+    assert _blocks_of(Graph.from_data(["x"], [])) == [1]
+    assert len(_blocks_of(two_k5_shared_vertex())) == 2
+    assert len(_blocks_of(clique_chain_graph(3, 4))) == 5
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        blocks = _blocks(path_graph(5000))
+        blocks = _blocks_of(path_graph(1200))
     finally:
         sys.setrecursionlimit(limit)
-    assert len(blocks) == 4999 and all(b.bit_count() == 2 for b in blocks)
+    assert len(blocks) == 1199 and all(b.bit_count() == 2 for b in blocks)
 
 
 def test_components_match_the_set_search_on_the_chain_window(scaled_chain):
